@@ -8,15 +8,26 @@ binary tensor file I/O.
 
 import os as _os
 
+
+def _thread_cap(raw):
+    """MIDAS_THREADS as a positive int; None when it is unset or not one."""
+    try:
+        cap = int(raw)
+    except (TypeError, ValueError):
+        return None
+    return cap if cap > 0 else None
+
+
 # MIDAS_THREADS env-var fallback.  OpenBLAS/OpenMP read their thread counts
 # once, when numpy loads them, so the cap is set here, before the first numpy
 # import below.  It takes effect whenever midasll1 is imported before numpy
 # (always for the CLI); cli._apply_thread_cap adds threadpoolctl where it is
-# installed, which also works after numpy has loaded.
-_cap = _os.environ.get("MIDAS_THREADS")
-if _cap:
+# installed, which also works after numpy has loaded.  An invalid value is
+# skipped here, so importing never raises; the CLI rejects it with exit 2.
+_cap = _thread_cap(_os.environ.get("MIDAS_THREADS"))
+if _cap is not None:
     _os.environ.update(
-        dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), _cap)
+        dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(_cap))
     )
 del _cap
 

@@ -14,10 +14,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _thread_cap
 from . import config as cfgmod
 from . import metrics as metricsmod
 from . import tensorfile
@@ -32,15 +34,12 @@ EXIT_PARSE = 2
 EXIT_NAN_ABORT = 3
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("MIDAS_THREADS")
-    if not cap:
-        return
+def _apply_thread_cap(cap: int):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         return  # the env-var fallback was applied on import (midasll1/__init__.py)
-    threadpool_limits(limits=int(cap))
+    threadpool_limits(limits=cap)
 
 
 def _make_clock():
@@ -185,6 +184,7 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clock = _make_clock()
+    baseline = base if baseline_iters is None else replace(base, epochs=baseline_iters)
     cells = [("midas", est, t) for est in estimators for t in t_values]
     cells += [("baseline", name, None) for name in baselines]
     rows = []
@@ -198,13 +198,9 @@ def cmd_bench(args) -> int:
                 cfg = cfgmod.RunConfig(**{**base.__dict__, "estimator": name, "t": t})
                 factors, trace = run(cfg.to_solver_config(), tensor, clock=clock)
             elif name == "palm":
-                factors, trace = palm_baseline(
-                    base.to_solver_config(), tensor, sweeps=baseline_iters, clock=clock
-                )
+                factors, trace = palm_baseline(baseline.to_solver_config(), tensor, clock=clock)
             elif name == "alsmu":
-                factors, trace = als_mu_baseline(
-                    base.to_solver_config(), tensor, iterations=baseline_iters, clock=clock
-                )
+                factors, trace = als_mu_baseline(baseline.to_solver_config(), tensor, clock=clock)
             else:
                 raise ValueError(f"unknown baseline {name!r}")
         except Exception as exc:  # per-cell failures must not kill the grid
@@ -262,7 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    raw_cap = os.environ.get("MIDAS_THREADS")
+    cap = _thread_cap(raw_cap)
+    if raw_cap and cap is None:
+        print(f"error: MIDAS_THREADS must be a positive integer, got {raw_cap!r}", file=sys.stderr)
+        return EXIT_PARSE
+    if cap is not None:
+        _apply_thread_cap(cap)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -2,7 +2,8 @@
 
 One `key = value` pair per line; '#' starts a comment; unknown keys are
 rejected.  `ranks` is a comma list of block widths; `R`, when present, must
-match its length.  `reg` is one of none | nonneg | ridge:<lam>.
+match its length.  `reg` is one of none | nonneg | ridge:<lam>.  Values are
+checked once, at parse time, by building the `SolverConfig` they describe.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .model import RankVector
 from .prox import RegularizerSpec
-from .solver import ConstantSchedule, InertialSchedule, SolverConfig
+from .solver import SolverConfig
 
 
 @dataclass
@@ -37,9 +38,9 @@ class RunConfig:
             ranks=RankVector(self.ranks),
             estimator=self.estimator,
             t=self.t,
-            alpha_schedule=InertialSchedule(self.alpha0),
-            beta_schedule=InertialSchedule(self.beta0),
-            eta_schedule=ConstantSchedule(self.eta),
+            alpha0=self.alpha0,
+            beta0=self.beta0,
+            eta=self.eta,
             B=self.B,
             epochs=self.epochs,
             seed=self.seed,
@@ -95,20 +96,11 @@ def parse_config(text: str) -> RunConfig:
             f"R={r_declared} contradicts ranks of length {len(values['ranks'])}"
         )
     cfg = RunConfig(**values)
-    _validate(cfg)
+    try:
+        cfg.to_solver_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
-
-
-def _validate(cfg: RunConfig):
-    if cfg.estimator not in ("sgd", "saga", "sarah"):
-        raise ConfigError(f"unknown estimator {cfg.estimator!r}")
-    if cfg.mode_policy not in ("uniform", "cyclic"):
-        raise ConfigError(f"unknown mode_policy {cfg.mode_policy!r}")
-    kind = cfg.reg.partition(":")[0]
-    if kind not in ("none", "nonneg", "ridge"):
-        raise ConfigError(f"unknown reg {cfg.reg!r}")
-    if cfg.t < 0 or cfg.epochs < 0 or cfg.eta <= 0:
-        raise ConfigError("t and epochs must be >= 0 and eta > 0")
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -7,9 +7,10 @@ stochastic proximal gradient step on that mode and leaves the others
 untouched.  An epoch is sum_n ceil(J_n / B_n) iterations, i.e. one expected
 pass over each mode's fibers.
 
-The deterministic baselines share the same gradient and prox kernels: a
-cyclic full-gradient proximal scheme with per-mode 1/L steps, and a
-multiplicative-update scheme for nonnegative data.
+The deterministic proximal baseline (PALM) is a configuration of the same
+loop: inertial depth 0, full fiber batches, cyclic modes and per-mode 1/L
+steps.  The multiplicative-update baseline for nonnegative data keeps its
+own loop, since its update is not a proximal step.
 """
 
 from __future__ import annotations
@@ -40,45 +41,28 @@ from .tensor import DenseTensor3, FiberBatch, row_count, unfold
 
 
 class SolverAbort(RuntimeError):
-    """Raised when an update produces non-finite entries."""
+    """Raised when an update produces non-finite entries, or when a 1/L step
+    cannot be formed because the mode's Lipschitz bound is zero."""
 
-    def __init__(self, iteration: int, mode: int):
+    def __init__(self, iteration: int, mode: int, reason: str | None = None):
         super().__init__(
-            f"non-finite factor entries at iteration {iteration}, mode {mode}; "
+            reason
+            or f"non-finite factor entries at iteration {iteration}, mode {mode}; "
             "the (eta, alpha, beta) configuration is likely infeasible"
         )
         self.iteration = iteration
         self.mode = mode
 
 
-class InertialSchedule:
-    """k -> scale * (k-1)/(k+2); converges to `scale` as k grows."""
+def inertial_coefficient(scale: float, k: int) -> float:
+    """scale * (k-1)/(k+2); converges to `scale` as k grows.
 
-    def __init__(self, scale: float):
-        self.scale = float(scale)
-        self.limit = float(scale)
-
-    def __call__(self, k: int) -> float:
-        # differences this deep in the history are still zero-padded copies
-        # of the start point, so the value before step 1 is irrelevant
-        if k < 1:
-            return 0.0
-        return self.scale * (k - 1) / (k + 2)
-
-    def __eq__(self, other):
-        return isinstance(other, InertialSchedule) and self.scale == other.scale
-
-
-class ConstantSchedule:
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.limit = float(value)
-
-    def __call__(self, k: int) -> float:
-        return self.value
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantSchedule) and self.value == other.value
+    Differences this deep in the history are still zero-padded copies of the
+    start point, so the value before step 1 is irrelevant and taken as 0.
+    """
+    if k < 1:
+        return 0.0
+    return scale * (k - 1) / (k + 2)
 
 
 @dataclass
@@ -86,9 +70,9 @@ class SolverConfig:
     ranks: RankVector
     estimator: str = "saga"
     t: int = 3
-    alpha_schedule: object = field(default_factory=lambda: InertialSchedule(0.3))
-    beta_schedule: object = field(default_factory=lambda: InertialSchedule(0.8))
-    eta_schedule: object = field(default_factory=lambda: ConstantSchedule(0.1))
+    alpha0: float = 0.3  # prox-anchor coefficient inertial_coefficient(alpha0, k)
+    beta0: float = 0.8  # gradient-point coefficient inertial_coefficient(beta0, k)
+    eta: float = 0.1  # step size under step_rule "schedule"
     step_rule: str = "schedule"  # or "inverse_lipschitz"
     B: int = 0  # 0 -> 2 * max L_r
     epochs: int = 200
@@ -111,6 +95,12 @@ class SolverConfig:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
+            raise ValueError(f"alpha0 and beta0 must be finite, got {self.alpha0}, {self.beta0}")
+        if self.B < 0 or self.sarah_q < 0:
+            raise ValueError("B and sarah_q must be >= 0")
 
     def batch_size(self) -> int:
         return self.B if self.B > 0 else 2 * max(self.ranks.L)
@@ -266,9 +256,7 @@ def lyapunov_surrogate(phi: float, step_sq_norms, abars) -> float:
 def _diag_abars(config: SolverConfig, factors, eta: float) -> list[float]:
     gamma = config.gamma_diag or 0.0
     lip = max(lipschitz_bound(factors, n) for n in (1, 2, 3))
-    alpha = getattr(config.alpha_schedule, "limit", config.alpha_schedule(10**9))
-    beta = getattr(config.beta_schedule, "limit", config.beta_schedule(10**9))
-    a = _abar(config.t, alpha, beta, eta, lip, gamma)
+    a = _abar(config.t, config.alpha0, config.beta0, eta, lip, gamma)
     return [a] * (config.t + 1)
 
 
@@ -324,21 +312,28 @@ def run(
                 n = 1 + int(rng_mode.integers(3))
             counts[n - 1] += 1
 
-            coeffs_a = [config.alpha_schedule(k + 1 - i) for i in range(1, config.t + 1)]
-            coeffs_b = [config.beta_schedule(k + 1 - i) for i in range(1, config.t + 1)]
+            lags = range(1, config.t + 1)
+            coeffs_a = [inertial_coefficient(config.alpha0, k + 1 - i) for i in lags]
+            coeffs_b = [inertial_coefficient(config.beta0, k + 1 - i) for i in lags]
             y_anchor = extrapolate(history[n], coeffs_a)
             u_eval = extrapolate(history[n], coeffs_b)
             factors_u = factors.with_factor(n, u_eval)
 
             if config.step_rule == "inverse_lipschitz":
-                eta = 1.0 / lipschitz_bound(factors_u, n)
+                lip = lipschitz_bound(factors_u, n)
+                if lip <= 0.0:
+                    raise SolverAbort(k, n, _zero_lipschitz_reason(factors_u, k, n))
+                eta = 1.0 / lip
             else:
-                eta = float(config.eta_schedule(k))
+                eta = config.eta
 
             if config.estimator == "saga":
                 nb = state.n_bins(n)
                 bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
                 g = state.estimate(factors_u, tensor, n, bin_id)
+            elif config.estimator == "sgd" and batches[n] == jn[n]:
+                # bitwise equal to sgd_estimate on every fiber, without the batch gather
+                g = full_gradient(factors_u, tensor, n)
             else:
                 bn = batches[n]
                 if bn == jn[n]:
@@ -374,53 +369,41 @@ def run(
     return factors, trace
 
 
+def _zero_lipschitz_reason(factors: LL1Factors, k: int, n: int) -> str:
+    zero = [f"A{m}" for m in (1, 2, 3) if m != n and not factors.factor(m).any()]
+    return (
+        f"Lipschitz bound of mode {n} is zero at iteration {k}: "
+        f"{' and '.join(zero) or 'a factor block'} collapsed to zero, so no 1/L step exists"
+    )
+
+
 def palm_baseline(
     config: SolverConfig,
     tensor: DenseTensor3,
-    sweeps: int | None = None,
     clock=None,
 ) -> tuple[LL1Factors, RunTrace]:
-    """Cyclic full-gradient proximal scheme with per-mode 1/L step sizes.
+    """Cyclic full-gradient proximal scheme with per-mode 1/L step sizes (PALM).
 
-    The objective is monotonically nonincreasing; a violation beyond 1e-10
+    This is `run` with inertial depth 0, full fiber batches, cyclic modes and
+    1/L steps; `config.epochs` counts sweeps over the three modes.  The
+    objective is monotonically nonincreasing; a violation beyond 1e-10
     raises, since it indicates a broken gradient or Lipschitz bound.
     """
-    clock = clock or time.perf_counter
-    sweeps = config.epochs if sweeps is None else sweeps
-    streams = rng_streams(config.seed)
-    factors = init_factors(config, tensor.dims, streams["init"])
-    trace = RunTrace()
-    prev_phi = objective(factors, tensor, config.reg).phi
-    start = clock()
-    k = 0
-    for sweep in range(sweeps):
-        last_step_norm = 0.0
-        for n in (1, 2, 3):
-            eta = 1.0 / lipschitz_bound(factors, n)
-            g = full_gradient(factors, tensor, n)
-            a_new = prox(config.reg, n, factors.factor(n) - eta * g, eta)
-            if not np.isfinite(a_new).all():
-                raise SolverAbort(k, n)
-            d = a_new - factors.factor(n)
-            last_step_norm = math.sqrt(float(np.sum(d * d)))
-            factors = factors.with_factor(n, a_new)
-            k += 1
-        obj = objective(factors, tensor, config.reg)
-        if obj.phi > prev_phi + 1e-10:
-            raise RuntimeError(
-                f"objective increased at sweep {sweep}: {prev_phi} -> {obj.phi}"
-            )
-        prev_phi = obj.phi
-        trace.append(sweep + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, None, (1, 1, 1))
-        if obj.phi < config.abs_tol:
-            break
+    start = init_factors(config, tensor.dims, rng_streams(config.seed)["init"])
+    prev_phi = objective(start, tensor, config.reg).phi
+    palm = replace(config, estimator="sgd", t=0, B=tensor.size, mode_policy="cyclic",
+                   step_rule="inverse_lipschitz", gamma_diag=None, init=start)
+    factors, trace = run(palm, tensor, clock=clock)
+    for sweep, phi in enumerate(trace.phi):
+        if phi > prev_phi + 1e-10:
+            raise RuntimeError(f"objective increased at sweep {sweep}: {prev_phi} -> {phi}")
+        prev_phi = phi
     return factors, trace
 
 
 def als_mu_baseline(
     config: SolverConfig,
     tensor: DenseTensor3,
-    iterations: int | None = None,
     eps: float = 1e-12,
     clock=None,
 ) -> tuple[LL1Factors, RunTrace]:
@@ -432,7 +415,6 @@ def als_mu_baseline(
     clock = clock or time.perf_counter
     if tensor.array.min() < 0:
         raise ValueError("multiplicative updates require a nonnegative tensor")
-    iterations = config.epochs if iterations is None else iterations
     streams = rng_streams(config.seed)
     factors = init_factors(config, tensor.dims, streams["init"])
     for n in (1, 2, 3):
@@ -444,7 +426,7 @@ def als_mu_baseline(
     k = 0
     from .model import build_H  # local to keep module top imports tidy
 
-    for it in range(iterations):
+    for it in range(config.epochs):
         last_step_norm = 0.0
         for n in (1, 2, 3):
             h = build_H(factors, n)

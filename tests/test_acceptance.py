@@ -239,14 +239,16 @@ def test_criterion_05_reduction_equivalence():
         step_rule="inverse_lipschitz",
         abs_tol=0.0,
     )
-    fm, trm = run(cfg, tensor)
-    fp, trp = palm_baseline(cfg, tensor, sweeps=50)
+    fr, *series_r = conftest.palm_reference(cfg, tensor)
+    ok = len(series_r[0]) == 50
     worst = 0.0
-    for series_m, series_p in ((trm.phi, trp.phi), (trm.f, trp.f), (trm.step_norm, trp.step_norm)):
-        worst = max(worst, max(abs(a - b) for a, b in zip(series_m, series_p)))
-    for n in (1, 2, 3):
-        worst = max(worst, float(np.abs(fm.factor(n) - fp.factor(n)).max()))
-    ok = len(trm) == len(trp) == 50 and worst <= 1e-12
+    for fm, trm in (run(cfg, tensor), palm_baseline(cfg, tensor)):
+        ok = ok and len(trm) == 50
+        for series_m, series_p in zip((trm.phi, trm.f, trm.step_norm), series_r):
+            worst = max(worst, max(abs(a - b) for a, b in zip(series_m, series_p)))
+        for n in (1, 2, 3):
+            worst = max(worst, float(np.abs(fm.factor(n) - fr.factor(n)).max()))
+    ok = ok and worst <= 1e-12
     _verdict(5, "reduction-equivalence", ok, f"max trace/factor diff {worst:.2e}")
 
 
@@ -254,9 +256,9 @@ def test_criterion_06_baseline_monotonicity():
     rng = np.random.default_rng(1006)
     tensor = DenseTensor3(rng.random((8, 8, 8)))
     cfg = SolverConfig(ranks=RankVector((2, 2)), epochs=500, seed=0, abs_tol=0.0)
-    _, trp = palm_baseline(cfg, tensor, sweeps=500)
+    _, trp = palm_baseline(cfg, tensor)
     palm_ok = all(b <= a + 1e-10 for a, b in zip(trp.phi, trp.phi[1:]))
-    _, tra = als_mu_baseline(cfg, tensor, iterations=500)
+    _, tra = als_mu_baseline(cfg, tensor)
     alsmu_ok = all(b <= a + 1e-8 for a, b in zip(tra.phi, tra.phi[1:]))
     _verdict(6, "baseline-monotonicity", palm_ok and alsmu_ok)
 
@@ -438,6 +440,32 @@ def test_midas_threads_caps_blas_threads():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert int(r.stdout) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_midas_threads_rejects_invalid(tmp_path, value):
+    # the CLI exits 2 with one error line before writing anything
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ranks = 1\nepochs = 1\n")
+    tensor_path = tmp_path / "x.dten"
+    tensorfile.write_tensor(tensor_path, DenseTensor3(np.ones((2, 2, 2))))
+    out = tmp_path / "o"
+    r = _run_cli(
+        ["decompose", "--tensor", str(tensor_path), "--config", str(cfg), "--out", str(out)],
+        {"MIDAS_THREADS": value},
+        tmp_path,
+    )
+    assert r.returncode == EXIT_PARSE
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MIDAS_THREADS")
+    assert not out.exists()
+    # library import skips the value instead of raising or passing it to BLAS
+    env = _child_env({"MIDAS_THREADS": value})
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = "import os, midasll1\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "None"
 
 
 def test_criterion_12_file_format_roundtrip(tmp_path):

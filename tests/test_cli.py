@@ -126,6 +126,13 @@ def test_config_comments_and_blank_lines():
         "ranks = 2\nestimator = adam\n",
         "ranks = 2\nreg = l1\n",
         "ranks = 2\neta = -1\n",
+        "ranks = 2\nB = -3\n",
+        "ranks = 2\nsarah_q = -1\n",
+        "ranks = 2\neta = nan\n",
+        "ranks = 2\nalpha0 = inf\n",
+        "ranks = 2\nbeta0 = nan\n",
+        "ranks = 2\nreg = ridge:abc\n",
+        "ranks = 2\nreg = ridge:-1\n",
     ],
 )
 def test_config_rejects(text):
@@ -173,6 +180,15 @@ def test_decompose_bad_config_exit_code(tmp_path, tensor_file):
     rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_PARSE
+
+
+def test_decompose_invalid_config_value_writes_nothing(tmp_path, tensor_file):
+    path, _ = tensor_file
+    cfg = write_config(tmp_path, "ranks = 2,1\nreg = ridge:abc\n")
+    out = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_decompose_bad_tensor_exit_code(tmp_path):

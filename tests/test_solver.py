@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import palm_reference
 from midasll1.model import LL1Factors, RankVector, objective, reconstruct
 from midasll1.prox import NONE, NONNEG
 from midasll1.solver import (
-    ConstantSchedule,
-    InertialSchedule,
     SolverAbort,
     SolverConfig,
     als_mu_baseline,
     effective_batches,
     extrapolate,
     feasibility_check,
+    inertial_coefficient,
     init_factors,
     lyapunov_surrogate,
     palm_baseline,
@@ -31,18 +31,11 @@ def small_tensor(seed=0, dims=(6, 5, 4), L=(2, 1)):
 
 
 def test_inertial_schedule_values():
-    s = InertialSchedule(0.3)
-    assert s(0) == 0.0
-    assert s(1) == 0.0
-    assert s(2) == pytest.approx(0.3 / 4)
-    assert s(-3) == 0.0  # pre-history indices never contribute
-    assert s.limit == 0.3
-    assert s(10**7) == pytest.approx(0.3, rel=1e-5)
-
-
-def test_constant_schedule():
-    s = ConstantSchedule(0.1)
-    assert s(0) == s(999) == 0.1
+    assert inertial_coefficient(0.3, 0) == 0.0
+    assert inertial_coefficient(0.3, 1) == 0.0
+    assert inertial_coefficient(0.3, 2) == pytest.approx(0.3 / 4)
+    assert inertial_coefficient(0.3, -3) == 0.0  # pre-history indices never contribute
+    assert inertial_coefficient(0.3, 10**7) == pytest.approx(0.3, rel=1e-5)
 
 
 def test_extrapolate_short_history_is_base():
@@ -98,6 +91,10 @@ def test_config_validation():
         SolverConfig(ranks=rk, mode_policy="random")
     with pytest.raises(ValueError):
         SolverConfig(ranks=rk, step_rule="fixed")
+    for bad in ({"eta": 0.0}, {"eta": math.inf}, {"alpha0": math.nan}, {"beta0": -math.inf},
+                {"B": -1}, {"sarah_q": -1}):
+        with pytest.raises(ValueError):
+            SolverConfig(ranks=rk, **bad)
 
 
 def test_default_batch_size_is_twice_max_block():
@@ -206,7 +203,7 @@ def test_run_nan_abort():
         epochs=50,
         seed=0,
         reg=NONE,
-        eta_schedule=ConstantSchedule(1e6),
+        eta=1e6,
         estimator="sgd",
     )
     with pytest.raises(SolverAbort) as exc:
@@ -232,7 +229,8 @@ def test_run_virtual_clock():
 
 def test_reduction_to_palm():
     """t=0, full batches, cyclic modes and 1/L steps reproduce the
-    deterministic baseline exactly."""
+    deterministic baseline exactly: `run` and `palm_baseline` both match a
+    hand-written PALM loop bit for bit."""
     t = small_tensor(seed=8, dims=(5, 4, 3), L=(2,))
     rk = RankVector((2,))
     big = max(t.dims) * max(t.dims)
@@ -247,26 +245,41 @@ def test_reduction_to_palm():
         step_rule="inverse_lipschitz",
         abs_tol=0.0,
     )
-    fm, trm = run(cfg, t)
-    fp, trp = palm_baseline(cfg, t, sweeps=20)
-    for n in (1, 2, 3):
-        np.testing.assert_array_equal(fm.factor(n), fp.factor(n))
-    assert trm.phi == trp.phi
-    assert trm.step_norm == trp.step_norm
+    fr, phi, f, step_norm = palm_reference(cfg, t)
+    assert len(phi) == 20
+    for fm, trm in (run(cfg, t), palm_baseline(cfg, t)):
+        for n in (1, 2, 3):
+            np.testing.assert_array_equal(fm.factor(n), fr.factor(n))
+        assert trm.phi == phi
+        assert trm.f == f
+        assert trm.step_norm == step_norm
 
 
 def test_palm_monotone_and_converges():
     t = small_tensor(seed=9)
     cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=100, seed=0, abs_tol=0.0)
-    _, trace = palm_baseline(cfg, t, sweeps=100)
+    _, trace = palm_baseline(cfg, t)
     assert all(b <= a + 1e-10 for a, b in zip(trace.phi, trace.phi[1:]))
     assert trace.phi[-1] < trace.phi[0]
+
+
+def test_zero_lipschitz_bound_aborts():
+    """A factor clipped to zero leaves no 1/L step: SolverAbort, not a division by zero."""
+    t = DenseTensor3(-np.ones((4, 4, 4)))
+    cfg = SolverConfig(ranks=RankVector((2,)), epochs=3, reg=NONNEG)
+    with pytest.raises(SolverAbort, match="A1 collapsed to zero") as exc:
+        palm_baseline(cfg, t)
+    assert (exc.value.iteration, exc.value.mode) == (1, 2)
+    cfg = SolverConfig(ranks=RankVector((2,)), epochs=3, reg=NONNEG, t=1,
+                       estimator="sgd", step_rule="inverse_lipschitz")
+    with pytest.raises(SolverAbort, match="Lipschitz bound of mode"):
+        run(cfg, t)
 
 
 def test_alsmu_monotone_and_nonneg():
     t = small_tensor(seed=10)
     cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=200, seed=0, abs_tol=0.0)
-    f, trace = als_mu_baseline(cfg, t, iterations=200)
+    f, trace = als_mu_baseline(cfg, t)
     assert all(b <= a + 1e-8 for a, b in zip(trace.phi, trace.phi[1:]))
     for n in (1, 2, 3):
         assert f.factor(n).min() >= 0.0
@@ -276,7 +289,7 @@ def test_alsmu_rejects_negative_tensor():
     cube = -np.ones((2, 2, 2))
     cfg = SolverConfig(ranks=RankVector((1,)), epochs=1)
     with pytest.raises(ValueError):
-        als_mu_baseline(cfg, DenseTensor3(cube), iterations=1)
+        als_mu_baseline(cfg, DenseTensor3(cube))
 
 
 def test_feasibility_zero_inertia_closed_form():
