@@ -147,6 +147,13 @@ def cmd_metrics(args) -> int:
 
 
 def _parse_grid(text: str):
+    """Bench grid file -> cells [(name, solver function, SolverConfig)].
+
+    Plain keys form the base config; `grid_estimators` x `grid_t` give the
+    stochastic cells and `grid_baselines` the baseline cells, which run
+    `baseline_iters` epochs when set.  Every cell's config is checked here,
+    so a bad value is a ConfigError before anything runs or is written.
+    """
     grid_lines, base_lines = [], []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -156,53 +163,59 @@ def _parse_grid(text: str):
             base_lines.append(raw)
     base = cfgmod.parse_config("\n".join(base_lines))
     estimators, t_values, baselines = [], [], []
-    baseline_iters = None
+    baseline = base
     for line in grid_lines:
         key, _, val = (s.strip() for s in line.partition("="))
-        if key == "grid_estimators":
-            estimators = [v.strip() for v in val.split(",") if v.strip()]
-        elif key == "grid_t":
-            t_values = [int(v) for v in val.split(",")]
-        elif key == "grid_baselines":
-            baselines = [v.strip() for v in val.split(",") if v.strip()]
-        elif key == "baseline_iters":
-            baseline_iters = int(val)
-        else:
-            raise cfgmod.ConfigError(f"unknown grid key {key!r}")
-    return base, estimators or [base.estimator], t_values or [base.t], baselines, baseline_iters
+        try:
+            if key == "grid_estimators":
+                estimators = [v.strip() for v in val.split(",") if v.strip()]
+                for est in estimators:
+                    replace(base, estimator=est).to_solver_config()
+            elif key == "grid_t":
+                t_values = [int(v) for v in val.split(",")]
+                for t in t_values:
+                    replace(base, t=t).to_solver_config()
+            elif key == "grid_baselines":
+                baselines = [v.strip() for v in val.split(",") if v.strip()]
+                unknown = [name for name in baselines if name not in _BASELINES]
+                if unknown:
+                    raise ValueError(f"unknown baseline {unknown[0]!r}")
+            elif key == "baseline_iters":
+                baseline = replace(base, epochs=int(val))
+                baseline.to_solver_config()
+            else:
+                raise ValueError("unknown grid key")
+        except ValueError as exc:
+            raise cfgmod.ConfigError(f"{key}: {exc}") from None
+    cells = [
+        (f"{est}-t{t}", run, replace(base, estimator=est, t=t).to_solver_config())
+        for est in estimators or [base.estimator]
+        for t in t_values or [base.t]
+    ]
+    cells += [(name, _BASELINES[name], baseline.to_solver_config()) for name in baselines]
+    return cells
+
+
+_BASELINES = {"palm": palm_baseline, "alsmu": als_mu_baseline}
 
 
 def cmd_bench(args) -> int:
     try:
         tensor = _load_tensor(args.tensor)
-        base, estimators, t_values, baselines, baseline_iters = _parse_grid(
-            Path(args.grid).read_text()
-        )
+        cells = _parse_grid(Path(args.grid).read_text())
     except (tensorfile.FormatError, cfgmod.ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clock = _make_clock()
-    baseline = base if baseline_iters is None else replace(base, epochs=baseline_iters)
-    cells = [("midas", est, t) for est in estimators for t in t_values]
-    cells += [("baseline", name, None) for name in baselines]
     rows = []
-    for kind, name, t in cells:
-        cell = f"{name}-t{t}" if kind == "midas" else name
+    for cell, solve, cfg in cells:
         cell_dir = out / cell
         cell_dir.mkdir(exist_ok=True)
         start = time.perf_counter()
         try:
-            if kind == "midas":
-                cfg = cfgmod.RunConfig(**{**base.__dict__, "estimator": name, "t": t})
-                factors, trace = run(cfg.to_solver_config(), tensor, clock=clock)
-            elif name == "palm":
-                factors, trace = palm_baseline(baseline.to_solver_config(), tensor, clock=clock)
-            elif name == "alsmu":
-                factors, trace = als_mu_baseline(baseline.to_solver_config(), tensor, clock=clock)
-            else:
-                raise ValueError(f"unknown baseline {name!r}")
+            factors, trace = solve(cfg, tensor, clock=clock)
         except Exception as exc:  # per-cell failures must not kill the grid
             rows.append((cell, "", "", "", "", f"failed: {exc}"))
             print(f"cell {cell} failed: {exc}", file=sys.stderr)

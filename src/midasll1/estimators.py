@@ -14,8 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LL1Factors, build_H_rows, full_gradient
-from .tensor import DenseTensor3, FiberBatch, gather_fiber_rows, row_count
+from .model import H_rows_at, LL1Factors, full_gradient
+from .tensor import (
+    DenseTensor3,
+    FiberBatch,
+    fiber_coordinates,
+    fiber_rows_at,
+    gather_fiber_rows,
+    mode1_rows,
+    row_count,
+)
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
 
@@ -27,12 +35,19 @@ def sgd_estimate(factors: LL1Factors, t: DenseTensor3, batch: FiberBatch) -> np.
     built row-wise for the sampled fibers only.  With B = J_n this equals
     the exact full gradient, since I_n * J_n = I1*I2*I3.
     """
-    mode = batch.mode
-    h = build_H_rows(factors, mode, batch.indices)
     x = gather_fiber_rows(t, batch)
-    a = factors.factor(mode)
-    denom = factors.dims[mode - 1] * batch.size
-    return (a @ (h.T @ h) - x.T @ h) / denom
+    a, b = fiber_coordinates(t.dims, batch.mode, batch.indices)
+    return fiber_gradient(factors, batch.mode, a, b, x)
+
+
+def fiber_gradient(
+    factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """`sgd_estimate` at fiber coordinates `(a, b)` with the gathered rows `x`
+    of the unfolding, without checks."""
+    h = H_rows_at(factors, mode, a, b)
+    u = factors.factor(mode)
+    return (u @ (h.T @ h) - x.T @ h) / (u.shape[0] * a.size)
 
 
 def make_bins(jn: int, b: int) -> list[np.ndarray]:
@@ -55,64 +70,92 @@ class SagaState:
 
     The table is warm-started with the bin gradients at the initial point, so
     a SAGA estimate at an unchanged point reduces exactly to the running mean
-    (fresh and stored bin gradients cancel).  The running mean is maintained
-    incrementally and recomputed from the table once per full sweep to keep
-    drift below the documented 1e-10 consistency bound.
+    (fresh and stored bin gradients cancel: both come from `fiber_gradient`
+    on the same rows).  The running mean is maintained incrementally and
+    recomputed from the table once per full sweep to keep drift below the
+    documented 1e-10 consistency bound.
+
+    `table[mode]` stacks the bin gradients (n_bins x I_n x L).  The bins of a
+    mode have one size; `fibers[mode]` holds their fiber coordinates
+    (n_bins x B each, from `fiber_coordinates`) and, when every bin is a run
+    of consecutive mode-1 fibers, each bin's first row, so that its rows are
+    read as a view of the unfolding instead of gathered.
     """
 
     bins: dict[int, list[np.ndarray]]
-    table: dict[int, list[np.ndarray]]
+    table: dict[int, np.ndarray]
     running_mean: dict[int, np.ndarray]
     updates_since_recompute: dict[int, int] = field(default_factory=dict)
+    fibers: dict[int, tuple[np.ndarray, np.ndarray, list[int] | None]] = field(
+        default_factory=dict
+    )
 
     @classmethod
     def warm_start(
         cls, factors: LL1Factors, t: DenseTensor3, bins: dict[int, list[np.ndarray]]
     ) -> "SagaState":
-        table: dict[int, list[np.ndarray]] = {}
-        mean: dict[int, np.ndarray] = {}
+        state = cls(bins=bins, table={}, running_mean={},
+                    updates_since_recompute={m: 0 for m in bins})
         for mode, mode_bins in bins.items():
-            grads = [
-                sgd_estimate(factors, t, FiberBatch(mode, idx)) for idx in mode_bins
-            ]
-            table[mode] = grads
-            mean[mode] = sum(grads[1:], start=grads[0].copy()) / len(grads)
-        return cls(bins=bins, table=table, running_mean=mean,
-                   updates_since_recompute={m: 0 for m in bins})
+            rows = np.stack(mode_bins)  # raises unless the bins have one size
+            a, b = fiber_coordinates(t.dims, mode, rows)
+            runs = mode == 1 and bool((np.diff(rows, axis=1) == 1).all())
+            state.fibers[mode] = (a, b, rows[:, 0].tolist() if runs else None)
+            grads = np.empty((len(mode_bins), *factors.factor(mode).shape))
+            for i in range(len(mode_bins)):
+                grads[i] = state._bin_gradient(factors, t, mode, i)
+            state.table[mode] = grads
+            state.running_mean[mode] = _table_mean(grads)
+        return state
 
     def n_bins(self, mode: int) -> int:
         return len(self.bins[mode])
+
+    def _bin_gradient(
+        self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int
+    ) -> np.ndarray:
+        a, b, starts = self.fibers[mode]
+        a, b = a[bin_id], b[bin_id]
+        if starts is None:
+            x = fiber_rows_at(t, mode, a, b)
+        else:
+            x = mode1_rows(t, slice(starts[bin_id], starts[bin_id] + a.size))
+        return fiber_gradient(factors, mode, a, b, x)
 
     def estimate(
         self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int
     ) -> np.ndarray:
         """g = fresh - stored + running_mean; then the table and mean are updated."""
-        fresh = sgd_estimate(factors, t, FiberBatch(mode, self.bins[mode][bin_id]))
-        stored = self.table[mode][bin_id]
-        g = fresh - stored + self.running_mean[mode]
+        fresh = self._bin_gradient(factors, t, mode, bin_id)
+        diff = fresh - self.table[mode][bin_id]
+        mean = self.running_mean[mode]
+        g = diff + mean
         nb = self.n_bins(mode)
-        self.running_mean[mode] = self.running_mean[mode] + (fresh - stored) / nb
+        self.running_mean[mode] = mean + diff / nb
         self.table[mode][bin_id] = fresh
         self.updates_since_recompute[mode] += 1
         if self.updates_since_recompute[mode] >= nb:
-            grads = self.table[mode]
-            self.running_mean[mode] = sum(grads[1:], start=grads[0].copy()) / nb
+            self.running_mean[mode] = _table_mean(self.table[mode])
             self.updates_since_recompute[mode] = 0
         return g
 
     def mean_drift(self, mode: int) -> float:
         """Distance between the incremental mean and a direct recomputation."""
-        grads = self.table[mode]
-        exact = sum(grads[1:], start=grads[0].copy()) / len(grads)
-        return float(np.linalg.norm(self.running_mean[mode] - exact))
+        return float(np.linalg.norm(self.running_mean[mode] - _table_mean(self.table[mode])))
 
     def clone(self) -> "SagaState":
         return SagaState(
             bins=self.bins,
-            table={m: [g.copy() for g in gs] for m, gs in self.table.items()},
+            table={m: gs.copy() for m, gs in self.table.items()},
             running_mean={m: v.copy() for m, v in self.running_mean.items()},
             updates_since_recompute=dict(self.updates_since_recompute),
+            fibers=self.fibers,
         )
+
+
+def _table_mean(grads: np.ndarray) -> np.ndarray:
+    """Mean of the stacked bin gradients, summed in bin order."""
+    return sum(grads[1:], start=grads[0].copy()) / len(grads)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,19 +42,29 @@ class RankVector:
     def total(self) -> int:
         return sum(self.L)
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
         """0-based start offset of each column block."""
-        return np.concatenate(([0], np.cumsum(self.L)[:-1])).astype(np.intp)
+        starts = np.concatenate(([0], np.cumsum(self.L)[:-1])).astype(np.intp)
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def blocks(self) -> tuple[slice, ...]:
+        """Column slice of each block."""
+        return tuple(slice(int(s), int(s) + w) for s, w in zip(self.starts, self.L))
 
     def block(self, r: int) -> slice:
-        s = int(self.starts[r])
-        return slice(s, s + self.L[r])
+        return self.blocks[r]
 
 
 @dataclass(frozen=True)
 class LL1Factors:
-    """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`."""
+    """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`.
+
+    The arrays are treated as immutable: derived values such as
+    `expanded_A3` are computed once per instance.
+    """
 
     A1: np.ndarray  # I1 x L_total
     A2: np.ndarray  # I2 x L_total
@@ -78,10 +89,29 @@ class LL1Factors:
     def factor(self, mode: int) -> np.ndarray:
         return (self.A1, self.A2, self.A3)[mode - 1]
 
+    @cached_property
+    def expanded_A3(self) -> np.ndarray:
+        """`expand_A3` of this point, computed on first use."""
+        return expand_A3(self)
+
     def with_factor(self, mode: int, a: np.ndarray) -> "LL1Factors":
         parts = [self.A1, self.A2, self.A3]
         parts[mode - 1] = a
         return LL1Factors(*parts, self.ranks)
+
+    def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
+        """`with_factor` for a float64 array of the right shape, without the
+        checks.  Unless A3 is replaced, the new point shares `expanded_A3`
+        with this one, so it is computed once per A3."""
+        out = object.__new__(LL1Factors)
+        state = out.__dict__
+        state.update(self.__dict__)
+        state[_FACTOR_NAMES[mode - 1]] = a
+        if mode == 3:
+            state.pop("expanded_A3", None)
+        else:
+            state["expanded_A3"] = self.expanded_A3
+        return out
 
     def copy(self) -> "LL1Factors":
         return LL1Factors(self.A1.copy(), self.A2.copy(), self.A3.copy(), self.ranks)
@@ -92,6 +122,9 @@ class LL1Factors:
             float(np.sum((self.factor(n) - other.factor(n)) ** 2)) for n in (1, 2, 3)
         )
         return math.sqrt(s)
+
+
+_FACTOR_NAMES = ("A1", "A2", "A3")
 
 
 @dataclass(frozen=True)
@@ -148,21 +181,23 @@ def build_H_rows(factors: LL1Factors, mode: int, rows) -> np.ndarray:
     Never materializes the full H_n; bitwise-identical to indexing into
     `build_H(factors, mode)`.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    dims = factors.dims
-    a, b = fiber_coordinates(dims, mode, rows)
+    a, b = fiber_coordinates(factors.dims, mode, rows)
+    return H_rows_at(factors, mode, a, b)
+
+
+def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`build_H_rows` at fiber coordinates `(a, b)` from `fiber_coordinates`,
+    without checks; uses the point's cached `expanded_A3`."""
     if mode == 1:
-        return expand_A3(factors)[b, :] * factors.A2[a, :]
+        return factors.expanded_A3[b, :] * factors.A2[a, :]
     if mode == 2:
-        return expand_A3(factors)[b, :] * factors.A1[a, :]
-    if mode == 3:
-        prod = factors.A2[b, :] * factors.A1[a, :]
-        rk = factors.ranks
-        out = np.empty((rows.size, rk.R))
-        for r in range(rk.R):
-            out[:, r] = prod[:, rk.block(r)].sum(axis=1)
-        return out
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+        return factors.expanded_A3[b, :] * factors.A1[a, :]
+    prod = factors.A2[b, :] * factors.A1[a, :]
+    blocks = factors.ranks.blocks
+    out = np.empty((a.size, len(blocks)))
+    for r, blk in enumerate(blocks):
+        out[:, r] = prod[:, blk].sum(axis=1)
+    return out
 
 
 def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:

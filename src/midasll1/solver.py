@@ -25,9 +25,9 @@ import numpy as np
 from .estimators import (
     SagaState,
     SarahState,
+    fiber_gradient,
     largest_divisor_at_most,
     make_bins,
-    sgd_estimate,
 )
 from .model import (
     LL1Factors,
@@ -37,7 +37,7 @@ from .model import (
     objective,
 )
 from .prox import NONNEG, RegularizerSpec, prox
-from .tensor import DenseTensor3, FiberBatch, row_count, unfold
+from .tensor import DenseTensor3, FiberBatch, fiber_coordinates, fiber_rows_at, row_count, unfold
 
 
 class SolverAbort(RuntimeError):
@@ -161,15 +161,22 @@ def extrapolate(history, coeffs) -> np.ndarray:
     `history` is oldest-to-newest; missing entries count as equal to the
     oldest one (zero differences).
     """
-    base = history[-1]
+    steps = [history[-i] - history[-i - 1] for i in range(1, len(history))]
+    return _extrapolated(history[-1], steps, coeffs)
+
+
+def _extrapolated(base: np.ndarray, steps, coeffs) -> np.ndarray:
+    """base + sum_i coeffs[i] * steps[i], with `steps` newest first; lags
+    beyond the stored steps and zero coefficients add nothing.  Returns
+    `base` itself when nothing is added."""
     out = None
-    n = len(history)
-    for i, c in enumerate(coeffs, start=1):
-        if i + 1 > n or c == 0.0:
+    for c, d in zip(coeffs, steps):
+        if c == 0.0:
             continue
         if out is None:
-            out = base.copy()
-        out += c * (history[-i] - history[-i - 1])
+            out = base + c * d
+        else:
+            out += c * d
     return base if out is None else out
 
 
@@ -271,6 +278,12 @@ def run(
     Stops early once phi drops below `abs_tol`.  `callback(epoch, factors,
     estimator_state)` is invoked after each epoch, mainly for probing.
     Identical (config, tensor) inputs give bitwise-identical results.
+
+    Inputs are checked here, once; the loop then works on trusted values:
+    points are built with `LL1Factors.replaced` (the column-repeated A3 is
+    recomputed only after a mode-3 update), extrapolation reuses the stored
+    steps A^{j+1} - A^j, and an epoch's modes and SAGA bins are drawn in one
+    call each (the same values as one draw per step).
     """
     clock = clock or time.perf_counter
     dims = tensor.dims
@@ -281,21 +294,24 @@ def run(
     batches = effective_batches(config, dims)
     jn = {n: row_count(dims, n) for n in (1, 2, 3)}
     iters_per_epoch = sum(math.ceil(jn[n] / batches[n]) for n in (1, 2, 3))
+    estimator = config.estimator
 
     state = None
-    if config.estimator == "saga":
+    if estimator == "saga":
         bins = {n: make_bins(jn[n], batches[n]) for n in (1, 2, 3)}
         state = SagaState.warm_start(factors, tensor, bins)
-    elif config.estimator == "sarah":
+        n_bins = np.array([0] + [state.n_bins(n) for n in (1, 2, 3)])
+    elif estimator == "sarah":
         q = {
             n: config.sarah_q if config.sarah_q > 0 else math.ceil(jn[n] / batches[n])
             for n in (1, 2, 3)
         }
         state = SarahState(q=q)
 
-    depth = config.t + 2
-    history = {n: deque([factors.factor(n)], maxlen=depth) for n in (1, 2, 3)}
+    # the last t steps A^{j+1} - A^j of each mode, newest first
+    steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
     step_sq = deque([0.0] * (config.t + 1), maxlen=config.t + 1)
+    lipschitz_steps = config.step_rule == "inverse_lipschitz"
 
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
@@ -304,22 +320,24 @@ def run(
     last_step_norm = 0.0
     start = clock()
     for epoch in range(config.epochs):
-        counts = [0, 0, 0]
-        for _ in range(iters_per_epoch):
-            if config.mode_policy == "cyclic":
-                n = 1 + (k % 3)
-            else:
-                n = 1 + int(rng_mode.integers(3))
-            counts[n - 1] += 1
+        if config.mode_policy == "cyclic":
+            modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
+        else:
+            modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
+        if estimator == "saga":
+            bin_ids = _draw_bins(n_bins[modes], rng_fiber)
+        # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j,
+        # so step i's lags 1..t are entries i + t - 1 down to i
+        ks = range(k + 1 - config.t, k + iters_per_epoch)
+        coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]
+        coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
+        for i, n in enumerate(modes):
+            base = factors.factor(n)
+            y_anchor = _extrapolated(base, steps[n], coef_a[i:i + config.t][::-1])
+            u_eval = _extrapolated(base, steps[n], coef_b[i:i + config.t][::-1])
+            factors_u = factors.replaced(n, u_eval)
 
-            lags = range(1, config.t + 1)
-            coeffs_a = [inertial_coefficient(config.alpha0, k + 1 - i) for i in lags]
-            coeffs_b = [inertial_coefficient(config.beta0, k + 1 - i) for i in lags]
-            y_anchor = extrapolate(history[n], coeffs_a)
-            u_eval = extrapolate(history[n], coeffs_b)
-            factors_u = factors.with_factor(n, u_eval)
-
-            if config.step_rule == "inverse_lipschitz":
+            if lipschitz_steps:
                 lip = lipschitz_bound(factors_u, n)
                 if lip <= 0.0:
                     raise SolverAbort(k, n, _zero_lipschitz_reason(factors_u, k, n))
@@ -327,33 +345,31 @@ def run(
             else:
                 eta = config.eta
 
-            if config.estimator == "saga":
-                nb = state.n_bins(n)
-                bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
-                g = state.estimate(factors_u, tensor, n, bin_id)
-            elif config.estimator == "sgd" and batches[n] == jn[n]:
+            if estimator == "saga":
+                g = state.estimate(factors_u, tensor, n, bin_ids[i])
+            elif estimator == "sgd" and batches[n] == jn[n]:
                 # bitwise equal to sgd_estimate on every fiber, without the batch gather
                 g = full_gradient(factors_u, tensor, n)
             else:
-                bn = batches[n]
-                if bn == jn[n]:
+                if batches[n] == jn[n]:
                     idx = np.arange(jn[n])
                 else:
-                    idx = rng_fiber.choice(jn[n], size=bn, replace=False)
-                batch = FiberBatch(n, idx)
-                if config.estimator == "sarah":
-                    g = state.estimate(factors_u, tensor, n, batch)
+                    idx = rng_fiber.choice(jn[n], size=batches[n], replace=False)
+                if estimator == "sarah":
+                    g = state.estimate(factors_u, tensor, n, FiberBatch.trusted(n, idx))
                 else:
-                    g = sgd_estimate(factors_u, tensor, batch)
+                    a, b = fiber_coordinates(dims, n, idx)
+                    g = fiber_gradient(factors_u, n, a, b, fiber_rows_at(tensor, n, a, b))
 
             a_new = prox(config.reg, n, y_anchor - eta * g, eta)
-            if not np.isfinite(a_new).all():
+            d = a_new - base
+            sq = float((d * d).sum())
+            # a non-finite entry of a_new makes sq non-finite, so only then look
+            if not math.isfinite(sq) and not np.isfinite(a_new).all():
                 raise SolverAbort(k, n)
-            d = a_new - factors.factor(n)
-            sq = float(np.sum(d * d))
             last_step_norm = math.sqrt(sq)
-            factors = factors.with_factor(n, a_new)
-            history[n].append(a_new)
+            factors = factors.replaced(n, a_new)
+            steps[n].appendleft(d)
             step_sq.appendleft(sq)
             k += 1
 
@@ -361,12 +377,23 @@ def run(
         ly = None
         if config.gamma_diag is not None:
             ly = lyapunov_surrogate(obj.phi, list(step_sq), _diag_abars(config, factors, eta))
+        counts = (modes.count(1), modes.count(2), modes.count(3))
         trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, ly, counts)
         if callback is not None:
             callback(epoch + 1, factors, state)
         if obj.phi < config.abs_tol:
             break
     return factors, trace
+
+
+def _draw_bins(n_bins: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """A SAGA bin per step, given each step's bin count: one draw of
+    `integers(n)` for each step with n > 1 (0 otherwise), made in one call."""
+    ids = np.zeros(n_bins.size, dtype=np.intp)
+    many = n_bins > 1
+    if many.any():
+        ids[many] = rng.integers(n_bins[many])
+    return ids.tolist()
 
 
 def _zero_lipschitz_reason(factors: LL1Factors, k: int, n: int) -> str:

@@ -99,6 +99,14 @@ class FiberBatch:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
+    @classmethod
+    def trusted(cls, mode: int, indices: np.ndarray) -> "FiberBatch":
+        """Wrap intp indices already known to be distinct and in range,
+        without the checks of the constructor."""
+        out = object.__new__(cls)
+        out.__dict__.update(mode=mode, indices=indices)
+        return out
+
     @property
     def size(self) -> int:
         return self.indices.size
@@ -159,12 +167,28 @@ def gather_fiber_rows(t: DenseTensor3, batch: FiberBatch) -> np.ndarray:
     if batch.indices.max() >= jn:
         raise IndexError(f"fiber index out of range for J_{batch.mode}={jn}")
     a, b = fiber_coordinates(t.dims, batch.mode, batch.indices)
+    return fiber_rows_at(t, batch.mode, a, b)
+
+
+def fiber_rows_at(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`gather_fiber_rows` at fiber coordinates `(a, b)` from
+    `fiber_coordinates`, without checks; a C-contiguous B-by-I_n copy."""
     x = t.array
-    if batch.mode == 1:
+    if mode == 1:
         return np.ascontiguousarray(x[:, a, b].T)
-    if batch.mode == 2:
+    if mode == 2:
         return x[a, :, b]
     return x[a, b, :]
+
+
+def mode1_rows(t: DenseTensor3, span: slice) -> np.ndarray:
+    """Consecutive rows of the mode-1 unfolding as a zero-copy view.
+
+    The tensor is stored column-major, so the mode-1 unfolding is a
+    C-contiguous view of it and so is any run of its rows: the same values
+    and memory layout as `fiber_rows_at` on those fibers.
+    """
+    return t.array.reshape((t.dims[0], -1), order="F").T[span]
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -90,13 +90,50 @@ def read_matrix(path) -> np.ndarray:
 
 
 def read_tensor_csv(path) -> DenseTensor3:
-    """Interop import: lines "i1,i2,i3,value" with 1-based indices."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected 4 columns (i1,i2,i3,value)")
-    idx = data[:, :3].astype(np.intp) - 1
+    """Interop import: lines "i1,i2,i3,value" with 1-based integer indices,
+    one line per entry; blank lines and '#' comments are skipped.
+
+    A malformed line, a non-integer or nonpositive index, or an index triple
+    given twice raises ValueError naming the 1-based line; so does a missing
+    entry, naming none.
+    """
+    lines, rows = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            try:
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 columns (i1,i2,i3,value), got {len(parts)}")
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            lines.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no entries")
+    data = np.array(rows)
+    idx = data[:, :3]
+
+    def reject(bad, message):
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"{path}: line {lines[first]}: {message(first)}")
+
+    reject(~(np.isfinite(idx) & (idx == np.round(idx))).all(axis=1),
+           lambda _: "indices must be integers")
+    reject((idx < 1).any(axis=1), lambda _: "indices must be >= 1")
+    idx = idx.astype(np.intp) - 1
+    # sorted by triple, equal triples in line order: each repeat follows its predecessor
+    order = np.lexsort(idx.T[::-1])
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (idx[order[1:]] == idx[order[:-1]]).all(axis=1)
+    before = np.empty(len(rows), dtype=np.intp)
+    before[order[1:]] = order[:-1]
+    reject(repeat, lambda i: f"index triple already given on line {lines[before[i]]}")
     dims = tuple(int(d) for d in idx.max(axis=0) + 1)
-    if data.shape[0] != dims[0] * dims[1] * dims[2]:
+    if len(rows) != dims[0] * dims[1] * dims[2]:
         raise ValueError(f"{path}: expected one row per entry of a {dims} tensor")
     cube = np.zeros(dims)
     cube[idx[:, 0], idx[:, 1], idx[:, 2]] = data[:, 3]

@@ -1,12 +1,22 @@
-"""Shared test helpers: the acceptance-criterion log and a standalone PALM loop."""
+"""Shared test helpers: the acceptance-criterion log and standalone solver loops."""
 
 import math
+from collections import deque
 
 import numpy as np
 
-from midasll1.model import full_gradient, lipschitz_bound, objective
+from midasll1.model import build_H, full_gradient, lipschitz_bound, objective
 from midasll1.prox import prox
-from midasll1.solver import init_factors, rng_streams
+from midasll1.solver import (
+    RunTrace,
+    SolverAbort,
+    effective_batches,
+    inertial_coefficient,
+    init_factors,
+    lyapunov_surrogate,
+    rng_streams,
+)
+from midasll1.tensor import row_count, unfold
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -37,6 +47,142 @@ def palm_reference(config, tensor):
         if obj.phi < config.abs_tol:
             break
     return factors, phi, f, step_norm
+
+
+def _batch_gradient(factors, tensor, mode, idx):
+    """Fiber-sampled gradient from rows of the full H_n and of the unfolding."""
+    h = build_H(factors, mode)[idx]
+    x = np.ascontiguousarray(unfold(tensor, mode).array[idx])
+    a = factors.factor(mode)
+    return (a @ (h.T @ h) - x.T @ h) / (factors.dims[mode - 1] * len(idx))
+
+
+def _extrapolate(history, coeffs):
+    base = history[-1]
+    out = None
+    for i, c in enumerate(coeffs, start=1):
+        if i + 1 > len(history) or c == 0.0:
+            continue
+        if out is None:
+            out = base.copy()
+        out += c * (history[-i] - history[-i - 1])
+    return base if out is None else out
+
+
+def run_reference(config, tensor):
+    """The stochastic solver loop written out step by step, with its SAGA
+    table and SARAH recursion inline, so that `run` is checked bit for bit
+    against code that shares none of its loop, caches or estimator state.
+
+    Draws from the same streams in the same order as `run`: one mode draw
+    per step, then (SAGA) one bin draw when the mode has more than one bin,
+    or (SGD, SARAH) one `choice` of the batch. Returns the final factors and
+    a `RunTrace` without elapsed times.
+    """
+    dims = tensor.dims
+    streams = rng_streams(config.seed)
+    factors = init_factors(config, dims, streams["init"])
+    batches = effective_batches(config, dims)
+    jn = {n: row_count(dims, n) for n in (1, 2, 3)}
+    iters_per_epoch = sum(math.ceil(jn[n] / batches[n]) for n in (1, 2, 3))
+    est = config.estimator
+
+    if est == "saga":
+        bins = {n: [np.arange(i * batches[n], (i + 1) * batches[n])
+                    for i in range(jn[n] // batches[n])] for n in (1, 2, 3)}
+        table = {n: [_batch_gradient(factors, tensor, n, idx) for idx in bins[n]]
+                 for n in (1, 2, 3)}
+        mean = {n: sum(table[n][1:], start=table[n][0].copy()) / len(table[n])
+                for n in (1, 2, 3)}
+        since = {n: 0 for n in (1, 2, 3)}
+    if est == "sarah":
+        q = {n: config.sarah_q if config.sarah_q > 0 else math.ceil(jn[n] / batches[n])
+             for n in (1, 2, 3)}
+        v, prev, counter = {}, {}, {n: 0 for n in (1, 2, 3)}
+
+    history = {n: deque([factors.factor(n)], maxlen=config.t + 2) for n in (1, 2, 3)}
+    step_sq = deque([0.0] * (config.t + 1), maxlen=config.t + 1)
+    trace = RunTrace()
+    rng_mode, rng_fiber = streams["mode"], streams["fiber"]
+    k = 0
+    eta = float("nan")
+    last_step_norm = 0.0
+    for epoch in range(config.epochs):
+        counts = [0, 0, 0]
+        for _ in range(iters_per_epoch):
+            if config.mode_policy == "cyclic":
+                n = 1 + (k % 3)
+            else:
+                n = 1 + int(rng_mode.integers(3))
+            counts[n - 1] += 1
+
+            lags = range(1, config.t + 1)
+            y_anchor = _extrapolate(
+                history[n], [inertial_coefficient(config.alpha0, k + 1 - i) for i in lags])
+            u_eval = _extrapolate(
+                history[n], [inertial_coefficient(config.beta0, k + 1 - i) for i in lags])
+            factors_u = factors.with_factor(n, u_eval)
+
+            if config.step_rule == "inverse_lipschitz":
+                lip = lipschitz_bound(factors_u, n)
+                if lip <= 0.0:
+                    raise SolverAbort(k, n, "zero Lipschitz bound")
+                eta = 1.0 / lip
+            else:
+                eta = config.eta
+
+            if est == "saga":
+                nb = len(bins[n])
+                bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
+                fresh = _batch_gradient(factors_u, tensor, n, bins[n][bin_id])
+                stored = table[n][bin_id]
+                g = fresh - stored + mean[n]
+                mean[n] = mean[n] + (fresh - stored) / nb
+                table[n][bin_id] = fresh
+                since[n] += 1
+                if since[n] >= nb:
+                    mean[n] = sum(table[n][1:], start=table[n][0].copy()) / nb
+                    since[n] = 0
+            elif est == "sgd" and batches[n] == jn[n]:
+                g = full_gradient(factors_u, tensor, n)
+            else:
+                if batches[n] == jn[n]:
+                    idx = np.arange(jn[n])
+                else:
+                    idx = rng_fiber.choice(jn[n], size=batches[n], replace=False)
+                if est == "sgd":
+                    g = _batch_gradient(factors_u, tensor, n, idx)
+                elif counter[n] == 0:
+                    g = full_gradient(factors_u, tensor, n)
+                else:
+                    g = (_batch_gradient(factors_u, tensor, n, idx)
+                         - _batch_gradient(prev[n], tensor, n, idx) + v[n])
+                if est == "sarah":
+                    v[n], prev[n] = g, factors_u
+                    counter[n] = (counter[n] + 1) % q[n]
+
+            a_new = prox(config.reg, n, y_anchor - eta * g, eta)
+            if not np.isfinite(a_new).all():
+                raise SolverAbort(k, n)
+            d = a_new - factors.factor(n)
+            sq = float(np.sum(d * d))
+            last_step_norm = math.sqrt(sq)
+            factors = factors.with_factor(n, a_new)
+            history[n].append(a_new)
+            step_sq.appendleft(sq)
+            k += 1
+
+        obj = objective(factors, tensor, config.reg)
+        ly = None
+        if config.gamma_diag is not None:
+            lip = max(lipschitz_bound(factors, m) for m in (1, 2, 3))
+            a = (1.5 * lip * config.t * config.beta0 * config.beta0 + 0.5 * config.gamma_diag
+                 + config.alpha0 / (2.0 * eta))
+            ly = lyapunov_surrogate(obj.phi, list(step_sq), [a] * (config.t + 1))
+        trace.append(epoch + 1, k, obj.phi, obj.f, None, last_step_norm, ly, counts)
+        if obj.phi < config.abs_tol:
+            break
+    return factors, trace
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -92,6 +92,24 @@ def test_csv_import_rejects_missing_rows(tmp_path):
         tensorfile.read_tensor_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    # a repeated triple: loaded as [0, 6] before, with entry (1,1,1) zero-filled
+    ("2,1,1,5\n2,1,1,6\n", "line 2: index triple already given on line 1"),
+    ("1,1,1,5\n1.7,1,1,6\n", "line 2: indices must be integers"),
+    ("1,1,1,5\n\n0,1,1,6\n", "line 3: indices must be >= 1"),
+], ids=["duplicate", "non-integer", "nonpositive"])
+def test_csv_import_rejects_bad_indices(tmp_path, text, message):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        tensorfile.read_tensor_csv(path)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
+
+
 # --- config files ---
 
 
@@ -282,6 +300,23 @@ def test_bench_cell_failure_recorded(tmp_path):
     status = {l.split(",")[0]: l.rsplit(",", 1)[-1] for l in lines}
     assert status["sgd-t0"] == "ok"
     assert status["alsmu"].startswith("failed")
+
+
+@pytest.mark.parametrize("line", [
+    "grid_estimators = sgd,adam",
+    "grid_t = 0,-1",
+    "grid_baselines = palm,lbfgs",
+    "baseline_iters = -1",
+])
+def test_bench_bad_grid_value_is_parse_error(tmp_path, tensor_file, line):
+    """Each grid key is checked when the grid is parsed: exit 2, nothing written."""
+    path, _ = tensor_file
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"ranks = 2,1\nepochs = 2\n{line}\n")
+    out = tmp_path / "bench"
+    rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_main_unknown_error_is_exit_error(tmp_path, tensor_file):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import palm_reference
+from conftest import palm_reference, run_reference
 from midasll1.model import LL1Factors, RankVector, objective, reconstruct
-from midasll1.prox import NONE, NONNEG
+from midasll1.prox import NONE, NONNEG, RegularizerSpec
 from midasll1.solver import (
     SolverAbort,
     SolverConfig,
@@ -143,6 +143,57 @@ def test_run_is_bitwise_deterministic():
     for n in (1, 2, 3):
         np.testing.assert_array_equal(fa.factor(n), fb.factor(n))
     assert tra.phi == trb.phi and tra.step_norm == trb.step_norm
+
+
+# (dims, ranks): I2 = 7 is not a multiple of the batch size, so mode-1 bins
+# (consecutive fibers, i2 fastest) straddle an i3 boundary
+REFERENCE_SHAPE = ((5, 7, 4), (2, 1))
+REFERENCE_CASES = [
+    *({"estimator": est, "t": t} for est in ("sgd", "saga", "sarah") for t in (0, 1, 3)),
+    *({"estimator": est, "mode_policy": "cyclic"} for est in ("sgd", "saga", "sarah")),
+    *({"estimator": est, "step_rule": "inverse_lipschitz", "reg": NONE}
+      for est in ("sgd", "saga", "sarah")),
+    *({"estimator": est, "gamma_diag": 0.05} for est in ("sgd", "saga", "sarah")),
+    {"estimator": "saga", "reg": RegularizerSpec.uniform("ridge", 0.01), "t": 2},
+    {"estimator": "sarah", "sarah_q": 3, "B": 5},
+    {"estimator": "saga", "B": 10**6},
+    {"estimator": "sgd", "B": 10**6, "mode_policy": "cyclic", "t": 2},
+]
+
+
+def _case_id(case):
+    return "-".join(
+        f"{k}={v.modes[0].kind if isinstance(v, RegularizerSpec) else v}" for k, v in case.items()
+    )
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_run_matches_reference(case):
+    """`run` reproduces the step-by-step reference loop bit for bit: factors
+    and every trace column except the wall-clock times."""
+    dims, L = REFERENCE_SHAPE
+    t = small_tensor(seed=21, dims=dims, L=L)
+    cfg = SolverConfig(**{"ranks": RankVector(L), "epochs": 6, "seed": 5, "B": 4, **case})
+    fr, ref = run_reference(cfg, t)
+    fm, trm = run(cfg, t)
+    for n in (1, 2, 3):
+        np.testing.assert_array_equal(fm.factor(n), fr.factor(n))
+    for column in ("epoch", "iteration", "phi", "f", "step_norm", "lyapunov", "mode_counts"):
+        assert getattr(trm, column) == getattr(ref, column), column
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_run_abort_matches_reference(estimator):
+    """A diverging run aborts at the same iteration and mode as the reference."""
+    t = small_tensor(seed=5)
+    cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=50, seed=0, reg=NONE, eta=1e6,
+                       estimator=estimator)
+    with pytest.raises(SolverAbort) as ref:
+        run_reference(cfg, t)
+    with pytest.raises(SolverAbort) as got:
+        run(cfg, t)
+    assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
 
 
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
