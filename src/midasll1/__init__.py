@@ -44,10 +44,10 @@ from .solver import (
     run,
 )
 from .synth import generate
-from .tensor import DenseTensor3, FiberBatch, UnfoldedMatrix, fold, gather_fiber_rows, khatri_rao, unfold
+from .tensor import DenseTensor3, FiberBatch, fold, gather_fiber_rows, khatri_rao, unfold
 
 __all__ = [
-    "DenseTensor3", "UnfoldedMatrix", "FiberBatch", "unfold", "fold",
+    "DenseTensor3", "FiberBatch", "unfold", "fold",
     "gather_fiber_rows", "khatri_rao",
     "RankVector", "LL1Factors", "ObjectiveValue", "reconstruct", "objective",
     "full_gradient",

@@ -85,6 +85,18 @@ def _load_tensor(path: str) -> DenseTensor3:
     return tensorfile.read_tensor(path)
 
 
+def _solve_into(out: Path, solve, cfg, tensor: DenseTensor3, clock):
+    """Run `solve(cfg, tensor)` and write its factors (`A*.dmat`, `ranks.txt`),
+    `trace.csv` and `metrics.txt` into `out`; returns the trace and the
+    metric report."""
+    factors, trace = solve(cfg, tensor, clock=clock)
+    _write_factors(out, factors)
+    _write_trace(out / "trace.csv", trace)
+    rep = metricsmod.report(tensor, reconstruct(factors))
+    (out / "metrics.txt").write_text(metricsmod.format_report(rep) + "\n")
+    return trace, rep
+
+
 def cmd_decompose(args) -> int:
     try:
         tensor = _load_tensor(args.tensor)
@@ -93,19 +105,15 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(cfgmod.serialize_config(cfg))
     try:
-        factors, trace = run(cfg.to_solver_config(), tensor, clock=_make_clock())
+        _solve_into(out, run, cfg, tensor, _make_clock())
     except SolverAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAN_ABORT
-    _write_factors(out, factors)
-    _write_trace(out / "trace.csv", trace)
-    rep = metricsmod.report(tensor, reconstruct(factors))
-    (out / "metrics.txt").write_text(metricsmod.format_report(rep) + "\n")
     return EXIT_OK
 
 
@@ -170,11 +178,11 @@ def _parse_grid(text: str):
             if key == "grid_estimators":
                 estimators = [v.strip() for v in val.split(",") if v.strip()]
                 for est in estimators:
-                    replace(base, estimator=est).to_solver_config()
+                    replace(base, estimator=est)  # SolverConfig rejects a bad value
             elif key == "grid_t":
                 t_values = [int(v) for v in val.split(",")]
                 for t in t_values:
-                    replace(base, t=t).to_solver_config()
+                    replace(base, t=t)  # SolverConfig rejects a bad value
             elif key == "grid_baselines":
                 baselines = [v.strip() for v in val.split(",") if v.strip()]
                 unknown = [name for name in baselines if name not in _BASELINES]
@@ -182,17 +190,16 @@ def _parse_grid(text: str):
                     raise ValueError(f"unknown baseline {unknown[0]!r}")
             elif key == "baseline_iters":
                 baseline = replace(base, epochs=int(val))
-                baseline.to_solver_config()
             else:
                 raise ValueError("unknown grid key")
         except ValueError as exc:
             raise cfgmod.ConfigError(f"{key}: {exc}") from None
     cells = [
-        (f"{est}-t{t}", run, replace(base, estimator=est, t=t).to_solver_config())
+        (f"{est}-t{t}", run, replace(base, estimator=est, t=t))
         for est in estimators or [base.estimator]
         for t in t_values or [base.t]
     ]
-    cells += [(name, _BASELINES[name], baseline.to_solver_config()) for name in baselines]
+    cells += [(name, _BASELINES[name], baseline) for name in baselines]
     return cells
 
 
@@ -215,18 +222,15 @@ def cmd_bench(args) -> int:
         cell_dir.mkdir(exist_ok=True)
         start = time.perf_counter()
         try:
-            factors, trace = solve(cfg, tensor, clock=clock)
+            trace, rep = _solve_into(cell_dir, solve, cfg, tensor, clock)
         except Exception as exc:  # per-cell failures must not kill the grid
             rows.append((cell, "", "", "", "", f"failed: {exc}"))
             print(f"cell {cell} failed: {exc}", file=sys.stderr)
             continue
         wall = time.perf_counter() - start
-        _write_trace(cell_dir / "trace.csv", trace)
-        _write_factors(cell_dir, factors)
         final_f = trace.f[-1] if len(trace) else ""
         final_phi = trace.phi[-1] if len(trace) else ""
-        p = metricsmod.psnr(tensor, reconstruct(factors))
-        rows.append((cell, repr(final_f), repr(final_phi), repr(p), repr(wall), "ok"))
+        rows.append((cell, repr(final_f), repr(final_phi), repr(rep.psnr), repr(wall), "ok"))
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write("cell,final_f,final_phi,psnr_db,wall_s,status\n")
         for row in rows:

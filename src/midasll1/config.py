@@ -2,65 +2,59 @@
 
 One `key = value` pair per line; '#' starts a comment; unknown keys are
 rejected.  `ranks` is a comma list of block widths; `R`, when present, must
-match its length.  `reg` is one of none | nonneg | ridge:<lam>.  Values are
-checked once, at parse time, by building the `SolverConfig` they describe.
+match its length.  `reg` is one of none | nonneg | ridge:<lam>.  A file
+parses straight into the `SolverConfig` it describes, so its values are
+checked once, by that constructor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 from .model import RankVector
 from .prox import RegularizerSpec
 from .solver import SolverConfig
 
 
-@dataclass
-class RunConfig:
-    ranks: tuple[int, ...]
-    estimator: str = "saga"
-    t: int = 3
-    alpha0: float = 0.3
-    beta0: float = 0.8
-    eta: float = 0.1
-    B: int = 0          # 0 -> 2 * max L_r
-    epochs: int = 200
-    seed: int = 0
-    reg: str = "nonneg"
-    mode_policy: str = "uniform"
-    sarah_q: int = 0    # 0 -> one epoch of mode-n updates
-    gamma_diag: float | None = None  # None -> Lyapunov diagnostic disabled
-
-    def to_solver_config(self) -> SolverConfig:
-        kind, _, lam = self.reg.partition(":")
-        reg = RegularizerSpec.uniform(kind, float(lam) if lam else 0.0)
-        return SolverConfig(
-            ranks=RankVector(self.ranks),
-            estimator=self.estimator,
-            t=self.t,
-            alpha0=self.alpha0,
-            beta0=self.beta0,
-            eta=self.eta,
-            B=self.B,
-            epochs=self.epochs,
-            seed=self.seed,
-            mode_policy=self.mode_policy,
-            reg=reg,
-            sarah_q=self.sarah_q,
-            gamma_diag=self.gamma_diag,
-        )
+def _parse_reg(val: str) -> RegularizerSpec:
+    kind, _, lam = val.partition(":")
+    return RegularizerSpec.uniform(kind, float(lam) if lam else 0.0)
 
 
-_INT_KEYS = {"t", "B", "epochs", "seed", "sarah_q", "R"}
-_FLOAT_KEYS = {"alpha0", "beta0", "eta"}
-_STR_KEYS = {"estimator", "reg", "mode_policy"}
+def _format_reg(spec: RegularizerSpec) -> str:
+    r = spec.modes[0]
+    if any(m != r for m in spec.modes):
+        raise ValueError("per-mode regularizers have no config-file form")
+    return f"ridge:{r.lam!r}" if r.kind == "ridge" else r.kind
+
+
+# file key -> (parse, format), in the order serialize_config writes them
+_KEYS = {
+    "ranks": (
+        lambda v: RankVector(tuple(int(x) for x in v.split(","))),
+        lambda r: ",".join(str(x) for x in r.L),
+    ),
+    "estimator": (str, str),
+    "t": (int, str),
+    "alpha0": (float, repr),
+    "beta0": (float, repr),
+    "eta": (float, repr),
+    "B": (int, str),
+    "epochs": (int, str),
+    "seed": (int, str),
+    "reg": (_parse_reg, _format_reg),
+    "mode_policy": (str, str),
+    "sarah_q": (int, str),
+    "gamma_diag": (
+        lambda v: None if v.lower() == "none" else float(v),
+        lambda g: "none" if g is None else repr(g),
+    ),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> SolverConfig:
     values: dict[str, object] = {}
     r_declared = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -70,49 +64,28 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = (s.strip() for s in line.partition("="))
+        if key != "R" and key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "ranks":
-                values["ranks"] = tuple(int(v) for v in val.split(","))
-            elif key == "R":
+            if key == "R":
                 r_declared = int(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key == "gamma_diag":
-                values[key] = None if val.lower() == "none" else float(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+                values[key] = _KEYS[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     if "ranks" not in values:
         raise ConfigError("missing required key 'ranks'")
-    if r_declared is not None and r_declared != len(values["ranks"]):
+    if r_declared is not None and r_declared != values["ranks"].R:
         raise ConfigError(
-            f"R={r_declared} contradicts ranks of length {len(values['ranks'])}"
+            f"R={r_declared} contradicts ranks of length {values['ranks'].R}"
         )
-    cfg = RunConfig(**values)
     try:
-        cfg.to_solver_config()
+        return SolverConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "ranks":
-            v = ",".join(str(x) for x in v)
-        elif v is None:
-            v = "none"
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    lines.append(f"R = {len(cfg.ranks)}")
+def serialize_config(cfg: SolverConfig) -> str:
+    lines = [f"{key} = {fmt(getattr(cfg, key))}" for key, (_, fmt) in _KEYS.items()]
+    lines.append(f"R = {cfg.ranks.R}")
     return "\n".join(lines) + "\n"

@@ -116,13 +116,6 @@ class LL1Factors:
     def copy(self) -> "LL1Factors":
         return LL1Factors(self.A1.copy(), self.A2.copy(), self.A3.copy(), self.ranks)
 
-    def diff_norm(self, other: "LL1Factors") -> float:
-        """Frobenius norm of the stacked factor difference."""
-        s = sum(
-            float(np.sum((self.factor(n) - other.factor(n)) ** 2)) for n in (1, 2, 3)
-        )
-        return math.sqrt(s)
-
 
 _FACTOR_NAMES = ("A1", "A2", "A3")
 
@@ -246,7 +239,7 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
     h = build_H(factors, mode)
     # contiguous copy so the BLAS call (and hence rounding) matches the
     # fiber-sampled path evaluated on the full index set
-    x_n = np.ascontiguousarray(unfold(t, mode).array)
+    x_n = np.ascontiguousarray(unfold(t, mode))
     a = factors.factor(mode)
     return (a @ (h.T @ h) - x_n.T @ h) / t.size
 

@@ -22,6 +22,8 @@ class Regularizer:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"ridge weight must be finite and >= 0, got {self.lam}")
+        if self.kind != "ridge" and self.lam != 0:
+            raise ValueError(f"regularizer {self.kind!r} takes no weight, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,16 @@ class SolverConfig:
             raise ValueError(f"alpha0 and beta0 must be finite, got {self.alpha0}, {self.beta0}")
         if self.B < 0 or self.sarah_q < 0:
             raise ValueError("B and sarah_q must be >= 0")
+        if self.gamma_diag is not None and not (
+            math.isfinite(self.gamma_diag) and self.gamma_diag >= 0
+        ):
+            raise ValueError(f"gamma_diag must be none or finite and >= 0, got {self.gamma_diag}")
+
+    def to_solver_config(self) -> "SolverConfig":
+        """This config.  The benchmark (`perfbench/workloads.py`) calls
+        `parse_config(text).to_solver_config()` and is held fixed so that its
+        runs stay comparable across changes, so the name stays."""
+        return self
 
     def batch_size(self) -> int:
         return self.B if self.B > 0 else 2 * max(self.ranks.L)
@@ -447,7 +457,7 @@ def als_mu_baseline(
     for n in (1, 2, 3):
         if factors.factor(n).min() < 0:
             raise ValueError("multiplicative updates require a nonnegative init")
-    unfolds = {n: unfold(tensor, n).array for n in (1, 2, 3)}
+    unfolds = {n: unfold(tensor, n) for n in (1, 2, 3)}
     trace = RunTrace()
     start = clock()
     k = 0

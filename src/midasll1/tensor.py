@@ -70,17 +70,6 @@ class DenseTensor3:
 
 
 @dataclass(frozen=True)
-class UnfoldedMatrix:
-    """Mode-n unfolding: J_n rows (all other indices), I_n columns."""
-
-    mode: int
-    array: np.ndarray  # shape (J_n, I_n)
-
-    def __post_init__(self):
-        _check_mode(self.mode)
-
-
-@dataclass(frozen=True)
 class FiberBatch:
     """A set of distinct mode-n fiber indices (0-based rows of the unfolding)."""
 
@@ -137,25 +126,24 @@ def fiber_coordinates(dims, mode: int, rows) -> tuple[np.ndarray, np.ndarray]:
     return rows % fast, rows // fast
 
 
-def unfold(t: DenseTensor3, mode: int) -> UnfoldedMatrix:
-    """Mode-n unfolding as a J_n-by-I_n matrix."""
+def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
+    """Mode-n unfolding: J_n rows (all other indices), I_n columns."""
     _check_mode(mode)
     moved = np.moveaxis(t.array, mode - 1, 2)
     jn = row_count(t.dims, mode)
-    return UnfoldedMatrix(mode, moved.reshape((jn, t.dims[mode - 1]), order="F"))
+    return moved.reshape((jn, t.dims[mode - 1]), order="F")
 
 
-def fold(m: UnfoldedMatrix, dims) -> DenseTensor3:
-    """Inverse of unfold; exact round trip."""
-    i1, i2, i3 = dims
-    jn = row_count(dims, m.mode)
-    if m.array.shape != (jn, dims[m.mode - 1]):
+def fold(m: np.ndarray, mode: int, dims) -> DenseTensor3:
+    """Inverse of unfold(t, mode) for a tensor of shape `dims`; exact round trip."""
+    jn = row_count(dims, mode)
+    if m.shape != (jn, dims[mode - 1]):
         raise ValueError(
-            f"matrix shape {m.array.shape} inconsistent with mode {m.mode} of dims {dims}"
+            f"matrix shape {m.shape} inconsistent with mode {mode} of dims {dims}"
         )
-    rest = [d for k, d in enumerate(dims, start=1) if k != m.mode]
-    cube = m.array.reshape((*rest, dims[m.mode - 1]), order="F")
-    return DenseTensor3(np.moveaxis(cube, 2, m.mode - 1))
+    rest = [d for k, d in enumerate(dims, start=1) if k != mode]
+    cube = m.reshape((*rest, dims[mode - 1]), order="F")
+    return DenseTensor3(np.moveaxis(cube, 2, mode - 1))
 
 
 def gather_fiber_rows(t: DenseTensor3, batch: FiberBatch) -> np.ndarray:

@@ -52,7 +52,7 @@ def palm_reference(config, tensor):
 def _batch_gradient(factors, tensor, mode, idx):
     """Fiber-sampled gradient from rows of the full H_n and of the unfolding."""
     h = build_H(factors, mode)[idx]
-    x = np.ascontiguousarray(unfold(tensor, mode).array[idx])
+    x = np.ascontiguousarray(unfold(tensor, mode)[idx])
     a = factors.factor(mode)
     return (a @ (h.T @ h) - x.T @ h) / (factors.dims[mode - 1] * len(idx))
 

@@ -208,7 +208,7 @@ def test_criterion_04_kernel_suites():
         L = tuple(int(v) for v in rng.integers(1, 4, size=n_blocks))
         x = DenseTensor3(rng.random(dims))
         for mode in (1, 2, 3):
-            back = fold(unfold(x, mode), dims)
+            back = fold(unfold(x, mode), mode, dims)
             if not np.array_equal(back.array, x.array):
                 ok = False
         a = rng.standard_normal((dims[0], 3))
@@ -220,7 +220,7 @@ def test_criterion_04_kernel_suites():
         f = _random_factors(rng, dims, L)
         xr = reconstruct(f)
         for mode in (1, 2, 3):
-            resid = unfold(xr, mode).array - build_H(f, mode) @ f.factor(mode).T
+            resid = unfold(xr, mode) - build_H(f, mode) @ f.factor(mode).T
             worst_h = max(worst_h, float(np.linalg.norm(resid)))
     ok = ok and worst_h <= 1e-10
     _verdict(4, "kernel-suites", ok, f"worst H-identity resid {worst_h:.2e}")

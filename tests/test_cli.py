@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from midasll1.cli import (
     EXIT_PARSE,
     main,
 )
-from midasll1.config import ConfigError, RunConfig, parse_config, serialize_config
+from midasll1.config import ConfigError, parse_config, serialize_config
+from midasll1.model import RankVector
+from midasll1.prox import RegularizerSpec
+from midasll1.solver import SolverConfig
 from midasll1.tensor import DenseTensor3
 
 
@@ -115,22 +120,57 @@ def test_csv_import_rejects_bad_indices(tmp_path, text, message):
 
 def test_config_defaults_and_parse():
     cfg = parse_config("ranks = 2,3\n")
-    assert cfg == RunConfig(ranks=(2, 3))
+    assert cfg == SolverConfig(ranks=RankVector((2, 3)))
     assert cfg.estimator == "saga" and cfg.t == 3 and cfg.eta == 0.1
 
 
 def test_config_full_roundtrip():
-    cfg = RunConfig(
-        ranks=(2, 1, 4), estimator="sarah", t=1, alpha0=0.25, beta0=0.5,
-        eta=0.05, B=8, epochs=17, seed=9, reg="ridge:0.3",
+    cfg = SolverConfig(
+        ranks=RankVector((2, 1, 4)), estimator="sarah", t=1, alpha0=0.25, beta0=0.5,
+        eta=0.05, B=8, epochs=17, seed=9, reg=RegularizerSpec.uniform("ridge", 0.3),
         mode_policy="cyclic", sarah_q=5, gamma_diag=0.2,
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_config_serialized_text():
+    """The exact text `decompose` writes to resolved_config.txt."""
+    cfg = SolverConfig(
+        ranks=RankVector((2, 1, 4)), estimator="sarah", t=1, alpha0=1 / 3, beta0=0.5,
+        eta=1e-05, B=8, epochs=17, seed=9, reg=RegularizerSpec.uniform("ridge", 0.5),
+        mode_policy="cyclic", sarah_q=5,
+    )
+    assert serialize_config(cfg) == (
+        "ranks = 2,1,4\n"
+        "estimator = sarah\n"
+        "t = 1\n"
+        "alpha0 = 0.3333333333333333\n"
+        "beta0 = 0.5\n"
+        "eta = 1e-05\n"
+        "B = 8\n"
+        "epochs = 17\n"
+        "seed = 9\n"
+        "reg = ridge:0.5\n"
+        "mode_policy = cyclic\n"
+        "sarah_q = 5\n"
+        "gamma_diag = none\n"
+        "R = 3\n"
+    )
+
+
 def test_config_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\nranks = 2  # trailing\n eta = 0.2 \n")
-    assert cfg.ranks == (2,) and cfg.eta == 0.2
+    assert cfg.ranks == RankVector((2,)) and cfg.eta == 0.2
+
+
+def test_readme_config_block_lists_the_defaults():
+    """The README's config block names every key with its default value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+    defaults = parse_config("ranks = 2,2\n")
+    assert parse_config(block) == defaults
+    keys = {line.split("=")[0].strip() for line in block.splitlines()}
+    assert keys == {line.split(" = ")[0] for line in serialize_config(defaults).splitlines()} - {"R"}
 
 
 @pytest.mark.parametrize(
@@ -151,6 +191,10 @@ def test_config_comments_and_blank_lines():
         "ranks = 2\nbeta0 = nan\n",
         "ranks = 2\nreg = ridge:abc\n",
         "ranks = 2\nreg = ridge:-1\n",
+        "ranks = 2\nreg = nonneg:3\n",      # a weight on a weightless regularizer
+        "ranks = 2\nreg = none:2\n",
+        "ranks = 2\ngamma_diag = nan\n",
+        "ranks = 2\ngamma_diag = -1\n",
     ],
 )
 def test_config_rejects(text):
@@ -263,7 +307,8 @@ def test_metrics_dim_mismatch(tmp_path, capsys):
     assert rc == EXIT_ERROR
 
 
-def test_bench_grid(tmp_path, tensor_file):
+def test_bench_grid(tmp_path, tensor_file, monkeypatch):
+    monkeypatch.setenv("MIDAS_VIRTUAL_CLOCK", "1")
     path, _ = tensor_file
     grid = tmp_path / "grid.cfg"
     grid.write_text(
@@ -279,7 +324,14 @@ def test_bench_grid(tmp_path, tensor_file):
     cells = {l.split(",")[0] for l in lines[1:]}
     assert cells == {"sgd-t0", "sgd-t3", "saga-t0", "saga-t3", "palm", "alsmu"}
     assert all(l.endswith("ok") for l in lines[1:])
-    assert (out / "saga-t3" / "trace.csv").exists()
+    # a cell runs decompose's solve path: the same files, bit for bit
+    cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\nestimator = saga\nt = 3\n")
+    single = tmp_path / "single"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg), "--out", str(single)])
+    assert rc == EXIT_OK
+    for name in ("A1.dmat", "trace.csv", "metrics.txt"):
+        assert (out / "saga-t3" / name).read_bytes() == (single / name).read_bytes()
+    assert not (out / "saga-t3" / "resolved_config.txt").exists()
 
 
 def test_bench_cell_failure_recorded(tmp_path):

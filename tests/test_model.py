@@ -70,7 +70,7 @@ def test_unfolding_factorization_identity(mode):
     f = random_factors(rng, (4, 5, 3), (2, 1, 3))
     x = reconstruct(f)
     h = build_H(f, mode)
-    resid = unfold(x, mode).array - h @ f.factor(mode).T
+    resid = unfold(x, mode) - h @ f.factor(mode).T
     assert np.linalg.norm(resid) <= 1e-10
 
 
