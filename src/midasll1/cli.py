@@ -101,11 +101,11 @@ def cmd_decompose(args) -> int:
     try:
         tensor = _load_tensor(args.tensor)
         cfg = cfgmod.parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (tensorfile.FormatError, cfgmod.ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(cfgmod.serialize_config(cfg))

@@ -1,10 +1,10 @@
 """Flat key=value run configuration files.
 
-One `key = value` pair per line; '#' starts a comment; unknown keys are
-rejected.  `ranks` is a comma list of block widths; `R`, when present, must
-match its length.  `reg` is one of none | nonneg | ridge:<lam>.  A file
-parses straight into the `SolverConfig` it describes, so its values are
-checked once, by that constructor.
+One `key = value` pair per line; '#' starts a comment; unknown and repeated
+keys are rejected.  `ranks` is a comma list of block widths; `R`, when
+present, must match its length.  `reg` is one of none | nonneg |
+ridge:<lam>.  A file parses straight into the `SolverConfig` it describes,
+so its values are checked once, by that constructor.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class ConfigError(ValueError):
 def parse_config(text: str) -> SolverConfig:
     values: dict[str, object] = {}
     r_declared = None
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,6 +67,11 @@ def parse_config(text: str) -> SolverConfig:
         key, _, val = (s.strip() for s in line.partition("="))
         if key != "R" and key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} already given on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             if key == "R":
                 r_declared = int(val)

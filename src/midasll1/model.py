@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .prox import RegularizerSpec, penalty_value
-from .tensor import DenseTensor3, khatri_rao, row_count, fiber_coordinates, unfold
+from .tensor import DenseTensor3, fiber_coordinates, unfold_contiguous
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,18 @@ class ObjectiveValue:
 
 def reconstruct(factors: LL1Factors) -> DenseTensor3:
     """X_hat = sum_r (A1_r A2_r^T) outer c_r."""
-    i1, i2, _ = factors.dims
+    return DenseTensor3(_reconstruction(factors))
+
+
+def _reconstruction(factors: LL1Factors) -> np.ndarray:
+    """X_hat as a new, writable, F-ordered (I1, I2, I3) array: A3 times the
+    stacked slabs A2_r A1_r^T, viewed transposed."""
+    i1, i2, i3 = factors.dims
     rk = factors.ranks
-    slabs = np.empty((i1, i2, rk.R))
-    for r in range(rk.R):
-        blk = rk.block(r)
-        slabs[:, :, r] = factors.A1[:, blk] @ factors.A2[:, blk].T
-    return DenseTensor3(slabs @ factors.A3.T)
+    slabs = np.empty((rk.R, i2, i1))
+    for r, blk in enumerate(rk.blocks):
+        slabs[r] = factors.A2[:, blk] @ factors.A1[:, blk].T
+    return (factors.A3 @ slabs.reshape(rk.R, i2 * i1)).reshape(i3, i2, i1).T
 
 
 def expand_A3(factors: LL1Factors) -> np.ndarray:
@@ -152,19 +157,13 @@ def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
 
     Rows are ordered to match `unfold` of the same mode.
     """
-    rk = factors.ranks
+    total = factors.ranks.total
     if mode in (1, 2):
         other = factors.A2 if mode == 1 else factors.A1
-        cols = [
-            np.kron(factors.A3[:, r : r + 1], other[:, rk.block(r)]) for r in range(rk.R)
-        ]
-        return np.hstack(cols)
+        return (factors.expanded_A3[:, None, :] * other[None, :, :]).reshape(-1, total)
     if mode == 3:
-        cols = [
-            khatri_rao(factors.A2[:, rk.block(r)], factors.A1[:, rk.block(r)]).sum(axis=1)
-            for r in range(rk.R)
-        ]
-        return np.stack(cols, axis=1)
+        prod = (factors.A2[:, None, :] * factors.A1[None, :, :]).reshape(-1, total)
+        return _block_sums(prod, factors.ranks)
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
@@ -185,10 +184,15 @@ def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> n
         return factors.expanded_A3[b, :] * factors.A2[a, :]
     if mode == 2:
         return factors.expanded_A3[b, :] * factors.A1[a, :]
-    prod = factors.A2[b, :] * factors.A1[a, :]
-    blocks = factors.ranks.blocks
-    out = np.empty((a.size, len(blocks)))
-    for r, blk in enumerate(blocks):
+    return _block_sums(factors.A2[b, :] * factors.A1[a, :], factors.ranks)
+
+
+def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
+    """Row sums of each column block of `prod`: the mode-3 H rows from the
+    products A2[i2, l] * A1[i1, l], shared by `build_H` and `H_rows_at` so
+    that both round alike."""
+    out = np.empty((prod.shape[0], ranks.R))
+    for r, blk in enumerate(ranks.blocks):
         out[:, r] = prod[:, blk].sum(axis=1)
     return out
 
@@ -225,9 +229,15 @@ def objective(
     """Composite objective phi = f + sum_n h_n at the given point."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
-    n3 = t.size
-    resid = t.array - reconstruct(factors).array
-    f = float(np.sum(resid * resid)) / (2.0 * n3)
+    # the squared residual, formed in place in the F-ordered reconstruction;
+    # np.sum follows the memory layout, so it adds in the order it always has
+    sq = _reconstruction(factors)
+    np.subtract(t.array, sq, out=sq)
+    np.multiply(sq, sq, out=sq)
+    f = float(np.sum(sq)) / (2.0 * t.size)
+    # a non-finite reconstruction makes f non-finite, so only then look
+    if not math.isfinite(f) and not np.isfinite(_reconstruction(factors)).all():
+        raise ValueError("tensor entries must be finite")
     h = sum(penalty_value(reg, n, factors.factor(n)) for n in (1, 2, 3))
     return ObjectiveValue(f, h, f + h)
 
@@ -237,9 +247,9 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     h = build_H(factors, mode)
-    # contiguous copy so the BLAS call (and hence rounding) matches the
-    # fiber-sampled path evaluated on the full index set
-    x_n = np.ascontiguousarray(unfold(t, mode))
+    # C-contiguous, like the fiber rows of the sampled path: BLAS then sees
+    # the same layout and rounds the same as that path on every fiber
+    x_n = unfold_contiguous(t, mode)
     a = factors.factor(mode)
     return (a @ (h.T @ h) - x_n.T @ h) / t.size
 

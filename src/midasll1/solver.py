@@ -95,6 +95,8 @@ class SolverConfig:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):

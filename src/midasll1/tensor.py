@@ -134,6 +134,15 @@ def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
     return moved.reshape((jn, t.dims[mode - 1]), order="F")
 
 
+def unfold_contiguous(t: DenseTensor3, mode: int) -> np.ndarray:
+    """`unfold` as a C-contiguous array, made in one pass: a view for mode 1,
+    whose unfolding is the column-major storage itself, one copy otherwise."""
+    _check_mode(mode)
+    a, b = (k for k in range(3) if k != mode - 1)
+    x = np.ascontiguousarray(t.array.transpose(b, a, mode - 1))
+    return x.reshape(row_count(t.dims, mode), t.dims[mode - 1])
+
+
 def fold(m: np.ndarray, mode: int, dims) -> DenseTensor3:
     """Inverse of unfold(t, mode) for a tensor of shape `dims`; exact round trip."""
     jn = row_count(dims, mode)

@@ -5,8 +5,8 @@ from collections import deque
 
 import numpy as np
 
-from midasll1.model import build_H, full_gradient, lipschitz_bound, objective
-from midasll1.prox import prox
+from midasll1.model import lipschitz_bound
+from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
     RunTrace,
     SolverAbort,
@@ -16,9 +16,50 @@ from midasll1.solver import (
     lyapunov_surrogate,
     rng_streams,
 )
-from midasll1.tensor import row_count, unfold
+from midasll1.tensor import DenseTensor3, khatri_rao, row_count, unfold
 
 ACCEPTANCE_RESULTS: list[str] = []
+
+
+# Reference kernels: the H matrices, full gradient and objective written the
+# plain way (per-block kron / Khatri-Rao and hstack, a contiguous copy of the
+# unfolding, a validated reconstruction), so that the copy-free kernels of
+# `midasll1.model` are pinned bit for bit against code they do not share.
+
+
+def reference_build_H(factors, mode):
+    rk = factors.ranks
+    if mode in (1, 2):
+        other = factors.A2 if mode == 1 else factors.A1
+        return np.hstack([np.kron(factors.A3[:, r:r + 1], other[:, rk.block(r)])
+                          for r in range(rk.R)])
+    return np.stack([khatri_rao(factors.A2[:, rk.block(r)], factors.A1[:, rk.block(r)]).sum(axis=1)
+                     for r in range(rk.R)], axis=1)
+
+
+def reference_full_gradient(factors, tensor, mode):
+    h = reference_build_H(factors, mode)
+    x_n = np.ascontiguousarray(unfold(tensor, mode))
+    a = factors.factor(mode)
+    return (a @ (h.T @ h) - x_n.T @ h) / tensor.size
+
+
+def reference_reconstruct(factors):
+    i1, i2, _ = factors.dims
+    rk = factors.ranks
+    slabs = np.empty((i1, i2, rk.R))
+    for r in range(rk.R):
+        blk = rk.block(r)
+        slabs[:, :, r] = factors.A1[:, blk] @ factors.A2[:, blk].T
+    return DenseTensor3(slabs @ factors.A3.T)
+
+
+def reference_objective(factors, tensor, reg):
+    """(f, h, phi) at the given point."""
+    resid = tensor.array - reference_reconstruct(factors).array
+    f = float(np.sum(resid * resid)) / (2.0 * tensor.size)
+    h = sum(penalty_value(reg, n, factors.factor(n)) for n in (1, 2, 3))
+    return f, h, f + h
 
 
 def palm_reference(config, tensor):
@@ -35,23 +76,23 @@ def palm_reference(config, tensor):
         last = 0.0
         for n in (1, 2, 3):
             eta = 1.0 / lipschitz_bound(factors, n)
-            g = full_gradient(factors, tensor, n)
+            g = reference_full_gradient(factors, tensor, n)
             a_new = prox(config.reg, n, factors.factor(n) - eta * g, eta)
             d = a_new - factors.factor(n)
             last = math.sqrt(float(np.sum(d * d)))
             factors = factors.with_factor(n, a_new)
-        obj = objective(factors, tensor, config.reg)
-        phi.append(obj.phi)
-        f.append(obj.f)
+        f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
+        phi.append(phi_val)
+        f.append(f_val)
         step_norm.append(last)
-        if obj.phi < config.abs_tol:
+        if phi_val < config.abs_tol:
             break
     return factors, phi, f, step_norm
 
 
 def _batch_gradient(factors, tensor, mode, idx):
     """Fiber-sampled gradient from rows of the full H_n and of the unfolding."""
-    h = build_H(factors, mode)[idx]
+    h = reference_build_H(factors, mode)[idx]
     x = np.ascontiguousarray(unfold(tensor, mode)[idx])
     a = factors.factor(mode)
     return (a @ (h.T @ h) - x.T @ h) / (factors.dims[mode - 1] * len(idx))
@@ -144,7 +185,7 @@ def run_reference(config, tensor):
                     mean[n] = sum(table[n][1:], start=table[n][0].copy()) / nb
                     since[n] = 0
             elif est == "sgd" and batches[n] == jn[n]:
-                g = full_gradient(factors_u, tensor, n)
+                g = reference_full_gradient(factors_u, tensor, n)
             else:
                 if batches[n] == jn[n]:
                     idx = np.arange(jn[n])
@@ -153,7 +194,7 @@ def run_reference(config, tensor):
                 if est == "sgd":
                     g = _batch_gradient(factors_u, tensor, n, idx)
                 elif counter[n] == 0:
-                    g = full_gradient(factors_u, tensor, n)
+                    g = reference_full_gradient(factors_u, tensor, n)
                 else:
                     g = (_batch_gradient(factors_u, tensor, n, idx)
                          - _batch_gradient(prev[n], tensor, n, idx) + v[n])
@@ -172,15 +213,15 @@ def run_reference(config, tensor):
             step_sq.appendleft(sq)
             k += 1
 
-        obj = objective(factors, tensor, config.reg)
+        f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
         ly = None
         if config.gamma_diag is not None:
             lip = max(lipschitz_bound(factors, m) for m in (1, 2, 3))
             a = (1.5 * lip * config.t * config.beta0 * config.beta0 + 0.5 * config.gamma_diag
                  + config.alpha0 / (2.0 * eta))
-            ly = lyapunov_surrogate(obj.phi, list(step_sq), [a] * (config.t + 1))
-        trace.append(epoch + 1, k, obj.phi, obj.f, None, last_step_norm, ly, counts)
-        if obj.phi < config.abs_tol:
+            ly = lyapunov_surrogate(phi_val, list(step_sq), [a] * (config.t + 1))
+        trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, ly, counts)
+        if phi_val < config.abs_tol:
             break
     return factors, trace
 

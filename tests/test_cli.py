@@ -202,6 +202,49 @@ def test_config_rejects(text):
         parse_config(text)
 
 
+def test_config_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 4: key 'eta' already given on line 2"):
+        parse_config("ranks = 2\neta = 0.1\n# comment\neta = 5\n")
+    with pytest.raises(ConfigError, match="line 3: key 'R' already given on line 2"):
+        parse_config("ranks = 2\nR = 1\nR = 1\n")
+
+
+def test_config_fuzz_raises_only_config_error():
+    """Whatever the text, parsing raises ConfigError or returns a config that
+    survives a serialize/parse round trip."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default_text = serialize_config(parse_config("ranks = 2\n"))
+    names = [line.split(" = ")[0] for line in default_text.splitlines()]
+    keys = st.sampled_from([*names, "bogus", ""])
+    ranks = st.lists(st.integers(-1, 4), max_size=3).map(lambda v: ",".join(map(str, v)))
+    good_ranks = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v)))
+    values = st.one_of(
+        st.integers(-3, 300).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["sgd", "saga", "sarah", "adam", "cyclic", "uniform", "none", "nonneg",
+                         "ridge:0.5", "ridge:-1", "ridge:nan", "ridge:", "nonneg:3"]),
+        ranks,
+        st.text(max_size=12),
+    )
+    line = st.one_of(st.tuples(keys, values).map(" = ".join), st.text(max_size=20))
+    # a valid `ranks` line first, half the time, so that many texts parse
+    texts = st.tuples(st.booleans(), good_ranks, st.lists(line, max_size=6)).map(
+        lambda v: "\n".join((["ranks = " + v[1]] if v[0] else []) + v[2]))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    check()
+
+
 def test_config_gamma_diag_none():
     cfg = parse_config("ranks = 2\ngamma_diag = none\n")
     assert cfg.gamma_diag is None
@@ -234,6 +277,21 @@ def test_decompose_seed_override(tmp_path, tensor_file):
     main(["decompose", "--tensor", str(path), "--config", str(cfg),
           "--out", str(out), "--seed", "5"])
     assert "seed = 5" in (out / "resolved_config.txt").read_text()
+
+
+@pytest.mark.parametrize("text, flag", [
+    ("ranks = 2,1\nseed = -1\n", []),
+    ("ranks = 2,1\n", ["--seed", "-1"]),
+], ids=["key", "flag"])
+def test_decompose_negative_seed_is_parse_error(tmp_path, tensor_file, text, flag, capsys):
+    path, _ = tensor_file
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg), "--out", str(out),
+               *flag])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_decompose_bad_config_exit_code(tmp_path, tensor_file):

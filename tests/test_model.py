@@ -2,6 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import (
+    reference_build_H,
+    reference_full_gradient,
+    reference_objective,
+    reference_reconstruct,
+)
 
 from midasll1.model import (
     LL1Factors,
@@ -130,6 +136,62 @@ def test_objective_infeasible_indicator_is_inf():
     f = f.with_factor(1, f.A1 - 2.0)
     obj = objective(f, reconstruct(f), NONNEG)
     assert obj.phi == np.inf and obj.f >= 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_objective_rejects_overflowing_reconstruction():
+    """Finite factors whose reconstruction overflows: the finiteness check
+    of the reconstruction still raises."""
+    rk = RankVector((2,))
+    big = np.full((3, 2), 1e200)
+    f = LL1Factors(big, big, np.ones((3, 1)), rk)
+    x = DenseTensor3(np.ones((3, 3, 3)))
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        objective(f, x, NONE)
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        reconstruct(f)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_objective_overflowing_residual_is_inf():
+    """A finite reconstruction whose squared residual overflows gives f = inf."""
+    rk = RankVector((2,))
+    big = np.full((3, 2), 1e90)
+    f = LL1Factors(big, big, np.ones((3, 1)), rk)
+    x = DenseTensor3(np.ones((3, 3, 3)))
+    assert np.isfinite(reconstruct(f).array).all()
+    obj = objective(f, x, NONE)
+    assert obj.f == np.inf and obj.phi == np.inf
+
+
+@pytest.mark.parametrize("dims, L", [
+    ((9, 8, 7), (2, 3)),         # unequal L_r
+    ((20, 15, 10), (3, 1, 4)),
+    ((6, 9, 11), (9, 2)),        # a block wider than 8 columns
+    ((5, 7, 4), (1,)),           # R = 1
+    ((7, 5, 6), (3,)),
+    ((100, 100, 50), (4, 4, 4)), # the mid benchmark shape
+])
+def test_kernels_match_reference_bitwise(dims, L):
+    """`build_H`, `full_gradient`, `reconstruct` and `objective` give the
+    same bits as the plain kron/hstack, copied-unfolding and validated-
+    reconstruction formulas of `tests/conftest.py`."""
+    rng = np.random.default_rng(sum(dims) + len(L))
+    rk = RankVector(L)
+    f = LL1Factors(rng.standard_normal((dims[0], rk.total)),
+                   rng.standard_normal((dims[1], rk.total)),
+                   rng.standard_normal((dims[2], rk.R)), rk)
+    x = DenseTensor3(rng.standard_normal(dims))
+    for mode in (1, 2, 3):
+        np.testing.assert_array_equal(build_H(f, mode), reference_build_H(f, mode))
+        np.testing.assert_array_equal(full_gradient(f, x, mode),
+                                      reference_full_gradient(f, x, mode))
+    recon = reconstruct(f).array
+    np.testing.assert_array_equal(recon, reference_reconstruct(f).array)
+    assert recon.flags.f_contiguous
+    reg = RegularizerSpec.uniform("ridge", 0.3)
+    obj = objective(f, x, reg)
+    assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, reg)
 
 
 def finite_difference_gradient(f, x, mode, h=1e-6):

@@ -11,6 +11,7 @@ from midasll1.tensor import (
     khatri_rao,
     row_count,
     unfold,
+    unfold_contiguous,
 )
 
 
@@ -93,6 +94,17 @@ def test_gather_full_batch_equals_unfold(mode):
     jn = row_count(t.dims, mode)
     rows = gather_fiber_rows(t, FiberBatch(mode, np.arange(jn)))
     np.testing.assert_array_equal(rows, unfold(t, mode))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_unfold_contiguous_matches_unfold(mode):
+    rng = np.random.default_rng(4)
+    t = DenseTensor3(rng.random((3, 4, 5)))
+    u = unfold_contiguous(t, mode)
+    np.testing.assert_array_equal(u, unfold(t, mode))
+    assert u.flags.c_contiguous
+    # the mode-1 unfolding is the column-major storage itself
+    assert np.shares_memory(u, t.array) == (mode == 1)
 
 
 def test_gather_singleton_matches_unfold_row():
