@@ -44,11 +44,10 @@ from .solver import (
     run,
 )
 from .synth import generate
-from .tensor import DenseTensor3, FiberBatch, fold, gather_fiber_rows, khatri_rao, unfold
+from .tensor import DenseTensor3, FiberBatch, fold, khatri_rao, unfold
 
 __all__ = [
-    "DenseTensor3", "FiberBatch", "unfold", "fold",
-    "gather_fiber_rows", "khatri_rao",
+    "DenseTensor3", "FiberBatch", "unfold", "fold", "khatri_rao",
     "RankVector", "LL1Factors", "ObjectiveValue", "reconstruct", "objective",
     "full_gradient",
     "Regularizer", "RegularizerSpec", "prox",

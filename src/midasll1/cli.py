@@ -163,17 +163,13 @@ def _parse_grid(text: str):
     so a bad value is a ConfigError before anything runs or is written.
     """
     grid_lines, base_lines = [], []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("grid_") or stripped.startswith("baseline_iters"):
-            grid_lines.append(stripped)
-        else:
-            base_lines.append(raw)
-    base = cfgmod.parse_config("\n".join(base_lines))
+    for lineno, key, val in cfgmod.scan_lines(text):
+        is_grid = key.startswith("grid_") or key == "baseline_iters"
+        (grid_lines if is_grid else base_lines).append((lineno, key, val))
+    base = cfgmod.config_from_lines(base_lines)
     estimators, t_values, baselines = [], [], []
     baseline = base
-    for line in grid_lines:
-        key, _, val = (s.strip() for s in line.partition("="))
+    for lineno, key, val in grid_lines:
         try:
             if key == "grid_estimators":
                 estimators = [v.strip() for v in val.split(",") if v.strip()]
@@ -193,7 +189,7 @@ def _parse_grid(text: str):
             else:
                 raise ValueError("unknown grid key")
         except ValueError as exc:
-            raise cfgmod.ConfigError(f"{key}: {exc}") from None
+            raise cfgmod.ConfigError(f"line {lineno}: {key}: {exc}") from None
     cells = [
         (f"{est}-t{t}", run, replace(base, estimator=est, t=t))
         for est in estimators or [base.estimator]

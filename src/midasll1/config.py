@@ -54,9 +54,10 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config(text: str) -> SolverConfig:
-    values: dict[str, object] = {}
-    r_declared = None
+def scan_lines(text: str):
+    """Yield (line number, key, value) for each `key = value` line, 1-based,
+    skipping comments and blank lines; a line without `=` or a key given
+    twice is a ConfigError naming its line (and the first one)."""
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,13 +66,25 @@ def parse_config(text: str) -> SolverConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = (s.strip() for s in line.partition("="))
-        if key != "R" and key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(
                 f"line {lineno}: key {key!r} already given on line {first_line[key]}"
             )
         first_line[key] = lineno
+        yield lineno, key, val
+
+
+def parse_config(text: str) -> SolverConfig:
+    return config_from_lines(scan_lines(text))
+
+
+def config_from_lines(lines) -> SolverConfig:
+    """The SolverConfig of scanned `(line number, key, value)` triples."""
+    values: dict[str, object] = {}
+    r_declared = None
+    for lineno, key, val in lines:
+        if key != "R" and key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "R":
                 r_declared = int(val)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import H_rows_at, LL1Factors, full_gradient
+from .model import H_rows_at, LL1Factors, full_gradient, gradient_from_rows
 from .tensor import (
     DenseTensor3,
     FiberBatch,
     fiber_coordinates,
     fiber_rows_at,
-    gather_fiber_rows,
     mode1_rows,
     row_count,
 )
@@ -33,11 +32,13 @@ def sgd_estimate(factors: LL1Factors, t: DenseTensor3, batch: FiberBatch) -> np.
 
     g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B), with H_n(F)
     built row-wise for the sampled fibers only.  With B = J_n this equals
-    the exact full gradient, since I_n * J_n = I1*I2*I3.
+    the exact full gradient: both evaluate `gradient_from_rows`.
     """
-    x = gather_fiber_rows(t, batch)
+    jn = row_count(t.dims, batch.mode)
+    if batch.indices.max() >= jn:
+        raise IndexError(f"fiber index out of range for J_{batch.mode}={jn}")
     a, b = fiber_coordinates(t.dims, batch.mode, batch.indices)
-    return fiber_gradient(factors, batch.mode, a, b, x)
+    return fiber_gradient(factors, batch.mode, a, b, fiber_rows_at(t, batch.mode, a, b))
 
 
 def fiber_gradient(
@@ -45,9 +46,7 @@ def fiber_gradient(
 ) -> np.ndarray:
     """`sgd_estimate` at fiber coordinates `(a, b)` with the gathered rows `x`
     of the unfolding, without checks."""
-    h = H_rows_at(factors, mode, a, b)
-    u = factors.factor(mode)
-    return (u @ (h.T @ h) - x.T @ h) / (u.shape[0] * a.size)
+    return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
 
 
 def make_bins(jn: int, b: int) -> list[np.ndarray]:
@@ -164,7 +163,8 @@ class SarahState:
 
     At a restart (counter == 0) the direction is the exact full gradient at
     the current evaluation point; otherwise it is corrected by the batch
-    gradient difference between the current and the previously seen point.
+    gradient difference between the current and the previously seen point,
+    both evaluated on one gather of the batch's rows.
     """
 
     q: dict[int, int]
@@ -173,15 +173,19 @@ class SarahState:
     counter: dict[int, int] = field(default_factory=dict)
 
     def estimate(
-        self, factors: LL1Factors, t: DenseTensor3, mode: int, batch: FiberBatch
+        self, factors: LL1Factors, t: DenseTensor3, mode: int, idx: np.ndarray
     ) -> np.ndarray:
+        """The direction at `factors` for the batch of fiber indices `idx`,
+        which must be distinct and in range (they are not checked)."""
         c = self.counter.get(mode, 0)
         if c == 0:
             v = full_gradient(factors, t, mode)
         else:
+            a, b = fiber_coordinates(t.dims, mode, idx)
+            x = fiber_rows_at(t, mode, a, b)
             v = (
-                sgd_estimate(factors, t, batch)
-                - sgd_estimate(self.prev_point[mode], t, batch)
+                fiber_gradient(factors, mode, a, b, x)
+                - fiber_gradient(self.prev_point[mode], mode, a, b, x)
                 + self.v[mode]
             )
         self.v[mode] = v
@@ -227,11 +231,10 @@ def estimator_mse_probe(
             g = state.clone().estimate(factors, t, mode, bin_id)
         else:
             idx = rng.choice(jn, size=min(batch_size, jn), replace=False)
-            batch = FiberBatch(mode, idx)
             if kind == "sarah":
-                g = state.clone().estimate(factors, t, mode, batch)
+                g = state.clone().estimate(factors, t, mode, idx)
             else:
-                g = sgd_estimate(factors, t, batch)
+                g = sgd_estimate(factors, t, FiberBatch(mode, idx))
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .prox import RegularizerSpec, penalty_value
-from .tensor import DenseTensor3, fiber_coordinates, unfold_contiguous
+from .tensor import DenseTensor3, unfold_contiguous
 
 
 @dataclass(frozen=True)
@@ -167,19 +167,11 @@ def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def build_H_rows(factors: LL1Factors, mode: int, rows) -> np.ndarray:
-    """Selected rows of H_n, built directly from the fiber coordinates.
-
-    Never materializes the full H_n; bitwise-identical to indexing into
-    `build_H(factors, mode)`.
-    """
-    a, b = fiber_coordinates(factors.dims, mode, rows)
-    return H_rows_at(factors, mode, a, b)
-
-
 def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`build_H_rows` at fiber coordinates `(a, b)` from `fiber_coordinates`,
-    without checks; uses the point's cached `expanded_A3`."""
+    """The rows of H_n for the fibers at coordinates `(a, b)` from
+    `fiber_coordinates`, without checks and without materializing H_n;
+    bitwise-identical to indexing into `build_H(factors, mode)`.  Uses the
+    point's cached `expanded_A3`."""
     if mode == 1:
         return factors.expanded_A3[b, :] * factors.A2[a, :]
     if mode == 2:
@@ -250,8 +242,14 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
     # C-contiguous, like the fiber rows of the sampled path: BLAS then sees
     # the same layout and rounds the same as that path on every fiber
     x_n = unfold_contiguous(t, mode)
-    a = factors.factor(mode)
-    return (a @ (h.T @ h) - x_n.T @ h) / t.size
+    return gradient_from_rows(factors.factor(mode), h, x_n)
+
+
+def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A_n H^T H - X^T H) / (I_n * rows) from matching rows H of H_n and X
+    of the mode-n unfolding.  Over all J_n rows this is the exact gradient,
+    since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD estimate."""
+    return (a @ (h.T @ h) - x.T @ h) / (a.shape[0] * h.shape[0])
 
 
 def lipschitz_bound(factors: LL1Factors, mode: int, tol: float = 1e-6, max_iter: int = 1000) -> float:

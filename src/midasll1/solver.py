@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import (
+    ESTIMATOR_KINDS,
     SagaState,
     SarahState,
     fiber_gradient,
@@ -32,12 +33,13 @@ from .estimators import (
 from .model import (
     LL1Factors,
     RankVector,
+    build_H,
     full_gradient,
     lipschitz_bound,
     objective,
 )
 from .prox import NONNEG, RegularizerSpec, prox
-from .tensor import DenseTensor3, FiberBatch, fiber_coordinates, fiber_rows_at, row_count, unfold
+from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count, unfold
 
 
 class SolverAbort(RuntimeError):
@@ -85,7 +87,7 @@ class SolverConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.estimator not in ("sgd", "saga", "sarah"):
+        if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.t < 0:
             raise ValueError("inertial depth t must be >= 0")
@@ -167,18 +169,9 @@ def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Fac
     )
 
 
-def extrapolate(history, coeffs) -> np.ndarray:
-    """A^k + sum_i coeffs[i-1] * (A^{k+1-i} - A^{k-i}) over the mode's history.
-
-    `history` is oldest-to-newest; missing entries count as equal to the
-    oldest one (zero differences).
-    """
-    steps = [history[-i] - history[-i - 1] for i in range(1, len(history))]
-    return _extrapolated(history[-1], steps, coeffs)
-
-
-def _extrapolated(base: np.ndarray, steps, coeffs) -> np.ndarray:
-    """base + sum_i coeffs[i] * steps[i], with `steps` newest first; lags
+def extrapolate(base: np.ndarray, steps, coeffs) -> np.ndarray:
+    """A^k + sum_i coeffs[i-1] * (A^{k+1-i} - A^{k-i}) for `base` = A^k and
+    `steps` the mode's stored differences A^{j+1} - A^j, newest first; lags
     beyond the stored steps and zero coefficients add nothing.  Returns
     `base` itself when nothing is added."""
     out = None
@@ -345,8 +338,8 @@ def run(
         coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
         for i, n in enumerate(modes):
             base = factors.factor(n)
-            y_anchor = _extrapolated(base, steps[n], coef_a[i:i + config.t][::-1])
-            u_eval = _extrapolated(base, steps[n], coef_b[i:i + config.t][::-1])
+            y_anchor = extrapolate(base, steps[n], coef_a[i:i + config.t][::-1])
+            u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
             factors_u = factors.replaced(n, u_eval)
 
             if lipschitz_steps:
@@ -368,7 +361,7 @@ def run(
                 else:
                     idx = rng_fiber.choice(jn[n], size=batches[n], replace=False)
                 if estimator == "sarah":
-                    g = state.estimate(factors_u, tensor, n, FiberBatch.trusted(n, idx))
+                    g = state.estimate(factors_u, tensor, n, idx)
                 else:
                     a, b = fiber_coordinates(dims, n, idx)
                     g = fiber_gradient(factors_u, n, a, b, fiber_rows_at(tensor, n, a, b))
@@ -463,8 +456,6 @@ def als_mu_baseline(
     trace = RunTrace()
     start = clock()
     k = 0
-    from .model import build_H  # local to keep module top imports tidy
-
     for it in range(config.epochs):
         last_step_norm = 0.0
         for n in (1, 2, 3):

@@ -88,14 +88,6 @@ class FiberBatch:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def trusted(cls, mode: int, indices: np.ndarray) -> "FiberBatch":
-        """Wrap intp indices already known to be distinct and in range,
-        without the checks of the constructor."""
-        out = object.__new__(cls)
-        out.__dict__.update(mode=mode, indices=indices)
-        return out
-
     @property
     def size(self) -> int:
         return self.indices.size
@@ -155,21 +147,11 @@ def fold(m: np.ndarray, mode: int, dims) -> DenseTensor3:
     return DenseTensor3(np.moveaxis(cube, 2, mode - 1))
 
 
-def gather_fiber_rows(t: DenseTensor3, batch: FiberBatch) -> np.ndarray:
-    """Rows of the mode-n unfolding for the sampled fibers, as a B-by-I_n matrix.
-
-    Computed by direct index arithmetic; the full unfolding is never built.
-    """
-    jn = row_count(t.dims, batch.mode)
-    if batch.indices.max() >= jn:
-        raise IndexError(f"fiber index out of range for J_{batch.mode}={jn}")
-    a, b = fiber_coordinates(t.dims, batch.mode, batch.indices)
-    return fiber_rows_at(t, batch.mode, a, b)
-
-
 def fiber_rows_at(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`gather_fiber_rows` at fiber coordinates `(a, b)` from
-    `fiber_coordinates`, without checks; a C-contiguous B-by-I_n copy."""
+    """Rows of the mode-n unfolding for the fibers at coordinates `(a, b)`
+    from `fiber_coordinates`, as a C-contiguous B-by-I_n copy, without
+    checks.  Computed by direct index arithmetic; the full unfolding is
+    never built."""
     x = t.array
     if mode == 1:
         return np.ascontiguousarray(x[:, a, b].T)

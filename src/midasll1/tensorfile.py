@@ -6,7 +6,8 @@ Tensor file layout:
     (index i1 fastest).
 
 Matrix files use the analogous header b"DMATRIX 1 <rows> <cols>\\n" with
-column-major float64 payload.
+column-major float64 payload.  Every payload value must be finite; the
+readers report the byte offset of the first one that is not.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ def _read_payload(raw: bytes, start: int, count: int, path: str) -> np.ndarray:
     return np.frombuffer(raw[start:], dtype="<f8").astype(np.float64)
 
 
+def _nonfinite_error(flat: np.ndarray, start: int, path: str) -> FormatError:
+    i = int(np.argmax(~np.isfinite(flat)))
+    return FormatError(f"{path}: non-finite value {float(flat[i])!r}", start + 8 * i)
+
+
 def write_tensor(path, t: DenseTensor3) -> None:
     i1, i2, i3 = t.dims
     with open(path, "wb") as fh:
@@ -70,7 +76,11 @@ def read_tensor(path) -> DenseTensor3:
         raw = fh.read()
     dims, start = _read_header(raw, TENSOR_MAGIC, 3, str(path))
     flat = _read_payload(raw, start, dims[0] * dims[1] * dims[2], str(path))
-    return DenseTensor3.from_flat(flat, dims)
+    try:
+        return DenseTensor3.from_flat(flat, dims)
+    except ValueError:
+        # header and payload size are checked, so only a non-finite entry is left
+        raise _nonfinite_error(flat, start, str(path)) from None
 
 
 def write_matrix(path, m: np.ndarray) -> None:
@@ -86,6 +96,8 @@ def read_matrix(path) -> np.ndarray:
         raw = fh.read()
     (rows, cols), start = _read_header(raw, MATRIX_MAGIC, 2, str(path))
     flat = _read_payload(raw, start, rows * cols, str(path))
+    if not np.isfinite(flat).all():
+        raise _nonfinite_error(flat, start, str(path))
     return flat.reshape((rows, cols), order="F")
 
 
@@ -93,9 +105,9 @@ def read_tensor_csv(path) -> DenseTensor3:
     """Interop import: lines "i1,i2,i3,value" with 1-based integer indices,
     one line per entry; blank lines and '#' comments are skipped.
 
-    A malformed line, a non-integer or nonpositive index, or an index triple
-    given twice raises ValueError naming the 1-based line; so does a missing
-    entry, naming none.
+    A malformed line, a non-integer or nonpositive index, a non-finite value
+    or an index triple given twice raises ValueError naming the 1-based line;
+    so does a missing entry, naming none.
     """
     lines, rows = [], []
     with open(path) as fh:
@@ -124,6 +136,7 @@ def read_tensor_csv(path) -> DenseTensor3:
     reject(~(np.isfinite(idx) & (idx == np.round(idx))).all(axis=1),
            lambda _: "indices must be integers")
     reject((idx < 1).any(axis=1), lambda _: "indices must be >= 1")
+    reject(~np.isfinite(data[:, 3]), lambda i: f"value {float(data[i, 3])!r} must be finite")
     idx = idx.astype(np.intp) - 1
     # sorted by triple, equal triples in line order: each repeat follows its predecessor
     order = np.lexsort(idx.T[::-1])

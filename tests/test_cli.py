@@ -429,6 +429,25 @@ def test_bench_bad_grid_value_is_parse_error(tmp_path, tensor_file, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    # a base key after a grid key keeps its line in the file
+    ("ranks = 2,2\ngrid_t = 0\nfoo = 1\n", "line 3: unknown key 'foo'"),
+    ("grid_t = 0\nranks = 2,2\n# again\ngrid_t = 3\n",
+     "line 4: key 'grid_t' already given on line 1"),
+    ("ranks = 2,2\n\ngrid_t = x\n", "line 3: grid_t: invalid literal"),
+    ("ranks = 2,2\ngrid_foo = 1\n", "line 2: grid_foo: unknown grid key"),
+], ids=["base-key-line", "repeated-grid-key", "bad-grid-value", "unknown-grid-key"])
+def test_bench_grid_errors_name_the_file_line(tmp_path, tensor_file, capsys, text, message):
+    path, _ = tensor_file
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(text)
+    out = tmp_path / "bench"
+    rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_main_unknown_error_is_exit_error(tmp_path, tensor_file):
     path, _ = tensor_file
     # factors directory missing entirely -> generic error path

@@ -121,8 +121,7 @@ def test_sarah_restart_is_full_gradient():
     f, t = make_problem(seed=9)
     mode = 1
     st = SarahState(q={mode: 3})
-    batch = FiberBatch(mode, np.arange(4))
-    g = st.estimate(f, t, mode, batch)
+    g = st.estimate(f, t, mode, np.arange(4))
     np.testing.assert_array_equal(g, full_gradient(f, t, mode))
     assert st.counter[mode] == 1
 
@@ -137,7 +136,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
     point = f
     rng = np.random.default_rng(11)
     for _ in range(5):
-        v = st.estimate(point, t, mode, FiberBatch(mode, np.arange(jn)))
+        v = st.estimate(point, t, mode, np.arange(jn))
         assert np.abs(v - full_gradient(point, t, mode)).max() <= 1e-12
         point = point.with_factor(
             mode, point.factor(mode) + 0.1 * rng.standard_normal(point.factor(mode).shape)
@@ -148,12 +147,12 @@ def test_sarah_counter_wraps_to_restart():
     f, t = make_problem(seed=12)
     mode = 3
     st = SarahState(q={mode: 2})
-    batch = FiberBatch(mode, np.arange(3))
-    st.estimate(f, t, mode, batch)
-    st.estimate(f, t, mode, batch)
+    idx = np.arange(3)
+    st.estimate(f, t, mode, idx)
+    st.estimate(f, t, mode, idx)
     assert st.counter[mode] == 0  # next call restarts
     f2, _ = make_problem(seed=13)
-    g = st.estimate(f2, t, mode, batch)
+    g = st.estimate(f2, t, mode, idx)
     np.testing.assert_array_equal(g, full_gradient(f2, t, mode))
 
 

@@ -12,8 +12,8 @@ from conftest import (
 from midasll1.model import (
     LL1Factors,
     RankVector,
+    H_rows_at,
     build_H,
-    build_H_rows,
     full_gradient,
     gram_H,
     lipschitz_bound,
@@ -21,7 +21,7 @@ from midasll1.model import (
     reconstruct,
 )
 from midasll1.prox import NONE, NONNEG, RegularizerSpec
-from midasll1.tensor import DenseTensor3, row_count, unfold
+from midasll1.tensor import DenseTensor3, fiber_coordinates, row_count, unfold
 
 
 def random_factors(rng, dims, L):
@@ -101,7 +101,8 @@ def test_build_H_rows_matches_full(mode):
     f = random_factors(rng, (4, 3, 5), (2, 3))
     h = build_H(f, mode)
     rows = rng.permutation(h.shape[0])[:5]
-    np.testing.assert_array_equal(build_H_rows(f, mode, rows), h[rows])
+    a, b = fiber_coordinates(f.dims, mode, rows)
+    np.testing.assert_array_equal(H_rows_at(f, mode, a, b), h[rows])
 
 
 def test_objective_exact_fit_is_zero():

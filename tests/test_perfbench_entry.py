@@ -1,0 +1,52 @@
+"""The benchmark's entry points into the package still resolve.
+
+`perfbench/` is held fixed so that its runs stay comparable across changes;
+it reaches the package through `parse_config(text).to_solver_config()`, the
+solver functions by name, and the SAGA table attributes its tracer reads.
+These tests load its modules by path, unedited, so that a cleanup of the
+package cannot break every benchmark run unnoticed.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from midasll1 import solver
+from midasll1.config import parse_config
+from midasll1.estimators import SagaState, make_bins
+from midasll1.model import LL1Factors, RankVector
+from midasll1.tensor import DenseTensor3, row_count
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up while defining
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+@pytest.mark.parametrize("name, entry", [("mid_saga", "run"), ("mid_palm", "palm_baseline")])
+def test_workload_config_and_solver_resolve(name, entry):
+    workload = load("workloads").WORKLOADS[name]
+    text = workload.config_text(7)
+    assert workload.solver_config(text) == parse_config(text)
+    assert workload.solver_entry() is getattr(solver, entry)
+
+
+def test_tracer_reads_the_saga_table():
+    rng = np.random.default_rng(0)
+    rk = RankVector((2, 1))
+    f = LL1Factors(rng.random((4, 3)), rng.random((3, 3)), rng.random((2, 2)), rk)
+    t = DenseTensor3(rng.random((4, 3, 2)))
+    state = SagaState.warm_start(f, t, {n: make_bins(row_count(t.dims, n), 2) for n in (1, 2, 3)})
+    nbytes = sum(g.nbytes for g in state.table.values())
+    nbytes += sum(m.nbytes for m in state.running_mean.values())
+    assert load("tracing")._warm_start_work((), state) == (float(nbytes), 0.0)

@@ -38,16 +38,21 @@ def test_inertial_schedule_values():
     assert inertial_coefficient(0.3, 10**7) == pytest.approx(0.3, rel=1e-5)
 
 
+def _steps(hist):
+    """The differences A^{j+1} - A^j of an oldest-to-newest history, newest first."""
+    return [hist[-i] - hist[-i - 1] for i in range(1, len(hist))]
+
+
 def test_extrapolate_short_history_is_base():
     h = [np.ones((2, 2))]
-    out = extrapolate(h, [0.5, 0.5, 0.5])
-    np.testing.assert_array_equal(out, h[0])
+    out = extrapolate(h[-1], _steps(h), [0.5, 0.5, 0.5])
+    assert out is h[0]
 
 
 def test_extrapolate_two_point_formula():
     a0 = np.zeros((2, 2))
     a1 = np.ones((2, 2))
-    out = extrapolate([a0, a1], [0.5])
+    out = extrapolate(a1, _steps([a0, a1]), [0.5])
     np.testing.assert_array_equal(out, 1.5 * np.ones((2, 2)))
 
 
@@ -58,14 +63,15 @@ def test_extrapolate_multi_term():
     expected = hist[-1] + sum(
         c * (hist[-i] - hist[-i - 1]) for i, c in enumerate(coeffs, start=1)
     )
-    np.testing.assert_allclose(extrapolate(hist, coeffs), expected, atol=1e-15)
+    np.testing.assert_allclose(extrapolate(hist[-1], _steps(hist), coeffs), expected, atol=1e-15)
 
 
 def test_extrapolate_does_not_mutate_history():
     hist = [np.zeros((2, 2)), np.ones((2, 2))]
-    snap = [h.copy() for h in hist]
-    extrapolate(hist, [0.7])
-    for a, b in zip(hist, snap):
+    steps = _steps(hist)
+    snap = [h.copy() for h in hist + steps]
+    extrapolate(hist[-1], steps, [0.7])
+    for a, b in zip(hist + steps, snap):
         np.testing.assert_array_equal(a, b)
 
 

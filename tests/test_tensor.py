@@ -3,16 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
+from midasll1.estimators import sgd_estimate
+from midasll1.model import LL1Factors, RankVector
 from midasll1.tensor import (
     DenseTensor3,
     FiberBatch,
+    fiber_coordinates,
+    fiber_rows_at,
     fold,
-    gather_fiber_rows,
     khatri_rao,
     row_count,
     unfold,
     unfold_contiguous,
 )
+
+
+def gather(t, mode, rows):
+    return fiber_rows_at(t, mode, *fiber_coordinates(t.dims, mode, rows))
 
 
 def counting_tensor():
@@ -92,7 +99,7 @@ def test_gather_full_batch_equals_unfold(mode):
     rng = np.random.default_rng(3)
     t = DenseTensor3(rng.random((3, 4, 5)))
     jn = row_count(t.dims, mode)
-    rows = gather_fiber_rows(t, FiberBatch(mode, np.arange(jn)))
+    rows = gather(t, mode, np.arange(jn))
     np.testing.assert_array_equal(rows, unfold(t, mode))
 
 
@@ -113,23 +120,26 @@ def test_gather_singleton_matches_unfold_row():
     for mode in (1, 2, 3):
         u = unfold(t, mode)
         for j in (0, 3, u.shape[0] - 1):
-            row = gather_fiber_rows(t, FiberBatch(mode, np.array([j])))
+            row = gather(t, mode, np.array([j]))
             np.testing.assert_array_equal(row[0], u[j])
 
 
 def test_gather_deterministic():
     rng = np.random.default_rng(9)
     t = DenseTensor3(rng.random((4, 4, 4)))
-    batch = FiberBatch(2, np.array([3, 0, 7]))
-    a = gather_fiber_rows(t, batch)
-    b = gather_fiber_rows(t, batch)
+    rows = np.array([3, 0, 7])
+    a = gather(t, 2, rows)
+    b = gather(t, 2, rows)
     np.testing.assert_array_equal(a, b)
 
 
 def test_gather_out_of_range():
+    """`sgd_estimate` is the checked entry to the gather: J_1 = 4 here."""
     t = counting_tensor()
+    rk = RankVector((1,))
+    f = LL1Factors(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), rk)
     with pytest.raises(IndexError):
-        gather_fiber_rows(t, FiberBatch(1, np.array([4])))
+        sgd_estimate(f, t, FiberBatch(1, np.array([4])))
 
 
 def test_fiber_batch_validation():
