@@ -117,10 +117,47 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+_MAX_SNR_DB = 1000
+
+
+def _positive_ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise ValueError(f"{flag} must be comma-separated positive integers, got {text!r}")
+    return values
+
+
+def _synth_inputs(args):
+    """(dims, ranks, SNR in dB) from the `synth` flags; a ValueError names the flag."""
+    dims = _positive_ints("--dims", args.dims)
+    if len(dims) != 3:
+        raise ValueError(f"--dims must give 3 dimensions, got {args.dims!r}")
+    ranks = RankVector(_positive_ints("--ranks", args.ranks))
+    try:
+        snr = float(args.snr_db)  # also reads inf and infinity, in any case
+    except ValueError:
+        snr = math.nan
+    # past +-1000 dB the noise is 50 orders of magnitude off the signal, and
+    # far enough past it the noise scale or the noisy tensor is not finite
+    if not (abs(snr) <= _MAX_SNR_DB or snr == math.inf):
+        raise ValueError(
+            f"--snr-db must be inf or a number from -{_MAX_SNR_DB} to {_MAX_SNR_DB}, "
+            f"got {args.snr_db!r}"
+        )
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return dims, ranks, snr
+
+
 def cmd_synth(args) -> int:
-    dims = tuple(int(v) for v in args.dims.split(","))
-    ranks = RankVector(tuple(int(v) for v in args.ranks.split(",")))
-    snr = math.inf if args.snr_db.lower() in ("inf", "infinity") else float(args.snr_db)
+    try:
+        dims, ranks, snr = _synth_inputs(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     tensor, truth = generate(dims, ranks, snr, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,10 @@ from .tensor import (
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
 
+# the warm start fills the SAGA table in chunks of bins whose rows, H rows,
+# Grams and gradients take at most this many bytes (at least one bin)
+_WARM_CHUNK_BYTES = 1 << 20
+
 
 def sgd_estimate(factors: LL1Factors, t: DenseTensor3, batch: FiberBatch) -> np.ndarray:
     """Fiber-sampled stochastic gradient of f with respect to A_mode.
@@ -49,11 +53,12 @@ def fiber_gradient(
     return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
 
 
-def make_bins(jn: int, b: int) -> list[np.ndarray]:
-    """Partition fiber indices 0..J_n-1 into consecutive bins of size b (b | J_n)."""
+def make_bins(jn: int, b: int) -> np.ndarray:
+    """Partition fiber indices 0..J_n-1 into consecutive bins of size b (b | J_n):
+    row i of the (J_n / b) x b result is bin i."""
     if jn % b != 0:
         raise ValueError(f"bin size {b} must divide J_n={jn}")
-    return [np.arange(i * b, (i + 1) * b) for i in range(jn // b)]
+    return np.arange(jn).reshape(-1, b)
 
 
 def largest_divisor_at_most(jn: int, b: int) -> int:
@@ -76,12 +81,16 @@ class SagaState:
 
     `table[mode]` stacks the bin gradients (n_bins x I_n x L).  The bins of a
     mode have one size; `fibers[mode]` holds their fiber coordinates
-    (n_bins x B each, from `fiber_coordinates`) and, when every bin is a run
-    of consecutive mode-1 fibers, each bin's first row, so that its rows are
-    read as a view of the unfolding instead of gathered.
+    (n_bins x B each, from `fiber_coordinates`) and, when the bins are
+    consecutive mode-1 fibers in order (as `make_bins` makes them), each
+    bin's first row, so that its rows are read as a view of the unfolding
+    instead of gathered.  The warm start fills the table a chunk of bins at
+    a time: one gather (or view) of their rows, one `H_rows_at` and one
+    stacked `gradient_from_rows`, which gives every entry the bits of
+    `fiber_gradient` on that bin alone.
     """
 
-    bins: dict[int, list[np.ndarray]]
+    bins: dict[int, np.ndarray]
     table: dict[int, np.ndarray]
     running_mean: dict[int, np.ndarray]
     updates_since_recompute: dict[int, int] = field(default_factory=dict)
@@ -91,19 +100,28 @@ class SagaState:
 
     @classmethod
     def warm_start(
-        cls, factors: LL1Factors, t: DenseTensor3, bins: dict[int, list[np.ndarray]]
+        cls, factors: LL1Factors, t: DenseTensor3, bins: dict[int, np.ndarray]
     ) -> "SagaState":
         state = cls(bins=bins, table={}, running_mean={},
                     updates_since_recompute={m: 0 for m in bins})
         for mode, mode_bins in bins.items():
-            rows = np.stack(mode_bins)  # raises unless the bins have one size
+            rows = np.asarray(mode_bins, dtype=np.intp)  # raises unless the bins have one size
             a, b = fiber_coordinates(t.dims, mode, rows)
-            runs = mode == 1 and bool((np.diff(rows, axis=1) == 1).all())
+            runs = mode == 1 and bool((np.diff(rows.ravel()) == 1).all())
             state.fibers[mode] = (a, b, rows[:, 0].tolist() if runs else None)
-            grads = np.empty((len(mode_bins), *factors.factor(mode).shape))
-            for i in range(len(mode_bins)):
-                grads[i] = state._bin_gradient(factors, t, mode, i)
-            state.table[mode] = grads
+            n_bins, size = rows.shape
+            i_n, width = factors.factor(mode).shape
+            step = max(1, _WARM_CHUNK_BYTES // (8 * (size + width) * (i_n + width)))
+            state.table[mode] = grads = np.empty((n_bins, i_n, width))
+            for lo in range(0, n_bins, step):
+                hi = min(lo + step, n_bins)
+                if runs:
+                    x = mode1_rows(t, slice(rows[lo, 0], rows[hi - 1, -1] + 1))
+                else:
+                    x = fiber_rows_at(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel())
+                grads[lo:hi] = fiber_gradient(
+                    factors, mode, a[lo:hi], b[lo:hi], x.reshape(hi - lo, size, i_n)
+                )
             state.running_mean[mode] = _table_mean(grads)
         return state
 
@@ -153,8 +171,10 @@ class SagaState:
 
 
 def _table_mean(grads: np.ndarray) -> np.ndarray:
-    """Mean of the stacked bin gradients, summed in bin order."""
-    return sum(grads[1:], start=grads[0].copy()) / len(grads)
+    """Mean of the stacked bin gradients, summed in bin order: a reduction
+    over the outer axis adds whole bins in turn, and starting from -0.0
+    keeps a sum of signed zeros signed, as the sum of the bins alone is."""
+    return np.add.reduce(grads, axis=0, initial=-0.0) / len(grads)
 
 
 @dataclass

@@ -180,12 +180,24 @@ def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> n
 
 
 def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
-    """Row sums of each column block of `prod`: the mode-3 H rows from the
-    products A2[i2, l] * A1[i1, l], shared by `build_H` and `H_rows_at` so
-    that both round alike."""
-    out = np.empty((prod.shape[0], ranks.R))
+    """Sums over each column block of the last axis of `prod`: the mode-3 H
+    rows from the products A2[i2, l] * A1[i1, l], shared by `build_H` and
+    `H_rows_at` so that both round alike.
+
+    The bits are those of `prod[..., blk].sum(axis=-1)` per block.  numpy adds
+    fewer than 8 values in order, starting from +0.0, so when all blocks have
+    one such width they are added column by column, over all rows and blocks
+    at once."""
+    w = ranks.L[0]
+    if w < 8 and ranks.L.count(w) == ranks.R:
+        cols = prod.reshape(*prod.shape[:-1], ranks.R, w)
+        out = cols[..., 0] + 0.0
+        for c in range(1, w):
+            out += cols[..., c]
+        return out
+    out = np.empty((*prod.shape[:-1], ranks.R))
     for r, blk in enumerate(ranks.blocks):
-        out[:, r] = prod[:, blk].sum(axis=1)
+        out[..., r] = prod[..., blk].sum(axis=-1)
     return out
 
 
@@ -248,8 +260,12 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
 def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(A_n H^T H - X^T H) / (I_n * rows) from matching rows H of H_n and X
     of the mode-n unfolding.  Over all J_n rows this is the exact gradient,
-    since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD estimate."""
-    return (a @ (h.T @ h) - x.T @ h) / (a.shape[0] * h.shape[0])
+    since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD estimate.
+
+    `h` and `x` may be stacks of batches (k x rows x ...), giving k
+    gradients; numpy's stacked matmul makes per batch the BLAS calls of the
+    unstacked form, so each keeps its bits."""
+    return (a @ (h.swapaxes(-1, -2) @ h) - x.swapaxes(-1, -2) @ h) / (a.shape[0] * h.shape[-2])
 
 
 def lipschitz_bound(factors: LL1Factors, mode: int, tol: float = 1e-6, max_iter: int = 1000) -> float:
@@ -264,7 +280,7 @@ def lipschitz_bound(factors: LL1Factors, mode: int, tol: float = 1e-6, max_iter:
     lam = 0.0
     for _ in range(max_iter):
         w = g @ v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(float(w @ w))  # what np.linalg.norm computes for a vector
         if nw == 0.0:
             return 0.0
         v = w / nw

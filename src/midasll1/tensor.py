@@ -15,6 +15,7 @@ other toolchains; importing data from those requires a transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class DenseTensor3:
         a = np.asarray(self.array, dtype=np.float64)
         if a.ndim != 3:
             raise ValueError(f"expected a 3rd-order tensor, got ndim={a.ndim}")
-        if not np.isfinite(a).all():
+        if not all_finite(a):
             raise ValueError("tensor entries must be finite")
         a = np.asfortranarray(a)
         a.setflags(write=False)
@@ -91,6 +92,16 @@ class FiberBatch:
     @property
     def size(self) -> int:
         return self.indices.size
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array `a` is finite, without an
+    entry-sized temporary unless the sum is not finite: a finite sum has
+    finite terms, while a non-finite one may be an overflow of finite terms,
+    so only then are the entries checked one by one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    return math.isfinite(total) or bool(np.isfinite(a).all())
 
 
 def _check_mode(mode: int):

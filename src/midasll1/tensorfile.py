@@ -12,9 +12,13 @@ readers report the byte offset of the first one that is not.
 
 from __future__ import annotations
 
+import math
+import os
+import stat
+
 import numpy as np
 
-from .tensor import DenseTensor3
+from .tensor import DenseTensor3, all_finite
 
 TENSOR_MAGIC = b"DTENSOR 1"
 MATRIX_MAGIC = b"DMATRIX 1"
@@ -28,11 +32,8 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def _read_header(raw: bytes, magic: bytes, n_dims: int, path: str) -> tuple[tuple[int, ...], int]:
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError(f"{path}: missing header newline", len(raw))
-    header = raw[:nl]
+def _read_header(line: bytes, magic: bytes, n_dims: int, path: str) -> tuple[int, ...]:
+    header = line[:-1]
     parts = header.split(b" ")
     if parts[:2] != magic.split(b" "):
         raise FormatError(f"{path}: bad magic {header[:len(magic)]!r}", 0)
@@ -47,16 +48,31 @@ def _read_header(raw: bytes, magic: bytes, n_dims: int, path: str) -> tuple[tupl
         if d <= 0:
             raise FormatError(f"{path}: nonpositive dimension {d}", header.find(p))
         dims.append(d)
-    return tuple(dims), nl + 1
+    return tuple(dims)
 
 
-def _read_payload(raw: bytes, start: int, count: int, path: str) -> np.ndarray:
-    expected = 8 * count
-    if len(raw) - start != expected:
-        raise FormatError(
-            f"{path}: payload has {len(raw) - start} bytes, expected {expected}", start
-        )
-    return np.frombuffer(raw[start:], dtype="<f8").astype(np.float64)
+def _read_file(path, magic: bytes, n_dims: int) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """Header dims, the payload as a new aligned float64 array and the
+    payload's byte offset.  The payload is read straight into that array; for
+    a regular file, only after the file size has been checked against the
+    header.  A pipe has no size, so its length is checked as it is read."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError(f"{path}: missing header newline", len(line))
+        dims = _read_header(line, magic, n_dims, str(path))
+        start, count = len(line), math.prod(dims)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - start != 8 * count:
+            raise FormatError(
+                f"{path}: payload has {st.st_size - start} bytes, expected {8 * count}", start
+            )
+        flat = np.empty(count, dtype="<f8")
+        got = fh.readinto(flat)
+        got += len(fh.read())  # whatever follows the payload: a wrong length
+    if got != 8 * count:
+        raise FormatError(f"{path}: payload has {got} bytes, expected {8 * count}", start)
+    return dims, flat, start
 
 
 def _nonfinite_error(flat: np.ndarray, start: int, path: str) -> FormatError:
@@ -64,18 +80,20 @@ def _nonfinite_error(flat: np.ndarray, start: int, path: str) -> FormatError:
     return FormatError(f"{path}: non-finite value {float(flat[i])!r}", start + 8 * i)
 
 
+def _write_file(path, header: str, values: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        # column-major little-endian float64: a view of F-ordered float64 data
+        fh.write(np.asarray(values, dtype="<f8").ravel(order="F"))
+
+
 def write_tensor(path, t: DenseTensor3) -> None:
     i1, i2, i3 = t.dims
-    with open(path, "wb") as fh:
-        fh.write(f"DTENSOR 1 {i1} {i2} {i3}\n".encode())
-        fh.write(t.flat.astype("<f8").tobytes())
+    _write_file(path, f"DTENSOR 1 {i1} {i2} {i3}\n", t.array)
 
 
 def read_tensor(path) -> DenseTensor3:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    dims, start = _read_header(raw, TENSOR_MAGIC, 3, str(path))
-    flat = _read_payload(raw, start, dims[0] * dims[1] * dims[2], str(path))
+    dims, flat, start = _read_file(path, TENSOR_MAGIC, 3)
     try:
         return DenseTensor3.from_flat(flat, dims)
     except ValueError:
@@ -86,17 +104,12 @@ def read_tensor(path) -> DenseTensor3:
 def write_matrix(path, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=np.float64)
     rows, cols = m.shape
-    with open(path, "wb") as fh:
-        fh.write(f"DMATRIX 1 {rows} {cols}\n".encode())
-        fh.write(m.ravel(order="F").astype("<f8").tobytes())
+    _write_file(path, f"DMATRIX 1 {rows} {cols}\n", m)
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    (rows, cols), start = _read_header(raw, MATRIX_MAGIC, 2, str(path))
-    flat = _read_payload(raw, start, rows * cols, str(path))
-    if not np.isfinite(flat).all():
+    (rows, cols), flat, start = _read_file(path, MATRIX_MAGIC, 2)
+    if not all_finite(flat):
         raise _nonfinite_error(flat, start, str(path))
     return flat.reshape((rows, cols), order="F")
 

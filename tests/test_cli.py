@@ -343,6 +343,33 @@ def test_synth_then_metrics_on_truth(tmp_path, capsys):
     assert "psnr_db inf" in text  # exact reconstruction of a noiseless instance
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dims", "0,10,5"),   # exited 0, writing a .dten the reader rejects
+    ("--dims", "10,10"),    # exited 1: tuple index out of range
+    ("--dims", "10,10,5,2"),
+    ("--dims", "10,x,5"),
+    ("--ranks", "2,0"),
+    ("--ranks", "2,"),
+    ("--snr-db", "abc"),
+    ("--snr-db", "nan"),
+    ("--snr-db", "-inf"),
+    ("--snr-db", "1e5"),    # exited 1: the noise scale 10**(dB/20) overflows
+    ("--snr-db", "-1001"),
+    ("--seed", "-1"),
+])
+def test_synth_bad_flag_is_parse_error(tmp_path, capsys, flag, value):
+    """A bad `synth` flag exits 2 with one `error:` line naming the flag,
+    and nothing is written."""
+    args = {"--dims": "6,5,4", "--ranks": "2,1", "--snr-db": "30", "--seed": "3"}
+    args[flag] = value
+    out = tmp_path / "o" / "synth.dten"
+    rc = main(["synth", "--out", str(out), *(f"{key}={val}" for key, val in args.items())])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == EXIT_PARSE
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_metrics_csv_output(tmp_path, capsys):
     out = tmp_path / "s.dten"
     main(["synth", "--dims", "4,4,4", "--ranks", "2", "--out", str(out)])

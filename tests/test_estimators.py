@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from midasll1 import estimators
 from midasll1.estimators import (
     SagaState,
     SarahState,
     estimator_mse_probe,
+    fiber_gradient,
     largest_divisor_at_most,
     make_bins,
     sgd_estimate,
 )
 from midasll1.model import LL1Factors, RankVector, full_gradient
-from midasll1.tensor import DenseTensor3, FiberBatch, row_count
+from midasll1.tensor import DenseTensor3, FiberBatch, fiber_coordinates, fiber_rows_at, row_count
 
 
 def make_problem(seed=0, dims=(4, 5, 3), L=(2, 2)):
@@ -195,3 +197,43 @@ def test_probe_rejects_bad_args():
         estimator_mse_probe("sgd", None, f, t, 1, 2, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimator_mse_probe("adam", None, f, t, 1, 2, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatch):
+    """The batched warm start fills every table entry with the bits of
+    `fiber_gradient` on that bin's gathered rows, for one fiber per bin, a
+    middle bin size and a single bin, consecutive or shuffled bins, and
+    chunks of one bin, of a few bins and of the default bound."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
+    f, t = make_problem(seed=7, dims=(6, 5, 4), L=(3, 1, 2))
+    jn = row_count(t.dims, mode)
+    shuffled = np.random.default_rng(mode).permutation(jn)
+    for b in (1, largest_divisor_at_most(jn, jn // 3), jn):
+        for bins in (make_bins(jn, b), shuffled.reshape(-1, b)):
+            st = SagaState.warm_start(f, t, {mode: bins})
+            for i, idx in enumerate(bins):
+                a, c = fiber_coordinates(t.dims, mode, idx)
+                g = fiber_gradient(f, mode, a, c, fiber_rows_at(t, mode, a, c))
+                assert st.table[mode][i].tobytes() == g.tobytes()
+            grads = st.table[mode]
+            in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
+            assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
+
+
+def test_table_mean_keeps_signed_zeros():
+    """`_table_mean` is the bin-order sum over the bins divided by their
+    count, bit for bit: an entry that is -0.0 in every bin stays -0.0."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 40):
+        grads = rng.standard_normal((n, 5, 3))
+        grads[rng.random(grads.shape) < 0.4] = 0.0
+        grads[rng.random(grads.shape) < 0.4] = -0.0
+        grads[:, 0, 0] = -0.0
+        grads[:, 1, 1] = 0.0
+        mean = estimators._table_mean(grads)
+        in_bin_order = sum(grads[1:], start=grads[0].copy()) / n
+        assert mean.tobytes() == in_bin_order.tobytes()
+        assert np.signbit(mean[0, 0]) and not np.signbit(mean[1, 1])

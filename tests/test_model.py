@@ -285,3 +285,31 @@ def test_lipschitz_orthonormal_scaled():
         RankVector((2,)),
     )
     assert lipschitz_bound(f, 2) == pytest.approx(sigma**2 / 12, rel=1e-6)
+
+
+@pytest.mark.parametrize("L", [
+    *[(w,) for w in range(1, 10)],      # R = 1
+    *[(w, w, w) for w in range(1, 10)],  # equal widths, 8 and 9 summed pairwise by numpy
+    (1, 2), (3, 1, 4), (7, 8, 9), (2, 9, 1, 5),
+])
+def test_block_sums_match_reference_bitwise(L):
+    """The mode-3 H rows from `build_H` and `H_rows_at` (one batch and a
+    stack of batches) keep the bits of the per-block `sum` of the reference,
+    signed zeros included, at 1, 8 and 10,000 rows."""
+    rng = np.random.default_rng(sum(L) * len(L))
+    rk = RankVector(L)
+    for dims in ((1, 1, 2), (4, 2, 3), (100, 100, 2)):
+        a1 = rng.standard_normal((dims[0], rk.total))
+        a2 = rng.standard_normal((dims[1], rk.total))
+        a1[rng.random(a1.shape) < 0.3] = -0.0
+        a2[rng.random(a2.shape) < 0.3] = 0.0
+        a1[0] = -0.0  # a row of -0.0 products: numpy's sum makes +0.0 of it
+        f = LL1Factors(a1, a2, rng.standard_normal((dims[2], rk.R)), rk)
+        ref = reference_build_H(f, 3)
+        assert build_H(f, 3).tobytes() == ref.tobytes()
+        rows = np.arange(ref.shape[0])
+        a, b = fiber_coordinates(f.dims, 3, rows)
+        assert H_rows_at(f, 3, a, b).tobytes() == ref.tobytes()
+        if rows.size % 2 == 0:
+            stacked = H_rows_at(f, 3, a.reshape(2, -1), b.reshape(2, -1))
+            assert stacked.tobytes() == ref.tobytes()

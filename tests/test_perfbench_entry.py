@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midasll1 import solver
+from midasll1 import estimators, model, solver, tensorfile
 from midasll1.config import parse_config
 from midasll1.estimators import SagaState, make_bins
 from midasll1.model import LL1Factors, RankVector
@@ -50,3 +50,28 @@ def test_tracer_reads_the_saga_table():
     nbytes = sum(g.nbytes for g in state.table.values())
     nbytes += sum(m.nbytes for m in state.running_mean.values())
     assert load("tracing")._warm_start_work((), state) == (float(nbytes), 0.0)
+
+
+def test_tracer_hooks_resolve():
+    """The traced run's hooks on the set-up and full-gradient kernels find
+    their targets (the warm start still as a classmethod), and the only
+    targets missing are the two deleted gather and H-row wrappers."""
+    tracing = load("tracing")
+    originals = {
+        "read_tensor": tensorfile.read_tensor,
+        "warm_start": vars(SagaState)["warm_start"],
+        "full_gradient": model.full_gradient,
+        "objective": model.objective,
+        "lipschitz_bound": model.lipschitz_bound,
+    }
+    assert isinstance(originals["warm_start"], classmethod)
+    with tracing.Hooks(tracing.Tracer()) as hooks:
+        assert set(hooks.missing) == {"tensor.gather_fiber_rows", "model.build_H_rows"}
+        assert tensorfile.read_tensor is not originals["read_tensor"]
+        assert isinstance(vars(SagaState)["warm_start"], classmethod)
+        assert vars(SagaState)["warm_start"] is not originals["warm_start"]
+        for name in ("full_gradient", "objective", "lipschitz_bound"):
+            assert getattr(model, name) is not originals[name]
+        assert estimators.full_gradient is not originals["full_gradient"]
+    assert tensorfile.read_tensor is originals["read_tensor"]
+    assert vars(SagaState)["warm_start"] is originals["warm_start"]

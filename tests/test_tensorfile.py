@@ -1,6 +1,10 @@
 """Binary `.dten`/`.dmat` files and the CSV import: round trips, truncation
 and non-finite values, through the readers and the CLI's exit codes."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +118,106 @@ def test_nonfinite_csv_value_names_its_line(tmp_path):
     path.write_text("1,1,1,5\n# comment\n2,1,1,nan\n")
     with pytest.raises(ValueError, match="line 3: value nan must be finite"):
         tensorfile.read_tensor_csv(path)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced while `fn(*args)` ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_tensor_reads_the_payload_in_place(tmp_path):
+    """The payload is read into the tensor's own storage: no copy of it is
+    held at any moment, and the result is aligned, F-ordered and read-only."""
+    # 120,000 entries, so a temporary of one byte per entry would exceed the slack
+    t = DenseTensor3(np.random.default_rng(5).standard_normal((60, 50, 40)))
+    path = tmp_path / "x.dten"
+    tensorfile.write_tensor(path, t)
+    back, peak = _traced_peak(tensorfile.read_tensor, path)
+    assert peak <= 8 * t.size + 64 * 1024
+    a = back.array
+    assert a.flags.aligned and a.flags.f_contiguous and not a.flags.writeable
+    assert a.tobytes(order="F") == t.array.tobytes(order="F")
+
+
+def test_read_matrix_reads_the_payload_in_place(tmp_path):
+    m = np.random.default_rng(6).standard_normal((400, 300))
+    path = tmp_path / "m.dmat"
+    tensorfile.write_matrix(path, m)
+    back, peak = _traced_peak(tensorfile.read_matrix, path)
+    assert peak <= m.nbytes + 64 * 1024
+    assert back.flags.aligned and back.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("header, read", [
+    (b"DTENSOR 1 100000 100000 100000\n", tensorfile.read_tensor),
+    (b"DMATRIX 1 1000000000 1000000000\n", tensorfile.read_matrix),
+])
+def test_huge_header_over_short_file_allocates_nothing(tmp_path, header, read):
+    """A header that claims far more data than the file holds is rejected
+    from the file size, before any payload buffer exists."""
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + b"\0" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tensorfile.FormatError, match=r"payload has 16 bytes, expected 8") as exc:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.offset == len(header)
+    assert peak <= 64 * 1024
+
+
+def _read_through_pipe(read, data: bytes):
+    """`read` applied to a pipe that carries `data`, as `--tensor /dev/stdin`
+    or a shell process substitution would give it."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_reads_like_a_file(tmp_path):
+    """A stream has no size to check up front; it reads to the same bits, and
+    a stream of the wrong length gives the file's `FormatError`."""
+    raw = small_tensor_bytes(tmp_path)
+    t = _read_through_pipe(tensorfile.read_tensor, raw)
+    assert t.array.tobytes() == tensorfile.read_tensor(tmp_path / "x.dten").array.tobytes()
+    m = np.random.default_rng(7).standard_normal((3, 5))
+    tensorfile.write_matrix(tmp_path / "m.dmat", m)
+    back = _read_through_pipe(tensorfile.read_matrix, (tmp_path / "m.dmat").read_bytes())
+    assert back.tobytes() == m.tobytes()
+    for bad in (raw[:-1], raw[:len(HEADER)], raw + b"\0" * 9):
+        (tmp_path / "bad.dten").write_bytes(bad)
+        with pytest.raises(tensorfile.FormatError) as from_file:
+            tensorfile.read_tensor(tmp_path / "bad.dten")
+        with pytest.raises(tensorfile.FormatError) as from_pipe:
+            _read_through_pipe(tensorfile.read_tensor, bad)
+        assert from_pipe.value.offset == from_file.value.offset == len(HEADER)
+        assert str(from_pipe.value).split(": ", 1)[1] == str(from_file.value).split(": ", 1)[1]
+
+
+def test_matrix_payload_is_column_major(tmp_path):
+    """`write_matrix` writes the values of any layout column by column."""
+    m = np.arange(6.0).reshape(2, 3)  # C-ordered
+    for layout in (m, np.asfortranarray(m), np.arange(6).reshape(2, 3)):
+        path = tmp_path / "c.dmat"
+        tensorfile.write_matrix(path, layout)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert header == b"DMATRIX 1 2 3"
+        assert payload == m.ravel(order="F").astype("<f8").tobytes()
