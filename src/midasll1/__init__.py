@@ -33,7 +33,7 @@ del _cap
 
 from .metrics import MetricReport, report
 from .model import LL1Factors, ObjectiveValue, RankVector, full_gradient, objective, reconstruct
-from .prox import Regularizer, RegularizerSpec, prox
+from .prox import Regularizer, prox
 from .solver import (
     RunTrace,
     SolverAbort,
@@ -50,7 +50,7 @@ __all__ = [
     "DenseTensor3", "FiberBatch", "unfold", "fold", "khatri_rao",
     "RankVector", "LL1Factors", "ObjectiveValue", "reconstruct", "objective",
     "full_gradient",
-    "Regularizer", "RegularizerSpec", "prox",
+    "Regularizer", "prox",
     "SolverConfig", "RunTrace", "SolverAbort", "run", "palm_baseline",
     "als_mu_baseline", "feasibility_check",
     "MetricReport", "report", "generate",

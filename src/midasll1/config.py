@@ -10,20 +10,13 @@ so its values are checked once, by that constructor.
 from __future__ import annotations
 
 from .model import RankVector
-from .prox import RegularizerSpec
+from .prox import Regularizer
 from .solver import SolverConfig
 
 
-def _parse_reg(val: str) -> RegularizerSpec:
+def _parse_reg(val: str) -> Regularizer:
     kind, _, lam = val.partition(":")
-    return RegularizerSpec.uniform(kind, float(lam) if lam else 0.0)
-
-
-def _format_reg(spec: RegularizerSpec) -> str:
-    r = spec.modes[0]
-    if any(m != r for m in spec.modes):
-        raise ValueError("per-mode regularizers have no config-file form")
-    return f"ridge:{r.lam!r}" if r.kind == "ridge" else r.kind
+    return Regularizer(kind, float(lam) if lam else 0.0)
 
 
 # file key -> (parse, format), in the order serialize_config writes them
@@ -40,7 +33,7 @@ _KEYS = {
     "B": (int, str),
     "epochs": (int, str),
     "seed": (int, str),
-    "reg": (_parse_reg, _format_reg),
+    "reg": (_parse_reg, lambda r: f"ridge:{r.lam!r}" if r.kind == "ridge" else r.kind),
     "mode_policy": (str, str),
     "sarah_q": (int, str),
     "gamma_diag": (

@@ -53,14 +53,6 @@ def fiber_gradient(
     return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
 
 
-def make_bins(jn: int, b: int) -> np.ndarray:
-    """Partition fiber indices 0..J_n-1 into consecutive bins of size b (b | J_n):
-    row i of the (J_n / b) x b result is bin i."""
-    if jn % b != 0:
-        raise ValueError(f"bin size {b} must divide J_n={jn}")
-    return np.arange(jn).reshape(-1, b)
-
-
 def largest_divisor_at_most(jn: int, b: int) -> int:
     b = min(b, jn)
     while jn % b != 0:
@@ -79,44 +71,42 @@ class SagaState:
     recomputed from the table once per full sweep to keep drift below the
     documented 1e-10 consistency bound.
 
-    `table[mode]` stacks the bin gradients (n_bins x I_n x L).  The bins of a
-    mode have one size; `fibers[mode]` holds their fiber coordinates
-    (n_bins x B each, from `fiber_coordinates`) and, when the bins are
-    consecutive mode-1 fibers in order (as `make_bins` makes them), each
-    bin's first row, so that its rows are read as a view of the unfolding
-    instead of gathered.  The warm start fills the table a chunk of bins at
-    a time: one gather (or view) of their rows, one `H_rows_at` and one
-    stacked `gradient_from_rows`, which gives every entry the bits of
+    `table[mode]` stacks the bin gradients (n_bins x I_n x L).  Bin i of a
+    mode with batch size B holds fibers iB to iB + B - 1; `fibers[mode]`
+    holds their coordinates (n_bins x B each, from `fiber_coordinates`).  A
+    mode-1 bin's rows are read as a view of the unfolding, the other modes'
+    are gathered.  The warm start fills the table a chunk of bins at a time:
+    one view (or gather) of their rows, one `H_rows_at` and one stacked
+    `gradient_from_rows`, which gives every entry the bits of
     `fiber_gradient` on that bin alone.
     """
 
-    bins: dict[int, np.ndarray]
     table: dict[int, np.ndarray]
     running_mean: dict[int, np.ndarray]
     updates_since_recompute: dict[int, int] = field(default_factory=dict)
-    fibers: dict[int, tuple[np.ndarray, np.ndarray, list[int] | None]] = field(
-        default_factory=dict
-    )
+    fibers: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def warm_start(
-        cls, factors: LL1Factors, t: DenseTensor3, bins: dict[int, np.ndarray]
+        cls, factors: LL1Factors, t: DenseTensor3, batches: dict[int, int]
     ) -> "SagaState":
-        state = cls(bins=bins, table={}, running_mean={},
-                    updates_since_recompute={m: 0 for m in bins})
-        for mode, mode_bins in bins.items():
-            rows = np.asarray(mode_bins, dtype=np.intp)  # raises unless the bins have one size
-            a, b = fiber_coordinates(t.dims, mode, rows)
-            runs = mode == 1 and bool((np.diff(rows.ravel()) == 1).all())
-            state.fibers[mode] = (a, b, rows[:, 0].tolist() if runs else None)
-            n_bins, size = rows.shape
+        """The table at `factors` for each mode's batch size B, which must divide J_n."""
+        state = cls(table={}, running_mean={},
+                    updates_since_recompute={m: 0 for m in batches})
+        for mode, size in batches.items():
+            jn = row_count(t.dims, mode)
+            if size < 1 or jn % size != 0:
+                raise ValueError(f"batch size {size} must divide J_{mode}={jn}")
+            n_bins = jn // size
+            a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(n_bins, size))
+            state.fibers[mode] = (a, b)
             i_n, width = factors.factor(mode).shape
             step = max(1, _WARM_CHUNK_BYTES // (8 * (size + width) * (i_n + width)))
             state.table[mode] = grads = np.empty((n_bins, i_n, width))
             for lo in range(0, n_bins, step):
                 hi = min(lo + step, n_bins)
-                if runs:
-                    x = mode1_rows(t, slice(rows[lo, 0], rows[hi - 1, -1] + 1))
+                if mode == 1:
+                    x = mode1_rows(t, slice(lo * size, hi * size))
                 else:
                     x = fiber_rows_at(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel())
                 grads[lo:hi] = fiber_gradient(
@@ -126,17 +116,17 @@ class SagaState:
         return state
 
     def n_bins(self, mode: int) -> int:
-        return len(self.bins[mode])
+        return len(self.table[mode])
 
     def _bin_gradient(
         self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int
     ) -> np.ndarray:
-        a, b, starts = self.fibers[mode]
+        a, b = self.fibers[mode]
         a, b = a[bin_id], b[bin_id]
-        if starts is None:
-            x = fiber_rows_at(t, mode, a, b)
+        if mode == 1:
+            x = mode1_rows(t, slice(bin_id * a.size, (bin_id + 1) * a.size))
         else:
-            x = mode1_rows(t, slice(starts[bin_id], starts[bin_id] + a.size))
+            x = fiber_rows_at(t, mode, a, b)
         return fiber_gradient(factors, mode, a, b, x)
 
     def estimate(
@@ -162,7 +152,6 @@ class SagaState:
 
     def clone(self) -> "SagaState":
         return SagaState(
-            bins=self.bins,
             table={m: gs.copy() for m, gs in self.table.items()},
             running_mean={m: v.copy() for m, v in self.running_mean.items()},
             updates_since_recompute=dict(self.updates_since_recompute),

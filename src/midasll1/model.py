@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .prox import RegularizerSpec, penalty_value
+from .prox import Regularizer, penalty_value
 from .tensor import DenseTensor3, unfold_contiguous
 
 
@@ -43,19 +43,10 @@ class RankVector:
         return sum(self.L)
 
     @cached_property
-    def starts(self) -> np.ndarray:
-        """0-based start offset of each column block."""
-        starts = np.concatenate(([0], np.cumsum(self.L)[:-1])).astype(np.intp)
-        starts.setflags(write=False)
-        return starts
-
-    @cached_property
     def blocks(self) -> tuple[slice, ...]:
         """Column slice of each block."""
-        return tuple(slice(int(s), int(s) + w) for s, w in zip(self.starts, self.L))
-
-    def block(self, r: int) -> slice:
-        return self.blocks[r]
+        ends = np.cumsum(self.L).tolist()
+        return tuple(slice(e - w, e) for e, w in zip(ends, self.L))
 
 
 @dataclass(frozen=True)
@@ -222,15 +213,15 @@ def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
         out = np.empty((rk.R, rk.R))
         for r in range(rk.R):
             for s in range(rk.R):
-                out[r, s] = had[rk.block(r), rk.block(s)].sum()
+                out[r, s] = had[rk.blocks[r], rk.blocks[s]].sum()
         return out
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
 def objective(
-    factors: LL1Factors, t: DenseTensor3, reg: RegularizerSpec
+    factors: LL1Factors, t: DenseTensor3, reg: Regularizer
 ) -> ObjectiveValue:
-    """Composite objective phi = f + sum_n h_n at the given point."""
+    """Composite objective phi = f + sum_n h(A_n) at the given point."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     # the squared residual, formed in place in the F-ordered reconstruction;
@@ -242,7 +233,7 @@ def objective(
     # a non-finite reconstruction makes f non-finite, so only then look
     if not math.isfinite(f) and not np.isfinite(_reconstruction(factors)).all():
         raise ValueError("tensor entries must be finite")
-    h = sum(penalty_value(reg, n, factors.factor(n)) for n in (1, 2, 3))
+    h = sum(penalty_value(reg, factors.factor(n)) for n in (1, 2, 3))
     return ObjectiveValue(f, h, f + h)
 
 
@@ -268,24 +259,28 @@ def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarra
     return (a @ (h.swapaxes(-1, -2) @ h) - x.swapaxes(-1, -2) @ h) / (a.shape[0] * h.shape[-2])
 
 
-def lipschitz_bound(factors: LL1Factors, mode: int, tol: float = 1e-6, max_iter: int = 1000) -> float:
+# `lipschitz_bound`'s relative tolerance on the Rayleigh quotient, and its iteration cap
+POWER_TOL, POWER_MAX_ITER = 1e-6, 1000
+
+
+def lipschitz_bound(factors: LL1Factors, mode: int) -> float:
     """lambda_max(H_n^T H_n) / (I1*I2*I3), by power iteration on the Gram.
 
-    Deterministic all-ones start vector; relative tolerance on the Rayleigh
-    quotient with a fixed iteration cap.
+    Deterministic all-ones start vector; stops at `POWER_TOL` or after
+    `POWER_MAX_ITER` iterations.
     """
     g = gram_H(factors, mode)
     n3 = factors.dims[0] * factors.dims[1] * factors.dims[2]
     v = np.ones(g.shape[0]) / math.sqrt(g.shape[0])
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = g @ v
         nw = math.sqrt(float(w @ w))  # what np.linalg.norm computes for a vector
         if nw == 0.0:
             return 0.0
         v = w / nw
         new = float(v @ (g @ v))
-        if abs(new - lam) <= tol * max(abs(new), 1e-300):
+        if abs(new - lam) <= POWER_TOL * max(abs(new), 1e-300):
             lam = new
             break
         lam = new

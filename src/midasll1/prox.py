@@ -1,4 +1,5 @@
-"""Regularizers and their proximal operators, applied per factor matrix."""
+"""The regularizer h and its proximal operator; one h applies to each of
+the three factor matrices."""
 
 from __future__ import annotations
 
@@ -26,42 +27,25 @@ class Regularizer:
             raise ValueError(f"regularizer {self.kind!r} takes no weight, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """Per-mode regularizer choice (modes 1, 2, 3)."""
-
-    modes: tuple[Regularizer, Regularizer, Regularizer]
-
-    @classmethod
-    def uniform(cls, kind: str, lam: float = 0.0) -> "RegularizerSpec":
-        r = Regularizer(kind, lam)
-        return cls((r, r, r))
-
-    def for_mode(self, mode: int) -> Regularizer:
-        return self.modes[mode - 1]
+NONE = Regularizer("none")
+NONNEG = Regularizer("nonneg")
 
 
-NONE = RegularizerSpec.uniform("none")
-NONNEG = RegularizerSpec.uniform("nonneg")
-
-
-def prox(spec: RegularizerSpec, mode: int, m: np.ndarray, eta: float) -> np.ndarray:
-    """argmin_Z h_n(Z) + 1/(2 eta) ||Z - M||_F^2."""
+def prox(reg: Regularizer, m: np.ndarray, eta: float) -> np.ndarray:
+    """argmin_Z h(Z) + 1/(2 eta) ||Z - M||_F^2."""
     if eta <= 0:
         raise ValueError(f"prox step must be positive, got {eta}")
-    r = spec.for_mode(mode)
-    if r.kind == "none":
+    if reg.kind == "none":
         return np.array(m, dtype=np.float64, copy=True)
-    if r.kind == "nonneg":
+    if reg.kind == "nonneg":
         return np.maximum(m, 0.0)
-    return np.asarray(m, dtype=np.float64) / (1.0 + eta * r.lam)
+    return np.asarray(m, dtype=np.float64) / (1.0 + eta * reg.lam)
 
 
-def penalty_value(spec: RegularizerSpec, mode: int, a: np.ndarray) -> float:
-    """h_n(A_n); +inf for an infeasible point under the indicator."""
-    r = spec.for_mode(mode)
-    if r.kind == "none":
+def penalty_value(reg: Regularizer, a: np.ndarray) -> float:
+    """h(A); +inf for an infeasible point under the indicator."""
+    if reg.kind == "none":
         return 0.0
-    if r.kind == "nonneg":
+    if reg.kind == "nonneg":
         return 0.0 if (a >= 0).all() else math.inf
-    return 0.5 * r.lam * float(np.sum(a * a))
+    return 0.5 * reg.lam * float(np.sum(a * a))

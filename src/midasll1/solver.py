@@ -28,7 +28,6 @@ from .estimators import (
     SarahState,
     fiber_gradient,
     largest_divisor_at_most,
-    make_bins,
 )
 from .model import (
     LL1Factors,
@@ -38,7 +37,7 @@ from .model import (
     lipschitz_bound,
     objective,
 )
-from .prox import NONNEG, RegularizerSpec, prox
+from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count, unfold
 
 
@@ -80,13 +79,19 @@ class SolverConfig:
     epochs: int = 200
     seed: int = 0
     mode_policy: str = "uniform"  # or "cyclic"
-    reg: RegularizerSpec = NONNEG
-    init: object = "uniform"  # "uniform" or an LL1Factors
+    reg: Regularizer = NONNEG  # h, applied to each factor
+    init: LL1Factors | None = None  # None -> uniform draw from the "init" stream
     gamma_diag: float | None = None
     sarah_q: int = 0  # 0 -> one epoch's worth of mode-n updates
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        if not isinstance(self.ranks, RankVector):
+            raise ValueError(f"ranks must be a RankVector, got {self.ranks!r}")
+        if self.init is not None and not (
+            isinstance(self.init, LL1Factors) and self.init.ranks == self.ranks
+        ):
+            raise ValueError(f"init must be None or an LL1Factors of ranks {self.ranks.L}")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.t < 0:
@@ -158,7 +163,7 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Factors:
-    if isinstance(config.init, LL1Factors):
+    if config.init is not None:
         return config.init.copy()
     rk = config.ranks
     return LL1Factors(
@@ -303,8 +308,7 @@ def run(
 
     state = None
     if estimator == "saga":
-        bins = {n: make_bins(jn[n], batches[n]) for n in (1, 2, 3)}
-        state = SagaState.warm_start(factors, tensor, bins)
+        state = SagaState.warm_start(factors, tensor, batches)
         n_bins = np.array([0] + [state.n_bins(n) for n in (1, 2, 3)])
     elif estimator == "sarah":
         q = {
@@ -366,7 +370,7 @@ def run(
                     a, b = fiber_coordinates(dims, n, idx)
                     g = fiber_gradient(factors_u, n, a, b, fiber_rows_at(tensor, n, a, b))
 
-            a_new = prox(config.reg, n, y_anchor - eta * g, eta)
+            a_new = prox(config.reg, y_anchor - eta * g, eta)
             d = a_new - base
             sq = float((d * d).sum())
             # a non-finite entry of a_new makes sq non-finite, so only then look
@@ -433,13 +437,15 @@ def palm_baseline(
     return factors, trace
 
 
+MU_EPS = 1e-12  # keeps the denominator of `als_mu_baseline`'s update positive
+
+
 def als_mu_baseline(
     config: SolverConfig,
     tensor: DenseTensor3,
-    eps: float = 1e-12,
     clock=None,
 ) -> tuple[LL1Factors, RunTrace]:
-    """Cyclic multiplicative updates A_n <- A_n * (X_(n)^T H_n) / (A_n H^T H + eps).
+    """Cyclic multiplicative updates A_n <- A_n * (X_(n)^T H_n) / (A_n H^T H + MU_EPS).
 
     Requires elementwise nonnegative data; factors stay nonnegative, and a
     strictly positive start stays strictly positive.
@@ -462,7 +468,7 @@ def als_mu_baseline(
             h = build_H(factors, n)
             a = factors.factor(n)
             num = unfolds[n].T @ h
-            den = a @ (h.T @ h) + eps
+            den = a @ (h.T @ h) + MU_EPS
             a_new = a * (num / den)
             last_step_norm = float(np.linalg.norm(a_new - a))
             factors = factors.with_factor(n, a_new)

@@ -31,10 +31,10 @@ def reference_build_H(factors, mode):
     rk = factors.ranks
     if mode in (1, 2):
         other = factors.A2 if mode == 1 else factors.A1
-        return np.hstack([np.kron(factors.A3[:, r:r + 1], other[:, rk.block(r)])
-                          for r in range(rk.R)])
-    return np.stack([khatri_rao(factors.A2[:, rk.block(r)], factors.A1[:, rk.block(r)]).sum(axis=1)
-                     for r in range(rk.R)], axis=1)
+        return np.hstack([np.kron(factors.A3[:, r:r + 1], other[:, blk])
+                          for r, blk in enumerate(rk.blocks)])
+    return np.stack([khatri_rao(factors.A2[:, blk], factors.A1[:, blk]).sum(axis=1)
+                     for blk in rk.blocks], axis=1)
 
 
 def reference_full_gradient(factors, tensor, mode):
@@ -49,7 +49,7 @@ def reference_reconstruct(factors):
     rk = factors.ranks
     slabs = np.empty((i1, i2, rk.R))
     for r in range(rk.R):
-        blk = rk.block(r)
+        blk = rk.blocks[r]
         slabs[:, :, r] = factors.A1[:, blk] @ factors.A2[:, blk].T
     return DenseTensor3(slabs @ factors.A3.T)
 
@@ -58,7 +58,7 @@ def reference_objective(factors, tensor, reg):
     """(f, h, phi) at the given point."""
     resid = tensor.array - reference_reconstruct(factors).array
     f = float(np.sum(resid * resid)) / (2.0 * tensor.size)
-    h = sum(penalty_value(reg, n, factors.factor(n)) for n in (1, 2, 3))
+    h = sum(penalty_value(reg, factors.factor(n)) for n in (1, 2, 3))
     return f, h, f + h
 
 
@@ -77,7 +77,7 @@ def palm_reference(config, tensor):
         for n in (1, 2, 3):
             eta = 1.0 / lipschitz_bound(factors, n)
             g = reference_full_gradient(factors, tensor, n)
-            a_new = prox(config.reg, n, factors.factor(n) - eta * g, eta)
+            a_new = prox(config.reg, factors.factor(n) - eta * g, eta)
             d = a_new - factors.factor(n)
             last = math.sqrt(float(np.sum(d * d)))
             factors = factors.with_factor(n, a_new)
@@ -202,7 +202,7 @@ def run_reference(config, tensor):
                     v[n], prev[n] = g, factors_u
                     counter[n] = (counter[n] + 1) % q[n]
 
-            a_new = prox(config.reg, n, y_anchor - eta * g, eta)
+            a_new = prox(config.reg, y_anchor - eta * g, eta)
             if not np.isfinite(a_new).all():
                 raise SolverAbort(k, n)
             d = a_new - factors.factor(n)

@@ -13,7 +13,7 @@ from midasll1.cli import (
 )
 from midasll1.config import ConfigError, parse_config, serialize_config
 from midasll1.model import RankVector
-from midasll1.prox import RegularizerSpec
+from midasll1.prox import Regularizer
 from midasll1.solver import SolverConfig
 from midasll1.tensor import DenseTensor3
 
@@ -127,7 +127,7 @@ def test_config_defaults_and_parse():
 def test_config_full_roundtrip():
     cfg = SolverConfig(
         ranks=RankVector((2, 1, 4)), estimator="sarah", t=1, alpha0=0.25, beta0=0.5,
-        eta=0.05, B=8, epochs=17, seed=9, reg=RegularizerSpec.uniform("ridge", 0.3),
+        eta=0.05, B=8, epochs=17, seed=9, reg=Regularizer("ridge", 0.3),
         mode_policy="cyclic", sarah_q=5, gamma_diag=0.2,
     )
     assert parse_config(serialize_config(cfg)) == cfg
@@ -137,7 +137,7 @@ def test_config_serialized_text():
     """The exact text `decompose` writes to resolved_config.txt."""
     cfg = SolverConfig(
         ranks=RankVector((2, 1, 4)), estimator="sarah", t=1, alpha0=1 / 3, beta0=0.5,
-        eta=1e-05, B=8, epochs=17, seed=9, reg=RegularizerSpec.uniform("ridge", 0.5),
+        eta=1e-05, B=8, epochs=17, seed=9, reg=Regularizer("ridge", 0.5),
         mode_policy="cyclic", sarah_q=5,
     )
     assert serialize_config(cfg) == (

@@ -8,7 +8,6 @@ from midasll1.estimators import (
     estimator_mse_probe,
     fiber_gradient,
     largest_divisor_at_most,
-    make_bins,
     sgd_estimate,
 )
 from midasll1.model import LL1Factors, RankVector, full_gradient
@@ -42,22 +41,17 @@ def test_partition_average_is_unbiased(mode):
     f, t = make_problem(seed=1)
     jn = row_count(t.dims, mode)
     b = largest_divisor_at_most(jn, 5)
-    bins = make_bins(jn, b)
+    bins = np.arange(jn).reshape(-1, b)
     avg = sum(sgd_estimate(f, t, FiberBatch(mode, idx)) for idx in bins) / len(bins)
     exact = full_gradient(f, t, mode)
     assert np.abs(avg - exact).max() <= 1e-10
 
 
-def test_make_bins_cover_and_disjoint():
-    bins = make_bins(12, 3)
-    assert len(bins) == 4
-    flat = np.concatenate(bins)
-    np.testing.assert_array_equal(np.sort(flat), np.arange(12))
-
-
-def test_make_bins_rejects_nondivisor():
-    with pytest.raises(ValueError):
-        make_bins(10, 3)
+def test_warm_start_rejects_nondivisor_batch():
+    f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
+    for mode, b in ((1, 4), (2, 5), (3, 3), (1, 0)):
+        with pytest.raises(ValueError, match=f"must divide J_{mode}"):
+            SagaState.warm_start(f, t, {mode: b})
 
 
 def test_largest_divisor_at_most():
@@ -68,8 +62,7 @@ def test_largest_divisor_at_most():
 
 
 def saga_for(f, t, mode, b):
-    jn = row_count(t.dims, mode)
-    return SagaState.warm_start(f, t, {mode: make_bins(jn, b)})
+    return SagaState.warm_start(f, t, {mode: b})
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
@@ -204,23 +197,21 @@ def test_probe_rejects_bad_args():
 def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatch):
     """The batched warm start fills every table entry with the bits of
     `fiber_gradient` on that bin's gathered rows, for one fiber per bin, a
-    middle bin size and a single bin, consecutive or shuffled bins, and
-    chunks of one bin, of a few bins and of the default bound."""
+    middle bin size and a single bin, and chunks of one bin, of a few bins
+    and of the default bound."""
     if chunk_bytes is not None:
         monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
     f, t = make_problem(seed=7, dims=(6, 5, 4), L=(3, 1, 2))
     jn = row_count(t.dims, mode)
-    shuffled = np.random.default_rng(mode).permutation(jn)
     for b in (1, largest_divisor_at_most(jn, jn // 3), jn):
-        for bins in (make_bins(jn, b), shuffled.reshape(-1, b)):
-            st = SagaState.warm_start(f, t, {mode: bins})
-            for i, idx in enumerate(bins):
-                a, c = fiber_coordinates(t.dims, mode, idx)
-                g = fiber_gradient(f, mode, a, c, fiber_rows_at(t, mode, a, c))
-                assert st.table[mode][i].tobytes() == g.tobytes()
-            grads = st.table[mode]
-            in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
-            assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
+        st = SagaState.warm_start(f, t, {mode: b})
+        for i, idx in enumerate(np.arange(jn).reshape(-1, b)):
+            a, c = fiber_coordinates(t.dims, mode, idx)
+            g = fiber_gradient(f, mode, a, c, fiber_rows_at(t, mode, a, c))
+            assert st.table[mode][i].tobytes() == g.tobytes()
+        grads = st.table[mode]
+        in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
+        assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
 
 
 def test_table_mean_keeps_signed_zeros():

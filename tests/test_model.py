@@ -20,7 +20,7 @@ from midasll1.model import (
     objective,
     reconstruct,
 )
-from midasll1.prox import NONE, NONNEG, RegularizerSpec
+from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.tensor import DenseTensor3, fiber_coordinates, row_count, unfold
 
 
@@ -38,7 +38,7 @@ def brute_reconstruct(f):
     i1, i2, i3 = f.dims
     out = np.zeros((i1, i2, i3))
     for r in range(f.ranks.R):
-        blk = f.ranks.block(r)
+        blk = f.ranks.blocks[r]
         for a, b, c in itertools.product(range(i1), range(i2), range(i3)):
             out[a, b, c] += (f.A1[a, blk] @ f.A2[b, blk]) * f.A3[c, r]
     return out
@@ -190,7 +190,7 @@ def test_kernels_match_reference_bitwise(dims, L):
     recon = reconstruct(f).array
     np.testing.assert_array_equal(recon, reference_reconstruct(f).array)
     assert recon.flags.f_contiguous
-    reg = RegularizerSpec.uniform("ridge", 0.3)
+    reg = Regularizer("ridge", 0.3)
     obj = objective(f, x, reg)
     assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, reg)
 

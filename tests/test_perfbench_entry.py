@@ -2,7 +2,8 @@
 
 `perfbench/` is held fixed so that its runs stay comparable across changes;
 it reaches the package through `parse_config(text).to_solver_config()`, the
-solver functions by name, and the SAGA table attributes its tracer reads.
+solver functions by name, `objective(..., cfg.reg)` in its instance writer,
+and the SAGA table attributes its tracer reads.
 These tests load its modules by path, unedited, so that a cleanup of the
 package cannot break every benchmark run unnoticed.
 """
@@ -16,9 +17,9 @@ import pytest
 
 from midasll1 import estimators, model, solver, tensorfile
 from midasll1.config import parse_config
-from midasll1.estimators import SagaState, make_bins
+from midasll1.estimators import SagaState
 from midasll1.model import LL1Factors, RankVector
-from midasll1.tensor import DenseTensor3, row_count
+from midasll1.tensor import DenseTensor3
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,10 +47,25 @@ def test_tracer_reads_the_saga_table():
     rk = RankVector((2, 1))
     f = LL1Factors(rng.random((4, 3)), rng.random((3, 3)), rng.random((2, 2)), rk)
     t = DenseTensor3(rng.random((4, 3, 2)))
-    state = SagaState.warm_start(f, t, {n: make_bins(row_count(t.dims, n), 2) for n in (1, 2, 3)})
+    state = SagaState.warm_start(f, t, {n: 2 for n in (1, 2, 3)})
     nbytes = sum(g.nbytes for g in state.table.values())
     nbytes += sum(m.nbytes for m in state.running_mean.values())
     assert load("tracing")._warm_start_work((), state) == (float(nbytes), 0.0)
+
+
+def test_write_instances_runs_the_solver_set_up(tmp_path, monkeypatch):
+    """The launcher's instance writer, unedited, on a tiny SAGA workload: it
+    solves zero epochs (the SAGA warm start through `solver.run`) and
+    evaluates `objective` with the config's regularizer."""
+    workloads = load("workloads")
+    for var in workloads.THREAD_VARS:  # the launcher pins them on import
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    tiny = workloads.Workload("tiny", (6, 5, 4), (2, 1), 30.0, "saga", 1e-3, 3, 1.0)
+    (inst,) = load("run").write_instances(tiny, 3, 1, tmp_path)
+    assert tensorfile.read_tensor(inst["tensor"]).dims == (6, 5, 4)
+    for kind, epochs in (("full", 3), ("setup", 0), ("prefix", 2)):
+        assert parse_config(Path(inst[kind]).read_text()).epochs == epochs
 
 
 def test_tracer_hooks_resolve():

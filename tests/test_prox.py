@@ -7,7 +7,6 @@ from midasll1.prox import (
     NONE,
     NONNEG,
     Regularizer,
-    RegularizerSpec,
     penalty_value,
     prox,
 )
@@ -24,7 +23,7 @@ def test_regularizer_validation():
 
 def test_prox_none_is_identity_copy():
     m = np.array([[-1.0, 2.0], [0.5, -3.0]])
-    out = prox(NONE, 1, m, 0.1)
+    out = prox(NONE, m, 0.1)
     np.testing.assert_array_equal(out, m)
     out[0, 0] = 99.0
     assert m[0, 0] == -1.0
@@ -33,29 +32,29 @@ def test_prox_none_is_identity_copy():
 def test_prox_nonneg_clips():
     m = np.array([[-1.0, 2.0], [0.0, -0.5]])
     np.testing.assert_array_equal(
-        prox(NONNEG, 2, m, 1.0), [[0.0, 2.0], [0.0, 0.0]]
+        prox(NONNEG, m, 1.0), [[0.0, 2.0], [0.0, 0.0]]
     )
 
 
 def test_prox_nonneg_idempotent():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 3))
-    once = prox(NONNEG, 1, m, 0.2)
-    np.testing.assert_array_equal(prox(NONNEG, 1, once, 0.2), once)
+    once = prox(NONNEG, m, 0.2)
+    np.testing.assert_array_equal(prox(NONNEG, once, 0.2), once)
 
 
 def test_prox_ridge_shrinkage():
-    spec = RegularizerSpec.uniform("ridge", 2.0)
+    reg = Regularizer("ridge", 2.0)
     m = np.array([[3.0, -6.0]])
     # minimizer of lam/2 z^2 + (z-m)^2/(2 eta) is m / (1 + eta*lam)
-    np.testing.assert_allclose(prox(spec, 3, m, 0.5), m / 2.0, rtol=1e-15)
+    np.testing.assert_allclose(prox(reg, m, 0.5), m / 2.0, rtol=1e-15)
 
 
 def test_prox_ridge_optimality_via_grid():
-    spec = RegularizerSpec.uniform("ridge", 0.7)
+    reg = Regularizer("ridge", 0.7)
     eta = 0.3
     m = np.array([[1.3]])
-    z_star = prox(spec, 1, m, eta)[0, 0]
+    z_star = prox(reg, m, eta)[0, 0]
     obj = lambda z: 0.35 * z * z + (z - 1.3) ** 2 / (2 * eta)
     for dz in (-1e-4, 1e-4):
         assert obj(z_star) <= obj(z_star + dz)
@@ -63,34 +62,22 @@ def test_prox_ridge_optimality_via_grid():
 
 def test_prox_rejects_nonpositive_step():
     with pytest.raises(ValueError):
-        prox(NONE, 1, np.zeros((2, 2)), 0.0)
+        prox(NONE, np.zeros((2, 2)), 0.0)
 
 
 def test_prox_nonexpansive():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-    for spec in (NONE, NONNEG, RegularizerSpec.uniform("ridge", 1.5)):
-        pa, pb = prox(spec, 1, a, 0.4), prox(spec, 1, b, 0.4)
+    for reg in (NONE, NONNEG, Regularizer("ridge", 1.5)):
+        pa, pb = prox(reg, a, 0.4), prox(reg, b, 0.4)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-15
 
 
 def test_penalty_values():
     a = np.array([[1.0, 2.0]])
-    assert penalty_value(NONE, 1, a) == 0.0
-    assert penalty_value(NONNEG, 1, a) == 0.0
-    assert penalty_value(NONNEG, 1, -a) == math.inf
-    spec = RegularizerSpec.uniform("ridge", 4.0)
-    assert penalty_value(spec, 2, a) == pytest.approx(2.0 * 5.0)
+    assert penalty_value(NONE, a) == 0.0
+    assert penalty_value(NONNEG, a) == 0.0
+    assert penalty_value(NONNEG, -a) == math.inf
+    reg = Regularizer("ridge", 4.0)
+    assert penalty_value(reg, a) == pytest.approx(2.0 * 5.0)
 
-
-def test_per_mode_spec():
-    spec = RegularizerSpec(
-        (Regularizer("nonneg"), Regularizer("none"), Regularizer("ridge", 1.0))
-    )
-    assert spec.for_mode(1).kind == "nonneg"
-    assert spec.for_mode(2).kind == "none"
-    assert spec.for_mode(3).lam == 1.0
-    m = np.array([[-2.0]])
-    np.testing.assert_array_equal(prox(spec, 1, m, 1.0), [[0.0]])
-    np.testing.assert_array_equal(prox(spec, 2, m, 1.0), [[-2.0]])
-    np.testing.assert_allclose(prox(spec, 3, m, 1.0), [[-1.0]])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import palm_reference, run_reference
 from midasll1.model import LL1Factors, RankVector, objective, reconstruct
-from midasll1.prox import NONE, NONNEG, RegularizerSpec
+from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
     SolverAbort,
     SolverConfig,
@@ -101,6 +101,13 @@ def test_config_validation():
                 {"B": -1}, {"sarah_q": -1}):
         with pytest.raises(ValueError):
             SolverConfig(ranks=rk, **bad)
+    # ranks must be a RankVector; init None or a point of those ranks
+    with pytest.raises(ValueError, match="ranks must be a RankVector"):
+        SolverConfig(ranks=(2, 1))
+    other = LL1Factors(np.ones((2, 3)), np.ones((3, 3)), np.ones((4, 2)), RankVector((1, 2)))
+    for bad_init in ("zeros", "uniform", other, other.A1):
+        with pytest.raises(ValueError, match="init must be None or an LL1Factors"):
+            SolverConfig(ranks=RankVector((2, 1)), init=bad_init)
 
 
 def test_default_batch_size_is_twice_max_block():
@@ -160,7 +167,7 @@ REFERENCE_CASES = [
     *({"estimator": est, "step_rule": "inverse_lipschitz", "reg": NONE}
       for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "gamma_diag": 0.05} for est in ("sgd", "saga", "sarah")),
-    {"estimator": "saga", "reg": RegularizerSpec.uniform("ridge", 0.01), "t": 2},
+    {"estimator": "saga", "reg": Regularizer("ridge", 0.01), "t": 2},
     {"estimator": "sarah", "sarah_q": 3, "B": 5},
     {"estimator": "saga", "B": 10**6},
     {"estimator": "sgd", "B": 10**6, "mode_policy": "cyclic", "t": 2},
@@ -169,7 +176,7 @@ REFERENCE_CASES = [
 
 def _case_id(case):
     return "-".join(
-        f"{k}={v.modes[0].kind if isinstance(v, RegularizerSpec) else v}" for k, v in case.items()
+        f"{k}={v.kind if isinstance(v, Regularizer) else v}" for k, v in case.items()
     )
 
 
