@@ -9,6 +9,7 @@ Environment:
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import os
@@ -49,14 +50,18 @@ def _make_clock():
     return time.perf_counter
 
 
+def _blank_or_repr(v) -> str:
+    return "" if v is None else repr(v)
+
+
 def _write_trace(path: Path, trace):
     with open(path, "w", newline="") as fh:
-        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate\n")
+        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate,eta_1,eta_2,eta_3\n")
         for i in range(len(trace)):
-            ly = "" if trace.lyapunov[i] is None else repr(trace.lyapunov[i])
+            optional = ",".join(map(_blank_or_repr, (trace.lyapunov[i], *trace.step_sizes[i])))
             fh.write(
                 f"{trace.epoch[i]},{trace.iteration[i]},{trace.phi[i]!r},"
-                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{ly}\n"
+                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{optional}\n"
             )
 
 
@@ -257,17 +262,23 @@ def cmd_bench(args) -> int:
         try:
             trace, rep = _solve_into(cell_dir, solve, cfg, tensor, clock)
         except Exception as exc:  # per-cell failures must not kill the grid
-            rows.append((cell, "", "", "", "", f"failed: {exc}"))
+            rows.append((cell, "", "", "", "", f"failed: {exc}", "", "", ""))
             print(f"cell {cell} failed: {exc}", file=sys.stderr)
             continue
         wall = time.perf_counter() - start
         final_f = trace.f[-1] if len(trace) else ""
         final_phi = trace.phi[-1] if len(trace) else ""
-        rows.append((cell, repr(final_f), repr(final_phi), repr(rep.psnr), repr(wall), "ok"))
+        iters = trace.iteration[-1] if len(trace) else 0
+        # loop time (first clock call to the last epoch's end) per iteration
+        us_per_iter = repr(1e6 * trace.elapsed_s[-1] / iters) if iters else ""
+        rows.append((cell, repr(final_f), repr(final_phi), repr(rep.psnr), repr(wall), "ok",
+                     len(trace), iters, us_per_iter))
     with open(out / "summary.csv", "w", newline="") as fh:
-        fh.write("cell,final_f,final_phi,psnr_db,wall_s,status\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        # csv quoting keeps a failure message with a comma in its one field
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("cell", "final_f", "final_phi", "psnr_db", "wall_s", "status",
+                         "epochs", "iterations", "us_per_iter"))
+        writer.writerows(rows)
     return EXIT_OK
 
 

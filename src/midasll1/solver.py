@@ -5,7 +5,8 @@ fiber batch, forms two extrapolated points from the mode's recent iterates
 (one for the gradient evaluation, one as the proximal anchor), takes a
 stochastic proximal gradient step on that mode and leaves the others
 untouched.  An epoch is sum_n ceil(J_n / B_n) iterations, i.e. one expected
-pass over each mode's fibers.
+pass over each mode's fibers.  The default step of mode n is STEP_SCALE / L_n,
+refreshed at each epoch start, so it carries no units of the data.
 
 The deterministic proximal baseline (PALM) is a configuration of the same
 loop: inertial depth 0, full fiber batches, cyclic modes and per-mode 1/L
@@ -42,8 +43,8 @@ from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count, u
 
 
 class SolverAbort(RuntimeError):
-    """Raised when an update produces non-finite entries, or when a 1/L step
-    cannot be formed because the mode's Lipschitz bound is zero."""
+    """Raised when an update produces non-finite entries, or when a step
+    c/L_n cannot be formed because the mode's Lipschitz bound is zero."""
 
     def __init__(self, iteration: int, mode: int, reason: str | None = None):
         super().__init__(
@@ -53,6 +54,11 @@ class SolverAbort(RuntimeError):
         )
         self.iteration = iteration
         self.mode = mode
+
+
+# the default step on mode n is STEP_SCALE / L_n, with L_n = lipschitz_bound
+# at the iterate that starts the epoch; chosen on held-out instances
+STEP_SCALE = 0.005
 
 
 def inertial_coefficient(scale: float, k: int) -> float:
@@ -73,7 +79,7 @@ class SolverConfig:
     t: int = 3
     alpha0: float = 0.3  # prox-anchor coefficient inertial_coefficient(alpha0, k)
     beta0: float = 0.8  # gradient-point coefficient inertial_coefficient(beta0, k)
-    eta: float = 0.1  # step size under step_rule "schedule"
+    eta: float | None = None  # constant step; None -> STEP_SCALE / L_n per mode and epoch
     step_rule: str = "schedule"  # or "inverse_lipschitz"
     B: int = 0  # 0 -> 2 * max L_r
     epochs: int = 200
@@ -104,8 +110,8 @@ class SolverConfig:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be none or finite and > 0, got {self.eta}")
         if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
             raise ValueError(f"alpha0 and beta0 must be finite, got {self.alpha0}, {self.beta0}")
         if self.B < 0 or self.sarah_q < 0:
@@ -135,8 +141,12 @@ class RunTrace:
     step_norm: list[float] = field(default_factory=list)
     lyapunov: list[float | None] = field(default_factory=list)
     mode_counts: list[tuple[int, int, int]] = field(default_factory=list)
+    # the last step taken on each mode in the epoch; None for a mode not updated
+    step_sizes: list[tuple[float | None, float | None, float | None]] = field(
+        default_factory=list
+    )
 
-    def append(self, epoch, iteration, phi, f, elapsed, step_norm, lyapunov, counts):
+    def append(self, epoch, iteration, phi, f, elapsed, step_norm, lyapunov, counts, etas):
         self.epoch.append(epoch)
         self.iteration.append(iteration)
         self.phi.append(phi)
@@ -145,6 +155,7 @@ class RunTrace:
         self.step_norm.append(step_norm)
         self.lyapunov.append(lyapunov)
         self.mode_counts.append(tuple(counts))
+        self.step_sizes.append(tuple(etas))
 
     def __len__(self):
         return len(self.epoch)
@@ -294,6 +305,13 @@ def run(
     recomputed only after a mode-3 update), extrapolation reuses the stored
     steps A^{j+1} - A^j, and an epoch's modes and SAGA bins are drawn in one
     call each (the same values as one draw per step).
+
+    Steps: a given `eta` is used on every mode and step.  With `eta` None,
+    mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
+    iterate that starts the epoch (evaluated inside the loop, after the
+    first clock call).  `step_rule="inverse_lipschitz"` takes 1/L at each
+    step's gradient point instead and never evaluates the per-epoch bounds.
+    A zero bound raises `SolverAbort`.
     """
     clock = clock or time.perf_counter
     dims = tensor.dims
@@ -321,6 +339,8 @@ def run(
     steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
     step_sq = deque([0.0] * (config.t + 1), maxlen=config.t + 1)
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
+    scaled_steps = config.eta is None and not lipschitz_steps
+    mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
 
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
@@ -329,6 +349,13 @@ def run(
     last_step_norm = 0.0
     start = clock()
     for epoch in range(config.epochs):
+        if scaled_steps:
+            for n in (1, 2, 3):
+                lip = lipschitz_bound(factors, n)
+                if lip <= 0.0:
+                    raise SolverAbort(k, n, _zero_lipschitz_reason(factors, k, n))
+                mode_eta[n] = STEP_SCALE / lip
+        epoch_eta = [None] * 4
         if config.mode_policy == "cyclic":
             modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
         else:
@@ -352,7 +379,8 @@ def run(
                     raise SolverAbort(k, n, _zero_lipschitz_reason(factors_u, k, n))
                 eta = 1.0 / lip
             else:
-                eta = config.eta
+                eta = mode_eta[n]
+            epoch_eta[n] = eta
 
             if estimator == "saga":
                 g = state.estimate(factors_u, tensor, n, bin_ids[i])
@@ -387,7 +415,8 @@ def run(
         if config.gamma_diag is not None:
             ly = lyapunov_surrogate(obj.phi, list(step_sq), _diag_abars(config, factors, eta))
         counts = (modes.count(1), modes.count(2), modes.count(3))
-        trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, ly, counts)
+        trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, ly, counts,
+                     epoch_eta[1:])
         if callback is not None:
             callback(epoch + 1, factors, state)
         if obj.phi < config.abs_tol:
@@ -409,7 +438,8 @@ def _zero_lipschitz_reason(factors: LL1Factors, k: int, n: int) -> str:
     zero = [f"A{m}" for m in (1, 2, 3) if m != n and not factors.factor(m).any()]
     return (
         f"Lipschitz bound of mode {n} is zero at iteration {k}: "
-        f"{' and '.join(zero) or 'a factor block'} collapsed to zero, so no 1/L step exists"
+        f"{' and '.join(zero) or 'a factor block'} collapsed to zero, "
+        "so no step proportional to 1/L exists"
     )
 
 
@@ -474,7 +504,8 @@ def als_mu_baseline(
             factors = factors.with_factor(n, a_new)
             k += 1
         obj = objective(factors, tensor, config.reg)
-        trace.append(it + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, None, (1, 1, 1))
+        trace.append(it + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, None, (1, 1, 1),
+                     (None, None, None))
         if obj.phi < config.abs_tol:
             break
     return factors, trace

@@ -8,6 +8,7 @@ import numpy as np
 from midasll1.model import lipschitz_bound
 from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
+    STEP_SCALE,
     RunTrace,
     SolverAbort,
     effective_batches,
@@ -149,7 +150,16 @@ def run_reference(config, tensor):
     eta = float("nan")
     last_step_norm = 0.0
     for epoch in range(config.epochs):
+        if config.eta is None and config.step_rule == "schedule":
+            # the per-mode default: STEP_SCALE / L_n at the epoch's first iterate
+            epoch_steps = {}
+            for n in (1, 2, 3):
+                lip = lipschitz_bound(factors, n)
+                if lip <= 0.0:
+                    raise SolverAbort(k, n, "zero Lipschitz bound")
+                epoch_steps[n] = STEP_SCALE / lip
         counts = [0, 0, 0]
+        last_eta = [None, None, None]
         for _ in range(iters_per_epoch):
             if config.mode_policy == "cyclic":
                 n = 1 + (k % 3)
@@ -169,8 +179,11 @@ def run_reference(config, tensor):
                 if lip <= 0.0:
                     raise SolverAbort(k, n, "zero Lipschitz bound")
                 eta = 1.0 / lip
+            elif config.eta is None:
+                eta = epoch_steps[n]
             else:
                 eta = config.eta
+            last_eta[n - 1] = eta
 
             if est == "saga":
                 nb = len(bins[n])
@@ -220,7 +233,7 @@ def run_reference(config, tensor):
             a = (1.5 * lip * config.t * config.beta0 * config.beta0 + 0.5 * config.gamma_diag
                  + config.alpha0 / (2.0 * eta))
             ly = lyapunov_surrogate(phi_val, list(step_sq), [a] * (config.t + 1))
-        trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, ly, counts)
+        trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, ly, counts, last_eta)
         if phi_val < config.abs_tol:
             break
     return factors, trace

@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,7 @@ def test_csv_import_rejects_bad_indices(tmp_path, text, message):
 def test_config_defaults_and_parse():
     cfg = parse_config("ranks = 2,3\n")
     assert cfg == SolverConfig(ranks=RankVector((2, 3)))
-    assert cfg.estimator == "saga" and cfg.t == 3 and cfg.eta == 0.1
+    assert cfg.estimator == "saga" and cfg.t == 3 and cfg.eta is None
 
 
 def test_config_full_roundtrip():
@@ -156,6 +158,26 @@ def test_config_serialized_text():
         "gamma_diag = none\n"
         "R = 3\n"
     )
+
+
+def test_config_eta_none_roundtrip_and_bad_eta(tmp_path, tensor_file):
+    """`eta = none` (the per-mode default) survives a write and a parse; a
+    step that is zero, negative or nan is still a parse failure (exit 2)."""
+    cfg = parse_config("ranks = 2\neta = NONE\n")
+    assert cfg.eta is None
+    text = serialize_config(cfg)
+    assert "\neta = none\n" in text
+    assert parse_config(text) == cfg
+    path, _ = tensor_file
+    for bad in ("0", "-1", "nan"):
+        with pytest.raises(ConfigError, match="eta must be none or finite and > 0"):
+            parse_config(f"ranks = 2\neta = {bad}\n")
+        cfg_path = write_config(tmp_path, f"ranks = 2,1\neta = {bad}\n")
+        out = tmp_path / f"o{bad}"
+        rc = main(["decompose", "--tensor", str(path), "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert not out.exists()
 
 
 def test_config_comments_and_blank_lines():
@@ -265,7 +287,7 @@ def test_decompose_end_to_end(tmp_path, tensor_file):
                  "trace.csv", "metrics.txt", "resolved_config.txt"):
         assert (out / name).exists()
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate"
+    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate,eta_1,eta_2,eta_3"
     assert len(lines) == 4  # header + 3 epochs
     assert (out / "ranks.txt").read_text().strip() == "2,1"
 
@@ -327,6 +349,18 @@ def test_decompose_nan_abort_exit_code(tmp_path, tensor_file):
     rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_NAN_ABORT
+
+
+def test_decompose_zero_bound_under_default_step_exits_3(tmp_path, capsys):
+    """With eta = none a factor that collapses to zero leaves no step c/L_n at
+    the next epoch start: exit 3 with the mode named."""
+    path = tmp_path / "neg.dten"
+    tensorfile.write_tensor(path, DenseTensor3(-np.ones((4, 4, 4))))
+    cfg = write_config(tmp_path, "ranks = 2\nepochs = 200\neta = none\nreg = nonneg\n")
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_NAN_ABORT
+    assert "Lipschitz bound of mode 1 is zero" in capsys.readouterr().err
 
 
 def test_synth_then_metrics_on_truth(tmp_path, capsys):
@@ -404,11 +438,18 @@ def test_bench_grid(tmp_path, tensor_file, monkeypatch):
     out = tmp_path / "bench"
     rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
     assert rc == EXIT_OK
-    lines = (out / "summary.csv").read_text().splitlines()
-    assert lines[0] == "cell,final_f,final_phi,psnr_db,wall_s,status"
-    cells = {l.split(",")[0] for l in lines[1:]}
-    assert cells == {"sgd-t0", "sgd-t3", "saga-t0", "saga-t3", "palm", "alsmu"}
-    assert all(l.endswith("ok") for l in lines[1:])
+    text = (out / "summary.csv").read_text()
+    assert text.splitlines()[0] == (
+        "cell,final_f,final_phi,psnr_db,wall_s,status,epochs,iterations,us_per_iter")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert {r["cell"] for r in rows} == {"sgd-t0", "sgd-t3", "saga-t0", "saga-t3", "palm", "alsmu"}
+    assert all(r["status"] == "ok" for r in rows)
+    # 2 epochs each; a baseline sweep is 3 iterations; virtual clock: 1 unit per epoch
+    assert all(r["epochs"] == "2" for r in rows)
+    by_cell = {r["cell"]: r for r in rows}
+    assert by_cell["palm"]["iterations"] == by_cell["alsmu"]["iterations"] == "6"
+    for r in rows:
+        assert float(r["us_per_iter"]) == 1e6 * 2 / int(r["iterations"])
     # a cell runs decompose's solve path: the same files, bit for bit
     cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\nestimator = saga\nt = 3\n")
     single = tmp_path / "single"
@@ -433,10 +474,10 @@ def test_bench_cell_failure_recorded(tmp_path):
     out = tmp_path / "bench"
     rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
     assert rc == EXIT_OK
-    lines = (out / "summary.csv").read_text().splitlines()[1:]
-    status = {l.split(",")[0]: l.rsplit(",", 1)[-1] for l in lines}
-    assert status["sgd-t0"] == "ok"
-    assert status["alsmu"].startswith("failed")
+    rows = {r["cell"]: r for r in csv.DictReader(io.StringIO((out / "summary.csv").read_text()))}
+    assert rows["sgd-t0"]["status"] == "ok"
+    assert rows["alsmu"]["status"].startswith("failed")
+    assert rows["alsmu"]["epochs"] == rows["alsmu"]["us_per_iter"] == ""
 
 
 @pytest.mark.parametrize("line", [

@@ -163,6 +163,7 @@ def test_run_is_bitwise_deterministic():
 REFERENCE_SHAPE = ((5, 7, 4), (2, 1))
 REFERENCE_CASES = [
     *({"estimator": est, "t": t} for est in ("sgd", "saga", "sarah") for t in (0, 1, 3)),
+    *({"estimator": est, "eta": 0.1} for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "mode_policy": "cyclic"} for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "step_rule": "inverse_lipschitz", "reg": NONE}
       for est in ("sgd", "saga", "sarah")),
@@ -191,7 +192,8 @@ def test_run_matches_reference(case):
     fm, trm = run(cfg, t)
     for n in (1, 2, 3):
         np.testing.assert_array_equal(fm.factor(n), fr.factor(n))
-    for column in ("epoch", "iteration", "phi", "f", "step_norm", "lyapunov", "mode_counts"):
+    for column in ("epoch", "iteration", "phi", "f", "step_norm", "lyapunov", "mode_counts",
+                   "step_sizes"):
         assert getattr(trm, column) == getattr(ref, column), column
 
 
@@ -338,6 +340,28 @@ def test_zero_lipschitz_bound_aborts():
                        estimator="sgd", step_rule="inverse_lipschitz")
     with pytest.raises(SolverAbort, match="Lipschitz bound of mode"):
         run(cfg, t)
+
+
+def test_default_step_zero_bound_aborts_at_epoch_start():
+    """Under eta None the steps STEP_SCALE / L_n are formed when an epoch
+    starts; a factor that is zero then leaves no step: SolverAbort naming
+    the mode, before the epoch takes a step."""
+    t = DenseTensor3(-np.ones((4, 4, 4)))
+    rk = RankVector((2,))
+    cfg = SolverConfig(ranks=rk, epochs=200, reg=NONNEG, estimator="sgd")
+    assert cfg.eta is None
+    with pytest.raises(SolverAbort, match="Lipschitz bound of mode 1 is zero") as exc:
+        run(cfg, t)
+    iters_per_epoch = 12  # 3 modes x 16 fibers / B = 4
+    assert exc.value.iteration > 0 and exc.value.iteration % iters_per_epoch == 0
+    assert exc.value.mode == 1
+    # a zero factor in the start point: the bound of mode 2 (which reads A1) is zero
+    start = init_factors(cfg, t.dims, rng_streams(0)["init"])
+    cfg = SolverConfig(ranks=rk, epochs=3, reg=NONNEG,
+                       init=LL1Factors(np.zeros_like(start.A1), start.A2, start.A3, rk))
+    with pytest.raises(SolverAbort, match="mode 2 is zero at iteration 0: A1 collapsed") as exc:
+        run(cfg, t)
+    assert (exc.value.iteration, exc.value.mode) == (0, 2)
 
 
 def test_alsmu_monotone_and_nonneg():
