@@ -56,12 +56,12 @@ def _blank_or_repr(v) -> str:
 
 def _write_trace(path: Path, trace):
     with open(path, "w", newline="") as fh:
-        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate,eta_1,eta_2,eta_3\n")
+        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3\n")
         for i in range(len(trace)):
-            optional = ",".join(map(_blank_or_repr, (trace.lyapunov[i], *trace.step_sizes[i])))
+            etas = ",".join(map(_blank_or_repr, trace.step_sizes[i]))
             fh.write(
                 f"{trace.epoch[i]},{trace.iteration[i]},{trace.phi[i]!r},"
-                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{optional}\n"
+                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{etas}\n"
             )
 
 
@@ -266,13 +266,13 @@ def cmd_bench(args) -> int:
             print(f"cell {cell} failed: {exc}", file=sys.stderr)
             continue
         wall = time.perf_counter() - start
-        final_f = trace.f[-1] if len(trace) else ""
-        final_phi = trace.phi[-1] if len(trace) else ""
+        final_f = trace.f[-1] if len(trace) else None
+        final_phi = trace.phi[-1] if len(trace) else None
         iters = trace.iteration[-1] if len(trace) else 0
         # loop time (first clock call to the last epoch's end) per iteration
         us_per_iter = repr(1e6 * trace.elapsed_s[-1] / iters) if iters else ""
-        rows.append((cell, repr(final_f), repr(final_phi), repr(rep.psnr), repr(wall), "ok",
-                     len(trace), iters, us_per_iter))
+        rows.append((cell, _blank_or_repr(final_f), _blank_or_repr(final_phi), repr(rep.psnr),
+                     repr(wall), "ok", len(trace), iters, us_per_iter))
     with open(out / "summary.csv", "w", newline="") as fh:
         # csv quoting keeps a failure message with a comma in its one field
         writer = csv.writer(fh, lineterminator="\n")

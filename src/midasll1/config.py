@@ -3,9 +3,9 @@
 One `key = value` pair per line; '#' starts a comment; unknown and repeated
 keys are rejected.  `ranks` is a comma list of block widths; `R`, when
 present, must match its length.  `reg` is one of none | nonneg |
-ridge:<lam>; `eta` and `gamma_diag` are a float or none.  A file parses
-straight into the `SolverConfig` it describes, so its values are checked
-once, by that constructor.
+ridge:<lam>; `eta` is a float or none.  A file parses straight into the
+`SolverConfig` it describes, so its values are checked once, by that
+constructor.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ def _parse_reg(val: str) -> Regularizer:
     return Regularizer(kind, float(lam) if lam else 0.0)
 
 
-_OPTIONAL_FLOAT = (
-    lambda v: None if v.lower() == "none" else float(v),
-    lambda g: "none" if g is None else repr(g),
-)
-
 # file key -> (parse, format), in the order serialize_config writes them
 _KEYS = {
     "ranks": (
@@ -35,14 +30,16 @@ _KEYS = {
     "t": (int, str),
     "alpha0": (float, repr),
     "beta0": (float, repr),
-    "eta": _OPTIONAL_FLOAT,
+    "eta": (
+        lambda v: None if v.lower() == "none" else float(v),
+        lambda e: "none" if e is None else repr(e),
+    ),
     "B": (int, str),
     "epochs": (int, str),
     "seed": (int, str),
     "reg": (_parse_reg, lambda r: f"ridge:{r.lam!r}" if r.kind == "ridge" else r.kind),
     "mode_policy": (str, str),
     "sarah_q": (int, str),
-    "gamma_diag": _OPTIONAL_FLOAT,
 }
 
 

@@ -87,7 +87,6 @@ class SolverConfig:
     mode_policy: str = "uniform"  # or "cyclic"
     reg: Regularizer = NONNEG  # h, applied to each factor
     init: LL1Factors | None = None  # None -> uniform draw from the "init" stream
-    gamma_diag: float | None = None
     sarah_q: int = 0  # 0 -> one epoch's worth of mode-n updates
     abs_tol: float = 1e-12
 
@@ -116,10 +115,6 @@ class SolverConfig:
             raise ValueError(f"alpha0 and beta0 must be finite, got {self.alpha0}, {self.beta0}")
         if self.B < 0 or self.sarah_q < 0:
             raise ValueError("B and sarah_q must be >= 0")
-        if self.gamma_diag is not None and not (
-            math.isfinite(self.gamma_diag) and self.gamma_diag >= 0
-        ):
-            raise ValueError(f"gamma_diag must be none or finite and >= 0, got {self.gamma_diag}")
 
     def to_solver_config(self) -> "SolverConfig":
         """This config.  The benchmark (`perfbench/workloads.py`) calls
@@ -139,21 +134,19 @@ class RunTrace:
     f: list[float] = field(default_factory=list)
     elapsed_s: list[float] = field(default_factory=list)
     step_norm: list[float] = field(default_factory=list)
-    lyapunov: list[float | None] = field(default_factory=list)
     mode_counts: list[tuple[int, int, int]] = field(default_factory=list)
     # the last step taken on each mode in the epoch; None for a mode not updated
     step_sizes: list[tuple[float | None, float | None, float | None]] = field(
         default_factory=list
     )
 
-    def append(self, epoch, iteration, phi, f, elapsed, step_norm, lyapunov, counts, etas):
+    def append(self, epoch, iteration, phi, f, elapsed, step_norm, counts, etas):
         self.epoch.append(epoch)
         self.iteration.append(iteration)
         self.phi.append(phi)
         self.f.append(f)
         self.elapsed_s.append(elapsed)
         self.step_norm.append(step_norm)
-        self.lyapunov.append(lyapunov)
         self.mode_counts.append(tuple(counts))
         self.step_sizes.append(tuple(etas))
 
@@ -215,10 +208,6 @@ def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
     return out
 
 
-def _abar(t: int, alpha: float, beta: float, eta: float, lip: float, gamma: float) -> float:
-    return 1.5 * lip * t * beta * beta + 0.5 * gamma + alpha / (2.0 * eta)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     delta: float
@@ -237,7 +226,7 @@ def feasibility_check(
     alpha_limit: float,
     beta_limit: float,
 ) -> FeasibilityReport:
-    """Step-size feasibility for the solver's descent diagnostic.
+    """Step-size feasibility for the paper's descent argument.
 
     Uses the limiting values of the inertial schedules:
         b = (1 - t*alpha - 2*L*eta - gamma*eta) / (2*eta)
@@ -250,7 +239,7 @@ def feasibility_check(
     """
     if eta_bar <= 0:
         raise ValueError("eta must be positive")
-    a = _abar(t, alpha_limit, beta_limit, eta_bar, lip, gamma)
+    a = 1.5 * lip * t * beta_limit * beta_limit + 0.5 * gamma + alpha_limit / (2.0 * eta_bar)
     s = (t + 2) * (t + 3) // 2 - 1  # sum_{j=1}^{t+1} (j+1)
     b_lower = (1.0 - t * alpha_limit - 2.0 * lip * eta_bar - gamma * eta_bar) / (
         2.0 * eta_bar
@@ -262,30 +251,6 @@ def feasibility_check(
     den = 2.0 * lip + gamma + s * (3.0 * lip * t * beta_limit * beta_limit + gamma)
     eta_max = num / den if num > 0 and den > 0 else 0.0
     return FeasibilityReport(delta, tail, feasible, eta_max, b_lower, a)
-
-
-def lyapunov_surrogate(phi: float, step_sq_norms, abars) -> float:
-    """phi + sum_{i=1}^{t+1} sum_{j=i}^{t+1} (j+1) a_j ||A^{k+1-i} - A^{k-i}||^2.
-
-    `step_sq_norms[i-1]` is the squared step norm i steps back (most recent
-    first); `abars[j-1]` the per-depth coefficients.  Diagnostic only: the
-    underlying descent holds in expectation, not per realization.
-    """
-    t1 = len(abars)
-    out = phi
-    for i in range(1, t1 + 1):
-        if i - 1 >= len(step_sq_norms):
-            break
-        w = sum((j + 1) * abars[j - 1] for j in range(i, t1 + 1))
-        out += w * step_sq_norms[i - 1]
-    return out
-
-
-def _diag_abars(config: SolverConfig, factors, eta: float) -> list[float]:
-    gamma = config.gamma_diag or 0.0
-    lip = max(lipschitz_bound(factors, n) for n in (1, 2, 3))
-    a = _abar(config.t, config.alpha0, config.beta0, eta, lip, gamma)
-    return [a] * (config.t + 1)
 
 
 def run(
@@ -337,7 +302,6 @@ def run(
 
     # the last t steps A^{j+1} - A^j of each mode, newest first
     steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
-    step_sq = deque([0.0] * (config.t + 1), maxlen=config.t + 1)
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
@@ -345,7 +309,6 @@ def run(
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
     k = 0
-    eta = float("nan")
     last_step_norm = 0.0
     start = clock()
     for epoch in range(config.epochs):
@@ -407,15 +370,11 @@ def run(
             last_step_norm = math.sqrt(sq)
             factors = factors.replaced(n, a_new)
             steps[n].appendleft(d)
-            step_sq.appendleft(sq)
             k += 1
 
         obj = objective(factors, tensor, config.reg)
-        ly = None
-        if config.gamma_diag is not None:
-            ly = lyapunov_surrogate(obj.phi, list(step_sq), _diag_abars(config, factors, eta))
         counts = (modes.count(1), modes.count(2), modes.count(3))
-        trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, ly, counts,
+        trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, counts,
                      epoch_eta[1:])
         if callback is not None:
             callback(epoch + 1, factors, state)
@@ -458,7 +417,7 @@ def palm_baseline(
     start = init_factors(config, tensor.dims, rng_streams(config.seed)["init"])
     prev_phi = objective(start, tensor, config.reg).phi
     palm = replace(config, estimator="sgd", t=0, B=tensor.size, mode_policy="cyclic",
-                   step_rule="inverse_lipschitz", gamma_diag=None, init=start)
+                   step_rule="inverse_lipschitz", init=start)
     factors, trace = run(palm, tensor, clock=clock)
     for sweep, phi in enumerate(trace.phi):
         if phi > prev_phi + 1e-10:
@@ -504,7 +463,7 @@ def als_mu_baseline(
             factors = factors.with_factor(n, a_new)
             k += 1
         obj = objective(factors, tensor, config.reg)
-        trace.append(it + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, None, (1, 1, 1),
+        trace.append(it + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, (1, 1, 1),
                      (None, None, None))
         if obj.phi < config.abs_tol:
             break

@@ -62,10 +62,6 @@ class DenseTensor3:
             )
         return cls(flat.reshape((i1, i2, i3), order="F"))
 
-    @classmethod
-    def zeros(cls, dims) -> "DenseTensor3":
-        return cls(np.zeros(dims))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 

@@ -14,7 +14,6 @@ from midasll1.solver import (
     effective_batches,
     inertial_coefficient,
     init_factors,
-    lyapunov_surrogate,
     rng_streams,
 )
 from midasll1.tensor import DenseTensor3, khatri_rao, row_count, unfold
@@ -143,11 +142,9 @@ def run_reference(config, tensor):
         v, prev, counter = {}, {}, {n: 0 for n in (1, 2, 3)}
 
     history = {n: deque([factors.factor(n)], maxlen=config.t + 2) for n in (1, 2, 3)}
-    step_sq = deque([0.0] * (config.t + 1), maxlen=config.t + 1)
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
     k = 0
-    eta = float("nan")
     last_step_norm = 0.0
     for epoch in range(config.epochs):
         if config.eta is None and config.step_rule == "schedule":
@@ -223,17 +220,10 @@ def run_reference(config, tensor):
             last_step_norm = math.sqrt(sq)
             factors = factors.with_factor(n, a_new)
             history[n].append(a_new)
-            step_sq.appendleft(sq)
             k += 1
 
         f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
-        ly = None
-        if config.gamma_diag is not None:
-            lip = max(lipschitz_bound(factors, m) for m in (1, 2, 3))
-            a = (1.5 * lip * config.t * config.beta0 * config.beta0 + 0.5 * config.gamma_diag
-                 + config.alpha0 / (2.0 * eta))
-            ly = lyapunov_surrogate(phi_val, list(step_sq), [a] * (config.t + 1))
-        trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, ly, counts, last_eta)
+        trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, counts, last_eta)
         if phi_val < config.abs_tol:
             break
     return factors, trace

@@ -11,12 +11,13 @@ from midasll1.cli import (
     EXIT_NAN_ABORT,
     EXIT_OK,
     EXIT_PARSE,
+    _write_trace,
     main,
 )
 from midasll1.config import ConfigError, parse_config, serialize_config
 from midasll1.model import RankVector
 from midasll1.prox import Regularizer
-from midasll1.solver import SolverConfig
+from midasll1.solver import RunTrace, SolverConfig
 from midasll1.tensor import DenseTensor3
 
 
@@ -130,7 +131,7 @@ def test_config_full_roundtrip():
     cfg = SolverConfig(
         ranks=RankVector((2, 1, 4)), estimator="sarah", t=1, alpha0=0.25, beta0=0.5,
         eta=0.05, B=8, epochs=17, seed=9, reg=Regularizer("ridge", 0.3),
-        mode_policy="cyclic", sarah_q=5, gamma_diag=0.2,
+        mode_policy="cyclic", sarah_q=5,
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -155,7 +156,6 @@ def test_config_serialized_text():
         "reg = ridge:0.5\n"
         "mode_policy = cyclic\n"
         "sarah_q = 5\n"
-        "gamma_diag = none\n"
         "R = 3\n"
     )
 
@@ -183,6 +183,14 @@ def test_config_eta_none_roundtrip_and_bad_eta(tmp_path, tensor_file):
 def test_config_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\nranks = 2  # trailing\n eta = 0.2 \n")
     assert cfg.ranks == RankVector((2,)) and cfg.eta == 0.2
+
+
+def test_readme_trace_columns_match_the_header(tmp_path):
+    """The README's `trace.csv` column list is the header `decompose` writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("**Trace** (`trace.csv`)", 1)[1].split("`")[1]
+    _write_trace(tmp_path / "trace.csv", RunTrace())
+    assert (tmp_path / "trace.csv").read_text() == listed + "\n"
 
 
 def test_readme_config_block_lists_the_defaults():
@@ -267,11 +275,26 @@ def test_config_fuzz_raises_only_config_error():
     check()
 
 
-def test_config_gamma_diag_none():
-    cfg = parse_config("ranks = 2\ngamma_diag = none\n")
-    assert cfg.gamma_diag is None
-    cfg2 = parse_config("ranks = 2\ngamma_diag = 0.5\n")
-    assert cfg2.gamma_diag == 0.5
+def test_config_with_gamma_diag_is_rejected(tmp_path, tensor_file):
+    """A resolved_config.txt written while `gamma_diag` existed names the
+    removed key: a parse failure that points at its line (exit 2, nothing
+    written), not a silent drop."""
+    old = (
+        "ranks = 2,1\nestimator = saga\nt = 3\nalpha0 = 0.3\nbeta0 = 0.8\neta = none\n"
+        "B = 0\nepochs = 3\nseed = 0\nreg = nonneg\nmode_policy = uniform\nsarah_q = 0\n"
+        "gamma_diag = none\nR = 2\n"
+    )
+    with pytest.raises(ConfigError, match="line 13: unknown key 'gamma_diag'"):
+        parse_config(old)
+    path, _ = tensor_file
+    out = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(write_config(tmp_path, old)),
+               "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert not out.exists()
+    # without that line, the file is today's resolved config
+    current = old.replace("gamma_diag = none\n", "")
+    assert serialize_config(parse_config(current)) == current
 
 
 # --- CLI commands ---
@@ -287,7 +310,7 @@ def test_decompose_end_to_end(tmp_path, tensor_file):
                  "trace.csv", "metrics.txt", "resolved_config.txt"):
         assert (out / name).exists()
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,lyapunov_surrogate,eta_1,eta_2,eta_3"
+    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3"
     assert len(lines) == 4  # header + 3 epochs
     assert (out / "ranks.txt").read_text().strip() == "2,1"
 
@@ -478,6 +501,24 @@ def test_bench_cell_failure_recorded(tmp_path):
     assert rows["sgd-t0"]["status"] == "ok"
     assert rows["alsmu"]["status"].startswith("failed")
     assert rows["alsmu"]["epochs"] == rows["alsmu"]["us_per_iter"] == ""
+
+
+def test_bench_cell_without_epochs_leaves_finals_blank(tmp_path):
+    """A cell that ran no epoch has no final f or phi: blank fields, as a
+    failed cell writes, not the repr of an empty string."""
+    path = tmp_path / "x.dten"
+    tensorfile.write_tensor(path, DenseTensor3(np.random.default_rng(3).random((4, 4, 4))))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("ranks = 2\nepochs = 0\ngrid_estimators = sgd\n"
+                    "grid_baselines = palm\nbaseline_iters = 0\n")
+    out = tmp_path / "bench"
+    rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out / "summary.csv").read_text())))
+    assert [r["cell"] for r in rows] == ["sgd-t3", "palm"]
+    for r in rows:
+        assert r["status"] == "ok" and r["epochs"] == r["iterations"] == "0"
+        assert r["final_f"] == r["final_phi"] == r["us_per_iter"] == ""
 
 
 @pytest.mark.parametrize("line", [

@@ -8,6 +8,7 @@ from conftest import palm_reference, run_reference
 from midasll1.model import LL1Factors, RankVector, objective, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
+    STEP_SCALE,
     SolverAbort,
     SolverConfig,
     als_mu_baseline,
@@ -16,7 +17,6 @@ from midasll1.solver import (
     feasibility_check,
     inertial_coefficient,
     init_factors,
-    lyapunov_surrogate,
     palm_baseline,
     rng_streams,
     run,
@@ -167,7 +167,6 @@ REFERENCE_CASES = [
     *({"estimator": est, "mode_policy": "cyclic"} for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "step_rule": "inverse_lipschitz", "reg": NONE}
       for est in ("sgd", "saga", "sarah")),
-    *({"estimator": est, "gamma_diag": 0.05} for est in ("sgd", "saga", "sarah")),
     {"estimator": "saga", "reg": Regularizer("ridge", 0.01), "t": 2},
     {"estimator": "sarah", "sarah_q": 3, "B": 5},
     {"estimator": "saga", "B": 10**6},
@@ -192,8 +191,7 @@ def test_run_matches_reference(case):
     fm, trm = run(cfg, t)
     for n in (1, 2, 3):
         np.testing.assert_array_equal(fm.factor(n), fr.factor(n))
-    for column in ("epoch", "iteration", "phi", "f", "step_norm", "lyapunov", "mode_counts",
-                   "step_sizes"):
+    for column in ("epoch", "iteration", "phi", "f", "step_norm", "mode_counts", "step_sizes"):
         assert getattr(trm, column) == getattr(ref, column), column
 
 
@@ -414,22 +412,22 @@ def test_feasibility_rejects_bad_eta():
         feasibility_check(1, 0.0, 1.0, 0.0, 0.1, 0.1)
 
 
-def test_lyapunov_surrogate_hand_computed():
-    # t+1 = 2 coefficients a = [2, 3]; steps (most recent first) [1, 4]
-    # weight for i=1: 2*2 + 3*3 = 13; for i=2: 3*3 = 9
-    # value = phi + 13*1 + 9*4 = 10 + 13 + 36 = 59
-    assert lyapunov_surrogate(10.0, [1.0, 4.0], [2.0, 3.0]) == pytest.approx(59.0)
-
-
-def test_lyapunov_surrogate_short_history():
-    assert lyapunov_surrogate(1.0, [], [2.0]) == 1.0
-
-
-def test_run_lyapunov_column_populated():
-    t = small_tensor(seed=11, dims=(4, 4, 4), L=(2,))
-    cfg = SolverConfig(ranks=RankVector((2,)), epochs=3, seed=0, gamma_diag=0.1)
-    _, trace = run(cfg, t)
-    assert all(v is not None and v >= p for v, p in zip(trace.lyapunov, trace.phi))
+@pytest.mark.parametrize("lip", [0.01, 1.0, 120.0])
+def test_default_step_lies_outside_the_feasible_region(lip):
+    """The figures the README quotes: under eta_n = STEP_SCALE / L_n and
+    gamma = 0, delta * eta depends on (t, alpha, beta, STEP_SCALE) alone."""
+    d = SolverConfig(ranks=RankVector((2,)))
+    rep = feasibility_check(d.t, STEP_SCALE / lip, lip, 0.0, d.alpha0, d.beta0)
+    assert (d.t, d.alpha0, d.beta0, STEP_SCALE) == (3, 0.3, 0.8, 0.005)
+    assert not rep.feasible and rep.eta_max == 0.0
+    assert rep.delta * STEP_SCALE / lip == pytest.approx(-2.2566, abs=1e-9)
+    # at t = 3 the numerator 1 - 17 alpha of eta_max vanishes at alpha = 1/17
+    assert feasibility_check(3, 1.0, lip, 0.0, 1 / 17 + 1e-9, 0.8).eta_max == 0.0
+    assert feasibility_check(3, 1.0, lip, 0.0, 1 / 17 - 1e-9, 0.8).eta_max > 0.0
+    # alpha0 = 0.05 admits at most 0.15 / 82.64 = 0.00182 / L, below STEP_SCALE
+    c_max = feasibility_check(3, 1.0, lip, 0.0, 0.05, 0.8).eta_max * lip
+    assert c_max == pytest.approx(0.15 / 82.64, rel=1e-12)
+    assert round(c_max, 5) == 0.00182 < STEP_SCALE
 
 
 def test_saga_recovers_planted_factorization():

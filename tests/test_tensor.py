@@ -71,7 +71,7 @@ def test_fold_unfold_roundtrip(mode, dims):
 
 
 def test_fold_zero_matrix_is_zero_tensor():
-    z = fold(unfold(DenseTensor3.zeros((4, 2, 3)), 2), 2, (4, 2, 3))
+    z = fold(unfold(DenseTensor3(np.zeros((4, 2, 3))), 2), 2, (4, 2, 3))
     assert not z.array.any()
 
 
