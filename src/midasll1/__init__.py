@@ -18,12 +18,12 @@ def _thread_cap(raw):
     return cap if cap > 0 else None
 
 
-# MIDAS_THREADS env-var fallback.  OpenBLAS/OpenMP read their thread counts
-# once, when numpy loads them, so the cap is set here, before the first numpy
-# import below.  It takes effect whenever midasll1 is imported before numpy
-# (always for the CLI); cli._apply_thread_cap adds threadpoolctl where it is
-# installed, which also works after numpy has loaded.  An invalid value is
-# skipped here, so importing never raises; the CLI rejects it with exit 2.
+# MIDAS_THREADS.  OpenBLAS/OpenMP read their thread counts once, when numpy
+# loads them, so the cap is set here, before the first numpy import below.
+# It takes effect whenever midasll1 is imported before numpy: always for the
+# console script and `python -m midasll1.cli`, never for `cli.main()` called
+# in a process that had already imported numpy.  An invalid value is skipped
+# here, so importing never raises; the CLI rejects it with exit 2.
 _cap = _thread_cap(_os.environ.get("MIDAS_THREADS"))
 if _cap is not None:
     _os.environ.update(

@@ -35,14 +35,6 @@ EXIT_PARSE = 2
 EXIT_NAN_ABORT = 3
 
 
-def _apply_thread_cap(cap: int):
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return  # the env-var fallback was applied on import (midasll1/__init__.py)
-    threadpool_limits(limits=cap)
-
-
 def _make_clock():
     if os.environ.get("MIDAS_VIRTUAL_CLOCK") == "1":
         counter = itertools.count()
@@ -319,13 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the cap itself was applied when the package was imported (midasll1/__init__.py)
     raw_cap = os.environ.get("MIDAS_THREADS")
-    cap = _thread_cap(raw_cap)
-    if raw_cap and cap is None:
+    if raw_cap and _thread_cap(raw_cap) is None:
         print(f"error: MIDAS_THREADS must be a positive integer, got {raw_cap!r}", file=sys.stderr)
         return EXIT_PARSE
-    if cap is not None:
-        _apply_thread_cap(cap)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

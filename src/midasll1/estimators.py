@@ -10,6 +10,7 @@ difference direction refreshed by periodic full-gradient restarts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,8 @@ from .tensor import (
     FiberBatch,
     fiber_coordinates,
     fiber_rows_at,
-    mode1_rows,
     row_count,
+    unfold_contiguous,
 )
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
@@ -106,7 +107,7 @@ class SagaState:
             for lo in range(0, n_bins, step):
                 hi = min(lo + step, n_bins)
                 if mode == 1:
-                    x = mode1_rows(t, slice(lo * size, hi * size))
+                    x = unfold_contiguous(t, 1)[lo * size:hi * size]
                 else:
                     x = fiber_rows_at(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel())
                 grads[lo:hi] = fiber_gradient(
@@ -124,7 +125,7 @@ class SagaState:
         a, b = self.fibers[mode]
         a, b = a[bin_id], b[bin_id]
         if mode == 1:
-            x = mode1_rows(t, slice(bin_id * a.size, (bin_id + 1) * a.size))
+            x = unfold_contiguous(t, 1)[bin_id * a.size:(bin_id + 1) * a.size]
         else:
             x = fiber_rows_at(t, mode, a, b)
         return fiber_gradient(factors, mode, a, b, x)
@@ -149,14 +150,6 @@ class SagaState:
     def mean_drift(self, mode: int) -> float:
         """Distance between the incremental mean and a direct recomputation."""
         return float(np.linalg.norm(self.running_mean[mode] - _table_mean(self.table[mode])))
-
-    def clone(self) -> "SagaState":
-        return SagaState(
-            table={m: gs.copy() for m, gs in self.table.items()},
-            running_mean={m: v.copy() for m, v in self.running_mean.items()},
-            updates_since_recompute=dict(self.updates_since_recompute),
-            fibers=self.fibers,
-        )
 
 
 def _table_mean(grads: np.ndarray) -> np.ndarray:
@@ -202,14 +195,6 @@ class SarahState:
         self.counter[mode] = (c + 1) % self.q[mode]
         return v
 
-    def clone(self) -> "SarahState":
-        return SarahState(
-            q=dict(self.q),
-            v={m: g.copy() for m, g in self.v.items()},
-            prev_point=dict(self.prev_point),
-            counter=dict(self.counter),
-        )
-
 
 def estimator_mse_probe(
     kind: str,
@@ -224,8 +209,8 @@ def estimator_mse_probe(
 ):
     """Monte-Carlo estimate of E||g_tilde - grad f||_F^2 at a fixed point.
 
-    Persistent estimator state is cloned per draw, so probing never perturbs
-    the solver's state.
+    Persistent estimator state is deep-copied per draw, so probing never
+    perturbs the solver's state.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -237,11 +222,11 @@ def estimator_mse_probe(
     for d in range(n_draws):
         if kind == "saga":
             bin_id = int(rng.integers(state.n_bins(mode)))
-            g = state.clone().estimate(factors, t, mode, bin_id)
+            g = copy.deepcopy(state).estimate(factors, t, mode, bin_id)
         else:
             idx = rng.choice(jn, size=min(batch_size, jn), replace=False)
             if kind == "sarah":
-                g = state.clone().estimate(factors, t, mode, idx)
+                g = copy.deepcopy(state).estimate(factors, t, mode, idx)
             else:
                 g = sgd_estimate(factors, t, FiberBatch(mode, idx))
         sq[d] = float(np.sum((g - exact) ** 2))

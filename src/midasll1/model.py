@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .prox import Regularizer, penalty_value
-from .tensor import DenseTensor3, unfold_contiguous
+from .tensor import DenseTensor3, _check_mode, unfold_contiguous
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,11 @@ class RankVector:
     L: tuple[int, ...]
 
     def __post_init__(self):
-        L = tuple(int(v) for v in self.L)
+        L = tuple(self.L)
+        for v in L:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"rank widths must be integers, got {v!r}")
+        L = tuple(int(v) for v in L)
         if len(L) == 0 or any(v < 1 for v in L):
             raise ValueError(f"ranks must be a nonempty list of positive ints, got {self.L}")
         object.__setattr__(self, "L", L)
@@ -82,8 +86,8 @@ class LL1Factors:
 
     @cached_property
     def expanded_A3(self) -> np.ndarray:
-        """`expand_A3` of this point, computed on first use."""
-        return expand_A3(self)
+        """A3 with column r repeated L_r times (I3 x L_total), computed on first use."""
+        return np.repeat(self.A3, self.ranks.L, axis=1)
 
     def with_factor(self, mode: int, a: np.ndarray) -> "LL1Factors":
         parts = [self.A1, self.A2, self.A3]
@@ -134,11 +138,6 @@ def _reconstruction(factors: LL1Factors) -> np.ndarray:
     return (factors.A3 @ slabs.reshape(rk.R, i2 * i1)).reshape(i3, i2, i1).T
 
 
-def expand_A3(factors: LL1Factors) -> np.ndarray:
-    """A3 with column r repeated L_r times (I3 x L_total)."""
-    return np.repeat(factors.A3, factors.ranks.L, axis=1)
-
-
 def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
     """Coefficient matrix H_n of the mode-n unfolded model X_(n) ~ H_n A_n^T.
 
@@ -146,23 +145,20 @@ def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
     H2 = [c_1 kron A1_1, ..., c_R kron A1_R]          (J2 x L_total)
     H3 = [(A2_1 kr A1_1) 1, ..., (A2_R kr A1_R) 1]    (J3 x R)
 
-    Rows are ordered to match `unfold` of the same mode.
+    Rows are ordered to match `unfold` of the same mode: `H_rows_at` on the
+    grid of all fiber coordinates, so both round alike.
     """
-    total = factors.ranks.total
-    if mode in (1, 2):
-        other = factors.A2 if mode == 1 else factors.A1
-        return (factors.expanded_A3[:, None, :] * other[None, :, :]).reshape(-1, total)
-    if mode == 3:
-        prod = (factors.A2[:, None, :] * factors.A1[None, :, :]).reshape(-1, total)
-        return _block_sums(prod, factors.ranks)
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_mode(mode)
+    fast, slow = (d for k, d in enumerate(factors.dims, start=1) if k != mode)
+    h = H_rows_at(factors, mode, np.arange(fast), np.arange(slow)[:, None])
+    return h.reshape(fast * slow, -1)
 
 
 def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of H_n for the fibers at coordinates `(a, b)` from
-    `fiber_coordinates`, without checks and without materializing H_n;
-    bitwise-identical to indexing into `build_H(factors, mode)`.  Uses the
-    point's cached `expanded_A3`."""
+    `fiber_coordinates` (arrays of one shape, or broadcasting to one),
+    without checks and without materializing H_n.  Uses the point's cached
+    `expanded_A3`."""
     if mode == 1:
         return factors.expanded_A3[b, :] * factors.A2[a, :]
     if mode == 2:
@@ -172,8 +168,7 @@ def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> n
 
 def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
     """Sums over each column block of the last axis of `prod`: the mode-3 H
-    rows from the products A2[i2, l] * A1[i1, l], shared by `build_H` and
-    `H_rows_at` so that both round alike.
+    rows from the products A2[i2, l] * A1[i1, l].
 
     The bits are those of `prod[..., blk].sum(axis=-1)` per block.  numpy adds
     fewer than 8 values in order, starting from +0.0, so when all blocks have
@@ -199,6 +194,7 @@ def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
     the other spatial factor; for mode 3, entry (r, s) is the total sum of
     (A1_r^T A1_s) hadamard (A2_r^T A2_s).
     """
+    _check_mode(mode)
     rk = factors.ranks
     g3 = factors.A3.T @ factors.A3
     if mode in (1, 2):
@@ -206,16 +202,14 @@ def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
         gm = m.T @ m
         scale = np.repeat(np.repeat(g3, rk.L, axis=0), rk.L, axis=1)
         return gm * scale
-    if mode == 3:
-        g1 = factors.A1.T @ factors.A1
-        g2 = factors.A2.T @ factors.A2
-        had = g1 * g2
-        out = np.empty((rk.R, rk.R))
-        for r in range(rk.R):
-            for s in range(rk.R):
-                out[r, s] = had[rk.blocks[r], rk.blocks[s]].sum()
-        return out
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    g1 = factors.A1.T @ factors.A1
+    g2 = factors.A2.T @ factors.A2
+    had = g1 * g2
+    out = np.empty((rk.R, rk.R))
+    for r in range(rk.R):
+        for s in range(rk.R):
+            out[r, s] = had[rk.blocks[r], rk.blocks[s]].sum()
+    return out
 
 
 def objective(

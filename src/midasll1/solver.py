@@ -166,16 +166,20 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
     }
 
 
+def random_factors(dims, ranks: RankVector, rng: np.random.Generator) -> LL1Factors:
+    """Uniform(0,1) A1, A2 and A3, drawn from `rng` in that order."""
+    return LL1Factors(
+        rng.random((dims[0], ranks.total)),
+        rng.random((dims[1], ranks.total)),
+        rng.random((dims[2], ranks.R)),
+        ranks,
+    )
+
+
 def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Factors:
     if config.init is not None:
         return config.init.copy()
-    rk = config.ranks
-    return LL1Factors(
-        rng.random((dims[0], rk.total)),
-        rng.random((dims[1], rk.total)),
-        rng.random((dims[2], rk.R)),
-        rk,
-    )
+    return random_factors(dims, config.ranks, rng)
 
 
 def extrapolate(base: np.ndarray, steps, coeffs) -> np.ndarray:
@@ -314,10 +318,7 @@ def run(
     for epoch in range(config.epochs):
         if scaled_steps:
             for n in (1, 2, 3):
-                lip = lipschitz_bound(factors, n)
-                if lip <= 0.0:
-                    raise SolverAbort(k, n, _zero_lipschitz_reason(factors, k, n))
-                mode_eta[n] = STEP_SCALE / lip
+                mode_eta[n] = STEP_SCALE / _lipschitz(factors, k, n)
         epoch_eta = [None] * 4
         if config.mode_policy == "cyclic":
             modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
@@ -336,13 +337,7 @@ def run(
             u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
             factors_u = factors.replaced(n, u_eval)
 
-            if lipschitz_steps:
-                lip = lipschitz_bound(factors_u, n)
-                if lip <= 0.0:
-                    raise SolverAbort(k, n, _zero_lipschitz_reason(factors_u, k, n))
-                eta = 1.0 / lip
-            else:
-                eta = mode_eta[n]
+            eta = 1.0 / _lipschitz(factors_u, k, n) if lipschitz_steps else mode_eta[n]
             epoch_eta[n] = eta
 
             if estimator == "saga":
@@ -393,13 +388,15 @@ def _draw_bins(n_bins: np.ndarray, rng: np.random.Generator) -> list[int]:
     return ids.tolist()
 
 
-def _zero_lipschitz_reason(factors: LL1Factors, k: int, n: int) -> str:
+def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:
+    """`lipschitz_bound(factors, n)`; `SolverAbort` at iteration k if it is zero."""
+    lip = lipschitz_bound(factors, n)
+    if lip > 0.0:
+        return lip
     zero = [f"A{m}" for m in (1, 2, 3) if m != n and not factors.factor(m).any()]
-    return (
-        f"Lipschitz bound of mode {n} is zero at iteration {k}: "
-        f"{' and '.join(zero) or 'a factor block'} collapsed to zero, "
-        "so no step proportional to 1/L exists"
-    )
+    raise SolverAbort(k, n, f"Lipschitz bound of mode {n} is zero at iteration {k}: "
+                      f"{' and '.join(zero) or 'a factor block'} collapsed to zero, "
+                      "so no step proportional to 1/L exists")
 
 
 def palm_baseline(

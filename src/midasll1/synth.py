@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .model import LL1Factors, RankVector, reconstruct
-from .solver import rng_streams
+from .solver import random_factors, rng_streams
 from .tensor import DenseTensor3
 
 
@@ -17,13 +17,7 @@ def generate(
     """Uniform(0,1) ground-truth factors; noise scaled so that
     10*log10(||clean||^2 / ||noise||^2) equals `snr_db` (inf -> noiseless)."""
     streams = rng_streams(seed)
-    rng = streams["init"]
-    truth = LL1Factors(
-        rng.random((dims[0], ranks.total)),
-        rng.random((dims[1], ranks.total)),
-        rng.random((dims[2], ranks.R)),
-        ranks,
-    )
+    truth = random_factors(dims, ranks, streams["init"])
     clean = reconstruct(truth)
     if math.isinf(snr_db):
         return clean, truth

@@ -75,9 +75,12 @@ class FiberBatch:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("batch must contain at least one fiber index")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"fiber indices must be integers, got dtype {idx.dtype}")
+        idx = np.asarray(idx, dtype=np.intp)
         if np.unique(idx).size != idx.size:
             raise ValueError("fiber indices must be distinct")
         if idx.min() < 0:
@@ -165,16 +168,6 @@ def fiber_rows_at(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray) -> n
     if mode == 2:
         return x[a, :, b]
     return x[a, b, :]
-
-
-def mode1_rows(t: DenseTensor3, span: slice) -> np.ndarray:
-    """Consecutive rows of the mode-1 unfolding as a zero-copy view.
-
-    The tensor is stored column-major, so the mode-1 unfolding is a
-    C-contiguous view of it and so is any run of its rows: the same values
-    and memory layout as `fiber_rows_at` on those fibers.
-    """
-    return t.array.reshape((t.dims[0], -1), order="F").T[span]
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:

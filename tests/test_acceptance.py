@@ -6,6 +6,7 @@ output).  Expensive solver runs on the shared 12x12x12 exact-rank instance
 are computed once in a module-scoped fixture and reused across criteria.
 """
 
+import copy
 import math
 import os
 import subprocess
@@ -95,7 +96,7 @@ def midas_runs(shared_instance):
     def snap(epoch, factors, state):
         if epoch == 100:
             snapshot["factors"] = factors
-            snapshot["state"] = state.clone()
+            snapshot["state"] = copy.deepcopy(state)
 
     for t in (0, 1, 3):
         for seed in range(N_SEEDS_ORDERING):
@@ -182,7 +183,7 @@ def test_criterion_03_saga_cancellation():
         state = SagaState.warm_start(f, x, {mode: b})
         # unchanged point: fresh and stored cancel exactly (bitwise)
         for bin_id in range(state.n_bins(mode)):
-            g = state.clone().estimate(f, x, mode, bin_id)
+            g = copy.deepcopy(state).estimate(f, x, mode, bin_id)
             if not np.array_equal(g, state.running_mean[mode]):
                 ok = False
         # full deterministic sweep at a new fixed point

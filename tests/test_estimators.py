@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_saga_estimate_at_anchor_is_exact(mode):
     f, t = make_problem(seed=2)
     st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
     for bin_id in range(st.n_bins(mode)):
-        g = st.clone().estimate(f, t, mode, bin_id)
+        g = copy.deepcopy(st).estimate(f, t, mode, bin_id)
         assert np.abs(g - full_gradient(f, t, mode)).max() <= 1e-10
 
 
@@ -107,7 +109,7 @@ def test_saga_expectation_over_bins_is_exact_gradient():
     mode = 3
     st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
     f2, _ = make_problem(seed=8)
-    ests = [st.clone().estimate(f2, t, mode, b) for b in range(st.n_bins(mode))]
+    ests = [copy.deepcopy(st).estimate(f2, t, mode, b) for b in range(st.n_bins(mode))]
     avg = sum(ests) / len(ests)
     assert np.abs(avg - full_gradient(f2, t, mode)).max() <= 1e-10
 
@@ -167,11 +169,29 @@ def test_probe_does_not_mutate_state():
     f, t = make_problem(seed=15)
     mode = 2
     st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
-    before = st.clone()
+    before = copy.deepcopy(st)
     estimator_mse_probe("saga", st, f, t, mode, 4, 20, np.random.default_rng(1))
     for b in range(st.n_bins(mode)):
         np.testing.assert_array_equal(st.table[mode][b], before.table[mode][b])
     np.testing.assert_array_equal(st.running_mean[mode], before.running_mean[mode])
+
+    # SARAH a few steps past a restart, so that v, prev_point and counter are
+    # filled; five draws would move the counter from 3 to 0 (q = 4)
+    sarah = SarahState(q={mode: 4})
+    rng = np.random.default_rng(2)
+    point = f
+    for _ in range(3):
+        sarah.estimate(point, t, mode, rng.choice(row_count(t.dims, mode), 4, replace=False))
+        a = point.factor(mode)
+        point = point.with_factor(mode, a + 0.01 * rng.standard_normal(a.shape))
+    before = copy.deepcopy(sarah)
+    estimator_mse_probe("sarah", sarah, point, t, mode, 4, 5, np.random.default_rng(3))
+    assert sarah.counter == before.counter == {mode: 3}
+    np.testing.assert_array_equal(sarah.v[mode], before.v[mode])
+    for n in (1, 2, 3):
+        np.testing.assert_array_equal(
+            sarah.prev_point[mode].factor(n), before.prev_point[mode].factor(n)
+        )
 
 
 def test_probe_returns_draws():

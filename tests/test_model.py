@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def brute_reconstruct(f):
         for a, b, c in itertools.product(range(i1), range(i2), range(i3)):
             out[a, b, c] += (f.A1[a, blk] @ f.A2[b, blk]) * f.A3[c, r]
     return out
+
+
+def test_rank_vector_rejects_non_integer_widths():
+    for bad in (2.7, 2.0, True, np.float64(3.0), np.bool_(True), "2"):
+        with pytest.raises(ValueError, match=re.escape(f"rank widths must be integers, got {bad!r}")):
+            RankVector((bad, 2))
+    rk = RankVector((np.int64(3), np.int32(2), 1))
+    assert rk.L == (3, 2, 1) and all(type(v) is int for v in rk.L)
 
 
 def test_reconstruct_rank1_outer_product():

@@ -139,6 +139,17 @@ def test_init_factors_deterministic_and_in_range():
         assert f1.factor(n).min() >= 0 and f1.factor(n).max() < 1
 
 
+@pytest.mark.parametrize("seed", [0, 7, 1021])
+def test_generate_truth_is_the_solver_start_of_the_same_seed(seed):
+    """The README "Seeds" fact: `generate` and the solver's initialisation
+    draw the same factors from the "init" stream of one seed."""
+    rk, dims = RankVector((3, 1)), (5, 4, 6)
+    _, truth = generate(dims, rk, 20.0, seed)
+    start = init_factors(SolverConfig(rk, seed=seed), dims, rng_streams(seed)["init"])
+    for n in (1, 2, 3):
+        assert truth.factor(n).tobytes() == start.factor(n).tobytes()
+
+
 def test_init_factors_accepts_explicit_point():
     rk = RankVector((1,))
     given = LL1Factors(np.ones((2, 1)), np.ones((3, 1)), np.ones((4, 1)), rk)

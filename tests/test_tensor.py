@@ -149,6 +149,8 @@ def test_fiber_batch_validation():
         FiberBatch(1, np.array([], dtype=int))
     with pytest.raises(ValueError):
         FiberBatch(4, np.array([0]))
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        FiberBatch(1, np.array([0.5, 1.9]))
 
 
 def test_khatri_rao_scalar():
