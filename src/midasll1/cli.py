@@ -48,12 +48,13 @@ def _blank_or_repr(v) -> str:
 
 def _write_trace(path: Path, trace):
     with open(path, "w", newline="") as fh:
-        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3\n")
+        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3,n_1,n_2,n_3\n")
         for i in range(len(trace)):
             etas = ",".join(map(_blank_or_repr, trace.step_sizes[i]))
+            counts = ",".join(map(str, trace.mode_counts[i]))
             fh.write(
                 f"{trace.epoch[i]},{trace.iteration[i]},{trace.phi[i]!r},"
-                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{etas}\n"
+                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{etas},{counts}\n"
             )
 
 

@@ -22,7 +22,6 @@ from .tensor import (
     fiber_coordinates,
     fiber_rows_at,
     row_count,
-    unfold_contiguous,
 )
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
@@ -67,19 +66,22 @@ class SagaState:
 
     The table is warm-started with the bin gradients at the initial point, so
     a SAGA estimate at an unchanged point reduces exactly to the running mean
-    (fresh and stored bin gradients cancel: both come from `fiber_gradient`
-    on the same rows).  The running mean is maintained incrementally and
+    (fresh and stored bin gradients cancel: both are `gradient_from_rows` on
+    the same rows).  The running mean is maintained incrementally and
     recomputed from the table once per full sweep to keep drift below the
     documented 1e-10 consistency bound.
 
     `table[mode]` stacks the bin gradients (n_bins x I_n x L).  Bin i of a
     mode with batch size B holds fibers iB to iB + B - 1; `fibers[mode]`
-    holds their coordinates (n_bins x B each, from `fiber_coordinates`).  A
-    mode-1 bin's rows are read as a view of the unfolding, the other modes'
-    are gathered.  The warm start fills the table a chunk of bins at a time:
-    one view (or gather) of their rows, one `H_rows_at` and one stacked
-    `gradient_from_rows`, which gives every entry the bits of
-    `fiber_gradient` on that bin alone.
+    holds their coordinates (n_bins x B each, from `fiber_coordinates`).
+    `_bin_rows` reads a bin's rows of the unfolding without an index
+    gather where it can: mode 1 slices a view of the column-major storage,
+    mode 3 copies a row slice of the column-major (J3 x I3) view, and mode 2
+    gathers them with `fiber_rows_at`.  Each is C-contiguous, as the rows of
+    `fiber_rows_at` are, so BLAS rounds them alike.  The warm start fills the
+    table a chunk of bins at a time: one `_bin_rows` for their rows, one
+    `H_rows_at` and one stacked `gradient_from_rows`, which gives every entry
+    the bits of `fiber_gradient` on that bin alone.
     """
 
     table: dict[int, np.ndarray]
@@ -106,10 +108,7 @@ class SagaState:
             state.table[mode] = grads = np.empty((n_bins, i_n, width))
             for lo in range(0, n_bins, step):
                 hi = min(lo + step, n_bins)
-                if mode == 1:
-                    x = unfold_contiguous(t, 1)[lo * size:hi * size]
-                else:
-                    x = fiber_rows_at(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel())
+                x = _bin_rows(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel(), lo * size)
                 grads[lo:hi] = fiber_gradient(
                     factors, mode, a[lo:hi], b[lo:hi], x.reshape(hi - lo, size, i_n)
                 )
@@ -119,37 +118,56 @@ class SagaState:
     def n_bins(self, mode: int) -> int:
         return len(self.table[mode])
 
-    def _bin_gradient(
-        self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int
+    def estimate(
+        self,
+        factors: LL1Factors,
+        t: DenseTensor3,
+        mode: int,
+        bin_id: int,
+        a_mode: np.ndarray | None = None,
     ) -> np.ndarray:
+        """g = fresh - stored + running_mean; then the table and mean are updated.
+
+        The fresh bin gradient is taken at `factors` with A_mode replaced by
+        `a_mode` (by default the point as it is).  H_n never reads A_n, so a
+        caller with a new A_mode need not build that point."""
         a, b = self.fibers[mode]
         a, b = a[bin_id], b[bin_id]
-        if mode == 1:
-            x = unfold_contiguous(t, 1)[bin_id * a.size:(bin_id + 1) * a.size]
-        else:
-            x = fiber_rows_at(t, mode, a, b)
-        return fiber_gradient(factors, mode, a, b, x)
-
-    def estimate(
-        self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int
-    ) -> np.ndarray:
-        """g = fresh - stored + running_mean; then the table and mean are updated."""
-        fresh = self._bin_gradient(factors, t, mode, bin_id)
-        diff = fresh - self.table[mode][bin_id]
+        fresh = gradient_from_rows(
+            factors.factor(mode) if a_mode is None else a_mode,
+            H_rows_at(factors, mode, a, b),
+            _bin_rows(t, mode, a, b, bin_id * a.size),
+        )
+        table = self.table[mode]
+        diff = fresh - table[bin_id]
         mean = self.running_mean[mode]
         g = diff + mean
-        nb = self.n_bins(mode)
-        self.running_mean[mode] = mean + diff / nb
-        self.table[mode][bin_id] = fresh
+        nb = len(table)
+        diff /= nb
+        mean += diff
+        table[bin_id] = fresh
         self.updates_since_recompute[mode] += 1
         if self.updates_since_recompute[mode] >= nb:
-            self.running_mean[mode] = _table_mean(self.table[mode])
+            self.running_mean[mode] = _table_mean(table)
             self.updates_since_recompute[mode] = 0
         return g
 
     def mean_drift(self, mode: int) -> float:
         """Distance between the incremental mean and a direct recomputation."""
         return float(np.linalg.norm(self.running_mean[mode] - _table_mean(self.table[mode])))
+
+
+def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: int) -> np.ndarray:
+    """The rows of the mode-n unfolding for the consecutive fibers `start`,
+    `start + 1`, ... at the 1-D coordinates `(a, b)`: the rows of
+    `fiber_rows_at`, C-contiguous, without its index gather for modes 1
+    and 3 (see `SagaState`)."""
+    stop = start + a.size
+    if mode == 1:
+        return t.array.T.reshape(-1, t.dims[0])[start:stop]
+    if mode == 3:
+        return np.ascontiguousarray(t.array.reshape(-1, t.dims[2], order="F")[start:stop])
+    return fiber_rows_at(t, mode, a, b)
 
 
 def _table_mean(grads: np.ndarray) -> np.ndarray:

@@ -158,29 +158,40 @@ def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> n
     """The rows of H_n for the fibers at coordinates `(a, b)` from
     `fiber_coordinates` (arrays of one shape, or broadcasting to one),
     without checks and without materializing H_n.  Uses the point's cached
-    `expanded_A3`."""
+    `expanded_A3` and never reads A_n.  Rows are gathered with `take`, which
+    copies the same rows as fancy indexing at a fraction of its cost."""
     if mode == 1:
-        return factors.expanded_A3[b, :] * factors.A2[a, :]
+        return factors.expanded_A3.take(b, axis=0) * factors.A2.take(a, axis=0)
     if mode == 2:
-        return factors.expanded_A3[b, :] * factors.A1[a, :]
-    return _block_sums(factors.A2[b, :] * factors.A1[a, :], factors.ranks)
+        return factors.expanded_A3.take(b, axis=0) * factors.A1.take(a, axis=0)
+    return _block_sums(factors.A2.take(b, axis=0) * factors.A1.take(a, axis=0), factors.ranks)
+
+
+# up to this many block sums, one reduction over the last axis is cheaper
+# than `_block_sums`' column loop (a fiber batch makes B * R of them)
+_ONE_REDUCTION_MAX = 256
 
 
 def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
     """Sums over each column block of the last axis of `prod`: the mode-3 H
     rows from the products A2[i2, l] * A1[i1, l].
 
-    The bits are those of `prod[..., blk].sum(axis=-1)` per block.  numpy adds
-    fewer than 8 values in order, starting from +0.0, so when all blocks have
-    one such width they are added column by column, over all rows and blocks
-    at once."""
+    The bits are those of `prod[..., blk].sum(axis=-1)` per block.  When all
+    blocks have one width, a batch-sized `prod` is reduced in one call over
+    its blocks, which adds each block as that `sum` does.  On larger inputs
+    numpy's per-row reductions cost more than adding column by column, over
+    all rows and blocks at once; since numpy adds fewer than 8 values in
+    order, starting from +0.0, that keeps the bits for widths below 8."""
     w = ranks.L[0]
-    if w < 8 and ranks.L.count(w) == ranks.R:
+    if ranks.L.count(w) == ranks.R:
         cols = prod.reshape(*prod.shape[:-1], ranks.R, w)
-        out = cols[..., 0] + 0.0
-        for c in range(1, w):
-            out += cols[..., c]
-        return out
+        if prod.size <= _ONE_REDUCTION_MAX * w:
+            return cols.sum(axis=-1)
+        if w < 8:
+            out = cols[..., 0] + 0.0
+            for c in range(1, w):
+                out += cols[..., c]
+            return out
     out = np.empty((*prod.shape[:-1], ranks.R))
     for r, blk in enumerate(ranks.blocks):
         out[..., r] = prod[..., blk].sum(axis=-1)
@@ -226,7 +237,7 @@ def objective(
     f = float(np.sum(sq)) / (2.0 * t.size)
     # a non-finite reconstruction makes f non-finite, so only then look
     if not math.isfinite(f) and not np.isfinite(_reconstruction(factors)).all():
-        raise ValueError("tensor entries must be finite")
+        raise ValueError("the reconstruction overflows: the factors give non-finite model entries")
     h = sum(penalty_value(reg, factors.factor(n)) for n in (1, 2, 3))
     return ObjectiveValue(f, h, f + h)
 
@@ -247,9 +258,16 @@ def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarra
     of the mode-n unfolding.  Over all J_n rows this is the exact gradient,
     since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD estimate.
 
-    `h` and `x` may be stacks of batches (k x rows x ...), giving k
-    gradients; numpy's stacked matmul makes per batch the BLAS calls of the
-    unstacked form, so each keeps its bits."""
+    One batch (2-D `h` and `x`) takes `ndarray.dot`, which dispatches to the
+    same BLAS calls as `@` with less overhead, and subtracts and divides in
+    place.  `h` and `x` may also be stacks of batches (k x rows x ...),
+    giving k gradients; numpy's stacked matmul makes per batch the BLAS
+    calls of the unstacked form, so each keeps its bits."""
+    if h.ndim == 2:
+        g = a.dot(h.T.dot(h))
+        g -= x.T.dot(h)
+        g /= a.shape[0] * h.shape[0]
+        return g
     return (a @ (h.swapaxes(-1, -2) @ h) - x.swapaxes(-1, -2) @ h) / (a.shape[0] * h.shape[-2])
 
 

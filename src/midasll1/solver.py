@@ -27,14 +27,15 @@ from .estimators import (
     ESTIMATOR_KINDS,
     SagaState,
     SarahState,
-    fiber_gradient,
     largest_divisor_at_most,
 )
 from .model import (
+    H_rows_at,
     LL1Factors,
     RankVector,
     build_H,
     full_gradient,
+    gradient_from_rows,
     lipschitz_bound,
     objective,
 )
@@ -43,8 +44,9 @@ from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count, u
 
 
 class SolverAbort(RuntimeError):
-    """Raised when an update produces non-finite entries, or when a step
-    c/L_n cannot be formed because the mode's Lipschitz bound is zero."""
+    """Raised when an update produces non-finite entries, when the
+    reconstruction of finite iterates overflows, or when a step c/L_n cannot
+    be formed because the mode's Lipschitz bound is zero."""
 
     def __init__(self, iteration: int, mode: int, reason: str | None = None):
         super().__init__(
@@ -280,7 +282,8 @@ def run(
     iterate that starts the epoch (evaluated inside the loop, after the
     first clock call).  `step_rule="inverse_lipschitz"` takes 1/L at each
     step's gradient point instead and never evaluates the per-epoch bounds.
-    A zero bound raises `SolverAbort`.
+    A zero bound raises `SolverAbort`, as do non-finite iterates and, at an
+    epoch's end, finite iterates whose reconstruction overflows.
     """
     clock = clock or time.perf_counter
     dims = tensor.dims
@@ -307,13 +310,14 @@ def run(
     # the last t steps A^{j+1} - A^j of each mode, newest first
     steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
+    needs_point = {n: lipschitz_steps or estimator == "sarah"
+                   or (estimator == "sgd" and batches[n] == jn[n]) for n in (1, 2, 3)}
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
 
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
     k = 0
-    last_step_norm = 0.0
     start = clock()
     for epoch in range(config.epochs):
         if scaled_steps:
@@ -335,13 +339,16 @@ def run(
             base = factors.factor(n)
             y_anchor = extrapolate(base, steps[n], coef_a[i:i + config.t][::-1])
             u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
-            factors_u = factors.replaced(n, u_eval)
+            # H_n comes from the other factors, so SAGA and batch SGD take
+            # the gradient point as its A_n alone; SARAH, full-batch SGD and
+            # 1/L steps take the whole point
+            factors_u = factors.replaced(n, u_eval) if needs_point[n] else None
 
             eta = 1.0 / _lipschitz(factors_u, k, n) if lipschitz_steps else mode_eta[n]
             epoch_eta[n] = eta
 
             if estimator == "saga":
-                g = state.estimate(factors_u, tensor, n, bin_ids[i])
+                g = state.estimate(factors, tensor, n, bin_ids[i], u_eval)
             elif estimator == "sgd" and batches[n] == jn[n]:
                 # bitwise equal to sgd_estimate on every fiber, without the batch gather
                 g = full_gradient(factors_u, tensor, n)
@@ -354,20 +361,25 @@ def run(
                     g = state.estimate(factors_u, tensor, n, idx)
                 else:
                     a, b = fiber_coordinates(dims, n, idx)
-                    g = fiber_gradient(factors_u, n, a, b, fiber_rows_at(tensor, n, a, b))
+                    g = gradient_from_rows(u_eval, H_rows_at(factors, n, a, b),
+                                           fiber_rows_at(tensor, n, a, b))
 
             a_new = prox(config.reg, y_anchor - eta * g, eta)
             d = a_new - base
-            sq = float((d * d).sum())
-            # a non-finite entry of a_new makes sq non-finite, so only then look
-            if not math.isfinite(sq) and not np.isfinite(a_new).all():
+            # a non-finite entry of a_new makes the sum non-finite, so only then look
+            if not math.isfinite(float(d.sum())) and not np.isfinite(a_new).all():
                 raise SolverAbort(k, n)
-            last_step_norm = math.sqrt(sq)
             factors = factors.replaced(n, a_new)
             steps[n].appendleft(d)
             k += 1
+        # the trace reads the norm of the epoch's last step only
+        last_step_norm = math.sqrt(float((d * d).sum()))
 
-        obj = objective(factors, tensor, config.reg)
+        try:
+            obj = objective(factors, tensor, config.reg)
+        except ValueError as exc:  # the dims match, so the reconstruction overflowed
+            raise SolverAbort(k - 1, n, f"{exc} after iteration {k - 1} (mode {n}); the "
+                              "(eta, alpha, beta) configuration is likely infeasible") from None
         counts = (modes.count(1), modes.count(2), modes.count(3))
         trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, counts,
                      epoch_eta[1:])

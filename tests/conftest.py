@@ -222,7 +222,10 @@ def run_reference(config, tensor):
             history[n].append(a_new)
             k += 1
 
-        f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
+        try:
+            f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
+        except ValueError:  # finite factors whose reconstruction overflows
+            raise SolverAbort(k - 1, n, "the reconstruction overflows") from None
         trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, counts, last_eta)
         if phi_val < config.abs_tol:
             break

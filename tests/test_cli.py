@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from midasll1.config import ConfigError, parse_config, serialize_config
 from midasll1.model import RankVector
 from midasll1.prox import Regularizer
 from midasll1.solver import RunTrace, SolverConfig
+from midasll1.synth import generate
 from midasll1.tensor import DenseTensor3
 
 
@@ -310,7 +312,7 @@ def test_decompose_end_to_end(tmp_path, tensor_file):
                  "trace.csv", "metrics.txt", "resolved_config.txt"):
         assert (out / name).exists()
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3"
+    assert lines[0] == "epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3,n_1,n_2,n_3"
     assert len(lines) == 4  # header + 3 epochs
     assert (out / "ranks.txt").read_text().strip() == "2,1"
 
@@ -372,6 +374,21 @@ def test_decompose_nan_abort_exit_code(tmp_path, tensor_file):
     rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_NAN_ABORT
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_overflowing_reconstruction_exits_3(tmp_path, capsys):
+    """A run whose finite factors overflow the reconstruction is a solver
+    abort (exit 3), not a complaint about the input tensor."""
+    path = tmp_path / "x.dten"
+    t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=math.inf, seed=11)
+    tensorfile.write_tensor(path, t)
+    cfg = write_config(tmp_path, "ranks = 2,1\nestimator = saga\neta = 3\nreg = none\n"
+                                 "epochs = 200\nseed = 12\n")
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_NAN_ABORT
+    assert "the reconstruction overflows" in capsys.readouterr().err
 
 
 def test_decompose_zero_bound_under_default_step_exits_3(tmp_path, capsys):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from midasll1 import estimators
+from midasll1 import estimators, solver
 from midasll1.estimators import (
     SagaState,
     SarahState,
@@ -12,8 +12,16 @@ from midasll1.estimators import (
     largest_divisor_at_most,
     sgd_estimate,
 )
-from midasll1.model import LL1Factors, RankVector, full_gradient
-from midasll1.tensor import DenseTensor3, FiberBatch, fiber_coordinates, fiber_rows_at, row_count
+from midasll1.model import LL1Factors, RankVector, full_gradient, gradient_from_rows
+from midasll1.solver import SolverConfig, run
+from midasll1.tensor import (
+    DenseTensor3,
+    FiberBatch,
+    fiber_coordinates,
+    fiber_rows_at,
+    row_count,
+    unfold,
+)
 
 
 def make_problem(seed=0, dims=(4, 5, 3), L=(2, 2)):
@@ -76,6 +84,24 @@ def test_saga_estimate_at_anchor_is_exact(mode):
     for bin_id in range(st.n_bins(mode)):
         g = copy.deepcopy(st).estimate(f, t, mode, bin_id)
         assert np.abs(g - full_gradient(f, t, mode)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_saga_estimate_with_a_new_factor_is_the_estimate_at_that_point(mode):
+    """Passing a new A_mode gives the bits of the estimate at the point
+    with A_mode replaced, and leaves the table and mean in the same state."""
+    f, t = make_problem(seed=10)
+    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
+    by_point, by_factor = copy.deepcopy(st), copy.deepcopy(st)
+    rng = np.random.default_rng(11)
+    for _ in range(2 * st.n_bins(mode)):
+        a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
+        bin_id = int(rng.integers(st.n_bins(mode)))
+        g_point = by_point.estimate(f.with_factor(mode, a_mode), t, mode, bin_id)
+        g_factor = by_factor.estimate(f, t, mode, bin_id, a_mode)
+        assert g_factor.tobytes() == g_point.tobytes()
+    assert by_factor.table[mode].tobytes() == by_point.table[mode].tobytes()
+    assert by_factor.running_mean[mode].tobytes() == by_point.running_mean[mode].tobytes()
 
 
 def test_saga_single_bin_is_full_gradient_everywhere():
@@ -248,3 +274,66 @@ def test_table_mean_keeps_signed_zeros():
         in_bin_order = sum(grads[1:], start=grads[0].copy()) / n
         assert mean.tobytes() == in_bin_order.tobytes()
         assert np.signbit(mean[0, 0]) and not np.signbit(mean[1, 1])
+
+
+# each B divides J_n of (5, 7, 4) and its bins straddle a slab boundary:
+# mode-1 bins of 4 cross i3 (I2 = 7), mode-2 bins of 4 and mode-3 bins of 7
+# cross the next slow index (I1 = 5)
+STRADDLING_BATCHES = {1: 4, 2: 4, 3: 7}
+
+
+def _record_rows(monkeypatch):
+    """The rows `x` of every `gradient_from_rows` call made by the
+    estimators and the solver loop, in call order."""
+    seen = []
+
+    def recording(a, h, x):
+        seen.append(x)
+        return gradient_from_rows(a, h, x)
+
+    for module in (estimators, solver):
+        monkeypatch.setattr(module, "gradient_from_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("chunk_bytes", [1024, None])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
+    """The rows SAGA reads without gathering (mode-1 views, mode-3 slices of
+    the column-major view), per warm-start chunk and per bin, have the bits
+    and the C-contiguous layout of `fiber_rows_at`, so BLAS rounds them
+    alike, also where a bin straddles a slab boundary."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
+    f, t = make_problem(seed=12, dims=(5, 7, 4), L=(2, 1))
+    jn = row_count(t.dims, mode)
+    seen = _record_rows(monkeypatch)
+    st = SagaState.warm_start(f, t, {mode: STRADDLING_BATCHES[mode]})
+    assert (len(seen) > 1) == (chunk_bytes is not None)
+    everything = fiber_rows_at(t, mode, *fiber_coordinates(t.dims, mode, np.arange(jn)))
+    assert everything.flags.c_contiguous
+    assert all(x.flags.c_contiguous for x in seen)
+    in_chunks = np.concatenate([x.reshape(-1, t.dims[mode - 1]) for x in seen])
+    assert in_chunks.tobytes() == everything.tobytes()
+    seen.clear()
+    for bin_id in range(st.n_bins(mode)):
+        st.estimate(f, t, mode, bin_id)
+        a, b = (c[bin_id] for c in st.fibers[mode])
+        x = seen[-1]
+        assert x.flags.c_contiguous and x.shape == (a.size, t.dims[mode - 1])
+        assert x.tobytes() == fiber_rows_at(t, mode, a, b).tobytes()
+
+
+@pytest.mark.parametrize("estimator", ["sgd", "sarah"])
+def test_sampled_rows_are_rows_of_the_unfolding(estimator, monkeypatch):
+    """The rows SGD and SARAH gather in `run` are C-contiguous and each is a
+    row of the unfolding, bit for bit (the modes of (5, 7, 4) differ in
+    I_n, so a batch's width names its mode)."""
+    f, t = make_problem(seed=13, dims=(5, 7, 4), L=(2, 1))
+    seen = _record_rows(monkeypatch)
+    run(SolverConfig(ranks=f.ranks, estimator=estimator, epochs=2, B=4, seed=1), t)
+    rows = {t.dims[m - 1]: {r.tobytes() for r in unfold(t, m)} for m in (1, 2, 3)}
+    assert len({x.shape[1] for x in seen}) == 3
+    for x in seen:
+        assert x.flags.c_contiguous and x.shape[0] == 4
+        assert all(r.tobytes() in rows[x.shape[1]] for r in x)

@@ -14,6 +14,7 @@ from midasll1.model import (
     LL1Factors,
     RankVector,
     H_rows_at,
+    _block_sums,
     build_H,
     full_gradient,
     gram_H,
@@ -156,7 +157,7 @@ def test_objective_rejects_overflowing_reconstruction():
     big = np.full((3, 2), 1e200)
     f = LL1Factors(big, big, np.ones((3, 1)), rk)
     x = DenseTensor3(np.ones((3, 3, 3)))
-    with pytest.raises(ValueError, match="tensor entries must be finite"):
+    with pytest.raises(ValueError, match="the reconstruction overflows"):
         objective(f, x, NONE)
     with pytest.raises(ValueError, match="tensor entries must be finite"):
         reconstruct(f)
@@ -294,6 +295,28 @@ def test_lipschitz_orthonormal_scaled():
         RankVector((2,)),
     )
     assert lipschitz_bound(f, 2) == pytest.approx(sigma**2 / 12, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_H_rows_at_gathers_like_fancy_indexing(mode):
+    """`H_rows_at`, which gathers rows with `take`, has the bits of the
+    same products of fancy-indexed rows for 1-D coordinates (a batch), 2-D
+    ones (a warm-start chunk of bins) and the broadcast grid of `build_H`."""
+    f = random_factors(np.random.default_rng(15), (5, 7, 4), (2, 1))
+
+    def fancy(a, b):
+        if mode == 3:
+            return _block_sums(f.A2[b, :] * f.A1[a, :], f.ranks)
+        return f.expanded_A3[b, :] * (f.A2 if mode == 1 else f.A1)[a, :]
+
+    fast, slow = (d for k, d in enumerate(f.dims, start=1) if k != mode)
+    jn = fast * slow
+    batch = np.random.default_rng(16).choice(jn, size=6, replace=False)
+    for a, b in (fiber_coordinates(f.dims, mode, batch),
+                 fiber_coordinates(f.dims, mode, np.arange(jn - jn % 4).reshape(-1, 4)),
+                 (np.arange(fast), np.arange(slow)[:, None])):
+        got, want = H_rows_at(f, mode, a, b), fancy(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("L", [

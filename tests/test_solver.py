@@ -182,6 +182,10 @@ REFERENCE_CASES = [
     {"estimator": "sarah", "sarah_q": 3, "B": 5},
     {"estimator": "saga", "B": 10**6},
     {"estimator": "sgd", "B": 10**6, "mode_policy": "cyclic", "t": 2},
+    # a zero inertial scale: `extrapolate` returns the iterate itself
+    {"estimator": "saga", "alpha0": 0.0},
+    {"estimator": "sgd", "beta0": 0.0},
+    {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
 
 
@@ -206,6 +210,21 @@ def test_run_matches_reference(case):
         assert getattr(trm, column) == getattr(ref, column), column
 
 
+def test_saga_step_builds_one_point(monkeypatch):
+    """A default SAGA step builds one `LL1Factors`, the new iterate: the
+    gradient point is passed as its new factor alone."""
+    calls = []
+    replaced = LL1Factors.replaced
+
+    def counting(self, mode, a):
+        calls.append(mode)
+        return replaced(self, mode, a)
+
+    monkeypatch.setattr(LL1Factors, "replaced", counting)
+    _, trace = run(SolverConfig(ranks=RankVector((2, 1)), epochs=3, seed=2), small_tensor())
+    assert len(calls) == trace.iteration[-1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
 def test_run_abort_matches_reference(estimator):
@@ -216,6 +235,21 @@ def test_run_abort_matches_reference(estimator):
     with pytest.raises(SolverAbort) as ref:
         run_reference(cfg, t)
     with pytest.raises(SolverAbort) as got:
+        run(cfg, t)
+    assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_reconstruction_is_a_solver_abort():
+    """Finite factors whose reconstruction overflows end the run with a
+    `SolverAbort` that names the reconstruction, at the iteration and mode of
+    the reference loop, and not with the input check's `ValueError`."""
+    t = small_tensor(seed=11)
+    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator="saga", eta=3.0, reg=NONE,
+                       epochs=200, seed=12)
+    with pytest.raises(SolverAbort) as ref:
+        run_reference(cfg, t)
+    with pytest.raises(SolverAbort, match="the reconstruction overflows") as got:
         run(cfg, t)
     assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
 
