@@ -18,8 +18,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import _thread_cap
 from . import config as cfgmod
 from . import metrics as metricsmod

@@ -41,16 +41,24 @@ def sgd_estimate(factors: LL1Factors, t: DenseTensor3, batch: FiberBatch) -> np.
     jn = row_count(t.dims, batch.mode)
     if batch.indices.max() >= jn:
         raise IndexError(f"fiber index out of range for J_{batch.mode}={jn}")
-    a, b = fiber_coordinates(t.dims, batch.mode, batch.indices)
-    return fiber_gradient(factors, batch.mode, a, b, fiber_rows_at(t, batch.mode, a, b))
+    return batch_gradient(factors, t, batch.mode, batch.indices)
 
 
-def fiber_gradient(
-    factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray, x: np.ndarray
+def batch_gradient(
+    factors: LL1Factors,
+    t: DenseTensor3,
+    mode: int,
+    idx: np.ndarray | None,
+    a_mode: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`sgd_estimate` at fiber coordinates `(a, b)` with the gathered rows `x`
-    of the unfolding, without checks."""
-    return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
+    """`sgd_estimate` on the distinct, in-range fiber indices `idx` (None:
+    every fiber, by `full_gradient`), without checks, at `factors` with
+    A_mode replaced by `a_mode` (None: the point as it is)."""
+    if idx is None:
+        return full_gradient(factors, t, mode, a_mode)
+    a, b = fiber_coordinates(t.dims, mode, idx)
+    a_n = factors.factor(mode) if a_mode is None else a_mode
+    return gradient_from_rows(a_n, H_rows_at(factors, mode, a, b), fiber_rows_at(t, mode, a, b))
 
 
 def largest_divisor_at_most(jn: int, b: int) -> int:
@@ -81,7 +89,7 @@ class SagaState:
     `fiber_rows_at` are, so BLAS rounds them alike.  The warm start fills the
     table a chunk of bins at a time: one `_bin_rows` for their rows, one
     `H_rows_at` and one stacked `gradient_from_rows`, which gives every entry
-    the bits of `fiber_gradient` on that bin alone.
+    the bits of `batch_gradient` on that bin alone.
     """
 
     table: dict[int, np.ndarray]
@@ -109,8 +117,9 @@ class SagaState:
             for lo in range(0, n_bins, step):
                 hi = min(lo + step, n_bins)
                 x = _bin_rows(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel(), lo * size)
-                grads[lo:hi] = fiber_gradient(
-                    factors, mode, a[lo:hi], b[lo:hi], x.reshape(hi - lo, size, i_n)
+                grads[lo:hi] = gradient_from_rows(
+                    factors.factor(mode), H_rows_at(factors, mode, a[lo:hi], b[lo:hi]),
+                    x.reshape(hi - lo, size, i_n),
                 )
             state.running_mean[mode] = _table_mean(grads)
         return state
@@ -189,27 +198,38 @@ class SarahState:
 
     q: dict[int, int]
     v: dict[int, np.ndarray] = field(default_factory=dict)
-    prev_point: dict[int, LL1Factors] = field(default_factory=dict)
+    prev_point: dict[int, tuple[LL1Factors, np.ndarray]] = field(default_factory=dict)
     counter: dict[int, int] = field(default_factory=dict)
 
     def estimate(
-        self, factors: LL1Factors, t: DenseTensor3, mode: int, idx: np.ndarray
+        self,
+        factors: LL1Factors,
+        t: DenseTensor3,
+        mode: int,
+        idx: np.ndarray | None,
+        a_mode: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The direction at `factors` for the batch of fiber indices `idx`,
-        which must be distinct and in range (they are not checked)."""
+        """The direction at `(factors, a_mode)` for the batch of fiber indices
+        `idx` (None: every fiber), which must be distinct and in range (they
+        are not checked)."""
+        if a_mode is None:
+            a_mode = factors.factor(mode)
         c = self.counter.get(mode, 0)
         if c == 0:
-            v = full_gradient(factors, t, mode)
+            v = full_gradient(factors, t, mode, a_mode)
         else:
+            if idx is None:
+                idx = np.arange(row_count(t.dims, mode))
             a, b = fiber_coordinates(t.dims, mode, idx)
             x = fiber_rows_at(t, mode, a, b)
+            prev, prev_a = self.prev_point[mode]
             v = (
-                fiber_gradient(factors, mode, a, b, x)
-                - fiber_gradient(self.prev_point[mode], mode, a, b, x)
+                gradient_from_rows(a_mode, H_rows_at(factors, mode, a, b), x)
+                - gradient_from_rows(prev_a, H_rows_at(prev, mode, a, b), x)
                 + self.v[mode]
             )
         self.v[mode] = v
-        self.prev_point[mode] = factors
+        self.prev_point[mode] = (factors, a_mode)
         self.counter[mode] = (c + 1) % self.q[mode]
         return v
 
@@ -239,14 +259,11 @@ def estimator_mse_probe(
     sq = np.empty(n_draws)
     for d in range(n_draws):
         if kind == "saga":
-            bin_id = int(rng.integers(state.n_bins(mode)))
-            g = copy.deepcopy(state).estimate(factors, t, mode, bin_id)
+            pick = int(rng.integers(state.n_bins(mode)))  # a bin
         else:
-            idx = rng.choice(jn, size=min(batch_size, jn), replace=False)
-            if kind == "sarah":
-                g = copy.deepcopy(state).estimate(factors, t, mode, idx)
-            else:
-                g = sgd_estimate(factors, t, FiberBatch(mode, idx))
+            pick = rng.choice(jn, size=min(batch_size, jn), replace=False)  # fibers
+        estimate = batch_gradient if kind == "sgd" else copy.deepcopy(state).estimate
+        g = estimate(factors, t, mode, pick)
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

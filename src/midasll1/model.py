@@ -242,15 +242,18 @@ def objective(
     return ObjectiveValue(f, h, f + h)
 
 
-def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
-    """Exact gradient of f with respect to A_mode (same shape as A_mode)."""
+def full_gradient(
+    factors: LL1Factors, t: DenseTensor3, mode: int, a_mode: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact gradient of f with respect to A_mode, at `factors` with A_mode
+    replaced by `a_mode` (None: the point as it is; H_n never reads A_n)."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     h = build_H(factors, mode)
     # C-contiguous, like the fiber rows of the sampled path: BLAS then sees
     # the same layout and rounds the same as that path on every fiber
     x_n = unfold_contiguous(t, mode)
-    return gradient_from_rows(factors.factor(mode), h, x_n)
+    return gradient_from_rows(factors.factor(mode) if a_mode is None else a_mode, h, x_n)
 
 
 def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -279,7 +282,8 @@ def lipschitz_bound(factors: LL1Factors, mode: int) -> float:
     """lambda_max(H_n^T H_n) / (I1*I2*I3), by power iteration on the Gram.
 
     Deterministic all-ones start vector; stops at `POWER_TOL` or after
-    `POWER_MAX_ITER` iterations.
+    `POWER_MAX_ITER` iterations.  A Gram or power iterate that is not
+    finite (the factors diverged) gives `math.inf`.
     """
     g = gram_H(factors, mode)
     n3 = factors.dims[0] * factors.dims[1] * factors.dims[2]
@@ -288,8 +292,9 @@ def lipschitz_bound(factors: LL1Factors, mode: int) -> float:
     for _ in range(POWER_MAX_ITER):
         w = g @ v
         nw = math.sqrt(float(w @ w))  # what np.linalg.norm computes for a vector
-        if nw == 0.0:
-            return 0.0
+        # v > 0 at the start, so a non-finite entry of g makes nw non-finite
+        if not 0.0 < nw < math.inf:
+            return 0.0 if nw == 0.0 else math.inf
         v = w / nw
         new = float(v @ (g @ v))
         if abs(new - lam) <= POWER_TOL * max(abs(new), 1e-300):

@@ -27,26 +27,18 @@ from .estimators import (
     ESTIMATOR_KINDS,
     SagaState,
     SarahState,
+    batch_gradient,
     largest_divisor_at_most,
 )
-from .model import (
-    H_rows_at,
-    LL1Factors,
-    RankVector,
-    build_H,
-    full_gradient,
-    gradient_from_rows,
-    lipschitz_bound,
-    objective,
-)
+from .model import LL1Factors, RankVector, build_H, lipschitz_bound, objective
 from .prox import NONNEG, Regularizer, prox
-from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count, unfold
+from .tensor import DenseTensor3, row_count, unfold
 
 
 class SolverAbort(RuntimeError):
     """Raised when an update produces non-finite entries, when the
     reconstruction of finite iterates overflows, or when a step c/L_n cannot
-    be formed because the mode's Lipschitz bound is zero."""
+    be formed because the mode's Lipschitz bound is zero or overflows."""
 
     def __init__(self, iteration: int, mode: int, reason: str | None = None):
         super().__init__(
@@ -282,8 +274,8 @@ def run(
     iterate that starts the epoch (evaluated inside the loop, after the
     first clock call).  `step_rule="inverse_lipschitz"` takes 1/L at each
     step's gradient point instead and never evaluates the per-epoch bounds.
-    A zero bound raises `SolverAbort`, as do non-finite iterates and, at an
-    epoch's end, finite iterates whose reconstruction overflows.
+    A zero or infinite bound raises `SolverAbort`, as do non-finite iterates
+    and, at an epoch's end, finite iterates whose reconstruction overflows.
     """
     clock = clock or time.perf_counter
     dims = tensor.dims
@@ -293,25 +285,21 @@ def run(
         raise ValueError(f"init factor dims {factors.dims} do not match tensor {dims}")
     batches = effective_batches(config, dims)
     jn = {n: row_count(dims, n) for n in (1, 2, 3)}
-    iters_per_epoch = sum(math.ceil(jn[n] / batches[n]) for n in (1, 2, 3))
+    iters_per_mode = {n: math.ceil(jn[n] / batches[n]) for n in (1, 2, 3)}
+    iters_per_epoch = sum(iters_per_mode.values())
     estimator = config.estimator
+    sarah = estimator == "sarah"
 
     state = None
     if estimator == "saga":
         state = SagaState.warm_start(factors, tensor, batches)
         n_bins = np.array([0] + [state.n_bins(n) for n in (1, 2, 3)])
-    elif estimator == "sarah":
-        q = {
-            n: config.sarah_q if config.sarah_q > 0 else math.ceil(jn[n] / batches[n])
-            for n in (1, 2, 3)
-        }
-        state = SarahState(q=q)
+    elif sarah:  # sarah_q = 0: one epoch's worth of mode-n updates
+        state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
 
     # the last t steps A^{j+1} - A^j of each mode, newest first
     steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
-    needs_point = {n: lipschitz_steps or estimator == "sarah"
-                   or (estimator == "sgd" and batches[n] == jn[n]) for n in (1, 2, 3)}
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
 
@@ -339,30 +327,18 @@ def run(
             base = factors.factor(n)
             y_anchor = extrapolate(base, steps[n], coef_a[i:i + config.t][::-1])
             u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
-            # H_n comes from the other factors, so SAGA and batch SGD take
-            # the gradient point as its A_n alone; SARAH, full-batch SGD and
-            # 1/L steps take the whole point
-            factors_u = factors.replaced(n, u_eval) if needs_point[n] else None
 
-            eta = 1.0 / _lipschitz(factors_u, k, n) if lipschitz_steps else mode_eta[n]
+            # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
+            # and L_n come from the other factors, so they are those of `factors`
+            eta = 1.0 / _lipschitz(factors, k, n) if lipschitz_steps else mode_eta[n]
             epoch_eta[n] = eta
 
             if estimator == "saga":
                 g = state.estimate(factors, tensor, n, bin_ids[i], u_eval)
-            elif estimator == "sgd" and batches[n] == jn[n]:
-                # bitwise equal to sgd_estimate on every fiber, without the batch gather
-                g = full_gradient(factors_u, tensor, n)
             else:
-                if batches[n] == jn[n]:
-                    idx = np.arange(jn[n])
-                else:
-                    idx = rng_fiber.choice(jn[n], size=batches[n], replace=False)
-                if estimator == "sarah":
-                    g = state.estimate(factors_u, tensor, n, idx)
-                else:
-                    a, b = fiber_coordinates(dims, n, idx)
-                    g = gradient_from_rows(u_eval, H_rows_at(factors, n, a, b),
-                                           fiber_rows_at(tensor, n, a, b))
+                idx = (None if batches[n] == jn[n]
+                       else rng_fiber.choice(jn[n], size=batches[n], replace=False))
+                g = (state.estimate if sarah else batch_gradient)(factors, tensor, n, idx, u_eval)
 
             a_new = prox(config.reg, y_anchor - eta * g, eta)
             d = a_new - base
@@ -401,10 +377,13 @@ def _draw_bins(n_bins: np.ndarray, rng: np.random.Generator) -> list[int]:
 
 
 def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:
-    """`lipschitz_bound(factors, n)`; `SolverAbort` at iteration k if it is zero."""
+    """`lipschitz_bound(factors, n)`; `SolverAbort` at iteration k if zero or inf."""
     lip = lipschitz_bound(factors, n)
-    if lip > 0.0:
+    if 0.0 < lip < math.inf:
         return lip
+    if lip == math.inf:
+        raise SolverAbort(k, n, f"Lipschitz bound of mode {n} overflows at iteration {k}: "
+                          "the factors diverged")
     zero = [f"A{m}" for m in (1, 2, 3) if m != n and not factors.factor(m).any()]
     raise SolverAbort(k, n, f"Lipschitz bound of mode {n} is zero at iteration {k}: "
                       f"{' and '.join(zero) or 'a factor block'} collapsed to zero, "

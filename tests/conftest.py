@@ -152,8 +152,8 @@ def run_reference(config, tensor):
             epoch_steps = {}
             for n in (1, 2, 3):
                 lip = lipschitz_bound(factors, n)
-                if lip <= 0.0:
-                    raise SolverAbort(k, n, "zero Lipschitz bound")
+                if not 0.0 < lip < math.inf:
+                    raise SolverAbort(k, n, "zero or overflowing Lipschitz bound")
                 epoch_steps[n] = STEP_SCALE / lip
         counts = [0, 0, 0]
         last_eta = [None, None, None]
@@ -173,8 +173,8 @@ def run_reference(config, tensor):
 
             if config.step_rule == "inverse_lipschitz":
                 lip = lipschitz_bound(factors_u, n)
-                if lip <= 0.0:
-                    raise SolverAbort(k, n, "zero Lipschitz bound")
+                if not 0.0 < lip < math.inf:
+                    raise SolverAbort(k, n, "zero or overflowing Lipschitz bound")
                 eta = 1.0 / lip
             elif config.eta is None:
                 eta = epoch_steps[n]

@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from midasll1 import estimators, solver
+from midasll1 import estimators
 from midasll1.estimators import (
     SagaState,
     SarahState,
+    batch_gradient,
     estimator_mse_probe,
-    fiber_gradient,
     largest_divisor_at_most,
     sgd_estimate,
 )
@@ -179,6 +179,53 @@ def test_sarah_counter_wraps_to_restart():
     np.testing.assert_array_equal(g, full_gradient(f2, t, mode))
 
 
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_gradients_with_a_new_factor_are_the_gradients_at_that_point(mode):
+    """`batch_gradient` (a batch, and every fiber) and SARAH (a restart and
+    the steps after it) given `factors` plus a new A_mode have the bits of
+    the same call at the point with A_mode replaced."""
+    f, t = make_problem(seed=20)
+    jn = row_count(t.dims, mode)
+    by_point, by_factor = SarahState(q={mode: 3}), SarahState(q={mode: 3})
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
+        point = f.with_factor(mode, a_mode)
+        for idx in (rng.choice(jn, size=3, replace=False), None):
+            g_factor = batch_gradient(f, t, mode, idx, a_mode)
+            assert g_factor.tobytes() == batch_gradient(point, t, mode, idx).tobytes()
+            g_factor = by_factor.estimate(f, t, mode, idx, a_mode)
+            assert g_factor.tobytes() == by_point.estimate(point, t, mode, idx).tobytes()
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
+    """A SARAH restart gathers nothing (it takes the full gradient); a step
+    between restarts gathers its batch's rows once for both points, and with
+    every fiber (`idx` None) gathers all of them, with the bits of passing
+    `np.arange(J_n)`."""
+    f, t = make_problem(seed=22)
+    jn = row_count(t.dims, mode)
+    gathered = []
+
+    def counting(t, mode, a, b):
+        gathered.append(a.size)
+        return fiber_rows_at(t, mode, a, b)
+
+    monkeypatch.setattr(estimators, "fiber_rows_at", counting)
+    a_mode = 0.5 * f.factor(mode)
+    for idx in (np.array([4, 0, 7]), None):
+        st = SarahState(q={mode: 3})
+        st.estimate(f, t, mode, idx)
+        assert gathered == []
+        twin = copy.deepcopy(st)
+        v = st.estimate(f, t, mode, idx, a_mode)
+        assert gathered == [3 if idx is not None else jn]
+        want = twin.estimate(f, t, mode, np.arange(jn) if idx is None else idx, a_mode)
+        assert v.tobytes() == want.tobytes()
+        gathered.clear()
+
+
 def test_probe_zero_mse_for_full_batch_sgd():
     f, t = make_problem(seed=14)
     mode = 1
@@ -214,10 +261,10 @@ def test_probe_does_not_mutate_state():
     estimator_mse_probe("sarah", sarah, point, t, mode, 4, 5, np.random.default_rng(3))
     assert sarah.counter == before.counter == {mode: 3}
     np.testing.assert_array_equal(sarah.v[mode], before.v[mode])
+    (prev, prev_a), (before_prev, before_a) = sarah.prev_point[mode], before.prev_point[mode]
+    np.testing.assert_array_equal(prev_a, before_a)
     for n in (1, 2, 3):
-        np.testing.assert_array_equal(
-            sarah.prev_point[mode].factor(n), before.prev_point[mode].factor(n)
-        )
+        np.testing.assert_array_equal(prev.factor(n), before_prev.factor(n))
 
 
 def test_probe_returns_draws():
@@ -242,7 +289,7 @@ def test_probe_rejects_bad_args():
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatch):
     """The batched warm start fills every table entry with the bits of
-    `fiber_gradient` on that bin's gathered rows, for one fiber per bin, a
+    `batch_gradient` on that bin's gathered rows, for one fiber per bin, a
     middle bin size and a single bin, and chunks of one bin, of a few bins
     and of the default bound."""
     if chunk_bytes is not None:
@@ -252,8 +299,7 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
     for b in (1, largest_divisor_at_most(jn, jn // 3), jn):
         st = SagaState.warm_start(f, t, {mode: b})
         for i, idx in enumerate(np.arange(jn).reshape(-1, b)):
-            a, c = fiber_coordinates(t.dims, mode, idx)
-            g = fiber_gradient(f, mode, a, c, fiber_rows_at(t, mode, a, c))
+            g = batch_gradient(f, t, mode, idx)
             assert st.table[mode][i].tobytes() == g.tobytes()
         grads = st.table[mode]
         in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
@@ -284,15 +330,14 @@ STRADDLING_BATCHES = {1: 4, 2: 4, 3: 7}
 
 def _record_rows(monkeypatch):
     """The rows `x` of every `gradient_from_rows` call made by the
-    estimators and the solver loop, in call order."""
+    estimators (the solver loop's batch gradients among them), in call order."""
     seen = []
 
     def recording(a, h, x):
         seen.append(x)
         return gradient_from_rows(a, h, x)
 
-    for module in (estimators, solver):
-        monkeypatch.setattr(module, "gradient_from_rows", recording)
+    monkeypatch.setattr(estimators, "gradient_from_rows", recording)
     return seen
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -317,6 +318,35 @@ def test_H_rows_at_gathers_like_fancy_indexing(mode):
                  (np.arange(fast), np.arange(slow)[:, None])):
         got, want = H_rows_at(f, mode, a, b), fancy(a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_mode_n_kernels_never_read_a_n(mode):
+    """The mode-n H rows, H_n, its Gram and L_n come from the other two
+    factors: filling A_n with NaNs leaves their bits as they are.  The
+    solver relies on this to pass a gradient point as `factors` plus A_n."""
+    f = random_factors(np.random.default_rng(17), (5, 7, 4), (2, 1))
+    nan = f.with_factor(mode, np.full_like(f.factor(mode), np.nan))
+    batch = np.random.default_rng(18).choice(row_count(f.dims, mode), size=6, replace=False)
+    a, b = fiber_coordinates(f.dims, mode, batch)
+    assert H_rows_at(nan, mode, a, b).tobytes() == H_rows_at(f, mode, a, b).tobytes()
+    for kernel in (build_H, gram_H):
+        assert kernel(nan, mode).tobytes() == kernel(f, mode).tobytes()
+    assert lipschitz_bound(nan, mode) == lipschitz_bound(f, mode)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lipschitz_bound_is_inf_when_not_finite():
+    """One huge or non-finite entry of A1 makes the power iterate (1e78) or
+    the Gram (1e200, inf, nan) of modes 2 and 3 non-finite: their bound is
+    inf, not the 0 or NaN of a collapsed iteration, and mode 1's is as it was."""
+    f = random_factors(np.random.default_rng(19), (5, 4, 3), (2, 2))
+    for bad in (1e78, 1e200, np.inf, np.nan):
+        a1 = f.A1.copy()
+        a1[0, 0] = bad
+        g = f.with_factor(1, a1)
+        assert lipschitz_bound(g, 2) == lipschitz_bound(g, 3) == math.inf
+        assert lipschitz_bound(g, 1) == lipschitz_bound(f, 1)
 
 
 @pytest.mark.parametrize("L", [

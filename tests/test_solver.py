@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import palm_reference, run_reference
-from midasll1.model import LL1Factors, RankVector, objective, reconstruct
+from midasll1.model import LL1Factors, RankVector, lipschitz_bound, objective, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
     STEP_SCALE,
@@ -182,6 +182,7 @@ REFERENCE_CASES = [
     {"estimator": "sarah", "sarah_q": 3, "B": 5},
     {"estimator": "saga", "B": 10**6},
     {"estimator": "sgd", "B": 10**6, "mode_policy": "cyclic", "t": 2},
+    {"estimator": "sarah", "B": 10**6},
     # a zero inertial scale: `extrapolate` returns the iterate itself
     {"estimator": "saga", "alpha0": 0.0},
     {"estimator": "sgd", "beta0": 0.0},
@@ -210,9 +211,14 @@ def test_run_matches_reference(case):
         assert getattr(trm, column) == getattr(ref, column), column
 
 
-def test_saga_step_builds_one_point(monkeypatch):
-    """A default SAGA step builds one `LL1Factors`, the new iterate: the
-    gradient point is passed as its new factor alone."""
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+@pytest.mark.parametrize(
+    "variant", [{}, {"B": 10**6}, {"step_rule": "inverse_lipschitz", "reg": NONE}],
+    ids=["default", "full-batch", "inverse-lipschitz"])
+def test_step_builds_one_point(estimator, variant, monkeypatch):
+    """Every step builds one `LL1Factors`, the new iterate: the gradient
+    point is passed as its new factor alone, also to SARAH, to a full batch
+    and to the 1/L step."""
     calls = []
     replaced = LL1Factors.replaced
 
@@ -221,7 +227,8 @@ def test_saga_step_builds_one_point(monkeypatch):
         return replaced(self, mode, a)
 
     monkeypatch.setattr(LL1Factors, "replaced", counting)
-    _, trace = run(SolverConfig(ranks=RankVector((2, 1)), epochs=3, seed=2), small_tensor())
+    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, epochs=3, seed=2, **variant)
+    _, trace = run(cfg, small_tensor())
     assert len(calls) == trace.iteration[-1]
 
 
@@ -250,6 +257,27 @@ def test_overflowing_reconstruction_is_a_solver_abort():
     with pytest.raises(SolverAbort) as ref:
         run_reference(cfg, t)
     with pytest.raises(SolverAbort, match="the reconstruction overflows") as got:
+        run(cfg, t)
+    assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("step_rule", ["schedule", "inverse_lipschitz"])
+def test_overflowing_lipschitz_bound_is_a_solver_abort(step_rule):
+    """Factors too large for their Gram (a uniform start times 1e80) have a
+    Lipschitz bound that overflows on every mode: `lipschitz_bound` is inf,
+    and the run aborts naming the overflow, not a collapsed factor, at the
+    iteration and mode of the reference loop."""
+    t = small_tensor()
+    rk = RankVector((2, 1))
+    start = init_factors(SolverConfig(ranks=rk), t.dims, rng_streams(0)["init"])
+    big = LL1Factors(1e80 * start.A1, 1e80 * start.A2, 1e80 * start.A3, rk)
+    assert [lipschitz_bound(big, n) for n in (1, 2, 3)] == [math.inf] * 3
+    cfg = SolverConfig(ranks=rk, init=big, epochs=3, step_rule=step_rule)
+    with pytest.raises(SolverAbort) as ref:
+        run_reference(cfg, t)
+    with pytest.raises(SolverAbort, match=r"Lipschitz bound of mode \d overflows at iteration 0: "
+                       "the factors diverged") as got:
         run(cfg, t)
     assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
 
