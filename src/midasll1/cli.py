@@ -9,6 +9,7 @@ Environment:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -33,6 +34,20 @@ EXIT_PARSE = 2
 EXIT_NAN_ABORT = 3
 
 
+class InputError(Exception):
+    """A command's inputs (files, flags, config) could not be read or parsed."""
+
+
+@contextlib.contextmanager
+def _reading_inputs():
+    """Re-raise a failure to read or parse inputs as an `InputError` (exit 2);
+    `FormatError` and `ConfigError` are `ValueError`s."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _make_clock():
     if os.environ.get("MIDAS_VIRTUAL_CLOCK") == "1":
         counter = itertools.count()
@@ -40,20 +55,21 @@ def _make_clock():
     return time.perf_counter
 
 
-def _blank_or_repr(v) -> str:
-    return "" if v is None else repr(v)
+def _write_csv(fh, header: str, rows):
+    """The comma-separated `header` and `rows` of Python values to `fh`: a float
+    is written as its repr, None as an empty field, and a field with a comma
+    (a failure message) is quoted."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
 
 
 def _write_trace(path: Path, trace):
+    columns = zip(trace.epoch, trace.iteration, trace.phi, trace.f, trace.elapsed_s,
+                  trace.step_norm, trace.step_sizes, trace.mode_counts)
     with open(path, "w", newline="") as fh:
-        fh.write("epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3,n_1,n_2,n_3\n")
-        for i in range(len(trace)):
-            etas = ",".join(map(_blank_or_repr, trace.step_sizes[i]))
-            counts = ",".join(map(str, trace.mode_counts[i]))
-            fh.write(
-                f"{trace.epoch[i]},{trace.iteration[i]},{trace.phi[i]!r},"
-                f"{trace.f[i]!r},{trace.elapsed_s[i]!r},{trace.step_norm[i]!r},{etas},{counts}\n"
-            )
+        _write_csv(fh, "epoch,iter,phi,f,elapsed_s,step_norm,eta_1,eta_2,eta_3,n_1,n_2,n_3",
+                   ((*head, *etas, *counts) for *head, etas, counts in columns))
 
 
 def _write_factors(out: Path, factors: LL1Factors):
@@ -94,22 +110,15 @@ def _solve_into(out: Path, solve, cfg, tensor: DenseTensor3, clock):
 
 
 def cmd_decompose(args) -> int:
-    try:
+    with _reading_inputs():
         tensor = _load_tensor(args.tensor)
         cfg = cfgmod.parse_config(Path(args.config).read_text())
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except (tensorfile.FormatError, cfgmod.ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(cfgmod.serialize_config(cfg))
-    try:
-        _solve_into(out, run, cfg, tensor, _make_clock())
-    except SolverAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAN_ABORT
+    _solve_into(out, run, cfg, tensor, _make_clock())
     return EXIT_OK
 
 
@@ -149,11 +158,8 @@ def _synth_inputs(args):
 
 
 def cmd_synth(args) -> int:
-    try:
+    with _reading_inputs():
         dims, ranks, snr = _synth_inputs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     tensor, truth = generate(dims, ranks, snr, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -166,22 +172,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    try:
+    with _reading_inputs():
         tensor = _load_tensor(args.tensor)
         factors = _read_factors(Path(args.factors))
-    except (tensorfile.FormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if factors.dims != tensor.dims:
-        print(
-            f"error: factor dims {factors.dims} do not match tensor {tensor.dims}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+    if factors.dims != tensor.dims:  # both inputs read but do not fit: exit 1, not 2
+        raise ValueError(f"factor dims {factors.dims} do not match tensor {tensor.dims}")
     rep = metricsmod.report(tensor, reconstruct(factors))
     if args.csv:
-        print("psnr_db,rmse,sam_rad,cc")
-        print(f"{rep.psnr!r},{rep.rmse!r},{rep.sam!r},{rep.cc!r}")
+        _write_csv(sys.stdout, "psnr_db,rmse,sam_rad,cc", [(rep.psnr, rep.rmse, rep.sam, rep.cc)])
     else:
         print(metricsmod.format_report(rep))
     return EXIT_OK
@@ -236,12 +234,9 @@ _BASELINES = {"palm": palm_baseline, "alsmu": als_mu_baseline}
 
 
 def cmd_bench(args) -> int:
-    try:
+    with _reading_inputs():
         tensor = _load_tensor(args.tensor)
         cells = _parse_grid(Path(args.grid).read_text())
-    except (tensorfile.FormatError, cfgmod.ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clock = _make_clock()
@@ -253,7 +248,7 @@ def cmd_bench(args) -> int:
         try:
             trace, rep = _solve_into(cell_dir, solve, cfg, tensor, clock)
         except Exception as exc:  # per-cell failures must not kill the grid
-            rows.append((cell, "", "", "", "", f"failed: {exc}", "", "", ""))
+            rows.append((cell, None, None, None, None, f"failed: {exc}", None, None, None))
             print(f"cell {cell} failed: {exc}", file=sys.stderr)
             continue
         wall = time.perf_counter() - start
@@ -261,15 +256,12 @@ def cmd_bench(args) -> int:
         final_phi = trace.phi[-1] if len(trace) else None
         iters = trace.iteration[-1] if len(trace) else 0
         # loop time (first clock call to the last epoch's end) per iteration
-        us_per_iter = repr(1e6 * trace.elapsed_s[-1] / iters) if iters else ""
-        rows.append((cell, _blank_or_repr(final_f), _blank_or_repr(final_phi), repr(rep.psnr),
-                     repr(wall), "ok", len(trace), iters, us_per_iter))
+        us_per_iter = 1e6 * trace.elapsed_s[-1] / iters if iters else None
+        rows.append((cell, final_f, final_phi, rep.psnr, wall, "ok", len(trace), iters,
+                     us_per_iter))
     with open(out / "summary.csv", "w", newline="") as fh:
-        # csv quoting keeps a failure message with a comma in its one field
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("cell", "final_f", "final_phi", "psnr_db", "wall_s", "status",
-                         "epochs", "iterations", "us_per_iter"))
-        writer.writerows(rows)
+        _write_csv(fh, "cell,final_f,final_phi,psnr_db,wall_s,status,epochs,iterations,"
+                   "us_per_iter", rows)
     return EXIT_OK
 
 
@@ -310,17 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the cap itself was applied when the package was imported (midasll1/__init__.py)
-    raw_cap = os.environ.get("MIDAS_THREADS")
-    if raw_cap and _thread_cap(raw_cap) is None:
-        print(f"error: MIDAS_THREADS must be a positive integer, got {raw_cap!r}", file=sys.stderr)
-        return EXIT_PARSE
-    args = build_parser().parse_args(argv)
+    """Run a command; the one place a failure becomes its `error:` line and
+    exit code: `InputError` 2, `SolverAbort` 3, anything else 1."""
     try:
+        # the cap itself was applied when the package was imported (midasll1/__init__.py)
+        raw_cap = os.environ.get("MIDAS_THREADS")
+        if raw_cap and _thread_cap(raw_cap) is None:
+            raise InputError(f"MIDAS_THREADS must be a positive integer, got {raw_cap!r}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        if isinstance(exc, InputError):
+            return EXIT_PARSE
+        return EXIT_NAN_ABORT if isinstance(exc, SolverAbort) else EXIT_ERROR
 
 
 if __name__ == "__main__":

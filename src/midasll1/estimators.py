@@ -127,6 +127,16 @@ class SagaState:
     def n_bins(self, mode: int) -> int:
         return len(self.table[mode])
 
+    def draw(self, modes: list[int], rng: np.random.Generator) -> list[int]:
+        """A bin for each step of `modes`: one draw of `rng.integers(n_bins(mode))`
+        per step whose mode has more than one bin (0 otherwise), made in one call."""
+        counts = np.array([0] + [self.n_bins(m) for m in (1, 2, 3)])[modes]
+        ids = np.zeros(counts.size, dtype=np.intp)
+        many = counts > 1
+        if many.any():
+            ids[many] = rng.integers(counts[many])
+        return ids.tolist()
+
     def estimate(
         self,
         factors: LL1Factors,

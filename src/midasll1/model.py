@@ -22,6 +22,14 @@ from .prox import Regularizer, penalty_value
 from .tensor import DenseTensor3, _check_mode, unfold_contiguous
 
 
+def checked_int(v, what: str) -> int:
+    """`v` as an `int` when it is a Python or numpy integer; a bool, a float or
+    anything else raises ValueError(f"{what}, got {v!r}")."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what}, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class RankVector:
     """Block widths [L_1, ..., L_R] of the paired spatial factors."""
@@ -29,11 +37,7 @@ class RankVector:
     L: tuple[int, ...]
 
     def __post_init__(self):
-        L = tuple(self.L)
-        for v in L:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"rank widths must be integers, got {v!r}")
-        L = tuple(int(v) for v in L)
+        L = tuple(checked_int(v, "rank widths must be integers") for v in self.L)
         if len(L) == 0 or any(v < 1 for v in L):
             raise ValueError(f"ranks must be a nonempty list of positive ints, got {self.L}")
         object.__setattr__(self, "L", L)

@@ -30,7 +30,7 @@ from .estimators import (
     batch_gradient,
     largest_divisor_at_most,
 )
-from .model import LL1Factors, RankVector, build_H, lipschitz_bound, objective
+from .model import LL1Factors, RankVector, build_H, checked_int, lipschitz_bound, objective
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3, row_count, unfold
 
@@ -91,6 +91,8 @@ class SolverConfig:
             isinstance(self.init, LL1Factors) and self.init.ranks == self.ranks
         ):
             raise ValueError(f"init must be None or an LL1Factors of ranks {self.ranks.L}")
+        for name in ("t", "B", "epochs", "seed", "sarah_q"):
+            setattr(self, name, checked_int(getattr(self, name), f"{name} must be an integer"))
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.t < 0:
@@ -287,15 +289,14 @@ def run(
     jn = {n: row_count(dims, n) for n in (1, 2, 3)}
     iters_per_mode = {n: math.ceil(jn[n] / batches[n]) for n in (1, 2, 3)}
     iters_per_epoch = sum(iters_per_mode.values())
-    estimator = config.estimator
-    sarah = estimator == "sarah"
+    saga = config.estimator == "saga"
 
     state = None
-    if estimator == "saga":
+    if saga:
         state = SagaState.warm_start(factors, tensor, batches)
-        n_bins = np.array([0] + [state.n_bins(n) for n in (1, 2, 3)])
-    elif sarah:  # sarah_q = 0: one epoch's worth of mode-n updates
+    elif config.estimator == "sarah":  # sarah_q = 0: one epoch's worth of mode-n updates
         state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
+    estimate = batch_gradient if state is None else state.estimate
 
     # the last t steps A^{j+1} - A^j of each mode, newest first
     steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
@@ -316,14 +317,19 @@ def run(
             modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
         else:
             modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
-        if estimator == "saga":
-            bin_ids = _draw_bins(n_bins[modes], rng_fiber)
+        # each step's bin (SAGA) or fibers (None: all of them), in step order;
+        # fibers are drawn as their step comes
+        if saga:
+            picks = state.draw(modes, rng_fiber)
+        else:
+            picks = (None if batches[n] == jn[n]
+                     else rng_fiber.choice(jn[n], size=batches[n], replace=False) for n in modes)
         # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j,
         # so step i's lags 1..t are entries i + t - 1 down to i
         ks = range(k + 1 - config.t, k + iters_per_epoch)
         coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]
         coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
-        for i, n in enumerate(modes):
+        for i, (n, pick) in enumerate(zip(modes, picks)):
             base = factors.factor(n)
             y_anchor = extrapolate(base, steps[n], coef_a[i:i + config.t][::-1])
             u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
@@ -333,13 +339,7 @@ def run(
             eta = 1.0 / _lipschitz(factors, k, n) if lipschitz_steps else mode_eta[n]
             epoch_eta[n] = eta
 
-            if estimator == "saga":
-                g = state.estimate(factors, tensor, n, bin_ids[i], u_eval)
-            else:
-                idx = (None if batches[n] == jn[n]
-                       else rng_fiber.choice(jn[n], size=batches[n], replace=False))
-                g = (state.estimate if sarah else batch_gradient)(factors, tensor, n, idx, u_eval)
-
+            g = estimate(factors, tensor, n, pick, u_eval)
             a_new = prox(config.reg, y_anchor - eta * g, eta)
             d = a_new - base
             # a non-finite entry of a_new makes the sum non-finite, so only then look
@@ -364,16 +364,6 @@ def run(
         if obj.phi < config.abs_tol:
             break
     return factors, trace
-
-
-def _draw_bins(n_bins: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """A SAGA bin per step, given each step's bin count: one draw of
-    `integers(n)` for each step with n > 1 (0 otherwise), made in one call."""
-    ids = np.zeros(n_bins.size, dtype=np.intp)
-    many = n_bins > 1
-    if many.any():
-        ids[many] = rng.integers(n_bins[many])
-    return ids.tolist()
 
 
 def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:

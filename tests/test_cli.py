@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midasll1 import tensorfile
+from midasll1 import cli, tensorfile
 from midasll1.cli import (
     EXIT_ERROR,
     EXIT_NAN_ABORT,
@@ -461,9 +461,12 @@ def test_metrics_dim_mismatch(tmp_path, capsys):
     b = tmp_path / "b.dten"
     main(["synth", "--dims", "4,4,4", "--ranks", "2", "--out", str(a)])
     main(["synth", "--dims", "5,4,4", "--ranks", "2", "--out", str(b)])
+    capsys.readouterr()
     rc = main(["metrics", "--tensor", str(b),
                "--factors", str(tmp_path / "a.dten.truth")])
     assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: factor dims (4, 4, 4) do not match tensor (5, 4, 4)\n"
 
 
 def test_bench_grid(tmp_path, tensor_file, monkeypatch):
@@ -574,9 +577,22 @@ def test_bench_grid_errors_name_the_file_line(tmp_path, tensor_file, capsys, tex
     assert message in capsys.readouterr().err
 
 
-def test_main_unknown_error_is_exit_error(tmp_path, tensor_file):
+def test_main_missing_factors_is_parse_error(tmp_path, tensor_file):
     path, _ = tensor_file
-    # factors directory missing entirely -> generic error path
+    # a missing factors directory is an input that cannot be read
     rc = main(["metrics", "--tensor", str(path),
                "--factors", str(tmp_path / "nope")])
-    assert rc in (EXIT_PARSE, EXIT_ERROR)
+    assert rc == EXIT_PARSE
+
+
+def test_main_unknown_error_is_exit_error(tmp_path, tensor_file, monkeypatch, capsys):
+    path, _ = tensor_file
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", boom)
+    rc = main(["decompose", "--tensor", str(path), "--config", str(write_config(tmp_path)),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err == "error: boom\n"

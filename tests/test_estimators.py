@@ -75,6 +75,20 @@ def saga_for(f, t, mode, b):
     return SagaState.warm_start(f, t, {mode: b})
 
 
+def test_saga_draw_is_one_integers_draw_per_multi_bin_step():
+    f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
+    st = SagaState.warm_start(f, t, {1: 5, 2: 12, 3: 4})  # 3, 1 and 5 bins
+    modes = np.random.default_rng(1).integers(1, 4, size=200).tolist()
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    ids = st.draw(modes, rng)
+    assert ids == [int(ref.integers(st.n_bins(n))) if n != 2 else 0 for n in modes]
+    assert all(type(i) is int for i in ids)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # steps on a single-bin mode take bin 0 without consuming the generator
+    assert st.draw([2] * 50, rng) == [0] * 50
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_saga_estimate_at_anchor_is_exact(mode):
     """Fresh and stored bin gradients cancel at the warm-start point, so the

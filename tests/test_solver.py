@@ -108,6 +108,26 @@ def test_config_validation():
     for bad_init in ("zeros", "uniform", other, other.A1):
         with pytest.raises(ValueError, match="init must be None or an LL1Factors"):
             SolverConfig(ranks=RankVector((2, 1)), init=bad_init)
+    # the integer fields take Python or numpy integers, stored as int, and
+    # reject a bool or a float by name (as RankVector does its widths)
+    for name in ("t", "B", "epochs", "seed", "sarah_q"):
+        cfg = SolverConfig(ranks=rk, **{name: np.int64(2)})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+        for bad in (True, 2.0, 1.5, "2", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                SolverConfig(ranks=rk, **{name: bad})
+
+
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_numpy_integer_config_runs_as_plain_ints(estimator):
+    t = small_tensor()
+    plain = dict(t=2, B=5, epochs=3, seed=4, sarah_q=2)
+    fa, tra = run(SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, **plain), t)
+    fb, trb = run(SolverConfig(ranks=RankVector((2, 1)), estimator=estimator,
+                               **{k: np.int64(v) for k, v in plain.items()}), t)
+    for n in (1, 2, 3):
+        np.testing.assert_array_equal(fa.factor(n), fb.factor(n))
+    assert tra.phi == trb.phi and tra.step_sizes == trb.step_sizes
 
 
 def test_default_batch_size_is_twice_max_block():

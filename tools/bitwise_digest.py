@@ -1,0 +1,229 @@
+"""One SHA-256 digest over the bits a refactor must keep.
+
+    python tools/bitwise_digest.py [--quick]
+
+It covers the factors and the epoch, iteration, phi, f, step_norm,
+step_sizes and mode_counts traces of `run` for each estimator, inertial
+depth and step/batch variant on a few shapes; `palm_baseline` and
+`als_mu_baseline` on |X|; the iteration, mode and message of every abort;
+the files `decompose`, `bench`, `synth` and `metrics --csv` write under
+MIDAS_VIRTUAL_CLOCK=1 (without bench's `wall_s` column); and the exit code
+and stderr of each class of CLI failure.  Elapsed times are left out, so
+two trees that compute the same bits print the same digest.  Run it at two
+commits (copy this file into the other checkout) to check that a change
+keeps every bit.  `--quick` is a subset that takes about a second.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from midasll1 import cli  # noqa: E402
+from midasll1.model import LL1Factors, RankVector  # noqa: E402
+from midasll1.prox import Regularizer  # noqa: E402
+from midasll1.solver import (  # noqa: E402
+    SolverAbort,
+    SolverConfig,
+    als_mu_baseline,
+    palm_baseline,
+    run,
+)
+from midasll1.synth import generate  # noqa: E402
+from midasll1.tensor import DenseTensor3  # noqa: E402
+
+# (dims, ranks) of the solver runs: I2 = 7 makes SAGA's mode-1 bins straddle
+# an i3 boundary, and (9, 3, 1) has a block as wide as I1 and one of width 1
+SHAPES = [((5, 7, 4), (2, 1)), ((9, 8, 7), (9, 3, 1)), ((12, 12, 12), (2, 2)),
+          ((6, 10, 8), (1, 2, 2))]
+VARIANTS = {
+    "default": {},
+    "full-batch": {"B": 10**6},
+    "inverse-lipschitz": {"step_rule": "inverse_lipschitz", "reg": Regularizer("none")},
+    "eta": {"eta": 0.05},
+    "cyclic-ridge": {"mode_policy": "cyclic", "reg": Regularizer("ridge", 1e-4)},
+    "sarah-q3-B5": {"sarah_q": 3, "B": 5},
+}
+ESTIMATORS = ("sgd", "saga", "sarah")
+DEPTHS = (0, 1, 3)
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+        self.counts = {"runs": 0, "aborts": 0, "cli": 0}
+
+    def add(self, label: str, value):
+        self.h.update(label.encode() + b"\0")
+        if isinstance(value, np.ndarray):
+            self.h.update(f"{value.dtype}{value.shape}".encode())
+            self.h.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, bytes):
+            self.h.update(value)
+        else:  # repr of a float is exact; tuples and lists of floats too
+            self.h.update(repr(value).encode())
+
+    def solve(self, label: str, solve, cfg, tensor):
+        """The factors and traces of `solve(cfg, tensor)`, or its abort."""
+        self.counts["runs"] += 1
+        try:
+            with np.errstate(all="ignore"):  # aborts overflow on the way
+                factors, trace = solve(cfg, tensor, clock=lambda: 0.0)
+        except SolverAbort as exc:
+            self.counts["aborts"] += 1
+            self.add(label + "/abort", (exc.iteration, exc.mode, str(exc)))
+            return
+        for name in ("A1", "A2", "A3"):
+            self.add(f"{label}/{name}", getattr(factors, name))
+        for name in ("epoch", "iteration", "phi", "f", "step_norm", "step_sizes", "mode_counts"):
+            self.add(f"{label}/{name}", getattr(trace, name))
+
+
+def solver_runs(d: Digest, quick: bool):
+    shapes = SHAPES[:1] if quick else SHAPES
+    variants = dict(list(VARIANTS.items())[:2]) if quick else VARIANTS
+    depths = (0, 3) if quick else DEPTHS
+    epochs = 2 if quick else 5
+    for i, (dims, widths) in enumerate(shapes):
+        ranks = RankVector(widths)
+        tensor, _ = generate(dims, ranks, 20.0, 100 + i)
+        base = SolverConfig(ranks=ranks, epochs=epochs, seed=7 + i, abs_tol=0.0)
+        for est in ESTIMATORS:
+            for t in depths:
+                for name, kw in variants.items():
+                    cfg = replace(base, estimator=est, t=t, **kw)
+                    d.solve(f"{dims}/{est}/t{t}/{name}", run, cfg, tensor)
+        nonneg = DenseTensor3(np.abs(tensor.array))
+        d.solve(f"{dims}/palm", palm_baseline, base, nonneg)
+        d.solve(f"{dims}/als-mu", als_mu_baseline, base, nonneg)
+        # aborts: an infeasible step, a zero block (L = 0) and an overflowing start
+        start = LL1Factors(np.ones((dims[0], ranks.total)), np.ones((dims[1], ranks.total)),
+                           np.ones((dims[2], ranks.R)), ranks)
+        aborts = {
+            "eta-1e8": {"eta": 1e8},
+            "zero-A3": {"init": replace(start, A3=np.zeros((dims[2], ranks.R)))},
+            "start-1e80": {"init": replace(start, A1=start.A1 * 1e80)},
+        }
+        for est in ESTIMATORS:
+            for name, kw in list(aborts.items())[: 1 if quick else None]:
+                d.solve(f"{dims}/{est}/abort-{name}", run, replace(base, estimator=est, **kw),
+                        tensor)
+
+
+def call_cli(d: Digest, label: str, argv, tmp: str):
+    """main(argv)'s exit code, stdout and stderr, with `tmp` written as <tmp>."""
+    out, err = io.StringIO(), io.StringIO()
+    # numpy's overflow warnings name source lines, which a change may move
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        rc = cli.main(argv)
+    d.counts["cli"] += 1
+    d.add(label, (rc, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")))
+
+
+def add_files(d: Digest, label: str, folder: Path):
+    for path in sorted(p for p in folder.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "summary.csv":  # drop wall_s, the fifth field; none before it has a comma
+            lines = [line.split(b",", 5) for line in data.splitlines(keepends=True)]
+            data = b"".join(b",".join(fields[:4] + fields[5:]) for fields in lines)
+        d.add(f"{label}/{path.relative_to(folder)}", data)
+
+
+def cli_runs(d: Digest, quick: bool):
+    virtual_clock = mock.patch.dict(os.environ, MIDAS_VIRTUAL_CLOCK="1")
+    with tempfile.TemporaryDirectory() as tmp, virtual_clock:
+        root = Path(tmp)
+        x = str(root / "x.dten")
+        call_cli(d, "synth", ["synth", "--dims", "6,5,4", "--ranks", "2,1", "--snr-db", "25",
+                              "--seed", "3", "--out", x], tmp)
+        (root / "run.cfg").write_text(f"ranks = 2,1\nepochs = {2 if quick else 6}\n")
+        (root / "abort.cfg").write_text("ranks = 2,1\nepochs = 2\neta = 1e8\n")
+        (root / "bad.cfg").write_text("ranks = 2,1\nt = -1\n")
+        (root / "grid.cfg").write_text(
+            "ranks = 2,1\nepochs = 2\ngrid_estimators = sgd,saga,sarah\ngrid_t = 0,3\n"
+            "grid_baselines = palm,alsmu\nbaseline_iters = 2\n")
+        (root / "bad-grid.cfg").write_text("ranks = 2,1\ngrid_t = -1\n")
+        (root / "abort-grid.cfg").write_text("ranks = 2,1\neta = 1e8\ngrid_estimators = sgd\n")
+        (root / "bad.dten").write_bytes(b"not a tensor\n")
+        (root / "file").write_text("")
+        other = str(root / "other.dten")
+        call_cli(d, "synth-other", ["synth", "--dims", "7,5,4", "--ranks", "2", "--out", other],
+                 tmp)
+        ok = {
+            "decompose": ["decompose", "--tensor", x, "--config", str(root / "run.cfg"),
+                          "--out", str(root / "dec")],
+            "decompose-seed": ["decompose", "--tensor", x, "--config", str(root / "run.cfg"),
+                               "--seed", "5", "--out", str(root / "dec-seed")],
+            "bench": ["bench", "--tensor", x, "--grid", str(root / "grid.cfg"),
+                      "--out", str(root / "bench")],
+            "bench-abort": ["bench", "--tensor", x, "--grid", str(root / "abort-grid.cfg"),
+                            "--out", str(root / "bench-abort")],
+            "metrics": ["metrics", "--tensor", x, "--factors", x + ".truth"],
+            "metrics-csv": ["metrics", "--tensor", x, "--factors", x + ".truth", "--csv"],
+        }
+        failures = {
+            "missing-tensor": ["decompose", "--tensor", str(root / "none.dten"), "--config",
+                               str(root / "run.cfg"), "--out", str(root / "f1")],
+            "format-error": ["decompose", "--tensor", str(root / "bad.dten"), "--config",
+                             str(root / "run.cfg"), "--out", str(root / "f2")],
+            "config-error": ["decompose", "--tensor", x, "--config", str(root / "bad.cfg"),
+                             "--out", str(root / "f3")],
+            "seed-error": ["decompose", "--tensor", x, "--config", str(root / "run.cfg"),
+                           "--seed", "-1", "--out", str(root / "f4")],
+            "abort": ["decompose", "--tensor", x, "--config", str(root / "abort.cfg"),
+                      "--out", str(root / "f5")],
+            "out-not-a-dir": ["decompose", "--tensor", x, "--config", str(root / "run.cfg"),
+                              "--out", str(root / "file" / "out")],
+            "synth-flag": ["synth", "--dims", "4,0,4", "--ranks", "2", "--out",
+                           str(root / "f6.dten")],
+            "synth-snr": ["synth", "--dims", "4,4,4", "--ranks", "2", "--snr-db", "nan",
+                          "--out", str(root / "f7.dten")],
+            "metrics-missing": ["metrics", "--tensor", x, "--factors", str(root / "nope")],
+            "metrics-dims": ["metrics", "--tensor", other, "--factors", x + ".truth"],
+            "bench-grid": ["bench", "--tensor", x, "--grid", str(root / "bad-grid.cfg"),
+                           "--out", str(root / "f8")],
+        }
+        for label, argv in ok.items():
+            call_cli(d, label, argv, tmp)
+        for label, argv in failures.items():
+            call_cli(d, label, argv, tmp)
+        with mock.patch.dict(os.environ, MIDAS_THREADS="zero"):
+            call_cli(d, "threads", ["metrics", "--tensor", x, "--factors", x + ".truth"], tmp)
+        for folder in ("dec", "dec-seed", "bench", "bench-abort"):
+            add_files(d, folder, root / folder)
+        d.add("x.dten", Path(x).read_bytes())
+
+
+def digest(quick: bool = False) -> tuple[str, dict[str, int]]:
+    """The hex digest and the counts of solver runs, aborts and CLI calls."""
+    d = Digest()
+    solver_runs(d, quick)
+    cli_runs(d, quick)
+    return d.h.hexdigest(), d.counts
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--quick", action="store_true", help="a small subset of the matrix")
+    args = p.parse_args(argv)
+    hexdigest, counts = digest(args.quick)
+    print(hexdigest)
+    print(", ".join(f"{v} {k}" for k, v in counts.items()), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
