@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,6 +121,16 @@ class SolverConfig:
         return self.B if self.B > 0 else 2 * max(self.ranks.L)
 
 
+def epoch_coefficients(coef_a: list[float], coef_b: list[float], t: int) -> np.ndarray:
+    """The inertial coefficients of an epoch's steps as a (steps, 2, t) array,
+    from the schedules `coef_a` (alpha0's) and `coef_b` (beta0's) that start
+    t - 1 steps before the epoch: [i, :, j] are the weights of lag j + 1 at
+    step i, the schedules' entries i + t - 1 - j."""
+    count = len(coef_a) + 1 - t
+    lags = np.arange(count)[:, None] + (t - 1) - np.arange(t)
+    return np.array([coef_a, coef_b])[:, lags].transpose(1, 0, 2).copy()
+
+
 @dataclass
 class RunTrace:
     epoch: list[int] = field(default_factory=list)
@@ -178,20 +187,34 @@ def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Fac
     return random_factors(dims, config.ranks, rng)
 
 
-def extrapolate(base: np.ndarray, steps, coeffs) -> np.ndarray:
-    """A^k + sum_i coeffs[i-1] * (A^{k+1-i} - A^{k-i}) for `base` = A^k and
-    `steps` the mode's stored differences A^{j+1} - A^j, newest first; lags
-    beyond the stored steps and zero coefficients add nothing.  Returns
-    `base` itself when nothing is added."""
-    out = None
-    for c, d in zip(coeffs, steps):
-        if c == 0.0:
-            continue
-        if out is None:
-            out = base + c * d
-        else:
-            out += c * d
-    return base if out is None else out
+def push_step(steps: np.ndarray, a_new: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Store `a_new - base` as the newest of a mode's last t steps: the rows
+    of `steps` (t x A_n's shape, newest first) move one lag older and the
+    difference is written into row 0, which is returned (a view).  With t = 0
+    the difference is returned as a new array."""
+    if not len(steps):
+        return a_new - base
+    steps[1:] = steps[:-1]
+    return np.subtract(a_new, base, out=steps[0])
+
+
+def extrapolate(base: np.ndarray, steps: np.ndarray, coeffs: np.ndarray):
+    """The prox anchor and the gradient point, (base + coeffs[0] @ steps,
+    base + coeffs[1] @ steps) reshaped like `base`, as new arrays from one
+    product.
+
+    `base` is A^k, `steps` the t rows (each of base.size entries) of the
+    mode's differences A^{j+1} - A^j, newest first (zero rows for steps not
+    yet taken), and `coeffs` the (2, t) coefficients of lags 1..t.  The
+    weighted sum is formed before `base` is added, so for t >= 2 it rounds
+    unlike adding the lags one by one; for t = 1 it is `base + c * d`.  With
+    t = 0 both points are `base` itself."""
+    if not len(steps):
+        return base, base
+    y, u = coeffs.dot(steps.reshape(len(steps), -1)).reshape((2, *base.shape))
+    y += base
+    u += base
+    return y, u
 
 
 def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
@@ -262,14 +285,17 @@ def run(
     """Run the inertial doubly stochastic solver for the configured epochs.
 
     Stops early once phi drops below `abs_tol`.  `callback(epoch, factors,
-    estimator_state)` is invoked after each epoch, mainly for probing.
+    estimator_state)` is invoked after each epoch, mainly for probing, under
+    the caller's numpy error settings; the run's own arithmetic does not warn
+    on overflow or invalid values, which end it with `SolverAbort` instead.
     Identical (config, tensor) inputs give bitwise-identical results.
 
     Inputs are checked here, once; the loop then works on trusted values:
     points are built with `LL1Factors.replaced` (the column-repeated A3 is
-    recomputed only after a mode-3 update), extrapolation reuses the stored
-    steps A^{j+1} - A^j, and an epoch's modes and SAGA bins are drawn in one
-    call each (the same values as one draw per step).
+    recomputed only after a mode-3 update), both extrapolated points come
+    from one product with the mode's stored steps, and an epoch's modes, SAGA
+    bins and inertial coefficients are drawn or built once each (the same
+    values as one draw per step).
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -298,8 +324,9 @@ def run(
         state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
     estimate = batch_gradient if state is None else state.estimate
 
-    # the last t steps A^{j+1} - A^j of each mode, newest first
-    steps = {n: deque(maxlen=config.t) for n in (1, 2, 3)}
+    # the last t steps A^{j+1} - A^j of each mode; allocated after the SAGA table
+    depth = config.t
+    steps = {n: np.zeros((depth, *factors.factor(n).shape)) for n in (1, 2, 3)}
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
@@ -308,61 +335,66 @@ def run(
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
     k = 0
     start = clock()
-    for epoch in range(config.epochs):
-        if scaled_steps:
-            for n in (1, 2, 3):
-                mode_eta[n] = STEP_SCALE / _lipschitz(factors, k, n)
-        epoch_eta = [None] * 4
-        if config.mode_policy == "cyclic":
-            modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
-        else:
-            modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
-        # each step's bin (SAGA) or fibers (None: all of them), in step order;
-        # fibers are drawn as their step comes
-        if saga:
-            picks = state.draw(modes, rng_fiber)
-        else:
-            picks = (None if batches[n] == jn[n]
-                     else rng_fiber.choice(jn[n], size=batches[n], replace=False) for n in modes)
-        # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j,
-        # so step i's lags 1..t are entries i + t - 1 down to i
-        ks = range(k + 1 - config.t, k + iters_per_epoch)
-        coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]
-        coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
-        for i, (n, pick) in enumerate(zip(modes, picks)):
-            base = factors.factor(n)
-            y_anchor = extrapolate(base, steps[n], coef_a[i:i + config.t][::-1])
-            u_eval = extrapolate(base, steps[n], coef_b[i:i + config.t][::-1])
+    # non-finite factors, bounds and reconstructions end the run with a
+    # SolverAbort, so the overflow on the way to them is not reported; the
+    # callback runs under the caller's settings
+    caller_errstate = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if scaled_steps:
+                for n in (1, 2, 3):
+                    mode_eta[n] = STEP_SCALE / _lipschitz(factors, k, n)
+            epoch_eta = [None] * 4
+            if config.mode_policy == "cyclic":
+                modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
+            else:
+                modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
+            # each step's bin (SAGA) or fibers (None: all of them), in step order;
+            # fibers are drawn as their step comes
+            if saga:
+                picks = state.draw(modes, rng_fiber)
+            else:
+                picks = (None if batches[n] == jn[n]
+                         else rng_fiber.choice(jn[n], size=batches[n], replace=False)
+                         for n in modes)
+            # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j
+            ks = range(k + 1 - depth, k + iters_per_epoch)
+            coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]
+            coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
+            coefs = epoch_coefficients(coef_a, coef_b, depth)
+            for i, (n, pick) in enumerate(zip(modes, picks)):
+                base = factors.factor(n)
+                y_anchor, u_eval = extrapolate(base, steps[n], coefs[i])
 
-            # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
-            # and L_n come from the other factors, so they are those of `factors`
-            eta = 1.0 / _lipschitz(factors, k, n) if lipschitz_steps else mode_eta[n]
-            epoch_eta[n] = eta
+                # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
+                # and L_n come from the other factors, so they are those of `factors`
+                eta = 1.0 / _lipschitz(factors, k, n) if lipschitz_steps else mode_eta[n]
+                epoch_eta[n] = eta
 
-            g = estimate(factors, tensor, n, pick, u_eval)
-            a_new = prox(config.reg, y_anchor - eta * g, eta)
-            d = a_new - base
-            # a non-finite entry of a_new makes the sum non-finite, so only then look
-            if not math.isfinite(float(d.sum())) and not np.isfinite(a_new).all():
-                raise SolverAbort(k, n)
-            factors = factors.replaced(n, a_new)
-            steps[n].appendleft(d)
-            k += 1
-        # the trace reads the norm of the epoch's last step only
-        last_step_norm = math.sqrt(float((d * d).sum()))
+                g = estimate(factors, tensor, n, pick, u_eval)
+                a_new = prox(config.reg, y_anchor - eta * g, eta)
+                d = push_step(steps[n], a_new, base)
+                # a non-finite entry of a_new makes the sum non-finite, so only then look
+                if not math.isfinite(float(d.sum())) and not np.isfinite(a_new).all():
+                    raise SolverAbort(k, n)
+                factors = factors.replaced(n, a_new)
+                k += 1
+            # the trace reads the norm of the epoch's last step only
+            last_step_norm = math.sqrt(float((d * d).sum()))
 
-        try:
-            obj = objective(factors, tensor, config.reg)
-        except ValueError as exc:  # the dims match, so the reconstruction overflowed
-            raise SolverAbort(k - 1, n, f"{exc} after iteration {k - 1} (mode {n}); the "
-                              "(eta, alpha, beta) configuration is likely infeasible") from None
-        counts = (modes.count(1), modes.count(2), modes.count(3))
-        trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, counts,
-                     epoch_eta[1:])
-        if callback is not None:
-            callback(epoch + 1, factors, state)
-        if obj.phi < config.abs_tol:
-            break
+            try:
+                obj = objective(factors, tensor, config.reg)
+            except ValueError as exc:  # the dims match, so the reconstruction overflowed
+                raise SolverAbort(k - 1, n, f"{exc} after iteration {k - 1} (mode {n}); the "
+                                  "(eta, alpha, beta) configuration is likely infeasible") from None
+            counts = (modes.count(1), modes.count(2), modes.count(3))
+            trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, counts,
+                         epoch_eta[1:])
+            if callback is not None:
+                with np.errstate(**caller_errstate):
+                    callback(epoch + 1, factors, state)
+            if obj.phi < config.abs_tol:
+                break
     return factors, trace
 
 

@@ -99,15 +99,18 @@ def _batch_gradient(factors, tensor, mode, idx):
 
 
 def _extrapolate(history, coeffs):
+    """`history[-1]` plus each row of the (2, t) `coeffs` times the last t
+    differences of the oldest-to-newest `history`, newest first, stacked as
+    rows with zero rows for differences not yet taken: one product."""
     base = history[-1]
-    out = None
-    for i, c in enumerate(coeffs, start=1):
-        if i + 1 > len(history) or c == 0.0:
-            continue
-        if out is None:
-            out = base.copy()
-        out += c * (history[-i] - history[-i - 1])
-    return base if out is None else out
+    t = coeffs.shape[1]
+    if t == 0:
+        return base, base
+    diffs = np.zeros((t, base.size))
+    for i in range(1, min(t, len(history) - 1) + 1):
+        diffs[i - 1] = (history[-i] - history[-i - 1]).ravel()
+    p = coeffs @ diffs
+    return base + p[0].reshape(base.shape), base + p[1].reshape(base.shape)
 
 
 def run_reference(config, tensor):
@@ -164,11 +167,11 @@ def run_reference(config, tensor):
                 n = 1 + int(rng_mode.integers(3))
             counts[n - 1] += 1
 
-            lags = range(1, config.t + 1)
-            y_anchor = _extrapolate(
-                history[n], [inertial_coefficient(config.alpha0, k + 1 - i) for i in lags])
-            u_eval = _extrapolate(
-                history[n], [inertial_coefficient(config.beta0, k + 1 - i) for i in lags])
+            # lag i's weights at step k are the schedule's at k + 1 - i
+            coeffs = np.array([[inertial_coefficient(scale, k + 1 - i)
+                                for i in range(1, config.t + 1)]
+                               for scale in (config.alpha0, config.beta0)]).reshape(2, config.t)
+            y_anchor, u_eval = _extrapolate(history[n], coeffs)
             factors_u = factors.with_factor(n, u_eval)
 
             if config.step_rule == "inverse_lipschitz":

@@ -7,10 +7,33 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitwise_digest.py"
 
 
-def test_quick_digest_is_reproducible():
+def _load_tool():
     spec = importlib.util.spec_from_file_location("bitwise_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    first, counts = tool.digest(quick=True)
-    assert tool.digest(quick=True) == (first, counts)
+    return tool
+
+
+def test_quick_digest_is_reproducible():
+    tool = _load_tool()
+    first, counts, groups = tool.digest(quick=True)
+    assert tool.digest(quick=True) == (first, counts, groups)
     assert len(first) == 64 and counts["runs"] > 0 and counts["aborts"] > 0 and counts["cli"] > 0
+    # one digest per (estimator, depth) of the quick matrix, per baseline and for the CLI
+    assert list(groups) == [f"{est}/t{t}" for est in ("sgd", "saga", "sarah") for t in (0, 3)] + [
+        "palm", "als-mu", "cli"]
+    assert all(len(g) == 64 for g in groups.values())
+    assert len(set(groups.values())) == len(groups) and first not in groups.values()
+
+
+def test_group_digest_moves_with_its_group_only():
+    """Changing one group's input moves that group's digest and the total,
+    and leaves every other group's digest as it was."""
+    tool = _load_tool()
+    a, b = tool.Digest(), tool.Digest()
+    for d, value in ((a, 1.0), (b, 1.0 + 2.0**-52)):
+        d.add("x", "label", 0.5)
+        d.add("y", "label", value)
+    assert a.groups["x"].hexdigest() == b.groups["x"].hexdigest()
+    assert a.groups["y"].hexdigest() != b.groups["y"].hexdigest()
+    assert a.h.hexdigest() != b.h.hexdigest()

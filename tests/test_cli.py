@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +377,28 @@ def test_decompose_nan_abort_exit_code(tmp_path, tensor_file):
     rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_NAN_ABORT
+
+
+def test_aborted_decompose_prints_one_error_line(tmp_path):
+    """An aborted run writes the one documented `error:` line to stderr and
+    nothing else, no numpy warning on the way (run as a child process, where
+    warnings print as a user would see them)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def child(*args):
+        return subprocess.run([sys.executable, "-m", "midasll1.cli", *args], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+
+    path = str(tmp_path / "x.dten")
+    assert child("synth", "--dims", "6,5,4", "--ranks", "2,1", "--seed", "3",
+                 "--out", path).returncode == EXIT_OK
+    cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\neta = 1e8\n")
+    r = child("decompose", "--tensor", path, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == EXIT_NAN_ABORT
+    assert r.stderr.startswith("error: non-finite factor entries at iteration ")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import palm_reference, run_reference
+from midasll1 import solver
 from midasll1.model import LL1Factors, RankVector, lipschitz_bound, objective, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
@@ -13,6 +15,7 @@ from midasll1.solver import (
     SolverConfig,
     als_mu_baseline,
     effective_batches,
+    epoch_coefficients,
     extrapolate,
     feasibility_check,
     inertial_coefficient,
@@ -38,41 +41,92 @@ def test_inertial_schedule_values():
     assert inertial_coefficient(0.3, 10**7) == pytest.approx(0.3, rel=1e-5)
 
 
-def _steps(hist):
-    """The differences A^{j+1} - A^j of an oldest-to-newest history, newest first."""
-    return [hist[-i] - hist[-i - 1] for i in range(1, len(hist))]
+def _steps(hist, t):
+    """The last t differences A^{j+1} - A^j of an oldest-to-newest history,
+    newest first, as the rows of a (t, size) array, zero past the history."""
+    out = np.zeros((t, hist[-1].size))
+    for i in range(1, min(t, len(hist) - 1) + 1):
+        out[i - 1] = (hist[-i] - hist[-i - 1]).ravel()
+    return out
 
 
 def test_extrapolate_short_history_is_base():
     h = [np.ones((2, 2))]
-    out = extrapolate(h[-1], _steps(h), [0.5, 0.5, 0.5])
-    assert out is h[0]
+    y, u = extrapolate(h[-1], _steps(h, 0), np.zeros((2, 0)))
+    assert y is h[0] and u is h[0]
+    # lags not yet taken are zero rows and add nothing
+    y, u = extrapolate(h[-1], _steps(h, 3), np.full((2, 3), 0.5))
+    np.testing.assert_array_equal(y, h[0])
+    np.testing.assert_array_equal(u, h[0])
 
 
 def test_extrapolate_two_point_formula():
     a0 = np.zeros((2, 2))
     a1 = np.ones((2, 2))
-    out = extrapolate(a1, _steps([a0, a1]), [0.5])
-    np.testing.assert_array_equal(out, 1.5 * np.ones((2, 2)))
+    y, u = extrapolate(a1, _steps([a0, a1], 1), np.array([[0.5], [2.0]]))
+    np.testing.assert_array_equal(y, 1.5 * np.ones((2, 2)))
+    np.testing.assert_array_equal(u, 3.0 * np.ones((2, 2)))
 
 
 def test_extrapolate_multi_term():
     rng = np.random.default_rng(0)
     hist = [rng.random((3, 2)) for _ in range(4)]
-    coeffs = [0.3, 0.2, 0.1]
-    expected = hist[-1] + sum(
-        c * (hist[-i] - hist[-i - 1]) for i, c in enumerate(coeffs, start=1)
-    )
-    np.testing.assert_allclose(extrapolate(hist[-1], _steps(hist), coeffs), expected, atol=1e-15)
+    coeffs = np.array([[0.3, 0.2, 0.1], [0.8, 0.5, 0.4]])
+    points = extrapolate(hist[-1], _steps(hist, 3), coeffs)
+    for row, point in zip(coeffs, points):
+        expected = hist[-1] + sum(c * (hist[-i] - hist[-i - 1]) for i, c in enumerate(row, start=1))
+        np.testing.assert_allclose(point, expected, atol=1e-15)
 
 
 def test_extrapolate_does_not_mutate_history():
     hist = [np.zeros((2, 2)), np.ones((2, 2))]
-    steps = _steps(hist)
-    snap = [h.copy() for h in hist + steps]
-    extrapolate(hist[-1], steps, [0.7])
-    for a, b in zip(hist + steps, snap):
+    steps = _steps(hist, 2)
+    snap = [h.copy() for h in [*hist, steps]]
+    points = extrapolate(hist[-1], steps, np.array([[0.7, 0.1], [0.2, 0.3]]))
+    for a, b in zip([*hist, steps], snap):
         np.testing.assert_array_equal(a, b)
+    # both points are new arrays
+    for point in points:
+        assert not any(np.shares_memory(point, a) for a in [*hist, steps])
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 8])
+def test_extrapolate_against_sequential_sum(t):
+    """t <= 1 gives the bits of base + c * d added lag by lag; deeper stacks
+    sum the lags before adding base, which may round the last bits apart."""
+    rng = np.random.default_rng(t)
+    shape = (40, 7)
+    for trial in range(20):
+        base = rng.standard_normal(shape)
+        steps = rng.standard_normal((t, *shape)) * 10.0 ** rng.integers(-3, 3)
+        coeffs = rng.uniform(-1, 1, (2, t))
+        for row, point in zip(coeffs, extrapolate(base, steps.reshape(t, base.size), coeffs)):
+            seq = base
+            for c, d in zip(row, steps):
+                seq = seq + c * d
+            if t <= 1:
+                np.testing.assert_array_equal(point, seq)
+            else:  # a few ulps of the largest term
+                scale = np.abs(base) + sum(np.abs(c * d) for c, d in zip(row, steps))
+                assert (np.abs(point - seq) <= 4 * t * np.finfo(float).eps * scale).all()
+
+
+def test_epoch_coefficients_match_schedule():
+    """Each step's row of the epoch table holds `inertial_coefficient` of its
+    lags, newest first, bit for bit: lag j + 1 of step k + i sits at [i, :, j],
+    for k from -8 to 10**6 (a negative scale keeps the signed zero at k = 1)."""
+    for t in (0, 1, 3, 8):
+        for k, count in ((-t, 9), (0, 6), (5, 6), (10**6 - 5, 6), (-8, 10**4)):
+            ks = range(k + 1 - t, k + count)
+            sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
+            got = epoch_coefficients(*sched, t)
+            assert got.shape == (count, 2, t) and got.flags.c_contiguous
+            want = np.array([[[inertial_coefficient(s, k + i - j) for j in range(t)]
+                              for s in (0.3, -0.8)] for i in range(count)]).reshape(count, 2, t)
+            assert got.tobytes() == want.tobytes()
+    ks = range(-8, 10**6 + 1)
+    sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
+    assert epoch_coefficients(*sched, 1)[:, :, 0].T.tobytes() == np.array(sched).tobytes()
 
 
 def test_rng_streams_independent_and_reproducible():
@@ -203,11 +257,14 @@ REFERENCE_CASES = [
     {"estimator": "saga", "B": 10**6},
     {"estimator": "sgd", "B": 10**6, "mode_policy": "cyclic", "t": 2},
     {"estimator": "sarah", "B": 10**6},
-    # a zero inertial scale: `extrapolate` returns the iterate itself
+    # a zero inertial scale: its coefficient rows add nothing, so the point
+    # keeps the bits of A_n
     {"estimator": "saga", "alpha0": 0.0},
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
+# a depth beyond the 21 steps of one SGD epoch, so every step has zero rows
+REFERENCE_CASES.append({"estimator": "sgd", "t": 24, "epochs": 1})
 
 
 def _case_id(case):
@@ -252,6 +309,36 @@ def test_step_builds_one_point(estimator, variant, monkeypatch):
     assert len(calls) == trace.iteration[-1]
 
 
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
+    """The stored steps are overwritten in place, so neither the factors `run`
+    returns, nor those its callback sees, nor SARAH's stored points may share
+    memory with them."""
+    stacks = []
+
+    def recording(base, steps, coeffs):
+        stacks.append(steps)
+        return extrapolate(base, steps, coeffs)
+
+    monkeypatch.setattr(solver, "extrapolate", recording)
+    seen = []
+
+    def callback(epoch, factors, state):
+        seen.extend(factors.factor(n) for n in (1, 2, 3))
+        if estimator == "sarah":
+            for prev, prev_a in state.prev_point.values():
+                seen.extend([prev_a, *(prev.factor(n) for n in (1, 2, 3))])
+
+    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, epochs=3, seed=4)
+    factors, _ = run(cfg, small_tensor(), callback=callback)
+    seen.extend(factors.factor(n) for n in (1, 2, 3))
+    assert all(len(s) == t for s in stacks)
+    buffers = {id(s): s for s in stacks}.values()  # one per mode, kept through the run
+    assert len(buffers) == 3
+    assert not any(np.shares_memory(a, b) for a in seen for b in buffers)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
 def test_run_abort_matches_reference(estimator):
@@ -264,6 +351,16 @@ def test_run_abort_matches_reference(estimator):
     with pytest.raises(SolverAbort) as got:
         run(cfg, t)
     assert (got.value.iteration, got.value.mode) == (ref.value.iteration, ref.value.mode)
+
+
+def test_abort_raises_no_warning():
+    """A diverging run ends in `SolverAbort` even with warnings as errors: the
+    overflow on the way to the abort is not reported as a RuntimeWarning."""
+    cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=2, eta=1e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort):
+            run(cfg, small_tensor(seed=3))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -374,6 +471,17 @@ def test_run_callback_invoked_each_epoch():
     cfg = SolverConfig(ranks=RankVector((2,)), epochs=4, seed=0)
     run(cfg, t, callback=lambda e, f, s: seen.append(e))
     assert seen == [1, 2, 3, 4]
+
+
+def test_callback_runs_under_callers_errstate():
+    """`run` quiets overflow only in its own arithmetic: the callback sees
+    the caller's floating-point error settings."""
+    t = small_tensor(seed=6, dims=(4, 4, 4), L=(2,))
+    seen = []
+    cfg = SolverConfig(ranks=RankVector((2,)), epochs=2, seed=0)
+    with np.errstate(over="raise", invalid="warn"):
+        run(cfg, t, callback=lambda e, f, s: seen.append(np.geterr()))
+    assert [(s["over"], s["invalid"]) for s in seen] == [("raise", "warn")] * 2
 
 
 def test_run_virtual_clock():

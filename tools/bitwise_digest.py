@@ -12,6 +12,12 @@ and stderr of each class of CLI failure.  Elapsed times are left out, so
 two trees that compute the same bits print the same digest.  Run it at two
 commits (copy this file into the other checkout) to check that a change
 keeps every bit.  `--quick` is a subset that takes about a second.
+
+After the total it prints one digest per group of outputs: each
+(estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
+default depth, included), `palm`, `als-mu` and `cli`.  When a change is
+meant to round one group differently, the others show that nothing else
+moved.
 """
 
 from __future__ import annotations
@@ -63,19 +69,24 @@ DEPTHS = (0, 1, 3)
 class Digest:
     def __init__(self):
         self.h = hashlib.sha256()
+        self.groups = {}  # group name -> its own sha256
         self.counts = {"runs": 0, "aborts": 0, "cli": 0}
 
-    def add(self, label: str, value):
-        self.h.update(label.encode() + b"\0")
+    def add(self, group: str, label: str, value):
+        """Hash `value` under `label` into the total and into `group`'s digest."""
+        parts = [label.encode() + b"\0"]
         if isinstance(value, np.ndarray):
-            self.h.update(f"{value.dtype}{value.shape}".encode())
-            self.h.update(np.ascontiguousarray(value).tobytes())
+            parts += [f"{value.dtype}{value.shape}".encode(),
+                      np.ascontiguousarray(value).tobytes()]
         elif isinstance(value, bytes):
-            self.h.update(value)
+            parts.append(value)
         else:  # repr of a float is exact; tuples and lists of floats too
-            self.h.update(repr(value).encode())
+            parts.append(repr(value).encode())
+        for h in (self.h, self.groups.setdefault(group, hashlib.sha256())):
+            for part in parts:
+                h.update(part)
 
-    def solve(self, label: str, solve, cfg, tensor):
+    def solve(self, group: str, label: str, solve, cfg, tensor):
         """The factors and traces of `solve(cfg, tensor)`, or its abort."""
         self.counts["runs"] += 1
         try:
@@ -83,12 +94,12 @@ class Digest:
                 factors, trace = solve(cfg, tensor, clock=lambda: 0.0)
         except SolverAbort as exc:
             self.counts["aborts"] += 1
-            self.add(label + "/abort", (exc.iteration, exc.mode, str(exc)))
+            self.add(group, label + "/abort", (exc.iteration, exc.mode, str(exc)))
             return
         for name in ("A1", "A2", "A3"):
-            self.add(f"{label}/{name}", getattr(factors, name))
+            self.add(group, f"{label}/{name}", getattr(factors, name))
         for name in ("epoch", "iteration", "phi", "f", "step_norm", "step_sizes", "mode_counts"):
-            self.add(f"{label}/{name}", getattr(trace, name))
+            self.add(group, f"{label}/{name}", getattr(trace, name))
 
 
 def solver_runs(d: Digest, quick: bool):
@@ -104,10 +115,10 @@ def solver_runs(d: Digest, quick: bool):
             for t in depths:
                 for name, kw in variants.items():
                     cfg = replace(base, estimator=est, t=t, **kw)
-                    d.solve(f"{dims}/{est}/t{t}/{name}", run, cfg, tensor)
+                    d.solve(f"{est}/t{t}", f"{dims}/{est}/t{t}/{name}", run, cfg, tensor)
         nonneg = DenseTensor3(np.abs(tensor.array))
-        d.solve(f"{dims}/palm", palm_baseline, base, nonneg)
-        d.solve(f"{dims}/als-mu", als_mu_baseline, base, nonneg)
+        d.solve("palm", f"{dims}/palm", palm_baseline, base, nonneg)
+        d.solve("als-mu", f"{dims}/als-mu", als_mu_baseline, base, nonneg)
         # aborts: an infeasible step, a zero block (L = 0) and an overflowing start
         start = LL1Factors(np.ones((dims[0], ranks.total)), np.ones((dims[1], ranks.total)),
                            np.ones((dims[2], ranks.R)), ranks)
@@ -118,8 +129,8 @@ def solver_runs(d: Digest, quick: bool):
         }
         for est in ESTIMATORS:
             for name, kw in list(aborts.items())[: 1 if quick else None]:
-                d.solve(f"{dims}/{est}/abort-{name}", run, replace(base, estimator=est, **kw),
-                        tensor)
+                d.solve(f"{est}/t{base.t}", f"{dims}/{est}/abort-{name}", run,
+                        replace(base, estimator=est, **kw), tensor)
 
 
 def call_cli(d: Digest, label: str, argv, tmp: str):
@@ -130,7 +141,8 @@ def call_cli(d: Digest, label: str, argv, tmp: str):
             np.errstate(all="ignore"):
         rc = cli.main(argv)
     d.counts["cli"] += 1
-    d.add(label, (rc, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")))
+    d.add("cli", label,
+          (rc, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")))
 
 
 def add_files(d: Digest, label: str, folder: Path):
@@ -139,7 +151,7 @@ def add_files(d: Digest, label: str, folder: Path):
         if path.name == "summary.csv":  # drop wall_s, the fifth field; none before it has a comma
             lines = [line.split(b",", 5) for line in data.splitlines(keepends=True)]
             data = b"".join(b",".join(fields[:4] + fields[5:]) for fields in lines)
-        d.add(f"{label}/{path.relative_to(folder)}", data)
+        d.add("cli", f"{label}/{path.relative_to(folder)}", data)
 
 
 def cli_runs(d: Digest, quick: bool):
@@ -204,23 +216,26 @@ def cli_runs(d: Digest, quick: bool):
             call_cli(d, "threads", ["metrics", "--tensor", x, "--factors", x + ".truth"], tmp)
         for folder in ("dec", "dec-seed", "bench", "bench-abort"):
             add_files(d, folder, root / folder)
-        d.add("x.dten", Path(x).read_bytes())
+        d.add("cli", "x.dten", Path(x).read_bytes())
 
 
-def digest(quick: bool = False) -> tuple[str, dict[str, int]]:
-    """The hex digest and the counts of solver runs, aborts and CLI calls."""
+def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
+    """The hex digest, the counts of solver runs, aborts and CLI calls, and
+    the hex digest of each group."""
     d = Digest()
     solver_runs(d, quick)
     cli_runs(d, quick)
-    return d.h.hexdigest(), d.counts
+    return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--quick", action="store_true", help="a small subset of the matrix")
     args = p.parse_args(argv)
-    hexdigest, counts = digest(args.quick)
+    hexdigest, counts, groups = digest(args.quick)
     print(hexdigest)
+    for group, value in groups.items():
+        print(f"{group} {value}")
     print(", ".join(f"{v} {k}" for k, v in counts.items()), file=sys.stderr)
     return 0
 
