@@ -31,15 +31,19 @@ NONE = Regularizer("none")
 NONNEG = Regularizer("nonneg")
 
 
-def prox(reg: Regularizer, m: np.ndarray, eta: float) -> np.ndarray:
-    """argmin_Z h(Z) + 1/(2 eta) ||Z - M||_F^2."""
+def prox(reg: Regularizer, m: np.ndarray, eta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """argmin_Z h(Z) + 1/(2 eta) ||Z - M||_F^2, as a new array or written
+    into the float64 array `out` (which may be `m` itself), with the same bits."""
     if eta <= 0:
         raise ValueError(f"prox step must be positive, got {eta}")
     if reg.kind == "none":
-        return np.array(m, dtype=np.float64, copy=True)
+        if out is None:
+            return np.array(m, dtype=np.float64, copy=True)
+        np.copyto(out, m)
+        return out
     if reg.kind == "nonneg":
-        return np.maximum(m, 0.0)
-    return np.asarray(m, dtype=np.float64) / (1.0 + eta * reg.lam)
+        return np.maximum(m, 0.0, out=out)
+    return np.divide(np.asarray(m, dtype=np.float64), 1.0 + eta * reg.lam, out=out)
 
 
 def penalty_value(reg: Regularizer, a: np.ndarray) -> float:

@@ -43,7 +43,7 @@ class SolverAbort(RuntimeError):
         super().__init__(
             reason
             or f"non-finite factor entries at iteration {iteration}, mode {mode}; "
-            "the (eta, alpha, beta) configuration is likely infeasible"
+            "the (t, eta, alpha, beta) configuration is likely infeasible"
         )
         self.iteration = iteration
         self.mode = mode
@@ -122,13 +122,16 @@ class SolverConfig:
 
 
 def epoch_coefficients(coef_a: list[float], coef_b: list[float], t: int) -> np.ndarray:
-    """The inertial coefficients of an epoch's steps as a (steps, 2, t) array,
-    from the schedules `coef_a` (alpha0's) and `coef_b` (beta0's) that start
-    t - 1 steps before the epoch: [i, :, j] are the weights of lag j + 1 at
-    step i, the schedules' entries i + t - 1 - j."""
+    """The extrapolation weights of an epoch's steps as a (steps, 2, t + 1)
+    array, from the schedules `coef_a` (alpha0's) and `coef_b` (beta0's) that
+    start t - 1 steps before the epoch: [i, :, 0] is 1, the weight of A_n, and
+    [i, :, j] the weights of lag j at step i, the schedules' entries
+    i + t - j."""
     count = len(coef_a) + 1 - t
-    lags = np.arange(count)[:, None] + (t - 1) - np.arange(t)
-    return np.array([coef_a, coef_b])[:, lags].transpose(1, 0, 2).copy()
+    lags = np.arange(count)[:, None] + t - np.arange(t + 1)
+    lags[:, 0] = len(coef_a)  # the 1.0 appended to each schedule
+    sched = np.array([[*coef_a, 1.0], [*coef_b, 1.0]])
+    return sched[:, lags].transpose(1, 0, 2).copy()
 
 
 @dataclass
@@ -187,34 +190,54 @@ def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Fac
     return random_factors(dims, config.ranks, rng)
 
 
-def push_step(steps: np.ndarray, a_new: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Store `a_new - base` as the newest of a mode's last t steps: the rows
-    of `steps` (t x A_n's shape, newest first) move one lag older and the
-    difference is written into row 0, which is returned (a view).  With t = 0
-    the difference is returned as a new array."""
-    if not len(steps):
-        return a_new - base
-    steps[1:] = steps[:-1]
-    return np.subtract(a_new, base, out=steps[0])
+class StepWindow:
+    """A mode's point A_n and its last t steps A^{j+1} - A^j, newest first
+    (zero rows for steps not yet taken), as the t + 1 rows of `rows`, each of
+    A_n.size entries: the operand of `extrapolate`'s product.
+
+    `rows` is a window on a buffer of 2(t + 1) rows.  `push` writes the new
+    step over A_n's row and the new point into the row above, so the window
+    moves up one row and no row is shifted; a window at the top is first
+    copied to the buffer's end, once every t + 1 steps."""
+
+    __slots__ = ("flat", "grid", "p", "rows", "width")
+
+    def __init__(self, a: np.ndarray, t: int):
+        self.width = t + 1
+        self.flat = np.zeros((2 * self.width, a.size))
+        self.grid = self.flat.reshape(len(self.flat), *a.shape)  # the rows in A_n's shape
+        self.p = self.width  # the window's first row
+        self.grid[self.p] = a
+        self.rows = self.flat[self.p:]
+
+    def push(self, a_new: np.ndarray) -> np.ndarray:
+        """Make `a_new` the point and `a_new - A_n` the newest step, which is
+        returned (a view)."""
+        p, width = self.p, self.width
+        if not p:
+            self.flat[width:] = self.flat[:width]
+            p = width
+        d = self.grid[p]
+        np.subtract(a_new, d, out=d)
+        self.p = p = p - 1
+        self.grid[p] = a_new
+        self.rows = self.flat[p:p + width]
+        return d
 
 
-def extrapolate(base: np.ndarray, steps: np.ndarray, coeffs: np.ndarray):
-    """The prox anchor and the gradient point, (base + coeffs[0] @ steps,
-    base + coeffs[1] @ steps) reshaped like `base`, as new arrays from one
-    product.
+def extrapolate(base: np.ndarray, rows: np.ndarray | None, coeffs: np.ndarray):
+    """The prox anchor and the gradient point, coeffs @ rows reshaped like
+    `base`, as two halves of one new array from one product.
 
-    `base` is A^k, `steps` the t rows (each of base.size entries) of the
-    mode's differences A^{j+1} - A^j, newest first (zero rows for steps not
-    yet taken), and `coeffs` the (2, t) coefficients of lags 1..t.  The
-    weighted sum is formed before `base` is added, so for t >= 2 it rounds
-    unlike adding the lags one by one; for t = 1 it is `base + c * d`.  With
-    t = 0 both points are `base` itself."""
-    if not len(steps):
+    `base` is A^k and `rows` a `StepWindow`'s t + 1 rows [A^k; d_1; ...; d_t];
+    `coeffs` are the (2, t + 1) weights [1, c_1, ..., c_t] of each point.
+    A^k enters the product with weight 1, so its sum with the lags may round
+    unlike adding them one by one, but zero steps give A^k bit for bit.
+    With t = 0 (`rows` None) both points are `base` itself."""
+    if rows is None:
         return base, base
-    y, u = coeffs.dot(steps.reshape(len(steps), -1)).reshape((2, *base.shape))
-    y += base
-    u += base
-    return y, u
+    points = coeffs.dot(rows).reshape((2, *base.shape))
+    return points[0], points[1]
 
 
 def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
@@ -293,9 +316,10 @@ def run(
     Inputs are checked here, once; the loop then works on trusted values:
     points are built with `LL1Factors.replaced` (the column-repeated A3 is
     recomputed only after a mode-3 update), both extrapolated points come
-    from one product with the mode's stored steps, and an epoch's modes, SAGA
-    bins and inertial coefficients are drawn or built once each (the same
-    values as one draw per step).
+    from one product over the mode's `StepWindow`, the proximal step writes
+    the new iterate over the anchor in that product's array, and an epoch's
+    modes, SAGA bins and inertial coefficients are drawn or built once each
+    (the same values as one draw per step).
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -324,9 +348,9 @@ def run(
         state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
     estimate = batch_gradient if state is None else state.estimate
 
-    # the last t steps A^{j+1} - A^j of each mode; allocated after the SAGA table
+    # each mode's point and last t steps; allocated after the SAGA table, none at t = 0
     depth = config.t
-    steps = {n: np.zeros((depth, *factors.factor(n).shape)) for n in (1, 2, 3)}
+    windows = [None, *(StepWindow(factors.factor(n), depth) if depth else None for n in (1, 2, 3))]
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
@@ -364,7 +388,9 @@ def run(
             coefs = epoch_coefficients(coef_a, coef_b, depth)
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 base = factors.factor(n)
-                y_anchor, u_eval = extrapolate(base, steps[n], coefs[i])
+                window = windows[n]
+                y_anchor, u_eval = extrapolate(base, None if window is None else window.rows,
+                                               coefs[i])
 
                 # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
                 # and L_n come from the other factors, so they are those of `factors`
@@ -372,10 +398,15 @@ def run(
                 epoch_eta[n] = eta
 
                 g = estimate(factors, tensor, n, pick, u_eval)
-                a_new = prox(config.reg, y_anchor - eta * g, eta)
-                d = push_step(steps[n], a_new, base)
-                # a non-finite entry of a_new makes the sum non-finite, so only then look
-                if not math.isfinite(float(d.sum())) and not np.isfinite(a_new).all():
+                if window is None:
+                    a_new = prox(config.reg, y_anchor - eta * g, eta)
+                    d = a_new - base
+                else:  # the anchor is the product's own array, so the step overwrites it
+                    y_anchor -= eta * g
+                    a_new = prox(config.reg, y_anchor, eta, out=y_anchor)
+                    d = window.push(a_new)
+                # a non-finite entry of a_new makes d.d non-finite, so only then look
+                if not math.isfinite(np.vdot(d, d)) and not np.isfinite(a_new).all():
                     raise SolverAbort(k, n)
                 factors = factors.replaced(n, a_new)
                 k += 1
@@ -386,7 +417,7 @@ def run(
                 obj = objective(factors, tensor, config.reg)
             except ValueError as exc:  # the dims match, so the reconstruction overflowed
                 raise SolverAbort(k - 1, n, f"{exc} after iteration {k - 1} (mode {n}); the "
-                                  "(eta, alpha, beta) configuration is likely infeasible") from None
+                                  "(t, eta, alpha, beta) configuration is likely infeasible") from None
             counts = (modes.count(1), modes.count(2), modes.count(3))
             trace.append(epoch + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, counts,
                          epoch_eta[1:])

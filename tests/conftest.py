@@ -99,18 +99,20 @@ def _batch_gradient(factors, tensor, mode, idx):
 
 
 def _extrapolate(history, coeffs):
-    """`history[-1]` plus each row of the (2, t) `coeffs` times the last t
-    differences of the oldest-to-newest `history`, newest first, stacked as
-    rows with zero rows for differences not yet taken: one product."""
+    """Each row of the (2, t + 1) `coeffs` times [A^k; d_1; ...; d_t]: the
+    last entry of the oldest-to-newest `history` and its last t differences,
+    newest first, stacked as rows with zero rows for differences not yet
+    taken: one product."""
     base = history[-1]
-    t = coeffs.shape[1]
+    t = coeffs.shape[1] - 1
     if t == 0:
         return base, base
-    diffs = np.zeros((t, base.size))
+    window = np.zeros((t + 1, base.size))
+    window[0] = base.ravel()
     for i in range(1, min(t, len(history) - 1) + 1):
-        diffs[i - 1] = (history[-i] - history[-i - 1]).ravel()
-    p = coeffs @ diffs
-    return base + p[0].reshape(base.shape), base + p[1].reshape(base.shape)
+        window[i] = (history[-i] - history[-i - 1]).ravel()
+    p = coeffs @ window
+    return p[0].reshape(base.shape), p[1].reshape(base.shape)
 
 
 def run_reference(config, tensor):
@@ -167,10 +169,10 @@ def run_reference(config, tensor):
                 n = 1 + int(rng_mode.integers(3))
             counts[n - 1] += 1
 
-            # lag i's weights at step k are the schedule's at k + 1 - i
-            coeffs = np.array([[inertial_coefficient(scale, k + 1 - i)
-                                for i in range(1, config.t + 1)]
-                               for scale in (config.alpha0, config.beta0)]).reshape(2, config.t)
+            # A^k's weight is 1; lag i's weights at step k are the schedule's at k + 1 - i
+            coeffs = np.array([[1.0, *(inertial_coefficient(scale, k + 1 - i)
+                                       for i in range(1, config.t + 1))]
+                               for scale in (config.alpha0, config.beta0)])
             y_anchor, u_eval = _extrapolate(history[n], coeffs)
             factors_u = factors.with_factor(n, u_eval)
 

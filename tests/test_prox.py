@@ -81,3 +81,18 @@ def test_penalty_values():
     reg = Regularizer("ridge", 4.0)
     assert penalty_value(reg, a) == pytest.approx(2.0 * 5.0)
 
+
+@pytest.mark.parametrize("reg", [NONE, NONNEG, Regularizer("ridge", 1.5)], ids=lambda r: r.kind)
+def test_prox_out_gives_the_same_bits(reg):
+    """`out=` writes the new array's bits into `out` and returns it, also
+    when `out` is `m` itself."""
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((7, 3))
+    m[0, 0] = -0.0
+    want = prox(reg, m, 0.4)
+    out = np.full_like(m, np.nan)
+    assert prox(reg, m, 0.4, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    alias = m.copy()
+    assert prox(reg, alias, 0.4, out=alias) is alias
+    assert alias.tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from midasll1.solver import (
     STEP_SCALE,
     SolverAbort,
     SolverConfig,
+    StepWindow,
     als_mu_baseline,
     effective_batches,
     epoch_coefficients,
@@ -41,29 +42,45 @@ def test_inertial_schedule_values():
     assert inertial_coefficient(0.3, 10**7) == pytest.approx(0.3, rel=1e-5)
 
 
-def _steps(hist, t):
-    """The last t differences A^{j+1} - A^j of an oldest-to-newest history,
-    newest first, as the rows of a (t, size) array, zero past the history."""
-    out = np.zeros((t, hist[-1].size))
+def _window(hist, t):
+    """[A^k; d_1; ...; d_t] of an oldest-to-newest history: its last entry
+    and its last t differences A^{j+1} - A^j, newest first, as the rows of a
+    (t + 1, size) array, zero past the history; None for t = 0."""
+    if t == 0:
+        return None
+    out = np.zeros((t + 1, hist[-1].size))
+    out[0] = hist[-1].ravel()
     for i in range(1, min(t, len(hist) - 1) + 1):
-        out[i - 1] = (hist[-i] - hist[-i - 1]).ravel()
+        out[i] = (hist[-i] - hist[-i - 1]).ravel()
     return out
 
 
 def test_extrapolate_short_history_is_base():
     h = [np.ones((2, 2))]
-    y, u = extrapolate(h[-1], _steps(h, 0), np.zeros((2, 0)))
+    y, u = extrapolate(h[-1], _window(h, 0), np.ones((2, 1)))
     assert y is h[0] and u is h[0]
     # lags not yet taken are zero rows and add nothing
-    y, u = extrapolate(h[-1], _steps(h, 3), np.full((2, 3), 0.5))
+    y, u = extrapolate(h[-1], _window(h, 3), np.array([[1.0, 0.5, 0.5, 0.5]] * 2))
     np.testing.assert_array_equal(y, h[0])
     np.testing.assert_array_equal(u, h[0])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 8])
+def test_extrapolate_zero_steps_give_the_point_bit_for_bit(t):
+    """A fixed point stays exact: 1 * A_n plus any weights times zero steps
+    is A_n, bit for bit, whatever the weights."""
+    rng = np.random.default_rng(t)
+    for _ in range(20):
+        base = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300)
+        coeffs = np.hstack([np.ones((2, 1)), rng.uniform(-2, 2, (2, t))])
+        for point in extrapolate(base, _window([base], t), coeffs):
+            assert point.tobytes() == base.tobytes()
 
 
 def test_extrapolate_two_point_formula():
     a0 = np.zeros((2, 2))
     a1 = np.ones((2, 2))
-    y, u = extrapolate(a1, _steps([a0, a1], 1), np.array([[0.5], [2.0]]))
+    y, u = extrapolate(a1, _window([a0, a1], 1), np.array([[1.0, 0.5], [1.0, 2.0]]))
     np.testing.assert_array_equal(y, 1.5 * np.ones((2, 2)))
     np.testing.assert_array_equal(u, 3.0 * np.ones((2, 2)))
 
@@ -71,62 +88,85 @@ def test_extrapolate_two_point_formula():
 def test_extrapolate_multi_term():
     rng = np.random.default_rng(0)
     hist = [rng.random((3, 2)) for _ in range(4)]
-    coeffs = np.array([[0.3, 0.2, 0.1], [0.8, 0.5, 0.4]])
-    points = extrapolate(hist[-1], _steps(hist, 3), coeffs)
+    coeffs = np.array([[1.0, 0.3, 0.2, 0.1], [1.0, 0.8, 0.5, 0.4]])
+    points = extrapolate(hist[-1], _window(hist, 3), coeffs)
     for row, point in zip(coeffs, points):
-        expected = hist[-1] + sum(c * (hist[-i] - hist[-i - 1]) for i, c in enumerate(row, start=1))
+        expected = hist[-1] + sum(c * (hist[-i] - hist[-i - 1])
+                                  for i, c in enumerate(row[1:], start=1))
         np.testing.assert_allclose(point, expected, atol=1e-15)
 
 
 def test_extrapolate_does_not_mutate_history():
     hist = [np.zeros((2, 2)), np.ones((2, 2))]
-    steps = _steps(hist, 2)
-    snap = [h.copy() for h in [*hist, steps]]
-    points = extrapolate(hist[-1], steps, np.array([[0.7, 0.1], [0.2, 0.3]]))
-    for a, b in zip([*hist, steps], snap):
+    rows = _window(hist, 2)
+    snap = [h.copy() for h in [*hist, rows]]
+    points = extrapolate(hist[-1], rows, np.array([[1.0, 0.7, 0.1], [1.0, 0.2, 0.3]]))
+    for a, b in zip([*hist, rows], snap):
         np.testing.assert_array_equal(a, b)
     # both points are new arrays
     for point in points:
-        assert not any(np.shares_memory(point, a) for a in [*hist, steps])
+        assert not any(np.shares_memory(point, a) for a in [*hist, rows])
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 8])
 def test_extrapolate_against_sequential_sum(t):
-    """t <= 1 gives the bits of base + c * d added lag by lag; deeper stacks
-    sum the lags before adding base, which may round the last bits apart."""
+    """t = 0 gives base itself; deeper windows weigh base by 1 inside the
+    product, which may round the last bits apart from adding the lags one by
+    one to base."""
     rng = np.random.default_rng(t)
     shape = (40, 7)
     for trial in range(20):
         base = rng.standard_normal(shape)
         steps = rng.standard_normal((t, *shape)) * 10.0 ** rng.integers(-3, 3)
         coeffs = rng.uniform(-1, 1, (2, t))
-        for row, point in zip(coeffs, extrapolate(base, steps.reshape(t, base.size), coeffs)):
+        rows = np.vstack([base.reshape(1, -1), steps.reshape(t, -1)]) if t else None
+        weights = np.hstack([np.ones((2, 1)), coeffs])
+        for row, point in zip(coeffs, extrapolate(base, rows, weights)):
             seq = base
             for c, d in zip(row, steps):
                 seq = seq + c * d
-            if t <= 1:
-                np.testing.assert_array_equal(point, seq)
+            if t == 0:
+                assert point.tobytes() == seq.tobytes()
             else:  # a few ulps of the largest term
                 scale = np.abs(base) + sum(np.abs(c * d) for c, d in zip(row, steps))
                 assert (np.abs(point - seq) <= 4 * t * np.finfo(float).eps * scale).all()
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 8])
+def test_step_window_holds_the_point_and_last_steps(t):
+    """After each push the window holds [A^k; d_1; ...; d_t] of the pushed
+    history bit for bit, newest step first, through many moves of the window
+    back to the buffer's end; `push` returns the newest step's row."""
+    rng = np.random.default_rng(t)
+    hist = [rng.standard_normal((6, 5))]
+    window = StepWindow(hist[0], t)
+    assert window.rows.tobytes() == _window(hist, t).tobytes()
+    for _ in range(5 * (t + 1) + 1):
+        hist.append(rng.standard_normal((6, 5)))
+        d = window.push(hist[-1])
+        assert d.tobytes() == (hist[-1] - hist[-2]).tobytes()
+        assert np.shares_memory(d, window.rows[1])
+        assert window.rows.tobytes() == _window(hist, t).tobytes()
+
+
 def test_epoch_coefficients_match_schedule():
-    """Each step's row of the epoch table holds `inertial_coefficient` of its
-    lags, newest first, bit for bit: lag j + 1 of step k + i sits at [i, :, j],
-    for k from -8 to 10**6 (a negative scale keeps the signed zero at k = 1)."""
+    """Each step's row of the epoch table holds 1 (the weight of A_n) and then
+    `inertial_coefficient` of its lags, newest first, bit for bit: lag j of
+    step k + i sits at [i, :, j], for k from -8 to 10**6 (a negative scale
+    keeps the signed zero at k = 1)."""
     for t in (0, 1, 3, 8):
         for k, count in ((-t, 9), (0, 6), (5, 6), (10**6 - 5, 6), (-8, 10**4)):
             ks = range(k + 1 - t, k + count)
             sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
             got = epoch_coefficients(*sched, t)
-            assert got.shape == (count, 2, t) and got.flags.c_contiguous
-            want = np.array([[[inertial_coefficient(s, k + i - j) for j in range(t)]
-                              for s in (0.3, -0.8)] for i in range(count)]).reshape(count, 2, t)
+            assert got.shape == (count, 2, t + 1) and got.flags.c_contiguous
+            want = np.array([[[1.0, *(inertial_coefficient(s, k + i + 1 - j)
+                                      for j in range(1, t + 1))]
+                              for s in (0.3, -0.8)] for i in range(count)])
             assert got.tobytes() == want.tobytes()
     ks = range(-8, 10**6 + 1)
     sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
-    assert epoch_coefficients(*sched, 1)[:, :, 0].T.tobytes() == np.array(sched).tobytes()
+    assert epoch_coefficients(*sched, 1)[:, :, 1].T.tobytes() == np.array(sched).tobytes()
 
 
 def test_rng_streams_independent_and_reproducible():
@@ -265,6 +305,12 @@ REFERENCE_CASES = [
 ]
 # a depth beyond the 21 steps of one SGD epoch, so every step has zero rows
 REFERENCE_CASES.append({"estimator": "sgd", "t": 24, "epochs": 1})
+# 87-99 steps per mode (47 SAGA steps an epoch), so each mode's window moves
+# back to its buffer's end, once every t + 1 steps, at least 29 times at t = 2
+# and 9 times at t = 8; t = 8 at the default inertia collapses a block by
+# iteration 235, so it runs at about a third of it
+REFERENCE_CASES += [{"estimator": "saga", "t": 2},
+                    {"estimator": "saga", "t": 8, "alpha0": 0.1, "beta0": 0.25}]
 
 
 def _case_id(case):
@@ -311,32 +357,68 @@ def test_step_builds_one_point(estimator, variant, monkeypatch):
 
 @pytest.mark.parametrize("t", [0, 1, 3])
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
-def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
-    """The stored steps are overwritten in place, so neither the factors `run`
-    returns, nor those its callback sees, nor SARAH's stored points may share
-    memory with them."""
-    stacks = []
+def test_step_calls_extrapolate_and_prox_once(estimator, t, monkeypatch):
+    """Every step forms its points with one `extrapolate` call and its
+    iterate with one `prox` call, both by their module names, so that the
+    benchmark's traced call counts of the two equal the iterations."""
+    calls = {"extrapolate": 0, "prox": 0}
 
-    def recording(base, steps, coeffs):
-        stacks.append(steps)
-        return extrapolate(base, steps, coeffs)
+    def counting(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, epochs=3, seed=2)
+    _, trace = run(cfg, small_tensor())
+    assert calls == {"extrapolate": trace.iteration[-1], "prox": trace.iteration[-1]}
+
+
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
+    """The step windows are overwritten in place, so neither the points
+    `extrapolate` returns, nor the factors `run` returns, nor those its
+    callback sees, nor SARAH's stored points may share memory with them.
+    With t >= 1 the new iterate is written over the prox anchor, in the
+    product's own array; no array a caller was handed changes afterwards."""
+    windows, points = [], []
+
+    def recording(base, rows, coeffs):
+        out = extrapolate(base, rows, coeffs)
+        windows.append(rows)
+        points.extend(out)
+        return out
 
     monkeypatch.setattr(solver, "extrapolate", recording)
     seen = []
 
     def callback(epoch, factors, state):
-        seen.extend(factors.factor(n) for n in (1, 2, 3))
+        arrays = [factors.factor(n) for n in (1, 2, 3)]
         if estimator == "sarah":
             for prev, prev_a in state.prev_point.values():
-                seen.extend([prev_a, *(prev.factor(n) for n in (1, 2, 3))])
+                arrays.extend([prev_a, *(prev.factor(n) for n in (1, 2, 3))])
+        seen.extend((a, a.copy()) for a in arrays)
 
     cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, epochs=3, seed=4)
     factors, _ = run(cfg, small_tensor(), callback=callback)
-    seen.extend(factors.factor(n) for n in (1, 2, 3))
-    assert all(len(s) == t for s in stacks)
-    buffers = {id(s): s for s in stacks}.values()  # one per mode, kept through the run
+    final = [factors.factor(n) for n in (1, 2, 3)]
+    for a, snapshot in seen:
+        assert a.tobytes() == snapshot.tobytes()
+    if t == 0:
+        assert all(rows is None for rows in windows)
+        return
+    assert all(len(rows) == t + 1 for rows in windows)
+    buffers = {id(rows.base): rows.base for rows in windows}.values()  # one per mode, kept
     assert len(buffers) == 3
-    assert not any(np.shares_memory(a, b) for a in seen for b in buffers)
+    arrays = [*final, *(a for a, _ in seen), *points]
+    assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+    # each mode's last iterate is the anchor its last step's product returned
+    assert all(any(np.shares_memory(a, y) for y in points[0::2]) for a in final)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -438,6 +520,20 @@ def test_cyclic_mode_policy_counts():
         assert counts == (4, 4, 4)
 
 
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_run_early_stop_on_exact_fit_at_every_depth(estimator, t):
+    """At an exact fit every gradient and step is zero, and 1 * A_n plus
+    weights times zero steps is A_n, so the fit stays exact at any depth."""
+    rk = RankVector((1,))
+    f = LL1Factors(0.5 * np.ones((3, 1)), 0.5 * np.ones((3, 1)), 0.5 * np.ones((3, 1)), rk)
+    cfg = SolverConfig(ranks=rk, epochs=50, init=f, abs_tol=1e-12, estimator=estimator, t=t)
+    factors, trace = run(cfg, reconstruct(f))
+    assert len(trace) == 1 and trace.phi[0] == 0.0
+    for n in (1, 2, 3):
+        assert factors.factor(n).tobytes() == f.factor(n).tobytes()
+
+
 def test_run_early_stop_on_exact_fit():
     rk = RankVector((1,))
     f = LL1Factors(
@@ -463,6 +559,21 @@ def test_run_nan_abort():
     with pytest.raises(SolverAbort) as exc:
         run(cfg, t)
     assert exc.value.iteration >= 0 and exc.value.mode in (1, 2, 3)
+
+
+@pytest.mark.parametrize("variant, data_seed, head", [
+    ({"estimator": "sgd", "eta": 1e6}, 5, "non-finite factor entries"),
+    ({"estimator": "saga", "eta": 3.0, "seed": 12}, 11, "the reconstruction overflows"),
+], ids=["non-finite", "reconstruction"])
+def test_abort_message_names_the_depth(variant, data_seed, head):
+    """Inertial depth makes a step infeasible as much as eta, alpha and beta
+    do, so both messages of an infeasible run name all four."""
+    cfg = SolverConfig(**{"ranks": RankVector((2, 1)), "epochs": 200, "reg": NONE, **variant})
+    with np.errstate(all="ignore"), pytest.raises(SolverAbort) as exc:
+        run(cfg, small_tensor(seed=data_seed))
+    message = str(exc.value)
+    assert message.startswith(head)
+    assert message.endswith("; the (t, eta, alpha, beta) configuration is likely infeasible")
 
 
 def test_run_callback_invoked_each_epoch():
