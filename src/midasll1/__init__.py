@@ -2,8 +2,10 @@
 
 Library entry points: DenseTensor3 / unfold / fold (tensor), LL1Factors /
 objective / full_gradient (model), SGD/SAGA/SARAH estimators, the inertial
-doubly stochastic solver with deterministic baselines, quality metrics, and
-binary tensor file I/O.
+doubly stochastic solver (one proximal step at every inertial depth t; t = 0
+is PALM's step) with deterministic baselines, quality metrics, and binary
+tensor file I/O.  Inputs are checked by the constructors of DenseTensor3,
+RankVector, LL1Factors and SolverConfig and by the file readers.
 """
 
 import os as _os
@@ -44,10 +46,10 @@ from .solver import (
     run,
 )
 from .synth import generate
-from .tensor import DenseTensor3, FiberBatch, fold, khatri_rao, unfold
+from .tensor import DenseTensor3, fold, khatri_rao, unfold
 
 __all__ = [
-    "DenseTensor3", "FiberBatch", "unfold", "fold", "khatri_rao",
+    "DenseTensor3", "unfold", "fold", "khatri_rao",
     "RankVector", "LL1Factors", "ObjectiveValue", "reconstruct", "objective",
     "full_gradient",
     "Regularizer", "prox",

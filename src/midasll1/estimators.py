@@ -16,32 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import H_rows_at, LL1Factors, full_gradient, gradient_from_rows
-from .tensor import (
-    DenseTensor3,
-    FiberBatch,
-    fiber_coordinates,
-    fiber_rows_at,
-    row_count,
-)
+from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
 
 # the warm start fills the SAGA table in chunks of bins whose rows, H rows,
 # Grams and gradients take at most this many bytes (at least one bin)
 _WARM_CHUNK_BYTES = 1 << 20
-
-
-def sgd_estimate(factors: LL1Factors, t: DenseTensor3, batch: FiberBatch) -> np.ndarray:
-    """Fiber-sampled stochastic gradient of f with respect to A_mode.
-
-    g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B), with H_n(F)
-    built row-wise for the sampled fibers only.  With B = J_n this equals
-    the exact full gradient: both evaluate `gradient_from_rows`.
-    """
-    jn = row_count(t.dims, batch.mode)
-    if batch.indices.max() >= jn:
-        raise IndexError(f"fiber index out of range for J_{batch.mode}={jn}")
-    return batch_gradient(factors, t, batch.mode, batch.indices)
 
 
 def batch_gradient(
@@ -51,9 +32,14 @@ def batch_gradient(
     idx: np.ndarray | None,
     a_mode: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`sgd_estimate` on the distinct, in-range fiber indices `idx` (None:
-    every fiber, by `full_gradient`), without checks, at `factors` with
-    A_mode replaced by `a_mode` (None: the point as it is)."""
+    """Fiber-sampled stochastic gradient of f with respect to A_mode, at
+    `factors` with A_mode replaced by `a_mode` (None: the point as it is).
+
+    g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B) over the
+    distinct, in-range fiber indices `idx` (not checked), with H_n(F) built
+    row-wise for the sampled fibers only.  `idx` None takes every fiber, by
+    `full_gradient`; both evaluate `gradient_from_rows`, so a batch of all
+    J_n fibers gives the exact full gradient."""
     if idx is None:
         return full_gradient(factors, t, mode, a_mode)
     a, b = fiber_coordinates(t.dims, mode, idx)

@@ -93,15 +93,11 @@ class LL1Factors:
         """A3 with column r repeated L_r times (I3 x L_total), computed on first use."""
         return np.repeat(self.A3, self.ranks.L, axis=1)
 
-    def with_factor(self, mode: int, a: np.ndarray) -> "LL1Factors":
-        parts = [self.A1, self.A2, self.A3]
-        parts[mode - 1] = a
-        return LL1Factors(*parts, self.ranks)
-
     def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
-        """`with_factor` for a float64 array of the right shape, without the
-        checks.  Unless A3 is replaced, the new point shares `expanded_A3`
-        with this one, so it is computed once per A3."""
+        """This point with A_mode = `a`, a float64 array of A_mode's shape,
+        built without the constructor's checks.  Unless A3 is replaced, the
+        new point shares `expanded_A3` with this one, so it is computed once
+        per A3."""
         out = object.__new__(LL1Factors)
         state = out.__dict__
         state.update(self.__dict__)

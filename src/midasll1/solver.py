@@ -90,6 +90,8 @@ class SolverConfig:
             isinstance(self.init, LL1Factors) and self.init.ranks == self.ranks
         ):
             raise ValueError(f"init must be None or an LL1Factors of ranks {self.ranks.L}")
+        if not isinstance(self.reg, Regularizer):
+            raise ValueError(f"reg must be a Regularizer, got {self.reg!r}")
         for name in ("t", "B", "epochs", "seed", "sarah_q"):
             setattr(self, name, checked_int(getattr(self, name), f"{name} must be an integer"))
         if self.estimator not in ESTIMATOR_KINDS:
@@ -198,7 +200,8 @@ class StepWindow:
     `rows` is a window on a buffer of 2(t + 1) rows.  `push` writes the new
     step over A_n's row and the new point into the row above, so the window
     moves up one row and no row is shifted; a window at the top is first
-    copied to the buffer's end, once every t + 1 steps."""
+    copied to the buffer's end, once every t + 1 steps.  At t = 0 the window
+    is the one row [A_n], and PALM's step is this step too."""
 
     __slots__ = ("flat", "grid", "p", "rows", "width")
 
@@ -225,17 +228,15 @@ class StepWindow:
         return d
 
 
-def extrapolate(base: np.ndarray, rows: np.ndarray | None, coeffs: np.ndarray):
+def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
     """The prox anchor and the gradient point, coeffs @ rows reshaped like
     `base`, as two halves of one new array from one product.
 
     `base` is A^k and `rows` a `StepWindow`'s t + 1 rows [A^k; d_1; ...; d_t];
     `coeffs` are the (2, t + 1) weights [1, c_1, ..., c_t] of each point.
     A^k enters the product with weight 1, so its sum with the lags may round
-    unlike adding them one by one, but zero steps give A^k bit for bit.
-    With t = 0 (`rows` None) both points are `base` itself."""
-    if rows is None:
-        return base, base
+    unlike adding them one by one, but zero steps give A^k bit for bit (a
+    -0.0 entry as +0.0); at t = 0 both points are 1 * A^k."""
     points = coeffs.dot(rows).reshape((2, *base.shape))
     return points[0], points[1]
 
@@ -348,9 +349,9 @@ def run(
         state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
     estimate = batch_gradient if state is None else state.estimate
 
-    # each mode's point and last t steps; allocated after the SAGA table, none at t = 0
+    # each mode's point and last t steps; allocated after the SAGA table
     depth = config.t
-    windows = [None, *(StepWindow(factors.factor(n), depth) if depth else None for n in (1, 2, 3))]
+    windows = [None, *(StepWindow(factors.factor(n), depth) for n in (1, 2, 3))]
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
@@ -387,10 +388,8 @@ def run(
             coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
             coefs = epoch_coefficients(coef_a, coef_b, depth)
             for i, (n, pick) in enumerate(zip(modes, picks)):
-                base = factors.factor(n)
                 window = windows[n]
-                y_anchor, u_eval = extrapolate(base, None if window is None else window.rows,
-                                               coefs[i])
+                y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])
 
                 # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
                 # and L_n come from the other factors, so they are those of `factors`
@@ -398,13 +397,10 @@ def run(
                 epoch_eta[n] = eta
 
                 g = estimate(factors, tensor, n, pick, u_eval)
-                if window is None:
-                    a_new = prox(config.reg, y_anchor - eta * g, eta)
-                    d = a_new - base
-                else:  # the anchor is the product's own array, so the step overwrites it
-                    y_anchor -= eta * g
-                    a_new = prox(config.reg, y_anchor, eta, out=y_anchor)
-                    d = window.push(a_new)
+                # the anchor is the product's own array, so the step overwrites it
+                y_anchor -= eta * g
+                a_new = prox(config.reg, y_anchor, eta, out=y_anchor)
+                d = window.push(a_new)
                 # a non-finite entry of a_new makes d.d non-finite, so only then look
                 if not math.isfinite(np.vdot(d, d)) and not np.isfinite(a_new).all():
                     raise SolverAbort(k, n)
@@ -501,7 +497,7 @@ def als_mu_baseline(
             den = a @ (h.T @ h) + MU_EPS
             a_new = a * (num / den)
             last_step_norm = float(np.linalg.norm(a_new - a))
-            factors = factors.with_factor(n, a_new)
+            factors = factors.replaced(n, a_new)
             k += 1
         obj = objective(factors, tensor, config.reg)
         trace.append(it + 1, k, obj.phi, obj.f, clock() - start, last_step_norm, (1, 1, 1),

@@ -66,33 +66,6 @@ class DenseTensor3:
         return float(np.linalg.norm(self.flat))
 
 
-@dataclass(frozen=True)
-class FiberBatch:
-    """A set of distinct mode-n fiber indices (0-based rows of the unfolding)."""
-
-    mode: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        _check_mode(self.mode)
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("batch must contain at least one fiber index")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"fiber indices must be integers, got dtype {idx.dtype}")
-        idx = np.asarray(idx, dtype=np.intp)
-        if np.unique(idx).size != idx.size:
-            raise ValueError("fiber indices must be distinct")
-        if idx.min() < 0:
-            raise ValueError("fiber indices must be nonnegative")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
-
-
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of the float array `a` is finite, without an
     entry-sized temporary unless the sum is not finite: a finite sum has

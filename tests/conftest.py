@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 
-from midasll1.model import lipschitz_bound
+from midasll1.model import LL1Factors, lipschitz_bound
 from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
     STEP_SCALE,
@@ -62,6 +62,14 @@ def reference_objective(factors, tensor, reg):
     return f, h, f + h
 
 
+def _with_factor(factors, mode, a):
+    """`factors` with A_mode = `a`, through the checked constructor, so that
+    no cache of `factors` is carried over."""
+    parts = [factors.A1, factors.A2, factors.A3]
+    parts[mode - 1] = a
+    return LL1Factors(*parts, factors.ranks)
+
+
 def palm_reference(config, tensor):
     """Cyclic full-gradient proximal sweeps with per-mode 1/L steps, written
     out by hand so that the reduction of `run` to PALM is checked against
@@ -80,7 +88,7 @@ def palm_reference(config, tensor):
             a_new = prox(config.reg, factors.factor(n) - eta * g, eta)
             d = a_new - factors.factor(n)
             last = math.sqrt(float(np.sum(d * d)))
-            factors = factors.with_factor(n, a_new)
+            factors = _with_factor(factors, n, a_new)
         f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
         phi.append(phi_val)
         f.append(f_val)
@@ -174,7 +182,7 @@ def run_reference(config, tensor):
                                        for i in range(1, config.t + 1))]
                                for scale in (config.alpha0, config.beta0)])
             y_anchor, u_eval = _extrapolate(history[n], coeffs)
-            factors_u = factors.with_factor(n, u_eval)
+            factors_u = _with_factor(factors, n, u_eval)
 
             if config.step_rule == "inverse_lipschitz":
                 lip = lipschitz_bound(factors_u, n)
@@ -223,7 +231,7 @@ def run_reference(config, tensor):
             d = a_new - factors.factor(n)
             sq = float(np.sum(d * d))
             last_step_norm = math.sqrt(sq)
-            factors = factors.with_factor(n, a_new)
+            factors = _with_factor(factors, n, a_new)
             history[n].append(a_new)
             k += 1
 

@@ -22,9 +22,9 @@ import midasll1
 from midasll1.cli import EXIT_PARSE
 from midasll1.estimators import (
     SagaState,
+    batch_gradient,
     estimator_mse_probe,
     largest_divisor_at_most,
-    sgd_estimate,
 )
 from midasll1.model import (
     LL1Factors,
@@ -43,7 +43,7 @@ from midasll1.solver import (
     run,
 )
 from midasll1.synth import generate
-from midasll1.tensor import DenseTensor3, FiberBatch, fold, khatri_rao, row_count, unfold
+from midasll1.tensor import DenseTensor3, fold, khatri_rao, row_count, unfold
 from midasll1 import tensorfile
 
 
@@ -144,8 +144,8 @@ def test_criterion_01_gradient_correctness():
                     ap[i, j] += h
                     am[i, j] -= h
                     fd[i, j] = (
-                        objective(f.with_factor(mode, ap), x, NONE).f
-                        - objective(f.with_factor(mode, am), x, NONE).f
+                        objective(f.replaced(mode, ap), x, NONE).f
+                        - objective(f.replaced(mode, am), x, NONE).f
                     ) / (2 * h)
             worst = max(worst, float(np.abs(g - fd).max() / np.abs(g).max()))
     elapsed = time.perf_counter() - start
@@ -163,7 +163,7 @@ def test_criterion_02_estimator_unbiasedness():
         jn = row_count(x.dims, mode)
         b = largest_divisor_at_most(jn, 4)
         bins = np.arange(jn).reshape(-1, b)
-        avg = sum(sgd_estimate(f, x, FiberBatch(mode, idx)) for idx in bins) / len(bins)
+        avg = sum(batch_gradient(f, x, mode, idx) for idx in bins) / len(bins)
         worst = max(worst, float(np.linalg.norm(avg - full_gradient(f, x, mode))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -190,9 +190,7 @@ def test_criterion_03_saga_cancellation():
         f2 = _random_factors(rng, (5, 4, 6), (2, 1))
         for bin_id in range(state.n_bins(mode)):
             state.estimate(f2, x, mode, bin_id)
-        target = sum(
-            sgd_estimate(f2, x, FiberBatch(mode, idx)) for idx in bins
-        ) / len(bins)
+        target = sum(batch_gradient(f2, x, mode, idx) for idx in bins) / len(bins)
         err = float(np.linalg.norm(state.running_mean[mode] - target))
         detail.append(err)
         ok = ok and err <= 1e-10

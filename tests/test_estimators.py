@@ -10,13 +10,11 @@ from midasll1.estimators import (
     batch_gradient,
     estimator_mse_probe,
     largest_divisor_at_most,
-    sgd_estimate,
 )
 from midasll1.model import LL1Factors, RankVector, full_gradient, gradient_from_rows
 from midasll1.solver import SolverConfig, run
 from midasll1.tensor import (
     DenseTensor3,
-    FiberBatch,
     fiber_coordinates,
     fiber_rows_at,
     row_count,
@@ -41,7 +39,7 @@ def make_problem(seed=0, dims=(4, 5, 3), L=(2, 2)):
 def test_full_batch_sgd_is_exact_gradient(mode):
     f, t = make_problem()
     jn = row_count(t.dims, mode)
-    g = sgd_estimate(f, t, FiberBatch(mode, np.arange(jn)))
+    g = batch_gradient(f, t, mode, np.arange(jn))
     np.testing.assert_array_equal(g, full_gradient(f, t, mode))
 
 
@@ -52,7 +50,7 @@ def test_partition_average_is_unbiased(mode):
     jn = row_count(t.dims, mode)
     b = largest_divisor_at_most(jn, 5)
     bins = np.arange(jn).reshape(-1, b)
-    avg = sum(sgd_estimate(f, t, FiberBatch(mode, idx)) for idx in bins) / len(bins)
+    avg = sum(batch_gradient(f, t, mode, idx) for idx in bins) / len(bins)
     exact = full_gradient(f, t, mode)
     assert np.abs(avg - exact).max() <= 1e-10
 
@@ -111,7 +109,7 @@ def test_saga_estimate_with_a_new_factor_is_the_estimate_at_that_point(mode):
     for _ in range(2 * st.n_bins(mode)):
         a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
         bin_id = int(rng.integers(st.n_bins(mode)))
-        g_point = by_point.estimate(f.with_factor(mode, a_mode), t, mode, bin_id)
+        g_point = by_point.estimate(f.replaced(mode, a_mode), t, mode, bin_id)
         g_factor = by_factor.estimate(f, t, mode, bin_id, a_mode)
         assert g_factor.tobytes() == g_point.tobytes()
     assert by_factor.table[mode].tobytes() == by_point.table[mode].tobytes()
@@ -135,7 +133,7 @@ def test_saga_running_mean_stays_consistent():
     rng = np.random.default_rng(6)
     point = f
     for _ in range(50):
-        point = point.with_factor(
+        point = point.replaced(
             mode, point.factor(mode) + 0.01 * rng.standard_normal(point.factor(mode).shape)
         )
         st.estimate(point, t, mode, int(rng.integers(st.n_bins(mode))))
@@ -175,7 +173,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
     for _ in range(5):
         v = st.estimate(point, t, mode, np.arange(jn))
         assert np.abs(v - full_gradient(point, t, mode)).max() <= 1e-12
-        point = point.with_factor(
+        point = point.replaced(
             mode, point.factor(mode) + 0.1 * rng.standard_normal(point.factor(mode).shape)
         )
 
@@ -204,7 +202,7 @@ def test_gradients_with_a_new_factor_are_the_gradients_at_that_point(mode):
     rng = np.random.default_rng(21)
     for _ in range(4):
         a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
-        point = f.with_factor(mode, a_mode)
+        point = f.replaced(mode, a_mode)
         for idx in (rng.choice(jn, size=3, replace=False), None):
             g_factor = batch_gradient(f, t, mode, idx, a_mode)
             assert g_factor.tobytes() == batch_gradient(point, t, mode, idx).tobytes()
@@ -270,7 +268,7 @@ def test_probe_does_not_mutate_state():
     for _ in range(3):
         sarah.estimate(point, t, mode, rng.choice(row_count(t.dims, mode), 4, replace=False))
         a = point.factor(mode)
-        point = point.with_factor(mode, a + 0.01 * rng.standard_normal(a.shape))
+        point = point.replaced(mode, a + 0.01 * rng.standard_normal(a.shape))
     before = copy.deepcopy(sarah)
     estimator_mse_probe("sarah", sarah, point, t, mode, 4, 5, np.random.default_rng(3))
     assert sarah.counter == before.counter == {mode: 3}

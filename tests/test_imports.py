@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, and every test and tool script, uses each
+name it imports.
 
 No linter is a dependency, so the check parses the source with `ast`.
-`__init__.py` is exempt: its imports are the package's re-exports.
+The package's `__init__.py` is exempt: its imports are the re-exports.
 """
 
 import ast
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "midasll1"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "midasll1"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,8 +43,11 @@ def test_unused_imports_finds_what_it_should():
     )
     assert unused_imports(source) == ["line 2: np", "line 4: objective"]
     assert len(MODULES) >= 10, f"modules missing under {PACKAGE}"
+    assert len(SCRIPTS) >= 14, f"test and tool scripts missing under {ROOT}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*MODULES, *SCRIPTS],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []

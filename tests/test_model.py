@@ -71,7 +71,7 @@ def test_reconstruct_rank1_outer_product():
 def test_reconstruct_zero_A3():
     rng = np.random.default_rng(0)
     f = random_factors(rng, (3, 4, 2), (2, 1))
-    f = f.with_factor(3, np.zeros_like(f.A3))
+    f = f.replaced(3, np.zeros_like(f.A3))
     assert not reconstruct(f).array.any()
 
 
@@ -145,7 +145,7 @@ def test_objective_triple_loop_oracle():
 def test_objective_infeasible_indicator_is_inf():
     rng = np.random.default_rng(8)
     f = random_factors(rng, (3, 3, 3), (1,))
-    f = f.with_factor(1, f.A1 - 2.0)
+    f = f.replaced(1, f.A1 - 2.0)
     obj = objective(f, reconstruct(f), NONNEG)
     assert obj.phi == np.inf and obj.f >= 0
 
@@ -215,8 +215,8 @@ def finite_difference_gradient(f, x, mode, h=1e-6):
             ap[i, j] += h
             am[i, j] -= h
             out[i, j] = (
-                objective(f.with_factor(mode, ap), x, NONE).f
-                - objective(f.with_factor(mode, am), x, NONE).f
+                objective(f.replaced(mode, ap), x, NONE).f
+                - objective(f.replaced(mode, am), x, NONE).f
             ) / (2 * h)
     return out
 
@@ -248,8 +248,8 @@ def test_directional_derivative_consistency():
         d = rng.standard_normal(f.factor(mode).shape)
         d /= np.linalg.norm(d)
         num = (
-            objective(f.with_factor(mode, f.factor(mode) + eps * d), x, NONE).f
-            - objective(f.with_factor(mode, f.factor(mode) - eps * d), x, NONE).f
+            objective(f.replaced(mode, f.factor(mode) + eps * d), x, NONE).f
+            - objective(f.replaced(mode, f.factor(mode) - eps * d), x, NONE).f
         ) / (2 * eps)
         inner = float(np.sum(full_gradient(f, x, mode) * d))
         assert num == pytest.approx(inner, rel=1e-5)
@@ -326,7 +326,7 @@ def test_mode_n_kernels_never_read_a_n(mode):
     factors: filling A_n with NaNs leaves their bits as they are.  The
     solver relies on this to pass a gradient point as `factors` plus A_n."""
     f = random_factors(np.random.default_rng(17), (5, 7, 4), (2, 1))
-    nan = f.with_factor(mode, np.full_like(f.factor(mode), np.nan))
+    nan = f.replaced(mode, np.full_like(f.factor(mode), np.nan))
     batch = np.random.default_rng(18).choice(row_count(f.dims, mode), size=6, replace=False)
     a, b = fiber_coordinates(f.dims, mode, batch)
     assert H_rows_at(nan, mode, a, b).tobytes() == H_rows_at(f, mode, a, b).tobytes()
@@ -344,7 +344,7 @@ def test_lipschitz_bound_is_inf_when_not_finite():
     for bad in (1e78, 1e200, np.inf, np.nan):
         a1 = f.A1.copy()
         a1[0, 0] = bad
-        g = f.with_factor(1, a1)
+        g = f.replaced(1, a1)
         assert lipschitz_bound(g, 2) == lipschitz_bound(g, 3) == math.inf
         assert lipschitz_bound(g, 1) == lipschitz_bound(f, 1)
 

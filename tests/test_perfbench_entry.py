@@ -71,7 +71,8 @@ def test_write_instances_runs_the_solver_set_up(tmp_path, monkeypatch):
 def test_tracer_hooks_resolve():
     """The traced run's hooks on the set-up and full-gradient kernels find
     their targets (the warm start still as a classmethod), and the only
-    targets missing are the two deleted gather and H-row wrappers."""
+    targets missing are the deleted gather and H-row wrappers and the
+    deleted checked twins `sgd_estimate`, `FiberBatch` and `with_factor`."""
     tracing = load("tracing")
     originals = {
         "read_tensor": tensorfile.read_tensor,
@@ -82,7 +83,9 @@ def test_tracer_hooks_resolve():
     }
     assert isinstance(originals["warm_start"], classmethod)
     with tracing.Hooks(tracing.Tracer()) as hooks:
-        assert set(hooks.missing) == {"tensor.gather_fiber_rows", "model.build_H_rows"}
+        assert set(hooks.missing) == {
+            "tensor.gather_fiber_rows", "model.build_H_rows", "estimators.sgd_estimate",
+            "tensor.FiberBatch", "model.LL1Factors.with_factor"}
         assert tensorfile.read_tensor is not originals["read_tensor"]
         assert isinstance(vars(SagaState)["warm_start"], classmethod)
         assert vars(SagaState)["warm_start"] is not originals["warm_start"]

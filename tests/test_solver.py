@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import palm_reference, run_reference
 from midasll1 import solver
-from midasll1.model import LL1Factors, RankVector, lipschitz_bound, objective, reconstruct
+from midasll1.model import LL1Factors, RankVector, lipschitz_bound, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
     STEP_SCALE,
@@ -45,9 +46,7 @@ def test_inertial_schedule_values():
 def _window(hist, t):
     """[A^k; d_1; ...; d_t] of an oldest-to-newest history: its last entry
     and its last t differences A^{j+1} - A^j, newest first, as the rows of a
-    (t + 1, size) array, zero past the history; None for t = 0."""
-    if t == 0:
-        return None
+    (t + 1, size) array, zero past the history; at t = 0 the one row A^k."""
     out = np.zeros((t + 1, hist[-1].size))
     out[0] = hist[-1].ravel()
     for i in range(1, min(t, len(hist) - 1) + 1):
@@ -58,14 +57,15 @@ def _window(hist, t):
 def test_extrapolate_short_history_is_base():
     h = [np.ones((2, 2))]
     y, u = extrapolate(h[-1], _window(h, 0), np.ones((2, 1)))
-    assert y is h[0] and u is h[0]
+    assert y.tobytes() == u.tobytes() == h[0].tobytes()
+    assert not np.shares_memory(y, h[0])
     # lags not yet taken are zero rows and add nothing
     y, u = extrapolate(h[-1], _window(h, 3), np.array([[1.0, 0.5, 0.5, 0.5]] * 2))
     np.testing.assert_array_equal(y, h[0])
     np.testing.assert_array_equal(u, h[0])
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 8])
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 8])
 def test_extrapolate_zero_steps_give_the_point_bit_for_bit(t):
     """A fixed point stays exact: 1 * A_n plus any weights times zero steps
     is A_n, bit for bit, whatever the weights."""
@@ -110,16 +110,16 @@ def test_extrapolate_does_not_mutate_history():
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 8])
 def test_extrapolate_against_sequential_sum(t):
-    """t = 0 gives base itself; deeper windows weigh base by 1 inside the
-    product, which may round the last bits apart from adding the lags one by
-    one to base."""
+    """t = 0 gives base bit for bit; deeper windows weigh base by 1 inside
+    the product, which may round the last bits apart from adding the lags one
+    by one to base."""
     rng = np.random.default_rng(t)
     shape = (40, 7)
     for trial in range(20):
         base = rng.standard_normal(shape)
         steps = rng.standard_normal((t, *shape)) * 10.0 ** rng.integers(-3, 3)
         coeffs = rng.uniform(-1, 1, (2, t))
-        rows = np.vstack([base.reshape(1, -1), steps.reshape(t, -1)]) if t else None
+        rows = np.vstack([base.reshape(1, -1), steps.reshape(t, base.size)])
         weights = np.hstack([np.ones((2, 1)), coeffs])
         for row, point in zip(coeffs, extrapolate(base, rows, weights)):
             seq = base
@@ -204,6 +204,11 @@ def test_config_validation():
             SolverConfig(ranks=RankVector((2, 1)), init=bad_init)
     # the integer fields take Python or numpy integers, stored as int, and
     # reject a bool or a float by name (as RankVector does its widths)
+    # reg must be a Regularizer: a kind name alone is rejected by name
+    for bad_reg in ("nonneg", None, ("ridge", 0.1)):
+        message = f"^reg must be a Regularizer, got {re.escape(repr(bad_reg))}$"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(ranks=rk, reg=bad_reg)
     for name in ("t", "B", "epochs", "seed", "sarah_q"):
         cfg = SolverConfig(ranks=rk, **{name: np.int64(2)})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
@@ -288,6 +293,9 @@ def test_run_is_bitwise_deterministic():
 REFERENCE_SHAPE = ((5, 7, 4), (2, 1))
 REFERENCE_CASES = [
     *({"estimator": est, "t": t} for est in ("sgd", "saga", "sarah") for t in (0, 1, 3)),
+    # t = 0 under every prox, each written into the product's array by `out=`
+    *({"estimator": est, "t": 0, "reg": reg} for est in ("sgd", "saga", "sarah")
+      for reg in (NONE, Regularizer("ridge", 0.01))),
     *({"estimator": est, "eta": 0.1} for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "mode_policy": "cyclic"} for est in ("sgd", "saga", "sarah")),
     *({"estimator": est, "step_rule": "inverse_lipschitz", "reg": NONE}
@@ -384,8 +392,9 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     """The step windows are overwritten in place, so neither the points
     `extrapolate` returns, nor the factors `run` returns, nor those its
     callback sees, nor SARAH's stored points may share memory with them.
-    With t >= 1 the new iterate is written over the prox anchor, in the
-    product's own array; no array a caller was handed changes afterwards."""
+    At every depth, t = 0 included, the new iterate is written over the prox
+    anchor, in the product's own array; no array a caller was handed changes
+    afterwards."""
     windows, points = [], []
 
     def recording(base, rows, coeffs):
@@ -409,9 +418,6 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     final = [factors.factor(n) for n in (1, 2, 3)]
     for a, snapshot in seen:
         assert a.tobytes() == snapshot.tobytes()
-    if t == 0:
-        assert all(rows is None for rows in windows)
-        return
     assert all(len(rows) == t + 1 for rows in windows)
     buffers = {id(rows.base): rows.base for rows in windows}.values()  # one per mode, kept
     assert len(buffers) == 3

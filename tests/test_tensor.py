@@ -3,11 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from midasll1.estimators import sgd_estimate
-from midasll1.model import LL1Factors, RankVector
 from midasll1.tensor import (
     DenseTensor3,
-    FiberBatch,
     fiber_coordinates,
     fiber_rows_at,
     fold,
@@ -131,26 +128,6 @@ def test_gather_deterministic():
     a = gather(t, 2, rows)
     b = gather(t, 2, rows)
     np.testing.assert_array_equal(a, b)
-
-
-def test_gather_out_of_range():
-    """`sgd_estimate` is the checked entry to the gather: J_1 = 4 here."""
-    t = counting_tensor()
-    rk = RankVector((1,))
-    f = LL1Factors(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), rk)
-    with pytest.raises(IndexError):
-        sgd_estimate(f, t, FiberBatch(1, np.array([4])))
-
-
-def test_fiber_batch_validation():
-    with pytest.raises(ValueError):
-        FiberBatch(1, np.array([1, 1]))
-    with pytest.raises(ValueError):
-        FiberBatch(1, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        FiberBatch(4, np.array([0]))
-    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
-        FiberBatch(1, np.array([0.5, 1.9]))
 
 
 def test_khatri_rao_scalar():
