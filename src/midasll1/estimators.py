@@ -38,8 +38,8 @@ def batch_gradient(
     g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B) over the
     distinct, in-range fiber indices `idx` (not checked), with H_n(F) built
     row-wise for the sampled fibers only.  `idx` None takes every fiber, by
-    `full_gradient`; both evaluate `gradient_from_rows`, so a batch of all
-    J_n fibers gives the exact full gradient."""
+    `full_gradient`; a batch of all J_n fibers gives the same gradient up to
+    rounding, since `full_gradient` contracts the tensor in another order."""
     if idx is None:
         return full_gradient(factors, t, mode, a_mode)
     a, b = fiber_coordinates(t.dims, mode, idx)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .prox import Regularizer, penalty_value
-from .tensor import DenseTensor3, _check_mode, unfold_contiguous
+from .tensor import DenseTensor3, _check_mode
 
 
 def checked_int(v, what: str) -> int:
@@ -129,13 +129,20 @@ def reconstruct(factors: LL1Factors) -> DenseTensor3:
 
 def _reconstruction(factors: LL1Factors) -> np.ndarray:
     """X_hat as a new, writable, F-ordered (I1, I2, I3) array: A3 times the
-    stacked slabs A2_r A1_r^T, viewed transposed."""
+    stacked slabs, viewed transposed."""
     i1, i2, i3 = factors.dims
+    return (factors.A3 @ _slabs(factors)).reshape(i3, i2, i1).T
+
+
+def _slabs(factors: LL1Factors) -> np.ndarray:
+    """The R slabs A2_r A1_r^T, each flattened in C order, as one C-ordered
+    R x (I2*I1) array: row r is column r of H3, in mode-3 unfolding order."""
+    i1, i2, _ = factors.dims
     rk = factors.ranks
     slabs = np.empty((rk.R, i2, i1))
     for r, blk in enumerate(rk.blocks):
         slabs[r] = factors.A2[:, blk] @ factors.A1[:, blk].T
-    return (factors.A3 @ slabs.reshape(rk.R, i2 * i1)).reshape(i3, i2, i1).T
+    return slabs.reshape(rk.R, i2 * i1)
 
 
 def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
@@ -246,14 +253,33 @@ def full_gradient(
     factors: LL1Factors, t: DenseTensor3, mode: int, a_mode: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact gradient of f with respect to A_mode, at `factors` with A_mode
-    replaced by `a_mode` (None: the point as it is; H_n never reads A_n)."""
+    replaced by `a_mode` (None: the point as it is; neither term reads A_n).
+
+    (A_n gram_H - X_(n)^T H_n) / (I1*I2*I3), with X_(n)^T H_n contracted
+    from the tensor's column-major storage, read in place as the mode-3
+    unfolding X3: no unfolding copy and no H_n.  Modes 1 and 2 take
+    Y = A3^T X3^T, whose row r is the I2 x I1 matrix Y_r = sum_i3 c_r[i3]
+    X[:, :, i3]^T, and block r of X_(n)^T H_n is Y_r^T A2_r (mode 1) or
+    Y_r A1_r (mode 2); mode 3 takes (S X3)^T from the slabs S of
+    `_slabs`.  Every operand is C- or F-contiguous or a column block of
+    one, so BLAS reads it where it lies."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
-    h = build_H(factors, mode)
-    # C-contiguous, like the fiber rows of the sampled path: BLAS then sees
-    # the same layout and rounds the same as that path on every fiber
-    x_n = unfold_contiguous(t, mode)
-    return gradient_from_rows(factors.factor(mode) if a_mode is None else a_mode, h, x_n)
+    _check_mode(mode)
+    i1, i2, i3 = t.dims
+    x3 = t.array.reshape(i1 * i2, i3, order="F")
+    a = factors.factor(mode) if a_mode is None else a_mode
+    g = a.dot(gram_H(factors, mode))
+    if mode == 3:
+        g -= _slabs(factors).dot(x3).T
+    else:
+        y = factors.A3.T.dot(x3.T)
+        other = factors.A2 if mode == 1 else factors.A1
+        for r, blk in enumerate(factors.ranks.blocks):
+            y_r = y[r].reshape(i2, i1)
+            g[:, blk] -= (y_r.T if mode == 1 else y_r).dot(other[:, blk])
+    g /= t.size
+    return g
 
 
 def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:

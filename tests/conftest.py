@@ -1,5 +1,6 @@
 """Shared test helpers: the acceptance-criterion log and standalone solver loops."""
 
+import itertools
 import math
 from collections import deque
 
@@ -21,9 +22,9 @@ from midasll1.tensor import DenseTensor3, khatri_rao, row_count, unfold
 ACCEPTANCE_RESULTS: list[str] = []
 
 
-# Reference kernels: the H matrices, full gradient and objective written the
-# plain way (per-block kron / Khatri-Rao and hstack, a contiguous copy of the
-# unfolding, a validated reconstruction), so that the copy-free kernels of
+# Reference kernels: the H matrices, gradients and objective written the
+# plain way (per-block kron / Khatri-Rao and hstack, the unfolding and plain
+# `@`, a validated reconstruction), so that the copy-free kernels of
 # `midasll1.model` are pinned bit for bit against code they do not share.
 
 
@@ -37,11 +38,49 @@ def reference_build_H(factors, mode):
                      for blk in rk.blocks], axis=1)
 
 
-def reference_full_gradient(factors, tensor, mode):
+def reference_unfolding_gradient(factors, tensor, mode):
+    """(A_n H_n^T H_n - X_(n)^T H_n) / N from the whole H_n and a contiguous
+    copy of the unfolding: what the fiber path computes over all fibers."""
     h = reference_build_H(factors, mode)
     x_n = np.ascontiguousarray(unfold(tensor, mode))
     a = factors.factor(mode)
     return (a @ (h.T @ h) - x_n.T @ h) / tensor.size
+
+
+def reference_gram(factors, mode):
+    """H_n^T H_n block by block: (c_r^T c_s) (M_r^T M_s) for modes 1 and 2,
+    the total of (A1_r^T A1_s) * (A2_r^T A2_s) for mode 3."""
+    blocks = factors.ranks.blocks
+    if mode in (1, 2):
+        m = factors.A2 if mode == 1 else factors.A1
+        g3, gm = factors.A3.T @ factors.A3, m.T @ m
+        out = np.empty_like(gm)
+        for (r, br), (s, bs) in itertools.product(enumerate(blocks), repeat=2):
+            out[br, bs] = gm[br, bs] * g3[r, s]
+        return out
+    had = (factors.A1.T @ factors.A1) * (factors.A2.T @ factors.A2)
+    return np.array([[had[br, bs].sum() for bs in blocks] for br in blocks])
+
+
+def reference_full_gradient(factors, tensor, mode):
+    """(A_n gram - X_(n)^T H_n) / N with X_(n)^T H_n contracted through the
+    mode-3 unfolding X3: block r is Y_r^T A2_r (mode 1) or Y_r A1_r (mode 2)
+    with Y = A3^T X3^T and Y_r its row r as I2 x I1, and mode 3 is (S X3)^T
+    with S the stacked, flattened slabs A2_r A1_r^T."""
+    i1, i2, _ = tensor.dims
+    x3 = unfold(tensor, 3)
+    blocks = factors.ranks.blocks
+    if mode == 3:
+        s = np.stack([(factors.A2[:, blk] @ factors.A1[:, blk].T).ravel() for blk in blocks])
+        m = (s @ x3).T
+    else:
+        y = factors.A3.T @ x3.T
+        ys = [y[r].reshape(i2, i1) for r in range(len(blocks))]
+        if mode == 1:
+            m = np.hstack([y_r.T @ factors.A2[:, blk] for y_r, blk in zip(ys, blocks)])
+        else:
+            m = np.hstack([y_r @ factors.A1[:, blk] for y_r, blk in zip(ys, blocks)])
+    return (factors.factor(mode) @ reference_gram(factors, mode) - m) / tensor.size
 
 
 def reference_reconstruct(factors):

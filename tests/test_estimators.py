@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import reference_unfolding_gradient
 
 from midasll1 import estimators
 from midasll1.estimators import (
@@ -37,10 +38,13 @@ def make_problem(seed=0, dims=(4, 5, 3), L=(2, 2)):
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_full_batch_sgd_is_exact_gradient(mode):
+    """A batch of every fiber is the H_n formula over the whole unfolding,
+    bit for bit; `idx` None is `full_gradient`, bit for bit."""
     f, t = make_problem()
     jn = row_count(t.dims, mode)
     g = batch_gradient(f, t, mode, np.arange(jn))
-    np.testing.assert_array_equal(g, full_gradient(f, t, mode))
+    np.testing.assert_array_equal(g, reference_unfolding_gradient(f, t, mode))
+    np.testing.assert_array_equal(batch_gradient(f, t, mode, None), full_gradient(f, t, mode))
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])

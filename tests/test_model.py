@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     reference_full_gradient,
     reference_objective,
     reference_reconstruct,
+    reference_unfolding_gradient,
 )
 
 from midasll1.model import (
@@ -176,24 +178,31 @@ def test_objective_overflowing_residual_is_inf():
     assert obj.f == np.inf and obj.phi == np.inf
 
 
-@pytest.mark.parametrize("dims, L", [
+KERNEL_SHAPES = [
     ((9, 8, 7), (2, 3)),         # unequal L_r
     ((20, 15, 10), (3, 1, 4)),
     ((6, 9, 11), (9, 2)),        # a block wider than 8 columns
     ((5, 7, 4), (1,)),           # R = 1
     ((7, 5, 6), (3,)),
     ((100, 100, 50), (4, 4, 4)), # the mid benchmark shape
-])
+]
+
+
+def kernel_problem(dims, L, seed, draw="standard_normal"):
+    """Factors and a tensor of `dims` with entries from `rng.<draw>`."""
+    rng = np.random.default_rng(seed)
+    d = getattr(rng, draw)
+    rk = RankVector(L)
+    f = LL1Factors(d((dims[0], rk.total)), d((dims[1], rk.total)), d((dims[2], rk.R)), rk)
+    return f, DenseTensor3(d(dims))
+
+
+@pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
 def test_kernels_match_reference_bitwise(dims, L):
     """`build_H`, `full_gradient`, `reconstruct` and `objective` give the
-    same bits as the plain kron/hstack, copied-unfolding and validated-
+    same bits as the plain kron/hstack, unfolding-contraction and validated-
     reconstruction formulas of `tests/conftest.py`."""
-    rng = np.random.default_rng(sum(dims) + len(L))
-    rk = RankVector(L)
-    f = LL1Factors(rng.standard_normal((dims[0], rk.total)),
-                   rng.standard_normal((dims[1], rk.total)),
-                   rng.standard_normal((dims[2], rk.R)), rk)
-    x = DenseTensor3(rng.standard_normal(dims))
+    f, x = kernel_problem(dims, L, sum(dims) + len(L))
     for mode in (1, 2, 3):
         np.testing.assert_array_equal(build_H(f, mode), reference_build_H(f, mode))
         np.testing.assert_array_equal(full_gradient(f, x, mode),
@@ -204,6 +213,34 @@ def test_kernels_match_reference_bitwise(dims, L):
     reg = Regularizer("ridge", 0.3)
     obj = objective(f, x, reg)
     assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, reg)
+
+
+@pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
+def test_full_gradient_matches_unfolding_formula(dims, L):
+    """`full_gradient` contracts the tensor's storage in another order than
+    the H_n formula over the copied unfolding; the two agree to a few ulps
+    of the largest entry."""
+    for seed, draw in itertools.product((1, 2), ("standard_normal", "random")):
+        f, x = kernel_problem(dims, L, seed, draw)
+        for mode in (1, 2, 3):
+            g = full_gradient(f, x, mode)
+            ref = reference_unfolding_gradient(f, x, mode)
+            assert np.abs(g - ref).max() <= 1e-13 * np.abs(g).max()
+
+
+def test_full_gradient_makes_no_tensor_sized_buffer():
+    """One call at the mid benchmark shape allocates well under one 4 MB
+    copy of the tensor: no unfolding copy and no J_n x L H_n."""
+    f, x = kernel_problem((100, 100, 50), (4, 4, 4), 3)
+    for mode in (1, 2, 3):
+        full_gradient(f, x, mode)
+        tracemalloc.start()
+        try:
+            full_gradient(f, x, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (mode, peak)
 
 
 def finite_difference_gradient(f, x, mode, h=1e-6):
