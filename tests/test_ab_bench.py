@@ -21,13 +21,14 @@ def _load_tool():
     return tool
 
 
-def _runs(parent, change, name="us_per_iter", correct=None):
-    correct = correct or {}
+def _runs(parent, change, name="us_per_iter", correct=None, failed=None):
+    correct, failed = correct or {}, failed or {}
     out = []
     for seed, (p, c) in enumerate(zip(parent, change)):
         for side, v in (("parent", p), ("change", c)):
             out.append({"seed": seed, "side": side, "order": 0,
                         "correct": correct.get((seed, side), True),
+                        "attempted": 20, "failed": failed.get((seed, side), 0),
                         "metrics": {"us_per_iter": None, "peak_rss_mb": None, "speed": None,
                                     name: v}})
     return out
@@ -43,6 +44,7 @@ def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_iqr():
     assert s["parent_iqr"] == pytest.approx(3.5)
     assert s["median_rel_change"] == pytest.approx(-0.3)
     assert s["claim_rule_met"] and s["within_bound"]
+    assert s["failed_share"] == {"parent": 0.0, "change": 0.0}
 
     # 8 wins of 10, one tie: the rule fails on the count although the gap is wide
     change = [v - 30 for v in parent]
@@ -53,6 +55,33 @@ def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_iqr():
     # every pair won, by less than the parent's spread
     s = tool.summarize(_runs(parent, [v - 1 for v in parent]), SPECS)["us_per_iter"]
     assert s["wins"] == 10 and not s["claim_rule_met"]
+
+
+def test_claim_rule_needs_ten_pairs():
+    tool = _load_tool()
+    parent = [100.0, 102, 98, 101, 99, 103, 97, 100, 104, 96, 100]
+    change = [v - 30 for v in parent]
+    assert tool.summarize(_runs(parent, change), SPECS)["us_per_iter"]["claim_rule_met"]
+    # nine pairs, every one won by far more than the spread
+    s = tool.summarize(_runs(parent[:9], change[:9]), SPECS)["us_per_iter"]
+    assert s["wins"] == 9 and not s["claim_rule_met"]
+    # ten runs per side, but one pair drops out for an incorrect run
+    s = tool.summarize(_runs(parent[:10], change[:10], correct={(4, "parent"): False}),
+                       SPECS)["us_per_iter"]
+    assert (s["pairs"], s["wins"]) == (9, 9) and not s["claim_rule_met"]
+
+
+def test_claim_rule_needs_no_larger_share_of_failed_operations():
+    tool = _load_tool()
+    parent = [100.0, 102, 98, 101, 99, 103, 97, 100, 104, 96]
+    change = [v - 30 for v in parent]
+    s = tool.summarize(_runs(parent, change, failed={(3, "change"): 1}), SPECS)["us_per_iter"]
+    assert s["failed_share"] == {"parent": 0.0, "change": 1 / 200}
+    assert s["wins"] == 10 and not s["claim_rule_met"]
+    # as many failures on the parent's side: the gain still counts
+    s = tool.summarize(_runs(parent, change, failed={(3, "change"): 1, (7, "parent"): 1}),
+                       SPECS)["us_per_iter"]
+    assert s["claim_rule_met"]
 
 
 def test_bound_and_direction():

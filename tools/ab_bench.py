@@ -1,20 +1,22 @@
 """Alternating A/B runs of the repo benchmark on two checkouts.
 
     python tools/ab_bench.py --parent ../base --change . --workloads mid_palm,mid_saga \
-        --seeds 2501-2512 --out BENCH_name.json [--seconds 60]
+        --seeds 2501-2512 --out BENCH_name.json
 
 For each workload and seed it runs `python3 perfbench/run.py --workload W
 --seed S --seconds T --trace 0` once in each checkout, each from its own
-root, one run at a time.  Which side runs first alternates from seed to
-seed, so a drift in host speed falls on both sides alike.  `--seconds` defaults to
-`run_seconds` of this checkout's BENCHMARK.json.
+root, one run at a time, with T the `run_seconds` of this checkout's
+BENCHMARK.json.  Which side runs first alternates from seed to seed, so a
+drift in host speed falls on both sides alike.
 
 It prints every run, then per end-to-end metric each side's median and
 quartiles, the change's wins (ties count for neither side), the relative
 change of the median and the parent's interquartile range, and writes all
-of it as JSON to `--out`.  A metric's claim rule holds when the change wins
-at least nine pairs in ten and its median is better than the parent's by
-more than the parent's interquartile range; its bound holds when the
+of it as JSON to `--out`.  A metric's claim rule holds when at least ten
+pairs have both runs correct, the change wins at least nine pairs in ten,
+its median is better than the parent's by more than the parent's
+interquartile range, and its share of failed operations over those pairs
+is no larger than the parent's; its bound holds when the
 change's median is no worse than the parent's by more than the bound that
 BENCHMARK.json fixes for it.
 """
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -87,12 +90,15 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
     """Per end-to-end metric of `specs` (BENCHMARK.json's `end_to_end`
     entries), over the seeds where both sides' runs are correct: each
     side's quartiles, the change's wins, the relative change of the median,
-    the parent's IQR and the two rules of the module docstring."""
+    the parent's IQR, each side's share of failed operations and the two
+    rules of the module docstring."""
     by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
         by_seed.setdefault(r["seed"], {})[r["side"]] = r
     pairs = [p for p in by_seed.values()
              if all(s in p and p[s]["correct"] for s in SIDES)]
+    fail_share = {s: sum(p[s]["failed"] for p in pairs) / max(1, sum(p[s]["attempted"] for p in pairs))
+                  for s in SIDES}
     out = {}
     for spec in specs:
         name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
@@ -115,7 +121,9 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
             "losses": losses,
             "median_rel_change": (qc[1] - qp[1]) / qp[1] if qp[1] else None,
             "parent_iqr": iqr,
-            "claim_rule_met": wins >= 0.9 * len(pairs) and gain > iqr,
+            "failed_share": fail_share,
+            "claim_rule_met": (len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs) and gain > iqr
+                               and fail_share["change"] <= fail_share["parent"]),
             "within_bound": -gain <= spec["bound"] * abs(qp[1]),
         }
     return out
@@ -127,11 +135,10 @@ def main() -> int:
     p.add_argument("--change", required=True, type=Path, help="checkout of the change")
     p.add_argument("--workloads", required=True, type=lambda v: v.split(","), help="a,b")
     p.add_argument("--seeds", required=True, type=parse_seeds, help="a-b or a,b,c")
-    p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     results = {}
