@@ -1,4 +1,4 @@
-"""Rank-(Lr,Lr,1) factor model: reconstruction, objective, H matrices, gradients.
+"""Rank-(Lr,Lr,1) factor model: reconstruction, objective, H rows and Gram, gradients.
 
 The model approximates X by sum_r (A1_r A2_r^T) outer c_r, where A1_r is
 I1 x L_r, A2_r is I2 x L_r and c_r is the r-th column of A3.  The smooth
@@ -7,7 +7,9 @@ part of the objective is the scaled squared residual
     f(A1, A2, A3) = ||X - Xhat||_F^2 / (2 * I1 * I2 * I3),
 
 and its mode-n gradient is (A_n H_n^T H_n - X_(n)^T H_n) / (I1*I2*I3) with
-the mode-specific coefficient matrix H_n built from the other two factors.
+the mode-specific coefficient matrix H_n of the other two factors.  No kernel
+forms H_n: `H_rows_at` gives rows of it for a fiber batch, `gram_H` its Gram
+and `mttkrp` the product X_(n)^T H_n.
 """
 
 from __future__ import annotations
@@ -145,22 +147,6 @@ def _slabs(factors: LL1Factors) -> np.ndarray:
     return slabs.reshape(rk.R, i2 * i1)
 
 
-def build_H(factors: LL1Factors, mode: int) -> np.ndarray:
-    """Coefficient matrix H_n of the mode-n unfolded model X_(n) ~ H_n A_n^T.
-
-    H1 = [c_1 kron A2_1, ..., c_R kron A2_R]          (J1 x L_total)
-    H2 = [c_1 kron A1_1, ..., c_R kron A1_R]          (J2 x L_total)
-    H3 = [(A2_1 kr A1_1) 1, ..., (A2_R kr A1_R) 1]    (J3 x R)
-
-    Rows are ordered to match `unfold` of the same mode: `H_rows_at` on the
-    grid of all fiber coordinates, so both round alike.
-    """
-    _check_mode(mode)
-    fast, slow = (d for k, d in enumerate(factors.dims, start=1) if k != mode)
-    h = H_rows_at(factors, mode, np.arange(fast), np.arange(slow)[:, None])
-    return h.reshape(fast * slow, -1)
-
-
 def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of H_n for the fibers at coordinates `(a, b)` from
     `fiber_coordinates` (arrays of one shape, or broadcasting to one),
@@ -249,18 +235,15 @@ def objective(
     return ObjectiveValue(f, h, f + h)
 
 
-def full_gradient(
-    factors: LL1Factors, t: DenseTensor3, mode: int, a_mode: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact gradient of f with respect to A_mode, at `factors` with A_mode
-    replaced by `a_mode` (None: the point as it is; neither term reads A_n).
+def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
+    """X_(n)^T H_n (I_n x the columns of H_n), the LL1 analogue of the
+    matricized tensor times Khatri-Rao product, contracted from the tensor's
+    column-major storage read in place as the mode-3 unfolding X3: no
+    unfolding copy and no H_n, and A_n is never read.
 
-    (A_n gram_H - X_(n)^T H_n) / (I1*I2*I3), with X_(n)^T H_n contracted
-    from the tensor's column-major storage, read in place as the mode-3
-    unfolding X3: no unfolding copy and no H_n.  Modes 1 and 2 take
-    Y = A3^T X3^T, whose row r is the I2 x I1 matrix Y_r = sum_i3 c_r[i3]
-    X[:, :, i3]^T, and block r of X_(n)^T H_n is Y_r^T A2_r (mode 1) or
-    Y_r A1_r (mode 2); mode 3 takes (S X3)^T from the slabs S of
+    Modes 1 and 2 take Y = A3^T X3^T, whose row r is the I2 x I1 matrix
+    Y_r = sum_i3 c_r[i3] X[:, :, i3]^T, and block r is Y_r^T A2_r (mode 1)
+    or Y_r A1_r (mode 2); mode 3 takes (S X3)^T from the slabs S of
     `_slabs`.  Every operand is C- or F-contiguous or a column block of
     one, so BLAS reads it where it lies."""
     if factors.dims != t.dims:
@@ -268,16 +251,27 @@ def full_gradient(
     _check_mode(mode)
     i1, i2, i3 = t.dims
     x3 = t.array.reshape(i1 * i2, i3, order="F")
+    if mode == 3:
+        return _slabs(factors).dot(x3).T
+    y = factors.A3.T.dot(x3.T)
+    other = factors.A2 if mode == 1 else factors.A1
+    out = np.empty((t.dims[mode - 1], factors.ranks.total))
+    for r, blk in enumerate(factors.ranks.blocks):
+        y_r = y[r].reshape(i2, i1)
+        out[:, blk] = (y_r.T if mode == 1 else y_r).dot(other[:, blk])
+    return out
+
+
+def full_gradient(
+    factors: LL1Factors, t: DenseTensor3, mode: int, a_mode: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact gradient of f with respect to A_mode, at `factors` with A_mode
+    replaced by `a_mode` (None: the point as it is; neither term reads A_n):
+    (A_n `gram_H` - `mttkrp`) / (I1*I2*I3)."""
+    m = mttkrp(factors, t, mode)  # first: its checks precede `factor(mode)`
     a = factors.factor(mode) if a_mode is None else a_mode
     g = a.dot(gram_H(factors, mode))
-    if mode == 3:
-        g -= _slabs(factors).dot(x3).T
-    else:
-        y = factors.A3.T.dot(x3.T)
-        other = factors.A2 if mode == 1 else factors.A1
-        for r, blk in enumerate(factors.ranks.blocks):
-            y_r = y[r].reshape(i2, i1)
-            g[:, blk] -= (y_r.T if mode == 1 else y_r).dot(other[:, blk])
+    g -= m
     g /= t.size
     return g
 

@@ -29,9 +29,9 @@ from .estimators import (
     batch_gradient,
     largest_divisor_at_most,
 )
-from .model import LL1Factors, RankVector, build_H, checked_int, lipschitz_bound, objective
+from .model import LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp, objective
 from .prox import NONNEG, Regularizer, prox
-from .tensor import DenseTensor3, row_count, unfold
+from .tensor import DenseTensor3, row_count
 
 
 class SolverAbort(RuntimeError):
@@ -484,17 +484,15 @@ def als_mu_baseline(
     for n in (1, 2, 3):
         if factors.factor(n).min() < 0:
             raise ValueError("multiplicative updates require a nonnegative init")
-    unfolds = {n: unfold(tensor, n) for n in (1, 2, 3)}
     trace = RunTrace()
     start = clock()
     k = 0
     for it in range(config.epochs):
         last_step_norm = 0.0
         for n in (1, 2, 3):
-            h = build_H(factors, n)
             a = factors.factor(n)
-            num = unfolds[n].T @ h
-            den = a @ (h.T @ h) + MU_EPS
+            num = mttkrp(factors, tensor, n)
+            den = a @ gram_H(factors, n) + MU_EPS
             a_new = a * (num / den)
             last_step_norm = float(np.linalg.norm(a_new - a))
             factors = factors.replaced(n, a_new)

@@ -9,6 +9,7 @@ import numpy as np
 from midasll1.model import LL1Factors, lipschitz_bound
 from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
+    MU_EPS,
     STEP_SCALE,
     RunTrace,
     SolverAbort,
@@ -62,24 +63,27 @@ def reference_gram(factors, mode):
     return np.array([[had[br, bs].sum() for bs in blocks] for br in blocks])
 
 
-def reference_full_gradient(factors, tensor, mode):
-    """(A_n gram - X_(n)^T H_n) / N with X_(n)^T H_n contracted through the
-    mode-3 unfolding X3: block r is Y_r^T A2_r (mode 1) or Y_r A1_r (mode 2)
-    with Y = A3^T X3^T and Y_r its row r as I2 x I1, and mode 3 is (S X3)^T
-    with S the stacked, flattened slabs A2_r A1_r^T."""
+def reference_mttkrp(factors, tensor, mode):
+    """X_(n)^T H_n contracted through the mode-3 unfolding X3: block r is
+    Y_r^T A2_r (mode 1) or Y_r A1_r (mode 2) with Y = A3^T X3^T and Y_r its
+    row r as I2 x I1, and mode 3 is (S X3)^T with S the stacked, flattened
+    slabs A2_r A1_r^T."""
     i1, i2, _ = tensor.dims
     x3 = unfold(tensor, 3)
     blocks = factors.ranks.blocks
     if mode == 3:
         s = np.stack([(factors.A2[:, blk] @ factors.A1[:, blk].T).ravel() for blk in blocks])
-        m = (s @ x3).T
-    else:
-        y = factors.A3.T @ x3.T
-        ys = [y[r].reshape(i2, i1) for r in range(len(blocks))]
-        if mode == 1:
-            m = np.hstack([y_r.T @ factors.A2[:, blk] for y_r, blk in zip(ys, blocks)])
-        else:
-            m = np.hstack([y_r @ factors.A1[:, blk] for y_r, blk in zip(ys, blocks)])
+        return (s @ x3).T
+    y = factors.A3.T @ x3.T
+    ys = [y[r].reshape(i2, i1) for r in range(len(blocks))]
+    if mode == 1:
+        return np.hstack([y_r.T @ factors.A2[:, blk] for y_r, blk in zip(ys, blocks)])
+    return np.hstack([y_r @ factors.A1[:, blk] for y_r, blk in zip(ys, blocks)])
+
+
+def reference_full_gradient(factors, tensor, mode):
+    """(A_n gram - X_(n)^T H_n) / N from `reference_gram` and `reference_mttkrp`."""
+    m = reference_mttkrp(factors, tensor, mode)
     return (factors.factor(mode) @ reference_gram(factors, mode) - m) / tensor.size
 
 
@@ -135,6 +139,27 @@ def palm_reference(config, tensor):
         if phi_val < config.abs_tol:
             break
     return factors, phi, f, step_norm
+
+
+def als_mu_reference(config, tensor):
+    """Cyclic multiplicative updates A_n <- A_n * (X_(n)^T H_n) / (A_n H^T H
+    + MU_EPS) from the whole H_n of `reference_build_H` and the unfoldings,
+    so that `als_mu_baseline`, which forms neither, is checked against code
+    it does not share.  Starts from the same point and returns the final
+    factors plus the per-sweep phi."""
+    factors = init_factors(config, tensor.dims, rng_streams(config.seed)["init"])
+    unfolds = {n: unfold(tensor, n) for n in (1, 2, 3)}
+    phi = []
+    for _ in range(config.epochs):
+        for n in (1, 2, 3):
+            h = reference_build_H(factors, n)
+            a = factors.factor(n)
+            a_new = a * ((unfolds[n].T @ h) / (a @ (h.T @ h) + MU_EPS))
+            factors = _with_factor(factors, n, a_new)
+        phi.append(reference_objective(factors, tensor, config.reg)[2])
+        if phi[-1] < config.abs_tol:
+            break
+    return factors, phi
 
 
 def _batch_gradient(factors, tensor, mode, idx):

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     reference_build_H,
     reference_full_gradient,
+    reference_mttkrp,
     reference_objective,
     reference_reconstruct,
     reference_unfolding_gradient,
@@ -18,10 +19,10 @@ from midasll1.model import (
     RankVector,
     H_rows_at,
     _block_sums,
-    build_H,
     full_gradient,
     gram_H,
     lipschitz_bound,
+    mttkrp,
     objective,
     reconstruct,
 )
@@ -37,6 +38,13 @@ def random_factors(rng, dims, L):
         rng.random((dims[2], rk.R)),
         rk,
     )
+
+
+def all_H_rows(f, mode):
+    """H_n as the loop's kernel gives it: `H_rows_at` over all J_n fibers,
+    in unfolding order."""
+    rows = np.arange(row_count(f.dims, mode))
+    return H_rows_at(f, mode, *fiber_coordinates(f.dims, mode, rows))
 
 
 def brute_reconstruct(f):
@@ -88,7 +96,7 @@ def test_unfolding_factorization_identity(mode):
     rng = np.random.default_rng(2)
     f = random_factors(rng, (4, 5, 3), (2, 1, 3))
     x = reconstruct(f)
-    h = build_H(f, mode)
+    h = all_H_rows(f, mode)
     resid = unfold(x, mode) - h @ f.factor(mode).T
     assert np.linalg.norm(resid) <= 1e-10
 
@@ -97,13 +105,13 @@ def test_build_H1_all_ones():
     f = LL1Factors(
         np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), RankVector((1,))
     )
-    np.testing.assert_array_equal(build_H(f, 1), np.ones((4, 1)))
+    np.testing.assert_array_equal(all_H_rows(f, 1), np.ones((4, 1)))
 
 
 def test_build_H3_unit_rank_reduces_to_kron():
     rng = np.random.default_rng(3)
     f = random_factors(rng, (3, 4, 2), (1, 1))
-    h3 = build_H(f, 3)
+    h3 = all_H_rows(f, 3)
     for r in range(2):
         np.testing.assert_array_equal(h3[:, r], np.kron(f.A2[:, r], f.A1[:, r]))
 
@@ -112,7 +120,7 @@ def test_build_H3_unit_rank_reduces_to_kron():
 def test_build_H_rows_matches_full(mode):
     rng = np.random.default_rng(4)
     f = random_factors(rng, (4, 3, 5), (2, 3))
-    h = build_H(f, mode)
+    h = all_H_rows(f, mode)
     rows = rng.permutation(h.shape[0])[:5]
     a, b = fiber_coordinates(f.dims, mode, rows)
     np.testing.assert_array_equal(H_rows_at(f, mode, a, b), h[rows])
@@ -199,12 +207,13 @@ def kernel_problem(dims, L, seed, draw="standard_normal"):
 
 @pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
 def test_kernels_match_reference_bitwise(dims, L):
-    """`build_H`, `full_gradient`, `reconstruct` and `objective` give the
-    same bits as the plain kron/hstack, unfolding-contraction and validated-
-    reconstruction formulas of `tests/conftest.py`."""
+    """The H rows of all fibers, `mttkrp`, `full_gradient`, `reconstruct` and
+    `objective` give the same bits as the plain kron/hstack, unfolding-
+    contraction and validated-reconstruction formulas of `tests/conftest.py`."""
     f, x = kernel_problem(dims, L, sum(dims) + len(L))
     for mode in (1, 2, 3):
-        np.testing.assert_array_equal(build_H(f, mode), reference_build_H(f, mode))
+        assert all_H_rows(f, mode).tobytes() == reference_build_H(f, mode).tobytes()
+        np.testing.assert_array_equal(mttkrp(f, x, mode), reference_mttkrp(f, x, mode))
         np.testing.assert_array_equal(full_gradient(f, x, mode),
                                       reference_full_gradient(f, x, mode))
     recon = reconstruct(f).array
@@ -296,7 +305,7 @@ def test_directional_derivative_consistency():
 def test_gram_H_matches_explicit(mode):
     rng = np.random.default_rng(12)
     f = random_factors(rng, (4, 5, 3), (2, 3, 1))
-    h = build_H(f, mode)
+    h = reference_build_H(f, mode)
     g = gram_H(f, mode)
     assert np.abs(g - h.T @ h).max() <= 1e-12 * max(1.0, np.abs(g).max())
     assert np.abs(g - g.T).max() <= 1e-12
@@ -339,7 +348,7 @@ def test_lipschitz_orthonormal_scaled():
 def test_H_rows_at_gathers_like_fancy_indexing(mode):
     """`H_rows_at`, which gathers rows with `take`, has the bits of the
     same products of fancy-indexed rows for 1-D coordinates (a batch), 2-D
-    ones (a warm-start chunk of bins) and the broadcast grid of `build_H`."""
+    ones (a warm-start chunk of bins) and a broadcast grid of all fibers."""
     f = random_factors(np.random.default_rng(15), (5, 7, 4), (2, 1))
 
     def fancy(a, b):
@@ -359,16 +368,17 @@ def test_H_rows_at_gathers_like_fancy_indexing(mode):
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_mode_n_kernels_never_read_a_n(mode):
-    """The mode-n H rows, H_n, its Gram and L_n come from the other two
-    factors: filling A_n with NaNs leaves their bits as they are.  The
-    solver relies on this to pass a gradient point as `factors` plus A_n."""
+    """The mode-n H rows, the Gram of H_n, X_(n)^T H_n and L_n come from the
+    other two factors: filling A_n with NaNs leaves their bits as they are.
+    The solver relies on this to pass a gradient point as `factors` plus A_n."""
     f = random_factors(np.random.default_rng(17), (5, 7, 4), (2, 1))
     nan = f.replaced(mode, np.full_like(f.factor(mode), np.nan))
     batch = np.random.default_rng(18).choice(row_count(f.dims, mode), size=6, replace=False)
     a, b = fiber_coordinates(f.dims, mode, batch)
     assert H_rows_at(nan, mode, a, b).tobytes() == H_rows_at(f, mode, a, b).tobytes()
-    for kernel in (build_H, gram_H):
-        assert kernel(nan, mode).tobytes() == kernel(f, mode).tobytes()
+    assert gram_H(nan, mode).tobytes() == gram_H(f, mode).tobytes()
+    x = DenseTensor3(np.random.default_rng(19).random(f.dims))
+    assert mttkrp(nan, x, mode).tobytes() == mttkrp(f, x, mode).tobytes()
     assert lipschitz_bound(nan, mode) == lipschitz_bound(f, mode)
 
 
@@ -392,9 +402,9 @@ def test_lipschitz_bound_is_inf_when_not_finite():
     (1, 2), (3, 1, 4), (7, 8, 9), (2, 9, 1, 5),
 ])
 def test_block_sums_match_reference_bitwise(L):
-    """The mode-3 H rows from `build_H` and `H_rows_at` (one batch and a
-    stack of batches) keep the bits of the per-block `sum` of the reference,
-    signed zeros included, at 1, 8 and 10,000 rows."""
+    """The mode-3 H rows from `H_rows_at` (all fibers as one batch and as a
+    stack of two batches) keep the bits of the per-block `sum` of the
+    reference, signed zeros included, at 1, 8 and 10,000 rows."""
     rng = np.random.default_rng(sum(L) * len(L))
     rk = RankVector(L)
     for dims in ((1, 1, 2), (4, 2, 3), (100, 100, 2)):
@@ -405,7 +415,6 @@ def test_block_sums_match_reference_bitwise(L):
         a1[0] = -0.0  # a row of -0.0 products: numpy's sum makes +0.0 of it
         f = LL1Factors(a1, a2, rng.standard_normal((dims[2], rk.R)), rk)
         ref = reference_build_H(f, 3)
-        assert build_H(f, 3).tobytes() == ref.tobytes()
         rows = np.arange(ref.shape[0])
         a, b = fiber_coordinates(f.dims, 3, rows)
         assert H_rows_at(f, 3, a, b).tobytes() == ref.tobytes()

@@ -1,12 +1,13 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import palm_reference, run_reference
+from conftest import als_mu_reference, palm_reference, run_reference
 from midasll1 import solver
 from midasll1.model import LL1Factors, RankVector, lipschitz_bound, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
@@ -687,6 +688,44 @@ def test_alsmu_monotone_and_nonneg():
     assert all(b <= a + 1e-8 for a, b in zip(trace.phi, trace.phi[1:]))
     for n in (1, 2, 3):
         assert f.factor(n).min() >= 0.0
+
+
+@pytest.mark.parametrize("dims, L, sweeps", [
+    ((6, 5, 4), (2, 1), 200),
+    ((12, 12, 12), (2, 2), 60),
+    ((100, 100, 50), (4, 4, 4), 3),
+])
+def test_als_mu_matches_unfolding_reference(dims, L, sweeps):
+    """`als_mu_baseline`, which takes X_(n)^T H_n from `mttkrp` and the Gram
+    from `gram_H`, follows the update written with the whole H_n and the
+    unfoldings to rounding: same sweeps, factors to 1e-12 of the largest
+    entry and phi to 1e-12 relative."""
+    rk = RankVector(L)
+    t = DenseTensor3(np.abs(generate(dims, rk, snr_db=30.0, seed=sum(dims))[0].array))
+    cfg = SolverConfig(ranks=rk, epochs=sweeps, seed=3)
+    f, trace = als_mu_baseline(cfg, t)
+    fr, phi = als_mu_reference(cfg, t)
+    assert len(trace.phi) == len(phi) == sweeps
+    for n in (1, 2, 3):
+        a, ar = f.factor(n), fr.factor(n)
+        assert np.abs(a - ar).max() <= 1e-12 * np.abs(ar).max()
+    np.testing.assert_allclose(trace.phi, phi, rtol=1e-12, atol=0.0)
+
+
+def test_als_mu_makes_no_unfolding_copy():
+    """A sweep at the mid benchmark shape allocates about one tensor, the
+    objective's reconstruction, and no unfolding copy or J_n x L H_n."""
+    rk = RankVector((4, 4, 4))
+    t = DenseTensor3(np.abs(generate((100, 100, 50), rk, snr_db=30.0, seed=5)[0].array))
+    cfg = SolverConfig(ranks=rk, epochs=1, seed=0)
+    als_mu_baseline(cfg, t)
+    tracemalloc.start()
+    try:
+        als_mu_baseline(cfg, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.array.nbytes, peak
 
 
 def test_alsmu_rejects_negative_tensor():
