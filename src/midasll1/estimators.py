@@ -1,7 +1,12 @@
 """Stochastic gradient estimators over fiber batches: vanilla SGD, SAGA, SARAH.
 
-All estimators are deterministic functions of (state, evaluation point,
-batch): the randomness lives in the caller's sampling of batches and bins.
+The three share one protocol.  `draw(modes, rng)` gives the pick of each
+step of an epoch's modes, in step order: a batch of fiber indices (None for
+every fiber) for SGD and SARAH, a bin for SAGA.  `estimate(factors, t, mode,
+pick, a_mode)` is the gradient estimate on that pick, a deterministic
+function of (state, evaluation point, pick): all the randomness is in
+`draw`, which reads only the caller's generator.
+
 A variance-reduced estimator in the sense used here keeps a mean squared
 error bound that contracts as the iterates converge; SAGA achieves this with
 a stored per-bin gradient table plus running average, SARAH with a recursive
@@ -183,13 +188,34 @@ def _table_mean(grads: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SarahState:
-    """Recursive difference direction per mode with periodic full restarts.
+class SgdState:
+    """Vanilla SGD: uniform fiber batches of size B_n per mode, no gradient
+    state; `estimate` is `batch_gradient`."""
+
+    dims: tuple[int, int, int]
+    batches: dict[int, int]
+
+    estimate = staticmethod(batch_gradient)
+
+    def draw(self, modes: list[int], rng: np.random.Generator) -> list[np.ndarray | None]:
+        """Fibers for each step of `modes`: None (every fiber, no draw) where
+        B_n = J_n, otherwise B_n distinct fibers of J_n from one `rng.choice`
+        call without replacement."""
+        jn = {n: row_count(self.dims, n) for n in self.batches}
+        return [None if self.batches[n] == jn[n]
+                else rng.choice(jn[n], size=self.batches[n], replace=False) for n in modes]
+
+
+@dataclass
+class SarahState(SgdState):
+    """Recursive difference direction per mode with periodic full restarts,
+    on SGD's fiber batches.
 
     At a restart (counter == 0) the direction is the exact full gradient at
-    the current evaluation point; otherwise it is corrected by the batch
-    gradient difference between the current and the previously seen point,
-    both evaluated on one gather of the batch's rows.
+    the current evaluation point, and the step's batch goes unread;
+    otherwise it is corrected by the batch gradient difference between the
+    current and the previously seen point, both evaluated on one gather of
+    the batch's rows.
     """
 
     q: dict[int, int]
@@ -231,35 +257,27 @@ class SarahState:
 
 
 def estimator_mse_probe(
-    kind: str,
     state,
     factors: LL1Factors,
     t: DenseTensor3,
     mode: int,
-    batch_size: int,
     n_draws: int,
     rng: np.random.Generator,
     return_draws: bool = False,
 ):
-    """Monte-Carlo estimate of E||g_tilde - grad f||_F^2 at a fixed point.
+    """Monte-Carlo estimate of E||g_tilde - grad f||_F^2 at a fixed point,
+    each draw's pick from `state.draw([mode], rng)`.
 
     Persistent estimator state is deep-copied per draw, so probing never
     perturbs the solver's state.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
     exact = full_gradient(factors, t, mode)
-    jn = row_count(t.dims, mode)
     sq = np.empty(n_draws)
     for d in range(n_draws):
-        if kind == "saga":
-            pick = int(rng.integers(state.n_bins(mode)))  # a bin
-        else:
-            pick = rng.choice(jn, size=min(batch_size, jn), replace=False)  # fibers
-        estimate = batch_gradient if kind == "sgd" else copy.deepcopy(state).estimate
-        g = estimate(factors, t, mode, pick)
+        (pick,) = state.draw([mode], rng)
+        g = copy.deepcopy(state).estimate(factors, t, mode, pick)
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

@@ -17,7 +17,7 @@ from .tensor import DenseTensor3
 
 @dataclass(frozen=True)
 class MetricReport:
-    psnr: float  # dB; +inf for an exact reconstruction (ideal: inf)
+    psnr: float  # dB; +inf for an exact reconstruction, -inf when X_max = 0 (ideal: inf)
     rmse: float  # ideal: 0
     sam: float   # radians, mean over spatial positions (ideal: 0)
     cc: float    # mean per-band Pearson correlation (ideal: 1)
@@ -31,13 +31,15 @@ def _check(x: DenseTensor3, xhat: DenseTensor3):
 
 
 def psnr(x: DenseTensor3, xhat: DenseTensor3) -> float:
-    """10*log10(X_max^2 * I1*I2*I3 / ||Xhat - X||_F^2)."""
+    """10*log10(X_max^2 * I1*I2*I3 / ||Xhat - X||_F^2): +inf for an exact
+    fit, -inf for an inexact one whose ratio is 0 (X_max = 0, say)."""
     _check(x, xhat)
     err = float(np.sum((xhat.array - x.array) ** 2))
     if err == 0.0:
         return math.inf
     xmax = float(x.array.max())
-    return 10.0 * math.log10(xmax * xmax * x.size / err)
+    ratio = xmax * xmax * x.size / err
+    return -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
 
 
 def rmse(x: DenseTensor3, xhat: DenseTensor3) -> float:
@@ -103,8 +105,7 @@ def report(x: DenseTensor3, xhat: DenseTensor3) -> MetricReport:
 
 def format_report(r: MetricReport) -> str:
     lines = [
-        f"psnr_db {r.psnr:.6f} (ideal inf)" if math.isfinite(r.psnr)
-        else "psnr_db inf (ideal inf)",
+        f"psnr_db {r.psnr:.6f} (ideal inf)",  # an infinite value reads inf or -inf
         f"rmse {r.rmse:.10e} (ideal 0)",
         f"sam_rad {r.sam:.10e} (ideal 0)",
         f"cc {r.cc:.10f} (ideal 1)",

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import (
-    ESTIMATOR_KINDS,
-    SagaState,
-    SarahState,
-    batch_gradient,
-    largest_divisor_at_most,
-)
+from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState, largest_divisor_at_most
 from .model import LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp, objective
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3, row_count
@@ -118,9 +112,6 @@ class SolverConfig:
         `parse_config(text).to_solver_config()` and is held fixed so that its
         runs stay comparable across changes, so the name stays."""
         return self
-
-    def batch_size(self) -> int:
-        return self.B if self.B > 0 else 2 * max(self.ranks.L)
 
 
 def epoch_coefficients(coef_a: list[float], coef_b: list[float], t: int) -> np.ndarray:
@@ -243,8 +234,9 @@ def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
 
 def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
     """Per-mode batch size: clamped to J_n, and for SAGA reduced to the
-    largest divisor of J_n so that fixed disjoint bins tile the fibers."""
-    b = config.batch_size()
+    largest divisor of J_n so that fixed disjoint bins tile the fibers.  B = 0
+    takes 2 * max L_r."""
+    b = config.B if config.B > 0 else 2 * max(config.ranks.L)
     out = {}
     for n in (1, 2, 3):
         jn = row_count(dims, n)
@@ -309,9 +301,10 @@ def run(
     """Run the inertial doubly stochastic solver for the configured epochs.
 
     Stops early once phi drops below `abs_tol`.  `callback(epoch, factors,
-    estimator_state)` is invoked after each epoch, mainly for probing, under
-    the caller's numpy error settings; the run's own arithmetic does not warn
-    on overflow or invalid values, which end it with `SolverAbort` instead.
+    estimator)` is invoked after each epoch, mainly for probing, with the
+    run's `SgdState`, `SagaState` or `SarahState`, under the caller's numpy
+    error settings; the run's own arithmetic does not warn on overflow or
+    invalid values, which end it with `SolverAbort` instead.
     Identical (config, tensor) inputs give bitwise-identical results.
 
     Inputs are checked here, once; the loop then works on trusted values:
@@ -319,8 +312,9 @@ def run(
     recomputed only after a mode-3 update), both extrapolated points come
     from one product over the mode's `StepWindow`, the proximal step writes
     the new iterate over the anchor in that product's array, and an epoch's
-    modes, SAGA bins and inertial coefficients are drawn or built once each
-    (the same values as one draw per step).
+    modes, picks (the estimator's `draw`: fiber batches or SAGA bins) and
+    inertial coefficients are drawn or built once each (the same values as
+    one draw per step).
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -337,17 +331,17 @@ def run(
     if factors.dims != dims:
         raise ValueError(f"init factor dims {factors.dims} do not match tensor {dims}")
     batches = effective_batches(config, dims)
-    jn = {n: row_count(dims, n) for n in (1, 2, 3)}
-    iters_per_mode = {n: math.ceil(jn[n] / batches[n]) for n in (1, 2, 3)}
+    iters_per_mode = {n: math.ceil(row_count(dims, n) / batches[n]) for n in (1, 2, 3)}
     iters_per_epoch = sum(iters_per_mode.values())
-    saga = config.estimator == "saga"
 
-    state = None
-    if saga:
+    if config.estimator == "saga":
         state = SagaState.warm_start(factors, tensor, batches)
     elif config.estimator == "sarah":  # sarah_q = 0: one epoch's worth of mode-n updates
-        state = SarahState(q={n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
-    estimate = batch_gradient if state is None else state.estimate
+        state = SarahState(dims, batches,
+                           {n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
+    else:
+        state = SgdState(dims, batches)
+    estimate = state.estimate
 
     # each mode's point and last t steps; allocated after the SAGA table
     depth = config.t
@@ -374,14 +368,8 @@ def run(
                 modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
             else:
                 modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
-            # each step's bin (SAGA) or fibers (None: all of them), in step order;
-            # fibers are drawn as their step comes
-            if saga:
-                picks = state.draw(modes, rng_fiber)
-            else:
-                picks = (None if batches[n] == jn[n]
-                         else rng_fiber.choice(jn[n], size=batches[n], replace=False)
-                         for n in modes)
+            # each step's bin (SAGA) or fibers (None: all of them), in step order
+            picks = state.draw(modes, rng_fiber)
             # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j
             ks = range(k + 1 - depth, k + iters_per_epoch)
             coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]

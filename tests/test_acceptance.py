@@ -22,6 +22,7 @@ import midasll1
 from midasll1.cli import EXIT_PARSE
 from midasll1.estimators import (
     SagaState,
+    SgdState,
     batch_gradient,
     estimator_mse_probe,
     largest_divisor_at_most,
@@ -299,10 +300,11 @@ def test_criterion_09_variance_reduction(shared_instance, midas_runs):
         b = state.fibers[mode][0].shape[1]
         rng = np.random.default_rng(9000 + mode)
         mse_saga, d_saga = estimator_mse_probe(
-            "saga", state, factors, tensor, mode, b, n_draws, rng, return_draws=True
+            state, factors, tensor, mode, n_draws, rng, return_draws=True
         )
         mse_sgd, d_sgd = estimator_mse_probe(
-            "sgd", None, factors, tensor, mode, b, n_draws, rng, return_draws=True
+            SgdState(tensor.dims, {mode: b}), factors, tensor, mode, n_draws, rng,
+            return_draws=True
         )
         se = math.sqrt(d_saga.var(ddof=1) / n_draws + d_sgd.var(ddof=1) / n_draws)
         sep = (mse_sgd - mse_saga) / se if se > 0 else math.inf

@@ -481,6 +481,22 @@ def test_metrics_csv_output(tmp_path, capsys):
     assert len(lines[1].split(",")) == 4
 
 
+def test_zero_tensor_psnr_is_minus_inf(tmp_path, capsys):
+    """A tensor whose largest entry is 0 has no finite PSNR for an inexact
+    fit: `decompose` exits 0 and reports -inf, as does `metrics --csv`."""
+    path = tmp_path / "zero.dten"
+    tensorfile.write_tensor(path, DenseTensor3(np.zeros((4, 3, 2))))
+    cfg = write_config(tmp_path, "ranks = 1\nepochs = 3\n")
+    out = tmp_path / "out"
+    rc = main(["decompose", "--tensor", str(path), "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_OK
+    assert (out / "metrics.txt").read_text().splitlines()[0] == "psnr_db -inf (ideal inf)"
+    capsys.readouterr()
+    rc = main(["metrics", "--tensor", str(path), "--factors", str(out), "--csv"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split(",")[0] == "-inf"
+
+
 def test_metrics_dim_mismatch(tmp_path, capsys):
     a = tmp_path / "a.dten"
     b = tmp_path / "b.dten"

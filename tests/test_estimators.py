@@ -8,6 +8,7 @@ from midasll1 import estimators
 from midasll1.estimators import (
     SagaState,
     SarahState,
+    SgdState,
     batch_gradient,
     estimator_mse_probe,
     largest_divisor_at_most,
@@ -91,6 +92,28 @@ def test_saga_draw_is_one_integers_draw_per_multi_bin_step():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_sgd_draw_is_one_choice_per_partial_batch_step():
+    """A full batch (B_n = J_n) is None, every fiber, and leaves the generator
+    as it was; a partial batch is one `rng.choice(J_n, B_n, replace=False)`
+    per step, in step order.  SARAH inherits the draw."""
+    f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert SgdState(t.dims, {1: 15, 2: 12, 3: 20}).draw([1, 3, 2, 2, 1], rng) == [None] * 5
+    assert rng.bit_generator.state == before
+
+    batches = {1: 4, 2: 12, 3: 7}  # mode 2 takes every fiber
+    modes = np.random.default_rng(1).integers(1, 4, size=60).tolist()
+    ref = np.random.default_rng(2)
+    want = [None if n == 2 else ref.choice(row_count(t.dims, n), batches[n], replace=False).tolist()
+            for n in modes]
+    for st in (SgdState(t.dims, batches), SarahState(t.dims, batches, q={1: 2, 2: 2, 3: 2})):
+        rng = np.random.default_rng(2)
+        picks = st.draw(modes, rng)
+        assert [None if p is None else p.tolist() for p in picks] == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_saga_estimate_at_anchor_is_exact(mode):
     """Fresh and stored bin gradients cancel at the warm-start point, so the
@@ -159,7 +182,7 @@ def test_saga_expectation_over_bins_is_exact_gradient():
 def test_sarah_restart_is_full_gradient():
     f, t = make_problem(seed=9)
     mode = 1
-    st = SarahState(q={mode: 3})
+    st = SarahState(t.dims, {mode: 4}, q={mode: 3})
     g = st.estimate(f, t, mode, np.arange(4))
     np.testing.assert_array_equal(g, full_gradient(f, t, mode))
     assert st.counter[mode] == 1
@@ -171,7 +194,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
     f, t = make_problem(seed=10)
     mode = 2
     jn = row_count(t.dims, mode)
-    st = SarahState(q={mode: 10})
+    st = SarahState(t.dims, {mode: jn}, q={mode: 10})
     point = f
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -185,7 +208,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
 def test_sarah_counter_wraps_to_restart():
     f, t = make_problem(seed=12)
     mode = 3
-    st = SarahState(q={mode: 2})
+    st = SarahState(t.dims, {mode: 3}, q={mode: 2})
     idx = np.arange(3)
     st.estimate(f, t, mode, idx)
     st.estimate(f, t, mode, idx)
@@ -202,7 +225,7 @@ def test_gradients_with_a_new_factor_are_the_gradients_at_that_point(mode):
     the same call at the point with A_mode replaced."""
     f, t = make_problem(seed=20)
     jn = row_count(t.dims, mode)
-    by_point, by_factor = SarahState(q={mode: 3}), SarahState(q={mode: 3})
+    by_point, by_factor = (SarahState(t.dims, {mode: 3}, q={mode: 3}) for _ in range(2))
     rng = np.random.default_rng(21)
     for _ in range(4):
         a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
@@ -231,7 +254,7 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     monkeypatch.setattr(estimators, "fiber_rows_at", counting)
     a_mode = 0.5 * f.factor(mode)
     for idx in (np.array([4, 0, 7]), None):
-        st = SarahState(q={mode: 3})
+        st = SarahState(t.dims, {mode: 3}, q={mode: 3})
         st.estimate(f, t, mode, idx)
         assert gathered == []
         twin = copy.deepcopy(st)
@@ -246,27 +269,27 @@ def test_probe_zero_mse_for_full_batch_sgd():
     f, t = make_problem(seed=14)
     mode = 1
     jn = row_count(t.dims, mode)
-    mse = estimator_mse_probe(
-        "sgd", None, f, t, mode, jn, 5, np.random.default_rng(0)
-    )
-    # draws are permutations of the full index set, so only summation-order
-    # rounding separates them from the exact gradient
-    assert mse <= 1e-30
+    mse = estimator_mse_probe(SgdState(t.dims, {mode: jn}), f, t, mode, 5, np.random.default_rng(0))
+    # a full batch draws nothing and takes the full gradient itself
+    assert mse == 0.0
 
 
 def test_probe_does_not_mutate_state():
     f, t = make_problem(seed=15)
     mode = 2
-    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
+    # `draw` reads every mode's bin count, so every mode is warm-started
+    st = SagaState.warm_start(
+        f, t, {n: largest_divisor_at_most(row_count(t.dims, n), 4) for n in (1, 2, 3)}
+    )
     before = copy.deepcopy(st)
-    estimator_mse_probe("saga", st, f, t, mode, 4, 20, np.random.default_rng(1))
+    estimator_mse_probe(st, f, t, mode, 20, np.random.default_rng(1))
     for b in range(st.n_bins(mode)):
         np.testing.assert_array_equal(st.table[mode][b], before.table[mode][b])
     np.testing.assert_array_equal(st.running_mean[mode], before.running_mean[mode])
 
     # SARAH a few steps past a restart, so that v, prev_point and counter are
     # filled; five draws would move the counter from 3 to 0 (q = 4)
-    sarah = SarahState(q={mode: 4})
+    sarah = SarahState(t.dims, {mode: 4}, q={mode: 4})
     rng = np.random.default_rng(2)
     point = f
     for _ in range(3):
@@ -274,7 +297,7 @@ def test_probe_does_not_mutate_state():
         a = point.factor(mode)
         point = point.replaced(mode, a + 0.01 * rng.standard_normal(a.shape))
     before = copy.deepcopy(sarah)
-    estimator_mse_probe("sarah", sarah, point, t, mode, 4, 5, np.random.default_rng(3))
+    estimator_mse_probe(sarah, point, t, mode, 5, np.random.default_rng(3))
     assert sarah.counter == before.counter == {mode: 3}
     np.testing.assert_array_equal(sarah.v[mode], before.v[mode])
     (prev, prev_a), (before_prev, before_a) = sarah.prev_point[mode], before.prev_point[mode]
@@ -286,7 +309,7 @@ def test_probe_does_not_mutate_state():
 def test_probe_returns_draws():
     f, t = make_problem(seed=16)
     mse, draws = estimator_mse_probe(
-        "sgd", None, f, t, 1, 2, 30, np.random.default_rng(2), return_draws=True
+        SgdState(t.dims, {1: 2}), f, t, 1, 30, np.random.default_rng(2), return_draws=True
     )
     assert draws.shape == (30,)
     assert mse == pytest.approx(draws.mean())
@@ -296,9 +319,7 @@ def test_probe_returns_draws():
 def test_probe_rejects_bad_args():
     f, t = make_problem(seed=17)
     with pytest.raises(ValueError):
-        estimator_mse_probe("sgd", None, f, t, 1, 2, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        estimator_mse_probe("adam", None, f, t, 1, 2, 5, np.random.default_rng(0))
+        estimator_mse_probe(SgdState(t.dims, {1: 2}), f, t, 1, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])

@@ -3,12 +3,14 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import als_mu_reference, palm_reference, run_reference
 from midasll1 import solver
+from midasll1.estimators import SagaState, SarahState, SgdState
 from midasll1.model import LL1Factors, RankVector, lipschitz_bound, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
 from midasll1.solver import (
@@ -231,9 +233,11 @@ def test_numpy_integer_config_runs_as_plain_ints(estimator):
 
 
 def test_default_batch_size_is_twice_max_block():
-    cfg = SolverConfig(ranks=RankVector((2, 3)))
-    assert cfg.batch_size() == 6
-    assert SolverConfig(ranks=RankVector((2, 3)), B=5).batch_size() == 5
+    """B = 0 takes 2 * max L_r = 6, clamped to J_3 = 4; a given B is kept."""
+    dims = (2, 2, 10)  # J = (20, 20, 4)
+    cfg = SolverConfig(ranks=RankVector((2, 3)), estimator="sgd")
+    assert effective_batches(cfg, dims) == {1: 6, 2: 6, 3: 4}
+    assert effective_batches(replace(cfg, B=5), dims) == {1: 5, 2: 5, 3: 4}
 
 
 def test_effective_batches_saga_divisor():
@@ -589,6 +593,19 @@ def test_run_callback_invoked_each_epoch():
     cfg = SolverConfig(ranks=RankVector((2,)), epochs=4, seed=0)
     run(cfg, t, callback=lambda e, f, s: seen.append(e))
     assert seen == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("estimator, kind",
+                         [("sgd", SgdState), ("saga", SagaState), ("sarah", SarahState)])
+def test_callback_gets_the_runs_estimator(estimator, kind):
+    """Every estimator, SGD's included, reaches the callback as an object with
+    `draw` and `estimate`, the same one after each epoch."""
+    seen = []
+    cfg = SolverConfig(ranks=RankVector((2,)), estimator=estimator, epochs=2, seed=0)
+    run(cfg, small_tensor(seed=6, dims=(4, 4, 4), L=(2,)), callback=lambda e, f, s: seen.append(s))
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert type(seen[0]) is kind
+    assert callable(seen[0].draw) and callable(seen[0].estimate)
 
 
 def test_callback_runs_under_callers_errstate():
