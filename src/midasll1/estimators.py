@@ -120,8 +120,9 @@ class SagaState:
 
     def draw(self, modes: list[int], rng: np.random.Generator) -> list[int]:
         """A bin for each step of `modes`: one draw of `rng.integers(n_bins(mode))`
-        per step whose mode has more than one bin (0 otherwise), made in one call."""
-        counts = np.array([0] + [self.n_bins(m) for m in (1, 2, 3)])[modes]
+        per step whose mode has more than one bin (0 otherwise, as for a mode
+        the state does not hold), made in one call."""
+        counts = np.array([0] + [len(self.table.get(m, ())) for m in (1, 2, 3)])[modes]
         ids = np.zeros(counts.size, dtype=np.intp)
         many = counts > 1
         if many.any():

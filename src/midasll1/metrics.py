@@ -19,8 +19,8 @@ from .tensor import DenseTensor3
 class MetricReport:
     psnr: float  # dB; +inf for an exact reconstruction, -inf when X_max = 0 (ideal: inf)
     rmse: float  # ideal: 0
-    sam: float   # radians, mean over spatial positions (ideal: 0)
-    cc: float    # mean per-band Pearson correlation (ideal: 1)
+    sam: float   # radians, mean over spatial positions (ideal: 0); nan if every fiber is skipped
+    cc: float    # mean per-band Pearson correlation (ideal: 1); nan if every band is skipped
     skipped_sam_fibers: int = 0
     skipped_cc_bands: int = 0
 
@@ -50,7 +50,8 @@ def rmse(x: DenseTensor3, xhat: DenseTensor3) -> float:
 def sam(x: DenseTensor3, xhat: DenseTensor3) -> tuple[float, int]:
     """Mean spectral angle over mode-3 fibers; zero-norm fibers are skipped.
 
-    Returns (mean angle in radians, number of skipped fibers).
+    Returns (mean angle in radians, number of skipped fibers); the angle is
+    nan when every fiber is skipped, since nothing was measured.
     """
     _check(x, xhat)
     i1, i2, i3 = x.dims
@@ -61,7 +62,7 @@ def sam(x: DenseTensor3, xhat: DenseTensor3) -> tuple[float, int]:
     ok = (na > 0) & (nb > 0)
     skipped = int((~ok).sum())
     if not ok.any():
-        return 0.0, skipped
+        return math.nan, skipped
     # half-chord form: exact 0 for parallel fibers, accurate for small angles
     ua = a[ok] / na[ok, None]
     ub = b[ok] / nb[ok, None]
@@ -73,7 +74,8 @@ def sam(x: DenseTensor3, xhat: DenseTensor3) -> tuple[float, int]:
 def cc(x: DenseTensor3, xhat: DenseTensor3) -> tuple[float, int]:
     """Mean Pearson correlation between vectorized band slices.
 
-    Zero-variance bands are skipped; returns (mean, skipped band count).
+    Zero-variance bands are skipped; returns (mean, skipped band count),
+    the mean nan when every band is skipped.
     """
     _check(x, xhat)
     i3 = x.dims[2]
@@ -87,7 +89,7 @@ def cc(x: DenseTensor3, xhat: DenseTensor3) -> tuple[float, int]:
             skipped += 1
             continue
         vals.append(float(np.mean((u - u.mean()) * (v - v.mean())) / (su * sv)))
-    return (float(np.mean(vals)) if vals else 0.0), skipped
+    return (float(np.mean(vals)) if vals else math.nan), skipped
 
 
 def report(x: DenseTensor3, xhat: DenseTensor3) -> MetricReport:

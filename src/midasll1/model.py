@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .prox import Regularizer, penalty_value
-from .tensor import DenseTensor3, _check_mode
+from .tensor import DenseTensor3, _check_mode, all_finite
 
 
 def checked_int(v, what: str) -> int:
@@ -294,31 +294,11 @@ def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarra
     return (a @ (h.swapaxes(-1, -2) @ h) - x.swapaxes(-1, -2) @ h) / (a.shape[0] * h.shape[-2])
 
 
-# `lipschitz_bound`'s relative tolerance on the Rayleigh quotient, and its iteration cap
-POWER_TOL, POWER_MAX_ITER = 1e-6, 1000
-
-
 def lipschitz_bound(factors: LL1Factors, mode: int) -> float:
-    """lambda_max(H_n^T H_n) / (I1*I2*I3), by power iteration on the Gram.
-
-    Deterministic all-ones start vector; stops at `POWER_TOL` or after
-    `POWER_MAX_ITER` iterations.  A Gram or power iterate that is not
-    finite (the factors diverged) gives `math.inf`.
-    """
+    """lambda_max(H_n^T H_n) / (I1*I2*I3): the largest eigenvalue of the
+    Gram from one symmetric eigensolve.  A Gram that is not finite (the
+    factors diverged) gives `math.inf`; a zero Gram gives 0."""
     g = gram_H(factors, mode)
-    n3 = factors.dims[0] * factors.dims[1] * factors.dims[2]
-    v = np.ones(g.shape[0]) / math.sqrt(g.shape[0])
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = g @ v
-        nw = math.sqrt(float(w @ w))  # what np.linalg.norm computes for a vector
-        # v > 0 at the start, so a non-finite entry of g makes nw non-finite
-        if not 0.0 < nw < math.inf:
-            return 0.0 if nw == 0.0 else math.inf
-        v = w / nw
-        new = float(v @ (g @ v))
-        if abs(new - lam) <= POWER_TOL * max(abs(new), 1e-300):
-            lam = new
-            break
-        lam = new
-    return lam / n3
+    if not all_finite(g):
+        return math.inf
+    return float(np.linalg.eigvalsh(g)[-1]) / math.prod(factors.dims)

@@ -67,7 +67,7 @@ class SolverConfig:
     alpha0: float = 0.3  # prox-anchor coefficient inertial_coefficient(alpha0, k)
     beta0: float = 0.8  # gradient-point coefficient inertial_coefficient(beta0, k)
     eta: float | None = None  # constant step; None -> STEP_SCALE / L_n per mode and epoch
-    step_rule: str = "schedule"  # or "inverse_lipschitz"
+    step_rule: str = "schedule"  # or "inverse_lipschitz" (1/L steps; eta must be None)
     B: int = 0  # 0 -> 2 * max L_r
     epochs: int = 200
     seed: int = 0
@@ -102,6 +102,9 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be none or finite and > 0, got {self.eta}")
+        if self.eta is not None and self.step_rule == "inverse_lipschitz":
+            raise ValueError("eta must be None when step_rule is 'inverse_lipschitz' "
+                             f"(1/L steps), got eta = {self.eta}")
         if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
             raise ValueError(f"alpha0 and beta0 must be finite, got {self.alpha0}, {self.beta0}")
         if self.B < 0 or self.sarah_q < 0:
@@ -435,14 +438,15 @@ def palm_baseline(
     """Cyclic full-gradient proximal scheme with per-mode 1/L step sizes (PALM).
 
     This is `run` with inertial depth 0, full fiber batches, cyclic modes and
-    1/L steps; `config.epochs` counts sweeps over the three modes.  The
-    objective is monotonically nonincreasing; a violation beyond 1e-10
-    raises, since it indicates a broken gradient or Lipschitz bound.
+    1/L steps (any `config.eta` is dropped); `config.epochs` counts sweeps
+    over the three modes.  The objective is monotonically nonincreasing; a
+    violation beyond 1e-10 raises, since it indicates a broken gradient or
+    Lipschitz bound.
     """
     start = init_factors(config, tensor.dims, rng_streams(config.seed)["init"])
     prev_phi = objective(start, tensor, config.reg).phi
     palm = replace(config, estimator="sgd", t=0, B=tensor.size, mode_policy="cyclic",
-                   step_rule="inverse_lipschitz", init=start)
+                   eta=None, step_rule="inverse_lipschitz", init=start)
     factors, trace = run(palm, tensor, clock=clock)
     for sweep, phi in enumerate(trace.phi):
         if phi > prev_phi + 1e-10:

@@ -564,6 +564,26 @@ def test_bench_cell_failure_recorded(tmp_path):
     assert rows["alsmu"]["epochs"] == rows["alsmu"]["us_per_iter"] == ""
 
 
+def test_bench_palm_cell_runs_under_a_base_eta(tmp_path, tensor_file, monkeypatch):
+    """A grid whose base sets `eta` still runs its palm cell, with PALM's
+    1/L steps: the files of a grid without `eta`, bit for bit."""
+    monkeypatch.setenv("MIDAS_VIRTUAL_CLOCK", "1")
+    path, _ = tensor_file
+    outs = []
+    for eta_line in ("", "eta = 0.05\n"):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"ranks = 2,1\nepochs = 2\n{eta_line}"
+                        "grid_baselines = palm\nbaseline_iters = 2\n")
+        out = tmp_path / f"bench{len(outs)}"
+        rc = main(["bench", "--tensor", str(path), "--grid", str(grid), "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = {r["cell"]: r for r in csv.DictReader(io.StringIO((out / "summary.csv").read_text()))}
+        assert rows["palm"]["status"] == "ok" and rows["palm"]["epochs"] == "2"
+        outs.append(out / "palm")
+    for name in ("A1.dmat", "A2.dmat", "A3.dmat", "trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_bench_cell_without_epochs_leaves_finals_blank(tmp_path):
     """A cell that ran no epoch has no final f or phi: blank fields, as a
     failed cell writes, not the repr of an empty string."""

@@ -90,6 +90,10 @@ def test_saga_draw_is_one_integers_draw_per_multi_bin_step():
     # steps on a single-bin mode take bin 0 without consuming the generator
     assert st.draw([2] * 50, rng) == [0] * 50
     assert rng.bit_generator.state == ref.bit_generator.state
+    # a state warm-started on fewer modes draws its own modes' bins alike
+    one = SagaState.warm_start(f, t, {3: 4})
+    assert one.draw([3] * 20, np.random.default_rng(4)) == st.draw([3] * 20,
+                                                                    np.random.default_rng(4))
 
 
 def test_sgd_draw_is_one_choice_per_partial_batch_step():
@@ -277,10 +281,7 @@ def test_probe_zero_mse_for_full_batch_sgd():
 def test_probe_does_not_mutate_state():
     f, t = make_problem(seed=15)
     mode = 2
-    # `draw` reads every mode's bin count, so every mode is warm-started
-    st = SagaState.warm_start(
-        f, t, {n: largest_divisor_at_most(row_count(t.dims, n), 4) for n in (1, 2, 3)}
-    )
+    st = SagaState.warm_start(f, t, {mode: largest_divisor_at_most(row_count(t.dims, mode), 4)})
     before = copy.deepcopy(st)
     estimator_mse_probe(st, f, t, mode, 20, np.random.default_rng(1))
     for b in range(st.n_bins(mode)):

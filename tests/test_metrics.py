@@ -112,3 +112,16 @@ def test_report_and_format():
     assert "psnr_db" in text and "rmse" in text and "sam_rad" in text and "cc" in text
     r2 = report(x, x)
     assert "inf" in format_report(r2)
+
+
+def test_nothing_measured_reads_nan_not_ideal():
+    """An all-zero tensor has no nonzero fiber and no varying band: SAM and CC
+    measured nothing, so they read nan (with every fiber and band counted as
+    skipped), not the ideal-looking 0."""
+    zero = DenseTensor3(np.zeros((4, 3, 2)))
+    r = report(zero, zero)
+    assert math.isnan(r.sam) and math.isnan(r.cc)
+    assert (r.skipped_sam_fibers, r.skipped_cc_bands) == (12, 2)
+    lines = format_report(r).splitlines()
+    assert "sam_rad nan (ideal 0)" in lines and "cc nan (ideal 1)" in lines
+    assert "sam_skipped_fibers 12" in lines and "cc_skipped_bands 2" in lines

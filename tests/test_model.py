@@ -325,11 +325,27 @@ def test_lipschitz_scalar_gram():
 
 
 def test_lipschitz_matches_dense_eigensolver():
+    """L_n is sigma_max(H_n)^2 / N of the explicit H_n, to rounding, for
+    nonnegative (uniform) and for signed (standard-normal) factors."""
     rng = np.random.default_rng(13)
-    f = random_factors(rng, (5, 4, 3), (2, 2))
-    for mode in (1, 2, 3):
-        lam = np.linalg.eigvalsh(gram_H(f, mode)).max() / 60
-        assert lipschitz_bound(f, mode) == pytest.approx(lam, rel=1e-6)
+    for sample in (rng.random, rng.standard_normal):
+        f = LL1Factors(sample((5, 4)), sample((4, 4)), sample((3, 2)), RankVector((2, 2)))
+        for mode in (1, 2, 3):
+            lam = np.linalg.norm(reference_build_H(f, mode), 2) ** 2 / 60
+            assert lipschitz_bound(f, mode) == pytest.approx(lam, rel=1e-12)
+
+
+def test_lipschitz_is_exact_on_a_signed_gram():
+    """H_1 = A2 has the Gram [[2, -1], [-1, 2]], whose all-ones vector is the
+    eigenvector of the smaller eigenvalue 1: a power iteration started there
+    reads 1/6.  The bound is 3/6, and a 1/L step does not raise f."""
+    f = LL1Factors(np.eye(2), np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+                   np.array([[1.0]]), RankVector((2,)))
+    x = DenseTensor3(np.arange(6.0).reshape(2, 3, 1) / 6)
+    lip = lipschitz_bound(f, 1)
+    assert lip == pytest.approx(0.5, rel=1e-12)
+    stepped = f.replaced(1, f.A1 - full_gradient(f, x, 1) / lip)
+    assert objective(stepped, x, NONE).f <= objective(f, x, NONE).f
 
 
 def test_lipschitz_orthonormal_scaled():
@@ -384,15 +400,21 @@ def test_mode_n_kernels_never_read_a_n(mode):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lipschitz_bound_is_inf_when_not_finite():
-    """One huge or non-finite entry of A1 makes the power iterate (1e78) or
-    the Gram (1e200, inf, nan) of modes 2 and 3 non-finite: their bound is
-    inf, not the 0 or NaN of a collapsed iteration, and mode 1's is as it was."""
+    """One huge or non-finite entry of A1 makes the Gram of modes 2 and 3
+    non-finite (1e200, inf, nan): their bound is inf, not the 0 or NaN of a
+    collapsed factor, and mode 1's is as it was.  At 1e78 the Gram (about
+    1e156) is finite and so is the bound: that of the explicit H_n."""
     f = random_factors(np.random.default_rng(19), (5, 4, 3), (2, 2))
     for bad in (1e78, 1e200, np.inf, np.nan):
         a1 = f.A1.copy()
         a1[0, 0] = bad
         g = f.replaced(1, a1)
-        assert lipschitz_bound(g, 2) == lipschitz_bound(g, 3) == math.inf
+        for mode in (2, 3):
+            if bad == 1e78:
+                lam = np.linalg.norm(reference_build_H(g, mode), 2) ** 2 / 60
+                assert lipschitz_bound(g, mode) == pytest.approx(lam, rel=1e-12)
+            else:
+                assert lipschitz_bound(g, mode) == math.inf
         assert lipschitz_bound(g, 1) == lipschitz_bound(f, 1)
 
 

@@ -663,6 +663,14 @@ def test_palm_monotone_and_converges():
     assert trace.phi[-1] < trace.phi[0]
 
 
+def test_eta_with_inverse_lipschitz_steps_is_rejected():
+    """1/L steps never read `eta`, so a config that sets both is refused by
+    name rather than run with the given `eta` silently ignored."""
+    with pytest.raises(ValueError, match="^eta must be None when step_rule is "
+                                         r"'inverse_lipschitz' \(1/L steps\), got eta = 123\.0$"):
+        SolverConfig(ranks=RankVector((2, 1)), eta=123.0, step_rule="inverse_lipschitz")
+
+
 def test_zero_lipschitz_bound_aborts():
     """A factor clipped to zero leaves no 1/L step: SolverAbort, not a division by zero."""
     t = DenseTensor3(-np.ones((4, 4, 4)))
