@@ -216,21 +216,41 @@ def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
     return out
 
 
+# below this share of ||X||^2, the contraction identity of `objective` has
+# cancelled too many digits, and the residual is summed entry by entry
+FIT_FLOOR = 1e-6
+
+
 def objective(
     factors: LL1Factors, t: DenseTensor3, reg: Regularizer
 ) -> ObjectiveValue:
-    """Composite objective phi = f + sum_n h(A_n) at the given point."""
+    """Composite objective phi = f + sum_n h(A_n) at the given point.
+
+    ||X - Xhat||^2 comes from the mode-3 contraction, as the CP fit is taken
+    from the MTTKRP (Kolda & Bader, 2009): ||X||^2 - 2 <A3, M3> + <A3 G3, A3>
+    with M3 = `mttkrp`(mode 3) and G3 = `gram_H`(mode 3), no reconstruction.
+    Its absolute error is a few ulps of ||X||^2 + ||Xhat||^2.  When it is not
+    finite or below FIT_FLOOR * ||X||^2, the residual is summed entry by
+    entry instead, so a near-exact fit keeps its digits, f is never
+    negative, and an overflowing reconstruction raises ValueError."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
-    # the squared residual, formed in place in the F-ordered reconstruction;
-    # np.sum follows the memory layout, so it adds in the order it always has
-    sq = _reconstruction(factors)
-    np.subtract(t.array, sq, out=sq)
-    np.multiply(sq, sq, out=sq)
-    f = float(np.sum(sq)) / (2.0 * t.size)
-    # a non-finite reconstruction makes f non-finite, so only then look
-    if not math.isfinite(f) and not np.isfinite(_reconstruction(factors)).all():
-        raise ValueError("the reconstruction overflows: the factors give non-finite model entries")
+    a3 = factors.A3
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sq falls back
+        cross = np.vdot(a3, mttkrp(factors, t, 3))
+        xhat_sq = np.vdot(a3.dot(gram_H(factors, 3)), a3)
+    sq = t.sqnorm - 2.0 * float(cross) + float(xhat_sq)
+    if not (math.isfinite(sq) and sq >= FIT_FLOOR * t.sqnorm):
+        # the squared residual, formed in place in the F-ordered reconstruction;
+        # np.sum follows the memory layout, so it adds in the order it always has
+        res = _reconstruction(factors)
+        np.subtract(t.array, res, out=res)
+        np.multiply(res, res, out=res)
+        sq = float(np.sum(res))
+        # a non-finite reconstruction makes sq non-finite, so only then look
+        if not math.isfinite(sq) and not np.isfinite(_reconstruction(factors)).all():
+            raise ValueError("the reconstruction overflows: the factors give non-finite model entries")
+    f = sq / (2.0 * t.size)
     h = sum(penalty_value(reg, factors.factor(n)) for n in (1, 2, 3))
     return ObjectiveValue(f, h, f + h)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,16 @@ class DenseTensor3:
             )
         return cls(flat.reshape((i1, i2, i3), order="F"))
 
+    @cached_property
+    def sqnorm(self) -> float:
+        """||X||_F^2, computed once per tensor."""
+        flat = self.flat
+        return float(flat.dot(flat))
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
+        """||X||_F, with the bits of `np.linalg.norm`: the square root of the
+        same dot product."""
+        return math.sqrt(self.sqnorm)
 
 
 def all_finite(a: np.ndarray) -> bool:

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from midasll1.model import LL1Factors, lipschitz_bound
+from midasll1.model import LL1Factors, lipschitz_bound, objective
 from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
     MU_EPS,
@@ -120,6 +120,9 @@ def palm_reference(config, tensor):
 
     Starts from the same point as `run` (same seed, same init stream) and
     returns the final factors plus the per-sweep phi, f and last step norm.
+    Each sweep's f and phi come from `model.objective`, which
+    `test_model.py` checks against `reference_objective`, so the sweeps
+    are compared bit for bit.
     """
     factors = init_factors(config, tensor.dims, rng_streams(config.seed)["init"])
     phi, f, step_norm = [], [], []
@@ -132,7 +135,8 @@ def palm_reference(config, tensor):
             d = a_new - factors.factor(n)
             last = math.sqrt(float(np.sum(d * d)))
             factors = _with_factor(factors, n, a_new)
-        f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
+        obj = objective(factors, tensor, config.reg)
+        f_val, phi_val = obj.f, obj.phi
         phi.append(phi_val)
         f.append(f_val)
         step_norm.append(last)
@@ -195,7 +199,9 @@ def run_reference(config, tensor):
     Draws from the same streams in the same order as `run`: one mode draw
     per step, then (SAGA) one bin draw when the mode has more than one bin,
     or (SGD, SARAH) one `choice` of the batch. Returns the final factors and
-    a `RunTrace` without elapsed times.
+    a `RunTrace` without elapsed times.  Each epoch's f and phi come from
+    `model.objective`, which `test_model.py` checks against
+    `reference_objective`.
     """
     dims = tensor.dims
     streams = rng_streams(config.seed)
@@ -300,7 +306,8 @@ def run_reference(config, tensor):
             k += 1
 
         try:
-            f_val, _, phi_val = reference_objective(factors, tensor, config.reg)
+            obj = objective(factors, tensor, config.reg)
+            f_val, phi_val = obj.f, obj.phi
         except ValueError:  # finite factors whose reconstruction overflows
             raise SolverAbort(k - 1, n, "the reconstruction overflows") from None
         trace.append(epoch + 1, k, phi_val, f_val, None, last_step_norm, counts, last_eta)

@@ -207,9 +207,9 @@ def kernel_problem(dims, L, seed, draw="standard_normal"):
 
 @pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
 def test_kernels_match_reference_bitwise(dims, L):
-    """The H rows of all fibers, `mttkrp`, `full_gradient`, `reconstruct` and
-    `objective` give the same bits as the plain kron/hstack, unfolding-
-    contraction and validated-reconstruction formulas of `tests/conftest.py`."""
+    """The H rows of all fibers, `mttkrp`, `full_gradient` and `reconstruct`
+    give the same bits as the plain kron/hstack, unfolding-contraction and
+    validated-reconstruction formulas of `tests/conftest.py`."""
     f, x = kernel_problem(dims, L, sum(dims) + len(L))
     for mode in (1, 2, 3):
         assert all_H_rows(f, mode).tobytes() == reference_build_H(f, mode).tobytes()
@@ -219,9 +219,57 @@ def test_kernels_match_reference_bitwise(dims, L):
     recon = reconstruct(f).array
     np.testing.assert_array_equal(recon, reference_reconstruct(f).array)
     assert recon.flags.f_contiguous
+
+
+def fit_rounding(f, x):
+    """16 eps (||X||^2 + ||Xhat||^2) / (2N): the error `objective`'s
+    contraction identity may add to f."""
+    xhat = reference_reconstruct(f).array
+    return 16 * np.finfo(float).eps * (np.vdot(x.array, x.array) + np.vdot(xhat, xhat)) / (2 * x.size)
+
+
+@pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
+def test_objective_is_the_residual_sum_to_rounding(dims, L):
+    """f is the entry-by-entry residual sum of `reference_objective` to
+    `fit_rounding`, h and phi = f + h are exact: on an unrelated tensor and
+    on the factors' own reconstruction plus noise of 1e-4 to 10 times the
+    draw, for both draws."""
     reg = Regularizer("ridge", 0.3)
-    obj = objective(f, x, reg)
-    assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, reg)
+    for seed, draw in enumerate(("standard_normal", "random")):
+        f, e = kernel_problem(dims, L, sum(dims) + len(L) + seed, draw)
+        xhat = reference_reconstruct(f).array
+        for x in (e, *(DenseTensor3(xhat + s * e.array) for s in (1e-4, 1e-2, 1.0, 10.0))):
+            obj = objective(f, x, reg)
+            f_ref, h_ref, _ = reference_objective(f, x, reg)
+            assert abs(obj.f - f_ref) <= fit_rounding(f, x), (draw, f_ref)
+            assert obj.h == h_ref and obj.phi == obj.f + obj.h
+
+
+@pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
+def test_objective_of_an_exact_fit_is_the_residual_sum(dims, L):
+    """At a noiseless tensor's planted truth the identity would cancel to
+    rounding noise of either sign: f falls back to the residual sum, with
+    the bits of `reference_objective`, and is never negative."""
+    for draw in ("standard_normal", "random"):
+        f, _ = kernel_problem(dims, L, sum(dims), draw)
+        x = reconstruct(f)
+        obj = objective(f, x, NONE)
+        assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, NONE)
+        assert obj.f >= 0.0
+
+
+def test_objective_makes_no_tensor_sized_buffer():
+    """Away from an exact fit, one call at the mid benchmark shape allocates
+    well under one 4 MB tensor: no reconstruction."""
+    f, x = kernel_problem((100, 100, 50), (4, 4, 4), 3)
+    objective(f, x, NONNEG)  # caches ||X||^2
+    tracemalloc.start()
+    try:
+        objective(f, x, NONNEG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("dims, L", KERNEL_SHAPES)

@@ -663,6 +663,31 @@ def test_palm_monotone_and_converges():
     assert trace.phi[-1] < trace.phi[0]
 
 
+def _scaled_instance(scale):
+    t, _ = generate((12, 12, 12), RankVector((2, 2)), snr_db=30.0, seed=105)
+    return DenseTensor3(t.array * scale)
+
+
+def test_palm_monotonicity_check_scales_with_the_data():
+    """f rounds to a few ulps of ||X||^2 / (2N), so on this instance scaled
+    by 1e3 an absolute 1e-10 allowance read a rounding-level rise at sweep
+    1391 as an increase; the allowance scaled by ||X||^2 / (2N) does not."""
+    cfg = SolverConfig(ranks=RankVector((2, 2)), epochs=1500, seed=0, abs_tol=0.0)
+    _, trace = palm_baseline(cfg, _scaled_instance(1e3))
+    assert len(trace) == 1500
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_palm_too_long_steps_still_raise(scale, monkeypatch):
+    """Steps of 2.2/L overshoot: the scaled allowance still reports the
+    increase, on data of unit scale and scaled by 1e4."""
+    exact = solver.lipschitz_bound
+    monkeypatch.setattr(solver, "lipschitz_bound", lambda f, n: exact(f, n) / 2.2)
+    cfg = SolverConfig(ranks=RankVector((2, 2)), epochs=20, seed=0, abs_tol=0.0)
+    with pytest.raises(RuntimeError, match="^objective increased at sweep [01]: "):
+        palm_baseline(cfg, _scaled_instance(scale))
+
+
 def test_eta_with_inverse_lipschitz_steps_is_rejected():
     """1/L steps never read `eta`, so a config that sets both is refused by
     name rather than run with the given `eta` silently ignored."""
@@ -738,8 +763,9 @@ def test_als_mu_matches_unfolding_reference(dims, L, sweeps):
 
 
 def test_als_mu_makes_no_unfolding_copy():
-    """A sweep at the mid benchmark shape allocates about one tensor, the
-    objective's reconstruction, and no unfolding copy or J_n x L H_n."""
+    """A sweep at the mid benchmark shape allocates less than one tensor and
+    a half: no unfolding copy, no J_n x L H_n and (away from an exact fit)
+    no reconstruction for the objective."""
     rk = RankVector((4, 4, 4))
     t = DenseTensor3(np.abs(generate((100, 100, 50), rk, snr_db=30.0, seed=5)[0].array))
     cfg = SolverConfig(ranks=rk, epochs=1, seed=0)

@@ -84,6 +84,18 @@ def test_tensor_rejects_nonfinite():
         DenseTensor3(cube)
 
 
+def test_norm_keeps_the_bits_of_linalg_norm():
+    """`norm()` is the square root of the cached `sqnorm`, with the bits of
+    `np.linalg.norm` over the entries, on C- and F-ordered input of several
+    shapes and scales."""
+    rng = np.random.default_rng(20)
+    for i in range(200):
+        dims = tuple(int(d) for d in rng.integers(1, 30, size=3))
+        a = rng.standard_normal(dims) * 10.0 ** rng.integers(-150, 150)
+        t = DenseTensor3(a if i % 2 else np.asfortranarray(a))
+        assert t.norm() == float(np.linalg.norm(a.ravel(order="F")))
+
+
 def test_from_flat_column_major():
     t = DenseTensor3.from_flat(np.arange(1.0, 9.0), (2, 2, 2))
     np.testing.assert_array_equal(t.array, counting_tensor().array)
