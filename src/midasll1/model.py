@@ -249,7 +249,8 @@ def objective(
         sq = float(np.sum(res))
         # a non-finite reconstruction makes sq non-finite, so only then look
         if not math.isfinite(sq) and not np.isfinite(_reconstruction(factors)).all():
-            raise ValueError("the reconstruction overflows: the factors give non-finite model entries")
+            raise ValueError("the reconstruction overflows: "
+                             "the factors give non-finite model entries")
     f = sq / (2.0 * t.size)
     h = sum(penalty_value(reg, factors.factor(n)) for n in (1, 2, 3))
     return ObjectiveValue(f, h, f + h)

@@ -225,7 +225,8 @@ def fit_rounding(f, x):
     """16 eps (||X||^2 + ||Xhat||^2) / (2N): the error `objective`'s
     contraction identity may add to f."""
     xhat = reference_reconstruct(f).array
-    return 16 * np.finfo(float).eps * (np.vdot(x.array, x.array) + np.vdot(xhat, xhat)) / (2 * x.size)
+    sq_sum = np.vdot(x.array, x.array) + np.vdot(xhat, xhat)
+    return 16 * np.finfo(float).eps * sq_sum / (2 * x.size)
 
 
 @pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
