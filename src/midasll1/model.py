@@ -10,6 +10,13 @@ and its mode-n gradient is (A_n H_n^T H_n - X_(n)^T H_n) / (I1*I2*I3) with
 the mode-specific coefficient matrix H_n of the other two factors.  No kernel
 forms H_n: `H_rows_at` gives rows of it for a fiber batch, `gram_H` its Gram
 and `mttkrp` the product X_(n)^T H_n.
+
+A point keeps what these kernels compute from factors that have not changed:
+the column-repeated A3, each mode's Gram and the two contractions of the
+tensor behind `mttkrp` (Y = A3^T X3^T and M3).  Each kept value is a
+read-only array stored with the objects it read; a call whose factor or
+tensor is another object computes it anew.  So a cyclic sweep contracts the
+tensor twice, and its end-of-sweep objective reuses the last step's M3.
 """
 
 from __future__ import annotations
@@ -63,8 +70,12 @@ class RankVector:
 class LL1Factors:
     """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`.
 
-    The arrays are treated as immutable: derived values such as
-    `expanded_A3` are computed once per instance.
+    The arrays are treated as immutable: derived values are computed once
+    and kept on the point.  `expanded_A3` is dropped when A3 is replaced;
+    the Grams of `gram_H` and the tensor contractions of `mttkrp` are kept
+    with the factor (and tensor) objects they read, ride along to the points
+    `replaced` builds, and are computed anew once one of those objects
+    differs.  Writing into a factor array in place would serve stale values.
     """
 
     A1: np.ndarray  # I1 x L_total
@@ -191,19 +202,38 @@ def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
     return out
 
 
+def _kept(factors: LL1Factors, name: str, operands: tuple, compute) -> np.ndarray:
+    """`compute()`, kept read-only on `factors` under `name` with the
+    `operands` it reads; returned again while each operand is the same
+    object, computed anew (and kept in its place) once one is not."""
+    kept = factors.__dict__.get(name)
+    if kept is None or any(a is not b for a, b in zip(kept[0], operands)):
+        kept = factors.__dict__[name] = (operands, compute())
+        kept[1].flags.writeable = False
+    return kept[1]
+
+
 def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
     """H_n^T H_n via the block identity, without materializing H_n.
 
     For modes 1 and 2, block (r, s) equals (c_r^T c_s) * (M_r^T M_s) with M
     the other spatial factor; for mode 3, entry (r, s) is the total sum of
-    (A1_r^T A1_s) hadamard (A2_r^T A2_s).
+    (A1_r^T A1_s) hadamard (A2_r^T A2_s).  The Gram reads the two factors
+    other than A_n; it is kept on the point, read-only, and computed anew
+    when one of them is another object.
     """
     _check_mode(mode)
+    others = tuple(factors.factor(m) for m in (1, 2, 3) if m != mode)
+    return _kept(factors, f"_gram{mode}", others, lambda: _gram(factors, mode))
+
+
+def _gram(factors: LL1Factors, mode: int) -> np.ndarray:
+    """The Gram that `gram_H` keeps, computed."""
     rk = factors.ranks
-    g3 = factors.A3.T @ factors.A3
     if mode in (1, 2):
         m = factors.A2 if mode == 1 else factors.A1
         gm = m.T @ m
+        g3 = factors.A3.T @ factors.A3
         scale = np.repeat(np.repeat(g3, rk.L, axis=0), rk.L, axis=1)
         return gm * scale
     g1 = factors.A1.T @ factors.A1
@@ -264,23 +294,40 @@ def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
 
     Modes 1 and 2 take Y = A3^T X3^T, whose row r is the I2 x I1 matrix
     Y_r = sum_i3 c_r[i3] X[:, :, i3]^T, and block r is Y_r^T A2_r (mode 1)
-    or Y_r A1_r (mode 2); mode 3 takes (S X3)^T from the slabs S of
+    or Y_r A1_r (mode 2); mode 3 takes M3 = (S X3)^T from the slabs S of
     `_slabs`.  Every operand is C- or F-contiguous or a column block of
-    one, so BLAS reads it where it lies."""
+    one, so BLAS reads it where it lies.
+
+    The contractions are kept on the point, read-only: Y with the tensor and
+    A3 it read, M3 (which this returns for mode 3) with the tensor, A1 and
+    A2.  Another tensor or another object in one of those factors makes
+    `_contract` run again, so modes 1 and 2 of a sweep share one Y, and the
+    objective after a mode-3 step reuses that step's M3."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     _check_mode(mode)
-    i1, i2, i3 = t.dims
-    x3 = t.array.reshape(i1 * i2, i3, order="F")
+    x = t.array
     if mode == 3:
-        return _slabs(factors).dot(x3).T
-    y = factors.A3.T.dot(x3.T)
+        return _kept(factors, "_m3", (x, factors.A1, factors.A2), lambda: _contract(factors, x, 3))
+    y = _kept(factors, "_y", (x, factors.A3), lambda: _contract(factors, x, mode))
+    i1, i2, _ = t.dims
     other = factors.A2 if mode == 1 else factors.A1
     out = np.empty((t.dims[mode - 1], factors.ranks.total))
     for r, blk in enumerate(factors.ranks.blocks):
         y_r = y[r].reshape(i2, i1)
         out[:, blk] = (y_r.T if mode == 1 else y_r).dot(other[:, blk])
     return out
+
+
+def _contract(factors: LL1Factors, x: np.ndarray, mode: int) -> np.ndarray:
+    """The one pass over the tensor's storage `x`, read as the mode-3
+    unfolding X3, behind `mttkrp`: M3 = (S X3)^T for mode 3, Y = A3^T X3^T
+    for modes 1 and 2."""
+    i1, i2, i3 = x.shape
+    x3 = x.reshape(i1 * i2, i3, order="F")
+    if mode == 3:
+        return _slabs(factors).dot(x3).T
+    return factors.A3.T.dot(x3.T)
 
 
 def full_gradient(

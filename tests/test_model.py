@@ -447,6 +447,49 @@ def test_mode_n_kernels_never_read_a_n(mode):
     assert lipschitz_bound(nan, mode) == lipschitz_bound(f, mode)
 
 
+def test_kept_kernels_follow_the_factors_they_read():
+    """Y, M3 and the Grams ride along to the points `replaced` builds.  After
+    `replaced(3, a)` the kernels of modes 1 and 2, and after `replaced(1, a)`
+    those of modes 2 and 3, are a freshly built point's bit for bit; what
+    reads none of the new factor is the same kept array."""
+    rng = np.random.default_rng(31)
+    f = random_factors(rng, (5, 7, 4), (2, 1))
+    x = DenseTensor3(rng.random(f.dims))
+    for mode in (1, 2, 3):
+        mttkrp(f, x, mode)
+        gram_H(f, mode)
+    for n, unchanged in ((3, 3), (1, 1)):
+        g = f.replaced(n, rng.random(f.factor(n).shape))
+        fresh = LL1Factors(g.A1, g.A2, g.A3, g.ranks)
+        for mode in (1, 2, 3):
+            if mode != n:
+                assert mttkrp(g, x, mode).tobytes() == mttkrp(fresh, x, mode).tobytes()
+                assert gram_H(g, mode).tobytes() == gram_H(fresh, mode).tobytes()
+        assert gram_H(g, unchanged) is gram_H(f, unchanged)
+    assert mttkrp(f.replaced(3, f.A3 + 1.0), x, 3) is mttkrp(f, x, 3)
+
+
+def test_kept_contractions_follow_the_tensor():
+    """One point contracted against a second tensor gives that tensor's
+    X_(n)^T H_n, and against the first again the first's."""
+    rng = np.random.default_rng(32)
+    f = random_factors(rng, (5, 7, 4), (2, 1))
+    x, z = (DenseTensor3(rng.random(f.dims)) for _ in range(2))
+    for mode in (1, 2, 3):
+        for t in (x, z, x):
+            assert mttkrp(f, t, mode).tobytes() == reference_mttkrp(f, t, mode).tobytes()
+
+
+def test_kept_arrays_are_read_only():
+    """A kept Gram or M3 is shared by every later call on the point, so
+    writing into it raises instead of changing what they return."""
+    f = random_factors(np.random.default_rng(33), (5, 7, 4), (2, 1))
+    x = DenseTensor3(np.random.default_rng(34).random(f.dims))
+    for kept in (mttkrp(f, x, 3), gram_H(f, 1), gram_H(f, 2), gram_H(f, 3)):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lipschitz_bound_is_inf_when_not_finite():
     """One huge or non-finite entry of A1 makes the Gram of modes 2 and 3

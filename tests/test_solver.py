@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import als_mu_reference, palm_reference, run_reference
-from midasll1 import solver
+from midasll1 import model, solver
 from midasll1.estimators import SagaState, SarahState, SgdState
 from midasll1.model import LL1Factors, RankVector, lipschitz_bound, reconstruct
 from midasll1.prox import NONE, NONNEG, Regularizer
@@ -763,9 +763,9 @@ def test_als_mu_matches_unfolding_reference(dims, L, sweeps):
 
 
 def test_als_mu_makes_no_unfolding_copy():
-    """A sweep at the mid benchmark shape allocates less than one tensor and
-    a half: no unfolding copy, no J_n x L H_n and (away from an exact fit)
-    no reconstruction for the objective."""
+    """A sweep at the mid benchmark shape (a 4 MB tensor) allocates less
+    than 1 MB: no unfolding copy, no J_n x L H_n and (away from an exact
+    fit) no reconstruction for the objective."""
     rk = RankVector((4, 4, 4))
     t = DenseTensor3(np.abs(generate((100, 100, 50), rk, snr_db=30.0, seed=5)[0].array))
     cfg = SolverConfig(ranks=rk, epochs=1, seed=0)
@@ -776,7 +776,31 @@ def test_als_mu_makes_no_unfolding_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * t.array.nbytes, peak
+    assert peak < 1 << 20, peak
+
+
+def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
+    """A PALM or ALS-MU sweep makes one Y contraction, which modes 1 and 2
+    share, and one mode-3 contraction, which the sweep's objective reuses;
+    `palm_baseline`'s start objective adds one mode-3 contraction."""
+    calls = {}
+    contract = model._contract
+
+    def counting(factors, x, mode):
+        kind = "m3" if mode == 3 else "y"
+        calls[kind] = calls.get(kind, 0) + 1
+        return contract(factors, x, mode)
+
+    monkeypatch.setattr(model, "_contract", counting)
+    sweeps = 7
+    t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=20.0, seed=0)
+    t = DenseTensor3(np.abs(t.array))
+    cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=sweeps, seed=3)
+    for baseline, start in ((palm_baseline, 1), (als_mu_baseline, 0)):
+        calls.clear()
+        _, trace = baseline(cfg, t)
+        assert len(trace) == sweeps
+        assert calls == {"y": sweeps, "m3": sweeps + start}
 
 
 def test_alsmu_rejects_negative_tensor():
