@@ -11,12 +11,12 @@ the mode-specific coefficient matrix H_n of the other two factors.  No kernel
 forms H_n: `H_rows_at` gives rows of it for a fiber batch, `gram_H` its Gram
 and `mttkrp` the product X_(n)^T H_n.
 
-A point keeps what these kernels compute from factors that have not changed:
-the column-repeated A3, each mode's Gram and the two contractions of the
-tensor behind `mttkrp` (Y = A3^T X3^T and M3).  Each kept value is a
-read-only array stored with the objects it read; a call whose factor or
-tensor is another object computes it anew.  So a cyclic sweep contracts the
-tensor twice, and its end-of-sweep objective reuses the last step's M3.
+A point keeps what its own factors determine, the column-repeated A3 and
+each mode's Gram; the tensor keeps the two contractions behind `mttkrp`
+(Y = A3^T X3^T and M3).  Each is a read-only array kept with the factor
+arrays it read, which are read-only too, and computed anew once one of them
+is another object.  So a cyclic sweep contracts the tensor twice, and its
+end-of-sweep objective reuses the last step's M3.
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ class RankVector:
 class LL1Factors:
     """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`.
 
-    The arrays are treated as immutable: derived values are computed once
-    and kept on the point.  `expanded_A3` is dropped when A3 is replaced;
-    the Grams of `gram_H` and the tensor contractions of `mttkrp` are kept
-    with the factor (and tensor) objects they read, ride along to the points
-    `replaced` builds, and are computed anew once one of those objects
-    differs.  Writing into a factor array in place would serve stale values.
+    The constructor copies its inputs and marks them read-only, so writing
+    into a factor raises ValueError.  Values derived from the factors
+    (`expanded_A3` and the Grams of `gram_H`) are kept on the point, ride
+    along to the points `replaced` builds, and are computed anew once a
+    factor they read is another object.  A point holds no tensor.
     """
 
     A1: np.ndarray  # I1 x L_total
@@ -89,9 +88,10 @@ class LL1Factors:
             ("A2", self.A2, self.ranks.total),
             ("A3", self.A3, self.ranks.R),
         ):
-            a = np.asarray(a, dtype=np.float64)
+            a = np.array(a, dtype=np.float64)
             if a.ndim != 2 or a.shape[1] != cols:
                 raise ValueError(f"{name} must have {cols} columns, got shape {a.shape}")
+            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
@@ -108,21 +108,19 @@ class LL1Factors:
 
     def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
         """This point with A_mode = `a`, a float64 array of A_mode's shape,
-        built without the constructor's checks.  Unless A3 is replaced, the
-        new point shares `expanded_A3` with this one, so it is computed once
-        per A3."""
+        built without the constructor's checks or copy.  Unless A3 is
+        replaced, the new point shares what this one has kept of
+        `expanded_A3`, so it is computed at most once per A3."""
         out = object.__new__(LL1Factors)
         state = out.__dict__
         state.update(self.__dict__)
         state[_FACTOR_NAMES[mode - 1]] = a
         if mode == 3:
             state.pop("expanded_A3", None)
-        else:
-            state["expanded_A3"] = self.expanded_A3
         return out
 
     def copy(self) -> "LL1Factors":
-        return LL1Factors(self.A1.copy(), self.A2.copy(), self.A3.copy(), self.ranks)
+        return LL1Factors(self.A1, self.A2, self.A3, self.ranks)
 
 
 _FACTOR_NAMES = ("A1", "A2", "A3")
@@ -202,13 +200,13 @@ def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
     return out
 
 
-def _kept(factors: LL1Factors, name: str, operands: tuple, compute) -> np.ndarray:
-    """`compute()`, kept read-only on `factors` under `name` with the
-    `operands` it reads; returned again while each operand is the same
-    object, computed anew (and kept in its place) once one is not."""
-    kept = factors.__dict__.get(name)
+def _kept(owner, name: str, operands: tuple, compute) -> np.ndarray:
+    """`compute()`, kept read-only on `owner` (a point or a tensor) under
+    `name` with the factor arrays `operands` it reads; returned again while
+    each is the same object, computed anew (and kept in its place) if not."""
+    kept = owner.__dict__.get(name)
     if kept is None or any(a is not b for a, b in zip(kept[0], operands)):
-        kept = factors.__dict__[name] = (operands, compute())
+        kept = owner.__dict__[name] = (operands, compute())
         kept[1].flags.writeable = False
     return kept[1]
 
@@ -263,8 +261,6 @@ def objective(
     finite or below FIT_FLOOR * ||X||^2, the residual is summed entry by
     entry instead, so a near-exact fit keeps its digits, f is never
     negative, and an overflowing reconstruction raises ValueError."""
-    if factors.dims != t.dims:
-        raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     a3 = factors.A3
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sq falls back
         cross = np.vdot(a3, mttkrp(factors, t, 3))
@@ -298,18 +294,18 @@ def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
     `_slabs`.  Every operand is C- or F-contiguous or a column block of
     one, so BLAS reads it where it lies.
 
-    The contractions are kept on the point, read-only: Y with the tensor and
-    A3 it read, M3 (which this returns for mode 3) with the tensor, A1 and
-    A2.  Another tensor or another object in one of those factors makes
-    `_contract` run again, so modes 1 and 2 of a sweep share one Y, and the
-    objective after a mode-3 step reuses that step's M3."""
+    The contractions are kept on the tensor `t`, read-only: Y with the A3 it
+    read, M3 (which this returns for mode 3) with A1 and A2.  Another object
+    in one of those factors makes `_contract` run again, so modes 1 and 2 of
+    a sweep share one Y, and the objective after a mode-3 step reuses that
+    step's M3.  The point itself keeps nothing of the tensor."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     _check_mode(mode)
     x = t.array
     if mode == 3:
-        return _kept(factors, "_m3", (x, factors.A1, factors.A2), lambda: _contract(factors, x, 3))
-    y = _kept(factors, "_y", (x, factors.A3), lambda: _contract(factors, x, mode))
+        return _kept(t, "_m3", (factors.A1, factors.A2), lambda: _contract(factors, x, 3))
+    y = _kept(t, "_y", (factors.A3,), lambda: _contract(factors, x, mode))
     i1, i2, _ = t.dims
     other = factors.A2 if mode == 1 else factors.A1
     out = np.empty((t.dims[mode - 1], factors.ranks.total))

@@ -413,6 +413,8 @@ def run(
                     callback(epoch + 1, factors, state)
             if obj.phi < config.abs_tol:
                 break
+    for a in (factors.A1, factors.A2, factors.A3):  # read-only, as constructed points are
+        a.flags.writeable = False
     return factors, trace
 
 
@@ -496,4 +498,6 @@ def als_mu_baseline(
                      (None, None, None))
         if obj.phi < config.abs_tol:
             break
+    for a in (factors.A1, factors.A2, factors.A3):  # read-only, as constructed points are
+        a.flags.writeable = False
     return factors, trace

@@ -307,6 +307,40 @@ def test_probe_does_not_mutate_state():
         np.testing.assert_array_equal(prev.factor(n), before_prev.factor(n))
 
 
+def held_arrays(obj, seen=None):
+    """Every numpy array reachable from `obj` through containers and
+    instance attributes (array bases included)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        items = [] if obj.base is None else [obj.base]
+    elif isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    else:
+        items = [vars(obj)] if hasattr(obj, "__dict__") else []
+    for item in items:
+        yield from held_arrays(item, seen)
+
+
+def test_sarah_state_copy_holds_no_tensor():
+    """After a restart (a full gradient) SARAH's stored point keeps only what
+    its factors determine, so the deepcopy of the state that
+    `estimator_mse_probe` makes per draw copies no array as large as the
+    tensor."""
+    f, t = make_problem(seed=16, dims=(20, 20, 10), L=(2, 2))
+    for mode in (1, 3):
+        sarah = SarahState(t.dims, {mode: 4}, q={mode: 4})
+        sarah.estimate(f, t, mode, None)
+        assert sarah.counter == {mode: 1}
+        twin = copy.deepcopy(sarah)
+        assert max(a.nbytes for a in held_arrays(twin)) < t.array.nbytes
+
+
 def test_probe_returns_draws():
     f, t = make_problem(seed=16)
     mse, draws = estimator_mse_probe(

@@ -448,10 +448,11 @@ def test_mode_n_kernels_never_read_a_n(mode):
 
 
 def test_kept_kernels_follow_the_factors_they_read():
-    """Y, M3 and the Grams ride along to the points `replaced` builds.  After
-    `replaced(3, a)` the kernels of modes 1 and 2, and after `replaced(1, a)`
-    those of modes 2 and 3, are a freshly built point's bit for bit; what
-    reads none of the new factor is the same kept array."""
+    """The Grams ride along to the points `replaced` builds, and Y and M3
+    stay kept on the tensor.  After `replaced(3, a)` the kernels of modes 1
+    and 2, and after `replaced(1, a)` those of modes 2 and 3, are a freshly
+    built point's bit for bit; what reads none of the new factor is the same
+    kept array."""
     rng = np.random.default_rng(31)
     f = random_factors(rng, (5, 7, 4), (2, 1))
     x = DenseTensor3(rng.random(f.dims))
@@ -470,8 +471,9 @@ def test_kept_kernels_follow_the_factors_they_read():
 
 
 def test_kept_contractions_follow_the_tensor():
-    """One point contracted against a second tensor gives that tensor's
-    X_(n)^T H_n, and against the first again the first's."""
+    """Each tensor keeps its own contractions: one point contracted against
+    a second tensor gives that tensor's X_(n)^T H_n, and against the first
+    again the first's."""
     rng = np.random.default_rng(32)
     f = random_factors(rng, (5, 7, 4), (2, 1))
     x, z = (DenseTensor3(rng.random(f.dims)) for _ in range(2))
@@ -480,9 +482,58 @@ def test_kept_contractions_follow_the_tensor():
             assert mttkrp(f, t, mode).tobytes() == reference_mttkrp(f, t, mode).tobytes()
 
 
+def test_kept_contractions_follow_the_point():
+    """Two points contracted in turn against one tensor each get their own
+    X_(n)^T H_n: what the tensor keeps from one is not served to the other."""
+    rng = np.random.default_rng(36)
+    f, g = (random_factors(rng, (5, 7, 4), (2, 1)) for _ in range(2))
+    x = DenseTensor3(rng.random(f.dims))
+    for mode in (1, 2, 3):
+        for p in (f, g, f):
+            assert mttkrp(p, x, mode).tobytes() == reference_mttkrp(p, x, mode).tobytes()
+
+
+def test_points_keep_no_tensor():
+    """Contractions are kept on the tensor, so a point that has been through
+    every kernel refers to no tensor array: its kept values are the Grams and
+    `expanded_A3`, each far smaller than the tensor."""
+    rng = np.random.default_rng(37)
+    f = random_factors(rng, (20, 20, 10), (2, 2))
+    x = DenseTensor3(rng.random(f.dims))
+    for mode in (1, 2, 3):
+        full_gradient(f, x, mode)
+        lipschitz_bound(f, mode)
+    objective(f, x, NONE)
+    f.expanded_A3
+    assert set(vars(f)) == {"A1", "A2", "A3", "ranks", "expanded_A3",
+                            "_gram1", "_gram2", "_gram3"}
+    held = [vars(f)[k][0] for k in ("_gram1", "_gram2", "_gram3")]
+    assert all(a is not x.array for ops in held for a in ops)
+
+
+def test_factor_arrays_are_read_only_copies():
+    """The constructor copies its inputs and marks them read-only, so writing
+    into a factor raises ValueError instead of leaving what was kept from
+    it stale, and writing into an input leaves the point as it was."""
+    rng = np.random.default_rng(35)
+    inputs = rng.random((5, 3)), rng.random((7, 3)), rng.random((4, 2))
+    f = LL1Factors(*inputs, RankVector((2, 1)))
+    x = DenseTensor3(rng.random(f.dims))
+    phi = objective(f, x, NONE).phi
+    for n in (1, 2, 3):
+        a = f.factor(n)
+        with pytest.raises(ValueError):
+            a *= 2.0
+        with pytest.raises(ValueError):
+            f.copy().factor(n)[0, 0] = 0.0
+    for a in inputs:
+        a *= 2.0
+    assert objective(f, x, NONE).phi == phi
+
+
 def test_kept_arrays_are_read_only():
-    """A kept Gram or M3 is shared by every later call on the point, so
-    writing into it raises instead of changing what they return."""
+    """A kept Gram or M3 is shared by every later call on the point or the
+    tensor, so writing into it raises instead of changing what they return."""
     f = random_factors(np.random.default_rng(33), (5, 7, 4), (2, 1))
     x = DenseTensor3(np.random.default_rng(34).random(f.dims))
     for kept in (mttkrp(f, x, 3), gram_H(f, 1), gram_H(f, 2), gram_H(f, 3)):

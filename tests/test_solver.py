@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -781,8 +782,9 @@ def test_als_mu_makes_no_unfolding_copy():
 
 def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
     """A PALM or ALS-MU sweep makes one Y contraction, which modes 1 and 2
-    share, and one mode-3 contraction, which the sweep's objective reuses;
-    `palm_baseline`'s start objective adds one mode-3 contraction."""
+    share, and one mode-3 contraction, which the sweep's objective reuses,
+    both kept on the tensor; `palm_baseline`'s start objective adds one
+    mode-3 contraction."""
     calls = {}
     contract = model._contract
 
@@ -801,6 +803,22 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
         _, trace = baseline(cfg, t)
         assert len(trace) == sweeps
         assert calls == {"y": sweeps, "m3": sweeps + start}
+
+
+def test_returned_points_hold_no_tensor():
+    """A point from `run`, `palm_baseline` or `als_mu_baseline` at the mid
+    benchmark shape holds its factors and what they determine, not the 4 MB
+    tensor, so it pickles to under 100 KB; its factors are read-only."""
+    ranks = RankVector((4, 4, 4))
+    t, _ = generate((100, 100, 50), ranks, snr_db=30.0, seed=1)
+    t = DenseTensor3(np.abs(t.array))
+    cfg = SolverConfig(ranks=ranks, epochs=1, seed=2)
+    for solve in (run, palm_baseline, als_mu_baseline):
+        factors, _ = solve(cfg, t)
+        assert len(pickle.dumps(factors)) < 100_000
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError):
+                factors.factor(n)[0, 0] = 1.0
 
 
 def test_alsmu_rejects_negative_tensor():
