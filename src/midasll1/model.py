@@ -109,8 +109,8 @@ class LL1Factors:
     def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
         """This point with A_mode = `a`, a float64 array of A_mode's shape,
         built without the constructor's checks or copy.  Unless A3 is
-        replaced, the new point shares what this one has kept of
-        `expanded_A3`, so it is computed at most once per A3."""
+        replaced, the new point takes this one's `expanded_A3` if computed,
+        so a chain of `replaced` points computes it once per A3."""
         out = object.__new__(LL1Factors)
         state = out.__dict__
         state.update(self.__dict__)
