@@ -11,12 +11,12 @@ the mode-specific coefficient matrix H_n of the other two factors.  No kernel
 forms H_n: `H_rows_at` gives rows of it for a fiber batch, `gram_H` its Gram
 and `mttkrp` the product X_(n)^T H_n.
 
-A point keeps what its own factors determine, the column-repeated A3 and
-each mode's Gram; the tensor keeps the two contractions behind `mttkrp`
-(Y = A3^T X3^T and M3).  Each is a read-only array kept with the factor
-arrays it read, which are read-only too, and computed anew once one of them
-is another object.  So a cyclic sweep contracts the tensor twice, and its
-end-of-sweep objective reuses the last step's M3.
+Column r of A3 scales the L_r columns of block r: the mode-1 and mode-2
+kernels read A3 through `RankVector.column_blocks`.  A point keeps each
+mode's Gram, the tensor the two contractions behind `mttkrp` (Y = A3^T X3^T
+and M3).  Each is a read-only array kept with the (read-only) factor arrays
+it read, and computed anew once one of them is another object.  So a cyclic
+sweep contracts the tensor twice, and its objective reuses the last M3.
 """
 
 from __future__ import annotations
@@ -65,16 +65,22 @@ class RankVector:
         ends = np.cumsum(self.L).tolist()
         return tuple(slice(e - w, e) for e, w in zip(ends, self.L))
 
+    @cached_property
+    def column_blocks(self) -> np.ndarray:
+        """The block of each of the L_total columns, read-only."""
+        cb = np.repeat(np.arange(self.R), self.L)
+        cb.flags.writeable = False
+        return cb
+
 
 @dataclass(frozen=True)
 class LL1Factors:
     """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`.
 
     The constructor copies its inputs and marks them read-only, so writing
-    into a factor raises ValueError.  Values derived from the factors
-    (`expanded_A3` and the Grams of `gram_H`) are kept on the point, ride
-    along to the points `replaced` builds, and are computed anew once a
-    factor they read is another object.  A point holds no tensor.
+    into a factor raises ValueError.  The Grams of `gram_H` are kept on the
+    point, ride along to the points `replaced` builds, and are computed anew
+    once a factor they read is another object.  A point holds no tensor.
     """
 
     A1: np.ndarray  # I1 x L_total
@@ -101,22 +107,13 @@ class LL1Factors:
     def factor(self, mode: int) -> np.ndarray:
         return (self.A1, self.A2, self.A3)[mode - 1]
 
-    @cached_property
-    def expanded_A3(self) -> np.ndarray:
-        """A3 with column r repeated L_r times (I3 x L_total), computed on first use."""
-        return np.repeat(self.A3, self.ranks.L, axis=1)
-
     def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
         """This point with A_mode = `a`, a float64 array of A_mode's shape,
-        built without the constructor's checks or copy.  Unless A3 is
-        replaced, the new point takes this one's `expanded_A3` if computed,
-        so a chain of `replaced` points computes it once per A3."""
+        built without the constructor's checks or copy.  The new point takes
+        this one's kept Grams; `gram_H` recomputes those that read `a`."""
         out = object.__new__(LL1Factors)
-        state = out.__dict__
-        state.update(self.__dict__)
-        state[_FACTOR_NAMES[mode - 1]] = a
-        if mode == 3:
-            state.pop("expanded_A3", None)
+        out.__dict__.update(self.__dict__)
+        out.__dict__[_FACTOR_NAMES[mode - 1]] = a
         return out
 
     def copy(self) -> "LL1Factors":
@@ -159,13 +156,12 @@ def _slabs(factors: LL1Factors) -> np.ndarray:
 def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of H_n for the fibers at coordinates `(a, b)` from
     `fiber_coordinates` (arrays of one shape, or broadcasting to one),
-    without checks and without materializing H_n.  Uses the point's cached
-    `expanded_A3` and never reads A_n.  Rows are gathered with `take`, which
+    without checks, without materializing H_n and without reading A_n.  Rows
+    are gathered with `take` (A3's then widened by `column_blocks`), which
     copies the same rows as fancy indexing at a fraction of its cost."""
-    if mode == 1:
-        return factors.expanded_A3.take(b, axis=0) * factors.A2.take(a, axis=0)
-    if mode == 2:
-        return factors.expanded_A3.take(b, axis=0) * factors.A1.take(a, axis=0)
+    if mode in (1, 2):
+        c = factors.A3.take(b, axis=0).take(factors.ranks.column_blocks, axis=-1)
+        return c * (factors.A2 if mode == 1 else factors.A1).take(a, axis=0)
     return _block_sums(factors.A2.take(b, axis=0) * factors.A1.take(a, axis=0), factors.ranks)
 
 
@@ -232,8 +228,8 @@ def _gram(factors: LL1Factors, mode: int) -> np.ndarray:
         m = factors.A2 if mode == 1 else factors.A1
         gm = m.T @ m
         g3 = factors.A3.T @ factors.A3
-        scale = np.repeat(np.repeat(g3, rk.L, axis=0), rk.L, axis=1)
-        return gm * scale
+        cb = rk.column_blocks
+        return gm * g3.take(cb, axis=0).take(cb, axis=1)
     g1 = factors.A1.T @ factors.A1
     g2 = factors.A2.T @ factors.A2
     had = g1 * g2

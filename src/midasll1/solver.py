@@ -311,13 +311,13 @@ def run(
     Identical (config, tensor) inputs give bitwise-identical results.
 
     Inputs are checked here, once; the loop then works on trusted values:
-    points are built with `LL1Factors.replaced` (the column-repeated A3 is
-    recomputed only after a mode-3 update), both extrapolated points come
-    from one product over the mode's `StepWindow`, the proximal step writes
-    the new iterate over the anchor in that product's array, and an epoch's
-    modes, picks (the estimator's `draw`: fiber batches or SAGA bins) and
-    inertial coefficients are drawn or built once each (the same values as
-    one draw per step).
+    points are built with `LL1Factors.replaced`, both extrapolated points
+    come from one product over the mode's `StepWindow`, the proximal step
+    writes the new iterate over the anchor in that product's array, and an
+    epoch's modes, picks (the estimator's `draw`: fiber batches or SAGA bins)
+    and inertial coefficients are drawn or built once each (the same values
+    as one draw per step).  The point returned is constructed anew: it owns
+    its read-only factor arrays and keeps nothing else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -413,9 +413,7 @@ def run(
                     callback(epoch + 1, factors, state)
             if obj.phi < config.abs_tol:
                 break
-    for a in (factors.A1, factors.A2, factors.A3):  # read-only, as constructed points are
-        a.flags.writeable = False
-    return factors, trace
+    return factors.copy(), trace
 
 
 def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:
@@ -498,6 +496,4 @@ def als_mu_baseline(
                      (None, None, None))
         if obj.phi < config.abs_tol:
             break
-    for a in (factors.A1, factors.A2, factors.A3):  # read-only, as constructed points are
-        a.flags.writeable = False
-    return factors, trace
+    return factors.copy(), trace

@@ -15,11 +15,13 @@ def generate(
     dims, ranks: RankVector, snr_db: float, seed: int
 ) -> tuple[DenseTensor3, LL1Factors]:
     """Uniform(0,1) ground-truth factors; noise scaled so that
-    10*log10(||clean||^2 / ||noise||^2) equals `snr_db` (inf -> noiseless)."""
+    10*log10(||clean||^2 / ||noise||^2) equals `snr_db` (+inf -> noiseless)."""
+    if not (math.isfinite(snr_db) or snr_db == math.inf):
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db!r}")
     streams = rng_streams(seed)
     truth = random_factors(dims, ranks, streams["init"])
     clean = reconstruct(truth)
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return clean, truth
     noise = streams["noise"].standard_normal(dims)
     scale = clean.norm() / (np.linalg.norm(noise) * 10.0 ** (snr_db / 20.0))

@@ -118,9 +118,9 @@ def read_tensor_csv(path) -> DenseTensor3:
     """Interop import: lines "i1,i2,i3,value" with 1-based integer indices,
     one line per entry; blank lines and '#' comments are skipped.
 
-    A malformed line, a non-integer or nonpositive index, a non-finite value
-    or an index triple given twice raises ValueError naming the 1-based line;
-    so does a missing entry, naming none.
+    A malformed line, an index that is not an integer from 1 to the number
+    of entry lines, a non-finite value or an index triple given twice raises
+    ValueError naming the 1-based line; so does a missing entry, naming none.
     """
     lines, rows = [], []
     with open(path) as fh:
@@ -149,6 +149,8 @@ def read_tensor_csv(path) -> DenseTensor3:
     reject(~(np.isfinite(idx) & (idx == np.round(idx))).all(axis=1),
            lambda _: "indices must be integers")
     reject((idx < 1).any(axis=1), lambda _: "indices must be >= 1")
+    reject((idx > len(rows)).any(axis=1),
+           lambda _: f"indices must be <= {len(rows)}, the number of entry lines")
     reject(~np.isfinite(data[:, 3]), lambda i: f"value {float(data[i, 3])!r} must be finite")
     idx = idx.astype(np.intp) - 1
     # sorted by triple, equal triples in line order: each repeat follows its predecessor

@@ -110,7 +110,8 @@ def test_csv_import_rejects_missing_rows(tmp_path):
     ("2,1,1,5\n2,1,1,6\n", "line 2: index triple already given on line 1"),
     ("1,1,1,5\n1.7,1,1,6\n", "line 2: indices must be integers"),
     ("1,1,1,5\n\n0,1,1,6\n", "line 3: indices must be >= 1"),
-], ids=["duplicate", "non-integer", "nonpositive"])
+    ("1,1,1,5\n1,3,1,6\n", "line 2: indices must be <= 2, the number of entry lines"),
+], ids=["duplicate", "non-integer", "nonpositive", "too-large"])
 def test_csv_import_rejects_bad_indices(tmp_path, text, message):
     path = tmp_path / "x.csv"
     path.write_text(text)
@@ -379,26 +380,40 @@ def test_decompose_nan_abort_exit_code(tmp_path, tensor_file):
     assert rc == EXIT_NAN_ABORT
 
 
-def test_aborted_decompose_prints_one_error_line(tmp_path):
-    """An aborted run writes the one documented `error:` line to stderr and
-    nothing else, no numpy warning on the way (run as a child process, where
-    warnings print as a user would see them)."""
+def cli_child(cwd, *args):
+    """The CLI run as a child process, where warnings print as a user would
+    see them."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "midasll1.cli", *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
 
-    def child(*args):
-        return subprocess.run([sys.executable, "-m", "midasll1.cli", *args], capture_output=True,
-                              text=True, env=env, cwd=tmp_path)
 
+def test_aborted_decompose_prints_one_error_line(tmp_path):
+    """An aborted run writes the one documented `error:` line to stderr and
+    nothing else, no numpy warning on the way."""
     path = str(tmp_path / "x.dten")
-    assert child("synth", "--dims", "6,5,4", "--ranks", "2,1", "--seed", "3",
-                 "--out", path).returncode == EXIT_OK
+    assert cli_child(tmp_path, "synth", "--dims", "6,5,4", "--ranks", "2,1", "--seed", "3",
+                     "--out", path).returncode == EXIT_OK
     cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\neta = 1e8\n")
-    r = child("decompose", "--tensor", path, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    r = cli_child(tmp_path, "decompose", "--tensor", path, "--config", str(cfg),
+                  "--out", str(tmp_path / "o"))
     assert r.returncode == EXIT_NAN_ABORT
     assert r.stderr.startswith("error: non-finite factor entries at iteration ")
     assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+
+
+def test_csv_index_too_large_for_an_integer_prints_one_error_line(tmp_path):
+    """A CSV index beyond any integer (1e30) is rejected with its line before
+    it is cast: one `error:` line on stderr, no numpy warning, exit 2."""
+    path = tmp_path / "x.csv"
+    path.write_text("1,1,1,1.0\n1e30,1,1,2.0\n")
+    cfg = write_config(tmp_path)
+    r = cli_child(tmp_path, "decompose", "--tensor", str(path), "--config", str(cfg),
+                  "--out", str(tmp_path / "o"))
+    assert r.returncode == EXIT_PARSE
+    assert r.stderr == f"error: {path}: line 2: indices must be <= 2, the number of entry lines\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -419,7 +419,7 @@ def test_H_rows_at_gathers_like_fancy_indexing(mode):
     def fancy(a, b):
         if mode == 3:
             return _block_sums(f.A2[b, :] * f.A1[a, :], f.ranks)
-        return f.expanded_A3[b, :] * (f.A2 if mode == 1 else f.A1)[a, :]
+        return np.repeat(f.A3, f.ranks.L, axis=1)[b, :] * (f.A2 if mode == 1 else f.A1)[a, :]
 
     fast, slow = (d for k, d in enumerate(f.dims, start=1) if k != mode)
     jn = fast * slow
@@ -527,13 +527,15 @@ def test_factor_arrays_are_read_only_copies():
 
 
 def test_kept_arrays_are_read_only():
-    """A kept Gram or M3 is shared by every later call on the point or the
-    tensor, so writing into it raises instead of changing what they return."""
+    """A kept Gram or M3, or a rank vector's column blocks, is shared by every
+    later call on the point, the tensor or the ranks, so writing into it
+    raises instead of changing what they return."""
     f = random_factors(np.random.default_rng(33), (5, 7, 4), (2, 1))
     x = DenseTensor3(np.random.default_rng(34).random(f.dims))
-    for kept in (mttkrp(f, x, 3), gram_H(f, 1), gram_H(f, 2), gram_H(f, 3)):
+    for kept in (mttkrp(f, x, 3), gram_H(f, 1), gram_H(f, 2), gram_H(f, 3),
+                 f.ranks.column_blocks):
         with pytest.raises(ValueError):
-            kept[0, 0] = 0.0
+            kept[..., 0] = 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -275,6 +275,14 @@ def test_generate_truth_is_the_solver_start_of_the_same_seed(seed):
         assert truth.factor(n).tobytes() == start.factor(n).tobytes()
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_generate_rejects_snr_db_that_is_not_finite_or_plus_inf(snr_db):
+    """Only +inf means noiseless: -inf is not taken for it, and neither value
+    is reported as a non-finite tensor entry."""
+    with pytest.raises(ValueError, match="snr_db must be finite or \\+inf"):
+        generate((4, 3, 2), RankVector((1,)), snr_db, 0)
+
+
 def test_init_factors_accepts_explicit_point():
     rk = RankVector((1,))
     given = LL1Factors(np.ones((2, 1)), np.ones((3, 1)), np.ones((4, 1)), rk)
@@ -400,7 +408,8 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     callback sees, nor SARAH's stored points may share memory with them.
     At every depth, t = 0 included, the new iterate is written over the prox
     anchor, in the product's own array; no array a caller was handed changes
-    afterwards."""
+    afterwards, and the point `run` returns shares no memory with any
+    product."""
     windows, points = [], []
 
     def recording(base, rows, coeffs):
@@ -429,8 +438,7 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     assert len(buffers) == 3
     arrays = [*final, *(a for a, _ in seen), *points]
     assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
-    # each mode's last iterate is the anchor its last step's product returned
-    assert all(any(np.shares_memory(a, y) for y in points[0::2]) for a in final)
+    assert not any(np.shares_memory(a, y) for a in final for y in points)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -807,8 +815,8 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
 
 def test_returned_points_hold_no_tensor():
     """A point from `run`, `palm_baseline` or `als_mu_baseline` at the mid
-    benchmark shape holds its factors and what they determine, not the 4 MB
-    tensor, so it pickles to under 100 KB; its factors are read-only."""
+    benchmark shape holds its factors, not the 4 MB tensor, so it pickles to
+    under 100 KB; its factors are read-only."""
     ranks = RankVector((4, 4, 4))
     t, _ = generate((100, 100, 50), ranks, snr_db=30.0, seed=1)
     t = DenseTensor3(np.abs(t.array))
@@ -819,6 +827,20 @@ def test_returned_points_hold_no_tensor():
         for n in (1, 2, 3):
             with pytest.raises(ValueError):
                 factors.factor(n)[0, 0] = 1.0
+
+
+def test_returned_points_are_constructed():
+    """The point `run`, `palm_baseline` or `als_mu_baseline` returns is built
+    like a caller's: it holds only its factors and ranks, in read-only arrays
+    that it owns, not views of the loop's buffers or its kept Grams."""
+    t = DenseTensor3(np.abs(small_tensor(seed=6).array))
+    cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=2, seed=7)
+    for solve in (run, palm_baseline, als_mu_baseline):
+        factors, _ = solve(cfg, t)
+        assert set(vars(factors)) == {"A1", "A2", "A3", "ranks"}
+        for n in (1, 2, 3):
+            a = factors.factor(n)
+            assert a.base is None and a.flags.owndata and not a.flags.writeable
 
 
 def test_alsmu_rejects_negative_tensor():
