@@ -25,7 +25,7 @@ from . import metrics as metricsmod
 from . import tensorfile
 from .model import LL1Factors, RankVector, reconstruct
 from .solver import SolverAbort, als_mu_baseline, palm_baseline, run
-from .synth import generate
+from .synth import MAX_SNR_DB, generate
 from .tensor import DenseTensor3
 
 EXIT_OK = 0
@@ -122,9 +122,6 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-_MAX_SNR_DB = 1000
-
-
 def _positive_ints(flag: str, text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(v) for v in text.split(","))
@@ -145,11 +142,9 @@ def _synth_inputs(args):
         snr = float(args.snr_db)  # also reads inf and infinity, in any case
     except ValueError:
         snr = math.nan
-    # past +-1000 dB the noise is 50 orders of magnitude off the signal, and
-    # far enough past it the noise scale or the noisy tensor is not finite
-    if not (abs(snr) <= _MAX_SNR_DB or snr == math.inf):
+    if not (abs(snr) <= MAX_SNR_DB or snr == math.inf):
         raise ValueError(
-            f"--snr-db must be inf or a number from -{_MAX_SNR_DB} to {_MAX_SNR_DB}, "
+            f"--snr-db must be inf or a number from -{MAX_SNR_DB} to {MAX_SNR_DB}, "
             f"got {args.snr_db!r}"
         )
     if args.seed < 0:

@@ -3,8 +3,8 @@
 The three share one protocol.  `draw(modes, rng)` gives the pick of each
 step of an epoch's modes, in step order: a batch of fiber indices (None for
 every fiber) for SGD and SARAH, a bin for SAGA.  `estimate(factors, t, mode,
-pick, a_mode)` is the gradient estimate on that pick, a deterministic
-function of (state, evaluation point, pick): all the randomness is in
+pick)` is the gradient estimate on that pick at the point `factors`, a
+deterministic function of (state, point, pick): all the randomness is in
 `draw`, which reads only the caller's generator.
 
 A variance-reduced estimator in the sense used here keeps a mean squared
@@ -31,14 +31,9 @@ _WARM_CHUNK_BYTES = 1 << 20
 
 
 def batch_gradient(
-    factors: LL1Factors,
-    t: DenseTensor3,
-    mode: int,
-    idx: np.ndarray | None,
-    a_mode: np.ndarray | None = None,
+    factors: LL1Factors, t: DenseTensor3, mode: int, idx: np.ndarray | None
 ) -> np.ndarray:
-    """Fiber-sampled stochastic gradient of f with respect to A_mode, at
-    `factors` with A_mode replaced by `a_mode` (None: the point as it is).
+    """Fiber-sampled stochastic gradient of f with respect to A_mode at `factors`.
 
     g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B) over the
     distinct, in-range fiber indices `idx` (not checked), with H_n(F) built
@@ -46,10 +41,10 @@ def batch_gradient(
     `full_gradient`; a batch of all J_n fibers gives the same gradient up to
     rounding, since `full_gradient` contracts the tensor in another order."""
     if idx is None:
-        return full_gradient(factors, t, mode, a_mode)
+        return full_gradient(factors, t, mode)
     a, b = fiber_coordinates(t.dims, mode, idx)
-    a_n = factors.factor(mode) if a_mode is None else a_mode
-    return gradient_from_rows(a_n, H_rows_at(factors, mode, a, b), fiber_rows_at(t, mode, a, b))
+    x = fiber_rows_at(t, mode, a, b)
+    return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
 
 
 def largest_divisor_at_most(jn: int, b: int) -> int:
@@ -129,23 +124,13 @@ class SagaState:
             ids[many] = rng.integers(counts[many])
         return ids.tolist()
 
-    def estimate(
-        self,
-        factors: LL1Factors,
-        t: DenseTensor3,
-        mode: int,
-        bin_id: int,
-        a_mode: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """g = fresh - stored + running_mean; then the table and mean are updated.
-
-        The fresh bin gradient is taken at `factors` with A_mode replaced by
-        `a_mode` (by default the point as it is).  H_n never reads A_n, so a
-        caller with a new A_mode need not build that point."""
+    def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int) -> np.ndarray:
+        """g = fresh - stored + running_mean, with the fresh bin gradient
+        taken at `factors`; then the table and mean are updated."""
         a, b = self.fibers[mode]
         a, b = a[bin_id], b[bin_id]
         fresh = gradient_from_rows(
-            factors.factor(mode) if a_mode is None else a_mode,
+            factors.factor(mode),
             H_rows_at(factors, mode, a, b),
             _bin_rows(t, mode, a, b, bin_id * a.size),
         )
@@ -221,38 +206,31 @@ class SarahState(SgdState):
 
     q: dict[int, int]
     v: dict[int, np.ndarray] = field(default_factory=dict)
-    prev_point: dict[int, tuple[LL1Factors, np.ndarray]] = field(default_factory=dict)
+    prev_point: dict[int, LL1Factors] = field(default_factory=dict)
     counter: dict[int, int] = field(default_factory=dict)
 
     def estimate(
-        self,
-        factors: LL1Factors,
-        t: DenseTensor3,
-        mode: int,
-        idx: np.ndarray | None,
-        a_mode: np.ndarray | None = None,
+        self, factors: LL1Factors, t: DenseTensor3, mode: int, idx: np.ndarray | None
     ) -> np.ndarray:
-        """The direction at `(factors, a_mode)` for the batch of fiber indices
-        `idx` (None: every fiber), which must be distinct and in range (they
-        are not checked)."""
-        if a_mode is None:
-            a_mode = factors.factor(mode)
+        """The direction at `factors` for the batch of fiber indices `idx`
+        (None: every fiber), which must be distinct and in range (they are not
+        checked).  `prev_point[mode]` becomes `factors`."""
         c = self.counter.get(mode, 0)
         if c == 0:
-            v = full_gradient(factors, t, mode, a_mode)
+            v = full_gradient(factors, t, mode)
         else:
             if idx is None:
                 idx = np.arange(row_count(t.dims, mode))
             a, b = fiber_coordinates(t.dims, mode, idx)
             x = fiber_rows_at(t, mode, a, b)
-            prev, prev_a = self.prev_point[mode]
+            prev = self.prev_point[mode]
             v = (
-                gradient_from_rows(a_mode, H_rows_at(factors, mode, a, b), x)
-                - gradient_from_rows(prev_a, H_rows_at(prev, mode, a, b), x)
+                gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
+                - gradient_from_rows(prev.factor(mode), H_rows_at(prev, mode, a, b), x)
                 + self.v[mode]
             )
         self.v[mode] = v
-        self.prev_point[mode] = (factors, a_mode)
+        self.prev_point[mode] = factors
         self.counter[mode] = (c + 1) % self.q[mode]
         return v
 

@@ -322,15 +322,11 @@ def _contract(factors: LL1Factors, x: np.ndarray, mode: int) -> np.ndarray:
     return factors.A3.T.dot(x3.T)
 
 
-def full_gradient(
-    factors: LL1Factors, t: DenseTensor3, mode: int, a_mode: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact gradient of f with respect to A_mode, at `factors` with A_mode
-    replaced by `a_mode` (None: the point as it is; neither term reads A_n):
+def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
+    """Exact gradient of f with respect to A_mode at `factors`:
     (A_n `gram_H` - `mttkrp`) / (I1*I2*I3)."""
     m = mttkrp(factors, t, mode)  # first: its checks precede `factor(mode)`
-    a = factors.factor(mode) if a_mode is None else a_mode
-    g = a.dot(gram_H(factors, mode))
+    g = factors.factor(mode).dot(gram_H(factors, mode))
     g -= m
     g /= t.size
     return g

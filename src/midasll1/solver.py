@@ -311,8 +311,9 @@ def run(
     Identical (config, tensor) inputs give bitwise-identical results.
 
     Inputs are checked here, once; the loop then works on trusted values:
-    points are built with `LL1Factors.replaced`, both extrapolated points
-    come from one product over the mode's `StepWindow`, the proximal step
+    both extrapolated points come from one product over the mode's
+    `StepWindow`, a step builds two points with `LL1Factors.replaced` (the
+    gradient point, and from it the new iterate), the proximal step
     writes the new iterate over the anchor in that product's array, and an
     epoch's modes, picks (the estimator's `draw`: fiber batches or SAGA bins)
     and inertial coefficients are drawn or built once each (the same values
@@ -381,13 +382,11 @@ def run(
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 window = windows[n]
                 y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])
-
-                # the gradient point is `factors` with A_n = u_eval; its H_n, Gram
-                # and L_n come from the other factors, so they are those of `factors`
-                eta = 1.0 / _lipschitz(factors, k, n) if lipschitz_steps else mode_eta[n]
+                point = factors.replaced(n, u_eval)  # the gradient point
+                eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
                 epoch_eta[n] = eta
 
-                g = estimate(factors, tensor, n, pick, u_eval)
+                g = estimate(point, tensor, n, pick)
                 # the anchor is the product's own array, so the step overwrites it
                 y_anchor -= eta * g
                 a_new = prox(config.reg, y_anchor, eta, out=y_anchor)
@@ -395,7 +394,8 @@ def run(
                 # a non-finite entry of a_new makes d.d non-finite, so only then look
                 if not math.isfinite(np.vdot(d, d)) and not np.isfinite(a_new).all():
                     raise SolverAbort(k, n)
-                factors = factors.replaced(n, a_new)
+                # from `point`, so that the Gram its step computed carries over
+                factors = point.replaced(n, a_new)
                 k += 1
             # the trace reads the norm of the epoch's last step only
             last_step_norm = math.sqrt(float((d * d).sum()))

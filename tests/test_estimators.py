@@ -129,24 +129,6 @@ def test_saga_estimate_at_anchor_is_exact(mode):
         assert np.abs(g - full_gradient(f, t, mode)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("mode", [1, 2, 3])
-def test_saga_estimate_with_a_new_factor_is_the_estimate_at_that_point(mode):
-    """Passing a new A_mode gives the bits of the estimate at the point
-    with A_mode replaced, and leaves the table and mean in the same state."""
-    f, t = make_problem(seed=10)
-    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
-    by_point, by_factor = copy.deepcopy(st), copy.deepcopy(st)
-    rng = np.random.default_rng(11)
-    for _ in range(2 * st.n_bins(mode)):
-        a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
-        bin_id = int(rng.integers(st.n_bins(mode)))
-        g_point = by_point.estimate(f.replaced(mode, a_mode), t, mode, bin_id)
-        g_factor = by_factor.estimate(f, t, mode, bin_id, a_mode)
-        assert g_factor.tobytes() == g_point.tobytes()
-    assert by_factor.table[mode].tobytes() == by_point.table[mode].tobytes()
-    assert by_factor.running_mean[mode].tobytes() == by_point.running_mean[mode].tobytes()
-
-
 def test_saga_single_bin_is_full_gradient_everywhere():
     f, t = make_problem(seed=3)
     mode = 2
@@ -223,25 +205,6 @@ def test_sarah_counter_wraps_to_restart():
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
-def test_gradients_with_a_new_factor_are_the_gradients_at_that_point(mode):
-    """`batch_gradient` (a batch, and every fiber) and SARAH (a restart and
-    the steps after it) given `factors` plus a new A_mode have the bits of
-    the same call at the point with A_mode replaced."""
-    f, t = make_problem(seed=20)
-    jn = row_count(t.dims, mode)
-    by_point, by_factor = (SarahState(t.dims, {mode: 3}, q={mode: 3}) for _ in range(2))
-    rng = np.random.default_rng(21)
-    for _ in range(4):
-        a_mode = f.factor(mode) + 0.1 * rng.standard_normal(f.factor(mode).shape)
-        point = f.replaced(mode, a_mode)
-        for idx in (rng.choice(jn, size=3, replace=False), None):
-            g_factor = batch_gradient(f, t, mode, idx, a_mode)
-            assert g_factor.tobytes() == batch_gradient(point, t, mode, idx).tobytes()
-            g_factor = by_factor.estimate(f, t, mode, idx, a_mode)
-            assert g_factor.tobytes() == by_point.estimate(point, t, mode, idx).tobytes()
-
-
-@pytest.mark.parametrize("mode", [1, 2, 3])
 def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     """A SARAH restart gathers nothing (it takes the full gradient); a step
     between restarts gathers its batch's rows once for both points, and with
@@ -256,15 +219,15 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
         return fiber_rows_at(t, mode, a, b)
 
     monkeypatch.setattr(estimators, "fiber_rows_at", counting)
-    a_mode = 0.5 * f.factor(mode)
+    point = f.replaced(mode, 0.5 * f.factor(mode))
     for idx in (np.array([4, 0, 7]), None):
         st = SarahState(t.dims, {mode: 3}, q={mode: 3})
         st.estimate(f, t, mode, idx)
         assert gathered == []
         twin = copy.deepcopy(st)
-        v = st.estimate(f, t, mode, idx, a_mode)
+        v = st.estimate(point, t, mode, idx)
         assert gathered == [3 if idx is not None else jn]
-        want = twin.estimate(f, t, mode, np.arange(jn) if idx is None else idx, a_mode)
+        want = twin.estimate(point, t, mode, np.arange(jn) if idx is None else idx)
         assert v.tobytes() == want.tobytes()
         gathered.clear()
 
@@ -301,8 +264,7 @@ def test_probe_does_not_mutate_state():
     estimator_mse_probe(sarah, point, t, mode, 5, np.random.default_rng(3))
     assert sarah.counter == before.counter == {mode: 3}
     np.testing.assert_array_equal(sarah.v[mode], before.v[mode])
-    (prev, prev_a), (before_prev, before_a) = sarah.prev_point[mode], before.prev_point[mode]
-    np.testing.assert_array_equal(prev_a, before_a)
+    prev, before_prev = sarah.prev_point[mode], before.prev_point[mode]
     for n in (1, 2, 3):
         np.testing.assert_array_equal(prev.factor(n), before_prev.factor(n))
 

@@ -65,6 +65,32 @@ def test_rank_vector_rejects_non_integer_widths():
     assert rk.L == (3, 2, 1) and all(type(v) is int for v in rk.L)
 
 
+@pytest.mark.parametrize("name, shape", [("A1", (4, 2)), ("A2", (5, 4)), ("A3", (6, 3)),
+                                         ("A1", (12,))])
+def test_factors_reject_a_wrong_column_count(name, shape):
+    """A1 and A2 need L_total columns and A3 R, as 2-D arrays."""
+    rk = RankVector((2, 1))
+    arrays = {"A1": np.ones((4, 3)), "A2": np.ones((5, 3)), "A3": np.ones((6, 2))}
+    arrays[name] = np.ones(shape)
+    cols = rk.R if name == "A3" else rk.total
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have {cols} columns, "
+                                                   f"got shape {shape}")):
+        LL1Factors(**arrays, ranks=rk)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_kernels_reject_a_tensor_of_other_dims(mode):
+    """`mttkrp` checks the dims, and `full_gradient` and `objective` rely
+    on that check."""
+    f = random_factors(np.random.default_rng(40), (4, 3, 2), (2, 1))
+    x = DenseTensor3(np.ones((4, 3, 5)))
+    match = re.escape("factor dims (4, 3, 2) do not match tensor dims (4, 3, 5)")
+    for kernel in (lambda: mttkrp(f, x, mode), lambda: full_gradient(f, x, mode),
+                   lambda: objective(f, x, NONE)):
+        with pytest.raises(ValueError, match=match):
+            kernel()
+
+
 def test_reconstruct_rank1_outer_product():
     f = LL1Factors(
         np.array([[1.0], [0.0]]),

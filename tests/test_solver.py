@@ -275,11 +275,12 @@ def test_generate_truth_is_the_solver_start_of_the_same_seed(seed):
         assert truth.factor(n).tobytes() == start.factor(n).tobytes()
 
 
-@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan, 1e308, -1e308])
 def test_generate_rejects_snr_db_that_is_not_finite_or_plus_inf(snr_db):
-    """Only +inf means noiseless: -inf is not taken for it, and neither value
-    is reported as a non-finite tensor entry."""
-    with pytest.raises(ValueError, match="snr_db must be finite or \\+inf"):
+    """Only +inf means noiseless: -inf is not taken for it.  No value is
+    reported as a non-finite tensor entry or an overflow: past +-1000 dB,
+    the bound the CLI's --snr-db shares, the argument is named."""
+    with pytest.raises(ValueError, match="snr_db must be \\+inf or a number from -1000 to 1000"):
         generate((4, 3, 2), RankVector((1,)), snr_db, 0)
 
 
@@ -360,10 +361,10 @@ def test_run_matches_reference(case):
 @pytest.mark.parametrize(
     "variant", [{}, {"B": 10**6}, {"step_rule": "inverse_lipschitz", "reg": NONE}],
     ids=["default", "full-batch", "inverse-lipschitz"])
-def test_step_builds_one_point(estimator, variant, monkeypatch):
-    """Every step builds one `LL1Factors`, the new iterate: the gradient
-    point is passed as its new factor alone, also to SARAH, to a full batch
-    and to the 1/L step."""
+def test_step_builds_two_points(estimator, variant, monkeypatch):
+    """Every step builds two `LL1Factors`: the gradient point, at which SGD,
+    SAGA, SARAH, a full batch and the 1/L step all evaluate, and from it the
+    new iterate."""
     calls = []
     replaced = LL1Factors.replaced
 
@@ -374,7 +375,7 @@ def test_step_builds_one_point(estimator, variant, monkeypatch):
     monkeypatch.setattr(LL1Factors, "replaced", counting)
     cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, epochs=3, seed=2, **variant)
     _, trace = run(cfg, small_tensor())
-    assert len(calls) == trace.iteration[-1]
+    assert len(calls) == 2 * trace.iteration[-1]
 
 
 @pytest.mark.parametrize("t", [0, 1, 3])
@@ -424,8 +425,8 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     def callback(epoch, factors, state):
         arrays = [factors.factor(n) for n in (1, 2, 3)]
         if estimator == "sarah":
-            for prev, prev_a in state.prev_point.values():
-                arrays.extend([prev_a, *(prev.factor(n) for n in (1, 2, 3))])
+            for prev in state.prev_point.values():
+                arrays.extend(prev.factor(n) for n in (1, 2, 3))
         seen.extend((a, a.copy()) for a in arrays)
 
     cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, epochs=3, seed=4)
@@ -813,6 +814,29 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
         assert calls == {"y": sweeps, "m3": sweeps + start}
 
 
+def test_a_sweep_computes_three_grams(monkeypatch):
+    """A PALM or ALS-MU sweep computes each mode's Gram once: the step's
+    Gram rides on to the new iterate, and the sweep's objective reuses the
+    mode-3 one; `palm_baseline`'s start objective adds one mode-3 Gram."""
+    calls = []
+    gram = model._gram
+
+    def counting(factors, mode):
+        calls.append(mode)
+        return gram(factors, mode)
+
+    monkeypatch.setattr(model, "_gram", counting)
+    sweeps = 7
+    t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=20.0, seed=0)
+    t = DenseTensor3(np.abs(t.array))
+    cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=sweeps, seed=3)
+    for baseline, start in ((palm_baseline, 1), (als_mu_baseline, 0)):
+        calls.clear()
+        _, trace = baseline(cfg, t)
+        assert len(trace) == sweeps
+        assert len(calls) == start + 3 * sweeps
+
+
 def test_returned_points_hold_no_tensor():
     """A point from `run`, `palm_baseline` or `als_mu_baseline` at the mid
     benchmark shape holds its factors, not the 4 MB tensor, so it pickles to
@@ -848,6 +872,33 @@ def test_alsmu_rejects_negative_tensor():
     cfg = SolverConfig(ranks=RankVector((1,)), epochs=1)
     with pytest.raises(ValueError):
         als_mu_baseline(cfg, DenseTensor3(cube))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_alsmu_rejects_negative_init(mode):
+    rk = RankVector((1,))
+    arrays = [np.ones((2, 1)) for _ in range(3)]
+    arrays[mode - 1][1, 0] = -1.0
+    cfg = SolverConfig(ranks=rk, epochs=1, init=LL1Factors(*arrays, rk))
+    with pytest.raises(ValueError, match="require a nonnegative init"):
+        als_mu_baseline(cfg, DenseTensor3(np.ones((2, 2, 2))))
+
+
+def test_alsmu_stops_early_at_an_exact_fit():
+    """A noiseless tensor started at its truth stays below `abs_tol` after
+    the first sweep, which ends the run."""
+    rk = RankVector((2, 1))
+    t, truth = generate((6, 5, 4), rk, snr_db=math.inf, seed=8)
+    _, trace = als_mu_baseline(SolverConfig(ranks=rk, epochs=20, init=truth), t)
+    assert len(trace) == 1 and trace.phi[0] < 1e-12
+
+
+@pytest.mark.parametrize("solve", [run, palm_baseline, als_mu_baseline])
+def test_init_of_other_dims_is_rejected(solve):
+    rk = RankVector((2, 1))
+    _, truth = generate((6, 5, 4), rk, snr_db=math.inf, seed=8)
+    with pytest.raises(ValueError, match=re.escape("(6, 5, 4) do not match tensor")):
+        solve(SolverConfig(ranks=rk, epochs=1, init=truth), small_tensor(dims=(6, 5, 3)))
 
 
 def test_feasibility_zero_inertia_closed_form():

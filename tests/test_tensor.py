@@ -84,6 +84,26 @@ def test_tensor_rejects_nonfinite():
         DenseTensor3(cube)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: DenseTensor3(np.zeros((2, 2))), "expected a 3rd-order tensor, got ndim=2"),
+    (lambda: DenseTensor3(np.zeros((2, 2, 2, 1))), "expected a 3rd-order tensor, got ndim=4"),
+    (lambda: DenseTensor3.from_flat(np.zeros(0), (0, 2, 2)),
+     r"dimensions must be positive, got \(0, 2, 2\)"),
+    (lambda: DenseTensor3.from_flat(np.zeros(4), (2, -2, -1)), "dimensions must be positive"),
+    (lambda: DenseTensor3.from_flat(np.zeros(7), (2, 2, 2)),
+     r"flat data has 7 entries, dims \(2, 2, 2\) need 8"),
+], ids=["ndim-2", "ndim-4", "zero-dim", "negative-dims", "entry-count"])
+def test_tensor_rejects_malformed_shapes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("mode", [0, 4, -1])
+def test_mode_outside_one_to_three_is_rejected(mode):
+    with pytest.raises(ValueError, match=f"mode must be 1, 2 or 3, got {mode}"):
+        row_count((2, 3, 4), mode)
+
+
 def test_norm_keeps_the_bits_of_linalg_norm():
     """`norm()` is the square root of the cached `sqnorm`, with the bits of
     `np.linalg.norm` over the entries, on C- and F-ordered input of several

@@ -120,6 +120,20 @@ def test_nonfinite_csv_value_names_its_line(tmp_path):
         tensorfile.read_tensor_csv(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("1,1,1,5\n1,1,2\n", r"line 2: expected 4 columns \(i1,i2,i3,value\), got 3"),
+    ("1,1,1,5,6\n", "line 1: expected 4 columns"),
+    ("# head\n1,1,1,five\n", "line 2: could not convert string to float"),
+    ("# only a comment\n\n", "no entries"),
+    ("", "no entries"),
+], ids=["three-columns", "five-columns", "unparsed-value", "comment-only", "empty"])
+def test_malformed_csv_is_rejected(tmp_path, text, match):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        tensorfile.read_tensor_csv(path)
+
+
 def _traced_peak(fn, *args):
     """(result, peak bytes traced while `fn(*args)` ran)."""
     tracemalloc.start()
