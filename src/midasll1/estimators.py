@@ -25,8 +25,9 @@ from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count
 
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
 
-# the warm start fills the SAGA table in chunks of bins whose rows, H rows,
-# Grams and gradients take at most this many bytes (at least one bin)
+# the warm start fills the SAGA table in chunks of bins whose rows, H rows
+# and residuals take at most this many bytes (at least one bin); the
+# gradients go straight into the table
 _WARM_CHUNK_BYTES = 1 << 20
 
 
@@ -35,7 +36,7 @@ def batch_gradient(
 ) -> np.ndarray:
     """Fiber-sampled stochastic gradient of f with respect to A_mode at `factors`.
 
-    g = (A_n H_n(F)^T H_n(F) - X_n(F)^T H_n(F)) / (I_n * B) over the
+    g = ((H_n(F) A_n^T - X_n(F))^T H_n(F)) / (I_n * B) over the
     distinct, in-range fiber indices `idx` (not checked), with H_n(F) built
     row-wise for the sampled fibers only.  `idx` None takes every fiber, by
     `full_gradient`; a batch of all J_n fibers gives the same gradient up to
@@ -69,13 +70,13 @@ class SagaState:
     mode with batch size B holds fibers iB to iB + B - 1; `fibers[mode]`
     holds their coordinates (n_bins x B each, from `fiber_coordinates`).
     `_bin_rows` reads a bin's rows of the unfolding without an index
-    gather where it can: mode 1 slices a view of the column-major storage,
-    mode 3 copies a row slice of the column-major (J3 x I3) view, and mode 2
-    gathers them with `fiber_rows_at`.  Each is C-contiguous, as the rows of
-    `fiber_rows_at` are, so BLAS rounds them alike.  The warm start fills the
-    table a chunk of bins at a time: one `_bin_rows` for their rows, one
-    `H_rows_at` and one stacked `gradient_from_rows`, which gives every entry
-    the bits of `batch_gradient` on that bin alone.
+    gather where it can: modes 1 and 3 slice views of the column-major
+    storage, and mode 2 gathers them with `fiber_rows_at`.  The rows only
+    enter the residual's subtraction, so their layout changes no bit.  The
+    warm start fills the table a chunk of bins at a time: one `_bin_rows`
+    for their rows, one `H_rows_at` and one stacked `gradient_from_rows`
+    written into the table in place (two BLAS calls per bin), which gives
+    every entry the bits of `batch_gradient` on that bin alone.
     """
 
     table: dict[int, np.ndarray]
@@ -98,14 +99,14 @@ class SagaState:
             a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(n_bins, size))
             state.fibers[mode] = (a, b)
             i_n, width = factors.factor(mode).shape
-            step = max(1, _WARM_CHUNK_BYTES // (8 * (size + width) * (i_n + width)))
+            step = max(1, _WARM_CHUNK_BYTES // (8 * size * (2 * i_n + width)))
             state.table[mode] = grads = np.empty((n_bins, i_n, width))
             for lo in range(0, n_bins, step):
                 hi = min(lo + step, n_bins)
                 x = _bin_rows(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel(), lo * size)
-                grads[lo:hi] = gradient_from_rows(
+                gradient_from_rows(
                     factors.factor(mode), H_rows_at(factors, mode, a[lo:hi], b[lo:hi]),
-                    x.reshape(hi - lo, size, i_n),
+                    x.reshape(hi - lo, size, i_n), out=grads[lo:hi],
                 )
             state.running_mean[mode] = _table_mean(grads)
         return state
@@ -156,13 +157,13 @@ class SagaState:
 def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: int) -> np.ndarray:
     """The rows of the mode-n unfolding for the consecutive fibers `start`,
     `start + 1`, ... at the 1-D coordinates `(a, b)`: the rows of
-    `fiber_rows_at`, C-contiguous, without its index gather for modes 1
-    and 3 (see `SagaState`)."""
+    `fiber_rows_at`, for modes 1 and 3 as a view of the tensor's storage
+    without its index gather (see `SagaState`)."""
     stop = start + a.size
     if mode == 1:
         return t.array.T.reshape(-1, t.dims[0])[start:stop]
     if mode == 3:
-        return np.ascontiguousarray(t.array.reshape(-1, t.dims[2], order="F")[start:stop])
+        return t.array.reshape(-1, t.dims[2], order="F")[start:stop]
     return fiber_rows_at(t, mode, a, b)
 
 

@@ -332,22 +332,29 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
     return g
 
 
-def gradient_from_rows(a: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A_n H^T H - X^T H) / (I_n * rows) from matching rows H of H_n and X
-    of the mode-n unfolding.  Over all J_n rows this is the exact gradient,
-    since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD estimate.
+def gradient_from_rows(
+    a: np.ndarray, h: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """((H A_n^T - X)^T H) / (I_n * rows) from matching rows H of H_n and X
+    of the mode-n unfolding, written into `out` when given: the batch
+    residual, then one product.  Over all J_n rows this is the exact
+    gradient, since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD
+    estimate.  X is only subtracted, so its memory layout changes no bit.
 
-    One batch (2-D `h` and `x`) takes `ndarray.dot`, which dispatches to the
-    same BLAS calls as `@` with less overhead, and subtracts and divides in
-    place.  `h` and `x` may also be stacks of batches (k x rows x ...),
-    giving k gradients; numpy's stacked matmul makes per batch the BLAS
-    calls of the unstacked form, so each keeps its bits."""
+    One batch (2-D `h` and `x`) takes `ndarray.dot`, the BLAS calls of `@`
+    with less overhead.  Stacks of batches (k x rows x ...) give k
+    gradients; numpy's stacked matmul makes per batch the BLAS calls of the
+    unstacked form, so each keeps its bits."""
     if h.ndim == 2:
-        g = a.dot(h.T.dot(h))
-        g -= x.T.dot(h)
-        g /= a.shape[0] * h.shape[0]
-        return g
-    return (a @ (h.swapaxes(-1, -2) @ h) - x.swapaxes(-1, -2) @ h) / (a.shape[0] * h.shape[-2])
+        r = h.dot(a.T)
+        r -= x
+        g = r.T.dot(h, out=out)
+    else:
+        r = h @ a.T
+        r -= x
+        g = np.matmul(r.swapaxes(-1, -2), h, out=out)
+    g /= a.shape[0] * h.shape[-2]
+    return g
 
 
 def lipschitz_bound(factors: LL1Factors, mode: int) -> float:

@@ -181,7 +181,11 @@ def random_factors(dims, ranks: RankVector, rng: np.random.Generator) -> LL1Fact
 
 
 def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Factors:
+    """A copy of `config.init`, which must have the tensor's `dims`, or a
+    random start from `rng`."""
     if config.init is not None:
+        if config.init.dims != tuple(dims):
+            raise ValueError(f"init factor dims {config.init.dims} do not match tensor {dims}")
         return config.init.copy()
     return random_factors(dims, config.ranks, rng)
 
@@ -332,8 +336,6 @@ def run(
     dims = tensor.dims
     streams = rng_streams(config.seed)
     factors = init_factors(config, dims, streams["init"])
-    if factors.dims != dims:
-        raise ValueError(f"init factor dims {factors.dims} do not match tensor {dims}")
     batches = effective_batches(config, dims)
     iters_per_mode = {n: math.ceil(row_count(dims, n) / batches[n]) for n in (1, 2, 3)}
     iters_per_epoch = sum(iters_per_mode.values())

@@ -132,12 +132,12 @@ def fold(m: np.ndarray, mode: int, dims) -> DenseTensor3:
 
 def fiber_rows_at(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows of the mode-n unfolding for the fibers at coordinates `(a, b)`
-    from `fiber_coordinates`, as a C-contiguous B-by-I_n copy, without
+    from `fiber_coordinates`, as a B-by-I_n copy of any layout, without
     checks.  Computed by direct index arithmetic; the full unfolding is
     never built."""
     x = t.array
     if mode == 1:
-        return np.ascontiguousarray(x[:, a, b].T)
+        return x[:, a, b].T
     if mode == 2:
         return x[a, :, b]
     return x[a, b, :]

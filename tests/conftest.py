@@ -40,12 +40,11 @@ def reference_build_H(factors, mode):
 
 
 def reference_unfolding_gradient(factors, tensor, mode):
-    """(A_n H_n^T H_n - X_(n)^T H_n) / N from the whole H_n and a contiguous
-    copy of the unfolding: what the fiber path computes over all fibers."""
+    """((H_n A_n^T - X_(n))^T H_n) / N from the whole H_n and the whole
+    unfolding: what the fiber path computes over all fibers."""
     h = reference_build_H(factors, mode)
-    x_n = np.ascontiguousarray(unfold(tensor, mode))
-    a = factors.factor(mode)
-    return (a @ (h.T @ h) - x_n.T @ h) / tensor.size
+    residual = h @ factors.factor(mode).T - unfold(tensor, mode)
+    return (residual.T @ h) / tensor.size
 
 
 def reference_gram(factors, mode):
@@ -167,11 +166,11 @@ def als_mu_reference(config, tensor):
 
 
 def _batch_gradient(factors, tensor, mode, idx):
-    """Fiber-sampled gradient from rows of the full H_n and of the unfolding."""
+    """Fiber-sampled gradient ((H A_n^T - X)^T H) / (I_n * B) from rows of the
+    full H_n and of the unfolding."""
     h = reference_build_H(factors, mode)[idx]
-    x = np.ascontiguousarray(unfold(tensor, mode)[idx])
-    a = factors.factor(mode)
-    return (a @ (h.T @ h) - x.T @ h) / (factors.dims[mode - 1] * len(idx))
+    residual = h @ factors.factor(mode).T - unfold(tensor, mode)[idx]
+    return (residual.T @ h) / (factors.dims[mode - 1] * len(idx))
 
 
 def _extrapolate(history, coeffs):

@@ -392,7 +392,9 @@ def cli_child(cwd, *args):
 
 def test_aborted_decompose_prints_one_error_line(tmp_path):
     """An aborted run writes the one documented `error:` line to stderr and
-    nothing else, no numpy warning on the way."""
+    nothing else, no numpy warning on the way.  With eta = 1e8 the factors
+    stay finite until the epoch's objective finds the reconstruction
+    overflowing."""
     path = str(tmp_path / "x.dten")
     assert cli_child(tmp_path, "synth", "--dims", "6,5,4", "--ranks", "2,1", "--seed", "3",
                      "--out", path).returncode == EXIT_OK
@@ -400,7 +402,8 @@ def test_aborted_decompose_prints_one_error_line(tmp_path):
     r = cli_child(tmp_path, "decompose", "--tensor", path, "--config", str(cfg),
                   "--out", str(tmp_path / "o"))
     assert r.returncode == EXIT_NAN_ABORT
-    assert r.stderr.startswith("error: non-finite factor entries at iteration ")
+    assert r.stderr.startswith("error: the reconstruction overflows: the factors give "
+                               "non-finite model entries after iteration 20 (mode 2)")
     assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
 
 

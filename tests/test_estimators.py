@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from midasll1.estimators import (
     estimator_mse_probe,
     largest_divisor_at_most,
 )
-from midasll1.model import LL1Factors, RankVector, full_gradient, gradient_from_rows
+from midasll1.model import (
+    H_rows_at,
+    LL1Factors,
+    RankVector,
+    full_gradient,
+    gradient_from_rows,
+)
 from midasll1.solver import SolverConfig, run
 from midasll1.tensor import (
     DenseTensor3,
@@ -340,6 +347,43 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
         assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
 
 
+def test_warm_start_keeps_its_chunk_bound():
+    """Beyond the table, means and fiber coordinates it keeps, the warm start
+    at 100x100x50, ranks 4,4,4, B = 8 allocates at most `_WARM_CHUNK_BYTES`
+    at a time."""
+    f, t = make_problem(seed=14, dims=(100, 100, 50), L=(4, 4, 4))
+    tracemalloc.start()
+    try:
+        SagaState.warm_start(f, t, {1: 8, 2: 8, 3: 8})  # warms numpy's first-call caches
+        tracemalloc.reset_peak()
+        state = SagaState.warm_start(f, t, {1: 8, 2: 8, 3: 8})
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.n_bins(3) == 10000 // 8
+    assert peak - kept <= estimators._WARM_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_gradient_from_rows_ignores_the_row_layout(mode):
+    """C- and F-ordered rows give the same bits, for one batch and for a
+    stack of batches, and with the gradient written into `out`."""
+    f, t = make_problem(seed=15, dims=(6, 5, 4), L=(3, 1, 2))
+    jn = row_count(t.dims, mode)
+    a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(-1, 2))
+    h = H_rows_at(f, mode, a, b)
+    x = np.ascontiguousarray(fiber_rows_at(t, mode, a.ravel(), b.ravel()).reshape(*a.shape, -1))
+    a_n = f.factor(mode)
+    for hs, xs in ((h[0], x[0]), (h, x)):
+        want = gradient_from_rows(a_n, hs, xs).tobytes()
+        fortran = np.asfortranarray(xs)
+        assert not fortran.flags.c_contiguous
+        assert gradient_from_rows(a_n, hs, fortran).tobytes() == want
+        out = np.empty((*xs.shape[:-2], *a_n.shape))
+        assert gradient_from_rows(a_n, hs, fortran, out=out) is out
+        assert out.tobytes() == want
+
+
 def test_table_mean_keeps_signed_zeros():
     """`_table_mean` is the bin-order sum over the bins divided by their
     count, bit for bit: an entry that is -0.0 in every bin stays -0.0."""
@@ -367,9 +411,9 @@ def _record_rows(monkeypatch):
     estimators (the solver loop's batch gradients among them), in call order."""
     seen = []
 
-    def recording(a, h, x):
+    def recording(a, h, x, out=None):
         seen.append(x)
-        return gradient_from_rows(a, h, x)
+        return gradient_from_rows(a, h, x, out=out)
 
     monkeypatch.setattr(estimators, "gradient_from_rows", recording)
     return seen
@@ -380,8 +424,8 @@ def _record_rows(monkeypatch):
 def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
     """The rows SAGA reads without gathering (mode-1 views, mode-3 slices of
     the column-major view), per warm-start chunk and per bin, have the bits
-    and the C-contiguous layout of `fiber_rows_at`, so BLAS rounds them
-    alike, also where a bin straddles a slab boundary."""
+    of `fiber_rows_at`, also where a bin straddles a slab boundary.  Their
+    layout is free: `gradient_from_rows` only subtracts them."""
     if chunk_bytes is not None:
         monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
     f, t = make_problem(seed=12, dims=(5, 7, 4), L=(2, 1))
@@ -390,8 +434,6 @@ def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
     st = SagaState.warm_start(f, t, {mode: STRADDLING_BATCHES[mode]})
     assert (len(seen) > 1) == (chunk_bytes is not None)
     everything = fiber_rows_at(t, mode, *fiber_coordinates(t.dims, mode, np.arange(jn)))
-    assert everything.flags.c_contiguous
-    assert all(x.flags.c_contiguous for x in seen)
     in_chunks = np.concatenate([x.reshape(-1, t.dims[mode - 1]) for x in seen])
     assert in_chunks.tobytes() == everything.tobytes()
     seen.clear()
@@ -399,7 +441,7 @@ def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
         st.estimate(f, t, mode, bin_id)
         a, b = (c[bin_id] for c in st.fibers[mode])
         x = seen[-1]
-        assert x.flags.c_contiguous and x.shape == (a.size, t.dims[mode - 1])
+        assert x.shape == (a.size, t.dims[mode - 1])
         assert x.tobytes() == fiber_rows_at(t, mode, a, b).tobytes()
 
 

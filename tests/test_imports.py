@@ -1,5 +1,5 @@
-"""Every module of the package, and every test and tool script, uses each
-name it imports.
+"""Every module of the package, and every test, tool and benchmark script,
+uses each name it imports.
 
 No linter is a dependency, so the check parses the source with `ast`.
 The package's `__init__.py` is exempt: its imports are the re-exports.
@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "midasll1"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,7 +44,7 @@ def test_unused_imports_finds_what_it_should():
     )
     assert unused_imports(source) == ["line 2: np", "line 4: objective"]
     assert len(MODULES) >= 10, f"modules missing under {PACKAGE}"
-    assert len(SCRIPTS) >= 14, f"test and tool scripts missing under {ROOT}"
+    assert len(SCRIPTS) >= 20, f"test, tool and benchmark scripts missing under {ROOT}"
 
 
 @pytest.mark.parametrize(

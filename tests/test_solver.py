@@ -897,7 +897,7 @@ def test_alsmu_stops_early_at_an_exact_fit():
 def test_init_of_other_dims_is_rejected(solve):
     rk = RankVector((2, 1))
     _, truth = generate((6, 5, 4), rk, snr_db=math.inf, seed=8)
-    with pytest.raises(ValueError, match=re.escape("(6, 5, 4) do not match tensor")):
+    with pytest.raises(ValueError, match=re.escape("init factor dims (6, 5, 4) do not match tensor (6, 5, 3)")):
         solve(SolverConfig(ranks=rk, epochs=1, init=truth), small_tensor(dims=(6, 5, 3)))
 
 
