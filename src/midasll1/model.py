@@ -79,8 +79,9 @@ class LL1Factors:
 
     The constructor copies its inputs and marks them read-only, so writing
     into a factor raises ValueError.  The Grams of `gram_H` are kept on the
-    point, ride along to the points `replaced` builds, and are computed anew
-    once a factor they read is another object.  A point holds no tensor.
+    point, ride along to the points `replaced` builds unless they read the
+    factor it replaces, and are computed anew once a factor they read is
+    another object.  A point holds no tensor.
     """
 
     A1: np.ndarray  # I1 x L_total
@@ -110,10 +111,15 @@ class LL1Factors:
     def replaced(self, mode: int, a: np.ndarray) -> "LL1Factors":
         """This point with A_mode = `a`, a float64 array of A_mode's shape,
         built without the constructor's checks or copy.  The new point takes
-        this one's kept Grams; `gram_H` recomputes those that read `a`."""
+        this one's kept Gram of mode `mode`, the one Gram that does not read
+        A_mode; the other two are dropped, so no superseded factor array
+        stays alive through them."""
         out = object.__new__(LL1Factors)
-        out.__dict__.update(self.__dict__)
-        out.__dict__[_FACTOR_NAMES[mode - 1]] = a
+        kept = out.__dict__
+        kept.update(self.__dict__)
+        kept[_FACTOR_NAMES[mode - 1]] = a
+        for name in _GRAMS_READING[mode]:
+            kept.pop(name, None)
         return out
 
     def copy(self) -> "LL1Factors":
@@ -121,6 +127,8 @@ class LL1Factors:
 
 
 _FACTOR_NAMES = ("A1", "A2", "A3")
+# the names under which `gram_H` keeps the Grams that read A_n, by n
+_GRAMS_READING = {n: tuple(f"_gram{m}" for m in (1, 2, 3) if m != n) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -287,8 +295,9 @@ def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
     Modes 1 and 2 take Y = A3^T X3^T, whose row r is the I2 x I1 matrix
     Y_r = sum_i3 c_r[i3] X[:, :, i3]^T, and block r is Y_r^T A2_r (mode 1)
     or Y_r A1_r (mode 2); mode 3 takes M3 = (S X3)^T from the slabs S of
-    `_slabs`.  Every operand is C- or F-contiguous or a column block of
-    one, so BLAS reads it where it lies.
+    `_slabs`.  Each is taken over runs of mode-3 slabs (`_slab_runs`), one
+    BLAS call per run.  Every operand is C- or F-contiguous or a column
+    block of one, so BLAS reads it where it lies.
 
     The contractions are kept on the tensor `t`, read-only: Y with the A3 it
     read, M3 (which this returns for mode 3) with A1 and A2.  Another object
@@ -311,15 +320,48 @@ def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
     return out
 
 
+# OpenBLAS multiplies operands with M*N*K up to this bound in a small-matrix
+# kernel that reads them in place (on cores that have one, such as
+# SkylakeX); above it, each call first packs the whole tensor block it reads
+_SMALL_GEMM = 10**6
+# under a kernel without that path (Haswell), runs of 1-8 slabs cost 1.2-7x
+# the one call, so a shape whose runs would be shorter keeps the one call
+_MIN_RUN = 16
+
+
+def _slab_runs(dims: tuple[int, int, int], R: int) -> tuple[slice, ...]:
+    """The runs of mode-3 slabs that `_contract` makes one BLAS call each:
+    the fewest near-equal runs of c slabs with R*I1*I2*c <= `_SMALL_GEMM`,
+    or one run of all I3 slabs when that is one run or the shortest run
+    would hold fewer than `_MIN_RUN` slabs."""
+    i1, i2, i3 = dims
+    widest = _SMALL_GEMM // (R * i1 * i2)
+    n = -(-i3 // widest) if widest else 1
+    if n == 1 or i3 // n < _MIN_RUN:
+        return (slice(0, i3),)
+    return tuple(slice(k * i3 // n, (k + 1) * i3 // n) for k in range(n))
+
+
 def _contract(factors: LL1Factors, x: np.ndarray, mode: int) -> np.ndarray:
     """The one pass over the tensor's storage `x`, read as the mode-3
     unfolding X3, behind `mttkrp`: M3 = (S X3)^T for mode 3, Y = A3^T X3^T
-    for modes 1 and 2."""
+    for modes 1 and 2, one BLAS call per run of slabs from `_slab_runs`.
+    A run is the contiguous column range X3[:, run]; M3 takes its rows
+    run by run, and Y adds the runs' products in slab order."""
     i1, i2, i3 = x.shape
     x3 = x.reshape(i1 * i2, i3, order="F")
+    runs = _slab_runs(x.shape, factors.ranks.R)
     if mode == 3:
-        return _slabs(factors).dot(x3).T
-    return factors.A3.T.dot(x3.T)
+        s = _slabs(factors)
+        m3 = np.empty((s.shape[0], i3))  # M3 transposed, the layout of one call's product
+        for run in runs:
+            m3[:, run] = s.dot(x3[:, run])
+        return m3.T
+    a3t = factors.A3.T
+    y = a3t[:, runs[0]].dot(x3[:, runs[0]].T)
+    for run in runs[1:]:
+        y += a3t[:, run].dot(x3[:, run].T)
+    return y
 
 
 def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:

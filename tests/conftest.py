@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from midasll1.model import LL1Factors, lipschitz_bound, objective
+from midasll1.model import LL1Factors, _slab_runs, lipschitz_bound, objective
 from midasll1.prox import penalty_value, prox
 from midasll1.solver import (
     MU_EPS,
@@ -66,14 +66,19 @@ def reference_mttkrp(factors, tensor, mode):
     """X_(n)^T H_n contracted through the mode-3 unfolding X3: block r is
     Y_r^T A2_r (mode 1) or Y_r A1_r (mode 2) with Y = A3^T X3^T and Y_r its
     row r as I2 x I1, and mode 3 is (S X3)^T with S the stacked, flattened
-    slabs A2_r A1_r^T."""
+    slabs A2_r A1_r^T.  Both products are taken over the slab runs of
+    `model._slab_runs`: M3's rows run by run, Y as the sum of the runs'
+    products in slab order."""
     i1, i2, _ = tensor.dims
     x3 = unfold(tensor, 3)
     blocks = factors.ranks.blocks
+    runs = _slab_runs(tensor.dims, factors.ranks.R)
     if mode == 3:
         s = np.stack([(factors.A2[:, blk] @ factors.A1[:, blk].T).ravel() for blk in blocks])
-        return (s @ x3).T
-    y = factors.A3.T @ x3.T
+        return np.hstack([s @ x3[:, run] for run in runs]).T
+    y = factors.A3[runs[0]].T @ x3[:, runs[0]].T
+    for run in runs[1:]:
+        y = y + factors.A3[run].T @ x3[:, run].T
     ys = [y[r].reshape(i2, i1) for r in range(len(blocks))]
     if mode == 1:
         return np.hstack([y_r.T @ factors.A2[:, blk] for y_r, blk in zip(ys, blocks)])

@@ -14,11 +14,13 @@ from conftest import (
     reference_unfolding_gradient,
 )
 
+from midasll1 import model
 from midasll1.model import (
     LL1Factors,
     RankVector,
     H_rows_at,
     _block_sums,
+    _slab_runs,
     full_gradient,
     gram_H,
     lipschitz_bound,
@@ -235,7 +237,9 @@ def kernel_problem(dims, L, seed, draw="standard_normal"):
 def test_kernels_match_reference_bitwise(dims, L):
     """The H rows of all fibers, `mttkrp`, `full_gradient` and `reconstruct`
     give the same bits as the plain kron/hstack, unfolding-contraction and
-    validated-reconstruction formulas of `tests/conftest.py`."""
+    validated-reconstruction formulas of `tests/conftest.py`; the
+    contraction's reference takes the same slab runs (two at the mid
+    shape) in its own loop."""
     f, x = kernel_problem(dims, L, sum(dims) + len(L))
     for mode in (1, 2, 3):
         assert all_H_rows(f, mode).tobytes() == reference_build_H(f, mode).tobytes()
@@ -245,6 +249,54 @@ def test_kernels_match_reference_bitwise(dims, L):
     recon = reconstruct(f).array
     np.testing.assert_array_equal(recon, reference_reconstruct(f).array)
     assert recon.flags.f_contiguous
+
+
+def run_sizes(dims, R):
+    return [run.stop - run.start for run in _slab_runs(dims, R)]
+
+
+def test_slab_runs_are_the_fewest_near_equal_small_products():
+    """Runs of c slabs keep R * I1 * I2 * c within 1e6, are as few as that
+    allows and differ by at most one slab; one run covers every slab when
+    that fits or a run would hold fewer than 16 slabs."""
+    assert run_sizes((100, 100, 50), 3) == [25, 25]
+    assert run_sizes((100, 100, 51), 3) == [25, 26]
+    assert run_sizes((50, 50, 200), 8) == [50, 50, 50, 50]
+    assert run_sizes((64, 64, 128), 8) == [25, 26, 25, 26, 26]
+    assert run_sizes((12, 12, 12), 2) == [12]  # fits one run
+    assert run_sizes((100, 100, 50), 8) == [50]  # runs of at most 12 slabs
+    assert run_sizes((256, 256, 32), 3) == [32]  # runs of 4 or 5 slabs
+    assert run_sizes((2000, 1000, 3), 1) == [3]  # not even one slab fits
+
+
+def one_call_contractions(f, x):
+    """Y = A3^T X3^T and M3 = (S X3)^T, each as one product over all slabs."""
+    i1, i2, i3 = x.dims
+    x3 = x.array.reshape(i1 * i2, i3, order="F")
+    return f.A3.T.dot(x3.T), model._slabs(f).dot(x3).T
+
+
+@pytest.mark.parametrize("dims, L", [((100, 100, 51), (4, 4, 4)), ((50, 50, 200), (1,) * 8)])
+def test_slab_runs_sum_to_the_one_call_products(dims, L):
+    """Over runs of unequal length (25 and 26 slabs; four of 50 at R = 8),
+    Y and M3 agree with the products over all slabs to 1e-13 of their
+    largest entry, with the layout of those products."""
+    f, x = kernel_problem(dims, L, 5)
+    assert len(_slab_runs(dims, len(L))) > 1
+    for mode, ref in zip((1, 3), one_call_contractions(f, x)):
+        got = model._contract(f, x.array, mode)
+        assert got.shape == ref.shape and got.strides == ref.strides
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims, L", [((12, 12, 12), (2, 2)), ((100, 100, 50), (1,) * 8)])
+def test_one_slab_run_is_the_one_call_product(dims, L):
+    """Where `_slab_runs` keeps one run, Y and M3 are the one-call
+    products bit for bit."""
+    f, x = kernel_problem(dims, L, 6)
+    assert len(_slab_runs(dims, len(L))) == 1
+    for mode, ref in zip((1, 3), one_call_contractions(f, x)):
+        assert model._contract(f, x.array, mode).tobytes() == ref.tobytes()
 
 
 def fit_rounding(f, x):

@@ -837,6 +837,40 @@ def test_a_sweep_computes_three_grams(monkeypatch):
         assert len(calls) == start + 3 * sweeps
 
 
+def test_kept_grams_read_the_current_factors(monkeypatch):
+    """Every point a step builds keeps only Grams of its own factors: a Gram
+    kept under `_gram<m>` was computed from the point's two factors other
+    than A_m, so no superseded factor array stays alive through it."""
+    built = []
+    replaced = LL1Factors.replaced
+
+    def recording(self, mode, a):
+        out = replaced(self, mode, a)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(LL1Factors, "replaced", recording)
+    ranks = RankVector((2, 1))
+    t = DenseTensor3(np.abs(small_tensor(seed=8).array))
+    cfg = SolverConfig(ranks=ranks, epochs=3, seed=4)
+    solves = [lambda: palm_baseline(cfg, t), lambda: als_mu_baseline(cfg, t),
+              *(lambda est=est: run(replace(cfg, estimator=est, t=1), t)
+                for est in ("sgd", "saga", "sarah"))]
+    for solve in solves:
+        built.clear()
+        solve()
+        assert built
+        grams = 0
+        for point in built:
+            for m in (1, 2, 3):
+                kept = point.__dict__.get(f"_gram{m}")
+                if kept is not None:
+                    grams += 1
+                    others = tuple(point.factor(n) for n in (1, 2, 3) if n != m)
+                    assert all(a is b for a, b in zip(kept[0], others, strict=True))
+        assert grams > 0
+
+
 def test_returned_points_hold_no_tensor():
     """A point from `run`, `palm_baseline` or `als_mu_baseline` at the mid
     benchmark shape holds its factors, not the 4 MB tensor, so it pickles to

@@ -15,7 +15,9 @@ keeps every bit.  `--quick` is a subset that takes about a second.
 
 After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
-default depth, included), `palm`, `als-mu` and `cli`.  When a change is
+default depth, included), `palm`, `als-mu`, `cli` and `blocked` (PALM and
+ALS-MU on a shape whose tensor contractions take several BLAS calls, see
+`blocked_runs`).  When a change is
 meant to round one group differently, the others show that nothing else
 moved.
 """
@@ -133,6 +135,23 @@ def solver_runs(d: Digest, quick: bool):
                         replace(base, estimator=est, **kw), tensor)
 
 
+# a shape whose contractions take two runs of mode-3 slabs (`model._slab_runs`);
+# every shape above fits one run
+BLOCKED_SHAPE = ((100, 100, 50), (4, 4, 4))
+
+
+def blocked_runs(d: Digest):
+    """A 3-sweep `palm_baseline` and `als_mu_baseline` on |X| at
+    BLOCKED_SHAPE: the group `blocked`, which moves with the slab-run rule."""
+    dims, widths = BLOCKED_SHAPE
+    ranks = RankVector(widths)
+    tensor, _ = generate(dims, ranks, 30.0, 200)
+    cfg = SolverConfig(ranks=ranks, epochs=3, seed=11, abs_tol=0.0)
+    nonneg = DenseTensor3(np.abs(tensor.array))
+    d.solve("blocked", f"{dims}/palm", palm_baseline, cfg, nonneg)
+    d.solve("blocked", f"{dims}/als-mu", als_mu_baseline, cfg, nonneg)
+
+
 def call_cli(d: Digest, label: str, argv, tmp: str):
     """main(argv)'s exit code, stdout and stderr, with `tmp` written as <tmp>."""
     out, err = io.StringIO(), io.StringIO()
@@ -225,6 +244,7 @@ def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
     d = Digest()
     solver_runs(d, quick)
     cli_runs(d, quick)
+    blocked_runs(d)
     return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
