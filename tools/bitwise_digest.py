@@ -17,9 +17,8 @@ After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
 default depth, included), `palm`, `als-mu`, `cli` and `blocked` (PALM and
 ALS-MU on a shape whose tensor contractions take several BLAS calls, see
-`blocked_runs`).  When a change is
-meant to round one group differently, the others show that nothing else
-moved.
+`blocked_runs`).  When a change is meant to round one group differently,
+the others show that nothing else moved.
 """
 
 from __future__ import annotations
