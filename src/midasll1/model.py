@@ -77,11 +77,11 @@ class RankVector:
 class LL1Factors:
     """Factor triple (A1, A2, A3) with A1, A2 block-partitioned by `ranks`.
 
-    The constructor copies its inputs and marks them read-only, so writing
-    into a factor raises ValueError.  The Grams of `gram_H` are kept on the
-    point, ride along to the points `replaced` builds unless they read the
-    factor it replaces, and are computed anew once a factor they read is
-    another object.  A point holds no tensor.
+    The constructor copies its inputs, which must be finite, and marks them
+    read-only, so writing into a factor raises ValueError.  The Grams of
+    `gram_H` are kept on the point, ride along to the points `replaced`
+    builds unless they read the factor it replaces, and are computed anew
+    once a factor they read is another object.  A point holds no tensor.
     """
 
     A1: np.ndarray  # I1 x L_total
@@ -98,6 +98,8 @@ class LL1Factors:
             a = np.array(a, dtype=np.float64)
             if a.ndim != 2 or a.shape[1] != cols:
                 raise ValueError(f"{name} must have {cols} columns, got shape {a.shape}")
+            if not all_finite(a):
+                raise ValueError(f"{name} entries must be finite")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

@@ -34,7 +34,7 @@ NONNEG = Regularizer("nonneg")
 def prox(reg: Regularizer, m: np.ndarray, eta: float, out: np.ndarray | None = None) -> np.ndarray:
     """argmin_Z h(Z) + 1/(2 eta) ||Z - M||_F^2, as a new array or written
     into the float64 array `out` (which may be `m` itself), with the same bits."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"prox step must be positive, got {eta}")
     if reg.kind == "none":
         if out is None:

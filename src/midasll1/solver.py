@@ -48,24 +48,13 @@ class SolverAbort(RuntimeError):
 STEP_SCALE = 0.005
 
 
-def inertial_coefficient(scale: float, k: int) -> float:
-    """scale * (k-1)/(k+2); converges to `scale` as k grows.
-
-    Differences this deep in the history are still zero-padded copies of the
-    start point, so the value before step 1 is irrelevant and taken as 0.
-    """
-    if k < 1:
-        return 0.0
-    return scale * (k - 1) / (k + 2)
-
-
 @dataclass
 class SolverConfig:
     ranks: RankVector
     estimator: str = "saga"
     t: int = 3
-    alpha0: float = 0.3  # prox-anchor coefficient inertial_coefficient(alpha0, k)
-    beta0: float = 0.8  # gradient-point coefficient inertial_coefficient(beta0, k)
+    alpha0: float = 0.3  # scale of the prox anchor's inertial weights
+    beta0: float = 0.8  # scale of the gradient point's inertial weights
     eta: float | None = None  # constant step; None -> STEP_SCALE / L_n per mode and epoch
     step_rule: str = "schedule"  # or "inverse_lipschitz" (1/L steps; eta must be None)
     B: int = 0  # 0 -> 2 * max L_r
@@ -117,14 +106,19 @@ class SolverConfig:
         return self
 
 
-def epoch_coefficients(coef_a: list[float], coef_b: list[float], t: int) -> np.ndarray:
-    """The extrapolation weights of an epoch's steps as a (steps, 2, t + 1)
-    array, from the schedules `coef_a` (alpha0's) and `coef_b` (beta0's) that
-    start t - 1 steps before the epoch: [i, :, 0] is 1, the weight of A_n, and
-    [i, :, j] the weights of lag j at step i, the schedules' entries
-    i + t - j."""
-    count = len(coef_a) + 1 - t
-    lags = np.arange(count)[:, None] + t - np.arange(t + 1)
+def epoch_coefficients(alpha0: float, beta0: float, t: int, k: int, steps: int) -> np.ndarray:
+    """The extrapolation weights of steps k, ..., k + steps - 1 as a
+    (steps, 2, t + 1) array: [i, :, 0] is 1, the weight of A_n, and
+    [i, 0, j] and [i, 1, j] the weights of lag j at step k + i, the schedules
+    alpha0 (m-1)/(m+2) and beta0 (m-1)/(m+2) at m = k + i + 1 - j.  Lags
+    before step 1 are still zero steps, so their weight is irrelevant and
+    taken as 0.  At t = 0 the table is all ones and no schedule is evaluated."""
+    if not t:
+        return np.ones((steps, 2, 1))
+    ks = range(k + 1 - t, k + steps)
+    coef_a = [alpha0 * (m - 1) / (m + 2) if m >= 1 else 0.0 for m in ks]
+    coef_b = [beta0 * (m - 1) / (m + 2) if m >= 1 else 0.0 for m in ks]
+    lags = np.arange(steps)[:, None] + t - np.arange(t + 1)
     lags[:, 0] = len(coef_a)  # the 1.0 appended to each schedule
     sched = np.array([[*coef_a, 1.0], [*coef_b, 1.0]])
     return sched[:, lags].transpose(1, 0, 2).copy()
@@ -376,11 +370,7 @@ def run(
                 modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
             # each step's bin (SAGA) or fibers (None: all of them), in step order
             picks = state.draw(modes, rng_fiber)
-            # inertial coefficients of the epoch: step k uses lag j's at k + 1 - j
-            ks = range(k + 1 - depth, k + iters_per_epoch)
-            coef_a = [inertial_coefficient(config.alpha0, m) for m in ks]
-            coef_b = [inertial_coefficient(config.beta0, m) for m in ks]
-            coefs = epoch_coefficients(coef_a, coef_b, depth)
+            coefs = epoch_coefficients(config.alpha0, config.beta0, depth, k, iters_per_epoch)
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 window = windows[n]
                 y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])

@@ -32,6 +32,8 @@ class DenseTensor3:
         a = np.asarray(self.array, dtype=np.float64)
         if a.ndim != 3:
             raise ValueError(f"expected a 3rd-order tensor, got ndim={a.ndim}")
+        if 0 in a.shape:
+            raise ValueError(f"dimensions must be positive, got {a.shape}")
         if not all_finite(a):
             raise ValueError("tensor entries must be finite")
         a = np.asfortranarray(a)

@@ -14,7 +14,6 @@ from midasll1.solver import (
     RunTrace,
     SolverAbort,
     effective_batches,
-    inertial_coefficient,
     init_factors,
     rng_streams,
 )
@@ -195,6 +194,14 @@ def _extrapolate(history, coeffs):
     return p[0].reshape(base.shape), p[1].reshape(base.shape)
 
 
+def reference_inertial_weight(scale, k):
+    """The inertial schedule scale * (k-1)/(k+2) at step k, and 0 before
+    step 1, where the lags are still zero steps."""
+    if k < 1:
+        return 0.0
+    return scale * (k - 1) / (k + 2)
+
+
 def run_reference(config, tensor):
     """The stochastic solver loop written out step by step, with its SAGA
     table and SARAH recursion inline, so that `run` is checked bit for bit
@@ -252,7 +259,7 @@ def run_reference(config, tensor):
             counts[n - 1] += 1
 
             # A^k's weight is 1; lag i's weights at step k are the schedule's at k + 1 - i
-            coeffs = np.array([[1.0, *(inertial_coefficient(scale, k + 1 - i)
+            coeffs = np.array([[1.0, *(reference_inertial_weight(scale, k + 1 - i)
                                        for i in range(1, config.t + 1))]
                                for scale in (config.alpha0, config.beta0)])
             y_anchor, u_eval = _extrapolate(history[n], coeffs)

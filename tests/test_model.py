@@ -80,6 +80,21 @@ def test_factors_reject_a_wrong_column_count(name, shape):
         LL1Factors(**arrays, ranks=rk)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factors_reject_nonfinite_entries(name, bad):
+    """A start point with one non-finite entry is rejected, naming its factor;
+    finite entries whose sum overflows are accepted."""
+    rk = RankVector((2, 1))
+    arrays = {"A1": np.ones((4, 3)), "A2": np.ones((5, 3)), "A3": np.ones((6, 2))}
+    arrays[name] = arrays[name].copy()
+    arrays[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+        LL1Factors(**arrays, ranks=rk)
+    arrays[name] = np.full_like(arrays[name], 1e308)
+    assert LL1Factors(**arrays, ranks=rk).factor(int(name[1]))[0, 0] == 1e308
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_kernels_reject_a_tensor_of_other_dims(mode):
     """`mttkrp` checks the dims, and `full_gradient` and `objective` rely

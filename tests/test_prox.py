@@ -61,8 +61,10 @@ def test_prox_ridge_optimality_via_grid():
 
 
 def test_prox_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        prox(NONE, np.zeros((2, 2)), 0.0)
+    for eta in (0.0, -1.0, math.nan):
+        for reg in (NONE, NONNEG, Regularizer("ridge", 1.5)):
+            with pytest.raises(ValueError, match="prox step must be positive"):
+                prox(reg, np.zeros((2, 2)), eta)
 
 
 def test_prox_nonexpansive():

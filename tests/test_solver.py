@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import als_mu_reference, palm_reference, run_reference
+from conftest import als_mu_reference, palm_reference, reference_inertial_weight, run_reference
 from midasll1 import model, solver
 from midasll1.estimators import SagaState, SarahState, SgdState
 from midasll1.model import LL1Factors, RankVector, lipschitz_bound, reconstruct
@@ -24,7 +24,6 @@ from midasll1.solver import (
     epoch_coefficients,
     extrapolate,
     feasibility_check,
-    inertial_coefficient,
     init_factors,
     palm_baseline,
     rng_streams,
@@ -40,11 +39,16 @@ def small_tensor(seed=0, dims=(6, 5, 4), L=(2, 1)):
 
 
 def test_inertial_schedule_values():
-    assert inertial_coefficient(0.3, 0) == 0.0
-    assert inertial_coefficient(0.3, 1) == 0.0
-    assert inertial_coefficient(0.3, 2) == pytest.approx(0.3 / 4)
-    assert inertial_coefficient(0.3, -3) == 0.0  # pre-history indices never contribute
-    assert inertial_coefficient(0.3, 10**7) == pytest.approx(0.3, rel=1e-5)
+    """Lag 1 of step k weighs scale * (k-1)/(k+2): 0 before step 1, 0.3/4 at
+    step 2, near the scale at step 10**7."""
+    lag1 = epoch_coefficients(0.3, 0.8, 1, -3, 6)[:, :, 1]  # steps -3 to 2
+    assert lag1[:5].tolist() == [[0.0, 0.0]] * 5
+    assert lag1[5].tolist() == pytest.approx([0.3 / 4, 0.8 / 4])
+    assert epoch_coefficients(0.3, 0.8, 3, 0, 2)[:, :, 1:].tolist() == [[[0.0] * 3] * 2] * 2
+    far = epoch_coefficients(0.3, 0.8, 1, 10**7, 1)[0, :, 1]
+    assert far.tolist() == pytest.approx([0.3, 0.8], rel=1e-5)
+    # a negative scale gives -0.0 at step 1, as the scalar formula does
+    assert math.copysign(1.0, epoch_coefficients(-0.3, 0.8, 1, 1, 1)[0, 0, 1]) == -1.0
 
 
 def _window(hist, t):
@@ -155,22 +159,25 @@ def test_step_window_holds_the_point_and_last_steps(t):
 
 def test_epoch_coefficients_match_schedule():
     """Each step's row of the epoch table holds 1 (the weight of A_n) and then
-    `inertial_coefficient` of its lags, newest first, bit for bit: lag j of
-    step k + i sits at [i, :, j], for k from -8 to 10**6 (a negative scale
-    keeps the signed zero at k = 1)."""
+    the schedule of each scale at its lags, newest first, bit for bit against
+    the scalar formula: lag j of step k + i sits at [i, :, j], for k from -8
+    to 10**6 (a negative scale keeps the signed zero at step 1)."""
     for t in (0, 1, 3, 8):
         for k, count in ((-t, 9), (0, 6), (5, 6), (10**6 - 5, 6), (-8, 10**4)):
-            ks = range(k + 1 - t, k + count)
-            sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
-            got = epoch_coefficients(*sched, t)
+            got = epoch_coefficients(0.3, -0.8, t, k, count)
             assert got.shape == (count, 2, t + 1) and got.flags.c_contiguous
-            want = np.array([[[1.0, *(inertial_coefficient(s, k + i + 1 - j)
+            want = np.array([[[1.0, *(reference_inertial_weight(s, k + i + 1 - j)
                                       for j in range(1, t + 1))]
                               for s in (0.3, -0.8)] for i in range(count)])
             assert got.tobytes() == want.tobytes()
     ks = range(-8, 10**6 + 1)
-    sched = [[inertial_coefficient(s, m) for m in ks] for s in (0.3, -0.8)]
-    assert epoch_coefficients(*sched, 1)[:, :, 1].T.tobytes() == np.array(sched).tobytes()
+    sched = [[reference_inertial_weight(s, m) for m in ks] for s in (0.3, -0.8)]
+    got = epoch_coefficients(0.3, -0.8, 1, -8, len(ks))
+    assert got[:, :, 1].T.tobytes() == np.array(sched).tobytes()
+    # at t = 0 each step weighs A_n alone
+    for k, steps in ((0, 1), (7, 3), (10**6, 50)):
+        ones = np.ones((steps, 2, 1))
+        assert epoch_coefficients(-0.3, 0.8, 0, k, steps).tobytes() == ones.tobytes()
 
 
 def test_rng_streams_independent_and_reproducible():

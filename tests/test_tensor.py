@@ -92,7 +92,10 @@ def test_tensor_rejects_nonfinite():
     (lambda: DenseTensor3.from_flat(np.zeros(4), (2, -2, -1)), "dimensions must be positive"),
     (lambda: DenseTensor3.from_flat(np.zeros(7), (2, 2, 2)),
      r"flat data has 7 entries, dims \(2, 2, 2\) need 8"),
-], ids=["ndim-2", "ndim-4", "zero-dim", "negative-dims", "entry-count"])
+    (lambda: DenseTensor3(np.zeros((0, 3, 2))), r"dimensions must be positive, got \(0, 3, 2\)"),
+    (lambda: DenseTensor3(np.zeros((3, 0, 2))), r"dimensions must be positive, got \(3, 0, 2\)"),
+], ids=["ndim-2", "ndim-4", "zero-dim", "negative-dims", "entry-count", "array-zero-i1",
+        "array-zero-i2"])
 def test_tensor_rejects_malformed_shapes(build, match):
     with pytest.raises(ValueError, match=match):
         build()

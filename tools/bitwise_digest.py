@@ -15,10 +15,11 @@ keeps every bit.  `--quick` is a subset that takes about a second.
 
 After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
-default depth, included), `palm`, `als-mu`, `cli` and `blocked` (PALM and
+default depth, included), `palm`, `als-mu`, `cli`, `blocked` (PALM and
 ALS-MU on a shape whose tensor contractions take several BLAS calls, see
-`blocked_runs`).  When a change is meant to round one group differently,
-the others show that nothing else moved.
+`blocked_runs`) and `inertia` (signed and zero inertial scales at depths
+1-3, see `inertia_runs`).  When a change is meant to round one group
+differently, the others show that nothing else moved.
 """
 
 from __future__ import annotations
@@ -151,6 +152,24 @@ def blocked_runs(d: Digest):
     d.solve("blocked", f"{dims}/als-mu", als_mu_baseline, cfg, nonneg)
 
 
+# the inertial scales of the group `inertia`: signed and zero, which no run above takes
+INERTIA_SCALES = ((-0.3, 0.8), (0.3, -0.8), (0.0, 0.0))
+
+
+def inertia_runs(d: Digest):
+    """5-epoch SGD and SAGA runs at depths 1-3 under INERTIA_SCALES on the
+    first shape: the group `inertia`, which moves with the inertial weights."""
+    dims, widths = SHAPES[0]
+    ranks = RankVector(widths)
+    tensor, _ = generate(dims, ranks, 20.0, 300)
+    base = SolverConfig(ranks=ranks, epochs=5, seed=13, abs_tol=0.0)
+    for est in ("sgd", "saga"):
+        for t in (1, 2, 3):
+            for alpha0, beta0 in INERTIA_SCALES:
+                cfg = replace(base, estimator=est, t=t, alpha0=alpha0, beta0=beta0)
+                d.solve("inertia", f"{dims}/{est}/t{t}/{alpha0},{beta0}", run, cfg, tensor)
+
+
 def call_cli(d: Digest, label: str, argv, tmp: str):
     """main(argv)'s exit code, stdout and stderr, with `tmp` written as <tmp>."""
     out, err = io.StringIO(), io.StringIO()
@@ -244,6 +263,7 @@ def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
     solver_runs(d, quick)
     cli_runs(d, quick)
     blocked_runs(d)
+    inertia_runs(d)
     return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
