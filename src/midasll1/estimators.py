@@ -1,11 +1,14 @@
-"""Stochastic gradient estimators over fiber batches: vanilla SGD, SAGA, SARAH.
+"""Stochastic gradient estimators over fiber bins: vanilla SGD, SAGA, SARAH.
 
-The three share one protocol.  `draw(modes, rng)` gives the pick of each
-step of an epoch's modes, in step order: a batch of fiber indices (None for
-every fiber) for SGD and SARAH, a bin for SAGA.  `estimate(factors, t, mode,
-pick)` is the gradient estimate on that pick at the point `factors`, a
-deterministic function of (state, point, pick): all the randomness is in
-`draw`, which reads only the caller's generator.
+The three share one protocol.  Each mode's fibers are split once per run
+into J_n / B_n bins of B_n fibers: for SGD and SARAH the bins of one random
+permutation, drawn by the first `draw`, for SAGA consecutive fiber ranges.
+`draw(modes, rng)` gives the pick of each step of an epoch's modes, in step
+order: a bin, or None (every fiber) on a mode whose one batch is all of its
+fibers.  `estimate(factors, t, mode, pick)` is the gradient estimate on that
+pick at the point `factors`, a deterministic function of (state, point,
+pick): all the randomness is in `draw`, which reads only the caller's
+generator.
 
 A variance-reduced estimator in the sense used here keeps a mean squared
 error bound that contracts as the iterates converge; SAGA achieves this with
@@ -44,7 +47,11 @@ def batch_gradient(
     if idx is None:
         return full_gradient(factors, t, mode)
     a, b = fiber_coordinates(t.dims, mode, idx)
-    x = fiber_rows_at(t, mode, a, b)
+    return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b))
+
+
+def _rows_gradient(factors: LL1Factors, mode: int, a, b, x: np.ndarray) -> np.ndarray:
+    """`gradient_from_rows` at `factors` on the fibers at `(a, b)`, whose rows are `x`."""
     return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
 
 
@@ -56,7 +63,84 @@ def largest_divisor_at_most(jn: int, b: int) -> int:
 
 
 @dataclass
-class SagaState:
+class SgdState:
+    """Vanilla SGD on bins of B_n fibers per mode (B_n must divide J_n), no
+    gradient state.  `fibers[mode]` holds the coordinates of the mode's bins
+    (n_bins x B_n each, from `fiber_coordinates`): for SGD and SARAH slices of
+    one random permutation of its fibers, drawn by the first `draw` for each
+    mode with B_n < J_n.  A mode with B_n = J_n has no bins; its pick is None."""
+
+    dims: tuple[int, int, int]
+    batches: dict[int, int]
+    fibers: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        for mode, size in self.batches.items():
+            jn = row_count(self.dims, mode)
+            if size < 1 or jn % size:
+                raise ValueError(f"batch size {size} must divide J_{mode}={jn}")
+
+    def draw(self, modes: list[int], rng: np.random.Generator) -> list[int | None]:
+        """A bin for each step of `modes`: None on a mode without bins, 0 on a
+        mode of one bin, and one `rng.integers(n_bins)` draw for each other
+        step, all made in one call.  The first call on a state without bins
+        cuts them first, from one `rng.permutation(J_n)` per mode in order."""
+        if self.fibers is None:
+            jn = {n: row_count(self.dims, n) for n in self.batches}
+            self.fibers = {n: fiber_coordinates(self.dims, n, rng.permutation(jn[n]).reshape(-1, size))
+                           for n, size in sorted(self.batches.items()) if size < jn[n]}
+        bins = [0] + [len(self.fibers[m][0]) if m in self.fibers else 0 for m in (1, 2, 3)]
+        counts = np.array(bins)[modes]
+        picks = np.where(counts > 0, 0, None)
+        many = counts > 1
+        if many.any():
+            picks[many] = rng.integers(counts[many])
+        return picks.tolist()
+
+    def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
+        """The batch gradient on bin `pick` at `factors` (None: `full_gradient`)."""
+        if pick is None:
+            return full_gradient(factors, t, mode)
+        a, b = (c[pick] for c in self.fibers[mode])
+        return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b))
+
+
+@dataclass
+class SarahState(SgdState):
+    """Recursive difference direction per mode with periodic full restarts,
+    on SGD's bins.
+
+    At a restart (counter == 0) and on a mode without bins (pick None) the
+    direction is the exact full gradient at the current evaluation point,
+    and the step's bin goes unread; otherwise it is corrected by the bin
+    gradient difference between the current and the previously seen point,
+    both evaluated on one gather of the bin's rows.
+    """
+
+    q: dict[int, int]
+    v: dict[int, np.ndarray] = field(default_factory=dict)
+    prev_point: dict[int, LL1Factors] = field(default_factory=dict)
+    counter: dict[int, int] = field(default_factory=dict)
+
+    def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
+        """The direction at `factors` for bin `pick`.  `prev_point[mode]`
+        becomes `factors`."""
+        count = self.counter.get(mode, 0)
+        if count == 0 or pick is None:
+            v = full_gradient(factors, t, mode)
+        else:
+            a, b = (c[pick] for c in self.fibers[mode])
+            x = fiber_rows_at(t, mode, a, b)
+            v = (_rows_gradient(factors, mode, a, b, x)
+                 - _rows_gradient(self.prev_point[mode], mode, a, b, x) + self.v[mode])
+        self.v[mode] = v
+        self.prev_point[mode] = factors
+        self.counter[mode] = (count + 1) % self.q[mode]
+        return v
+
+
+@dataclass
+class SagaState(SgdState):
     """Per-mode gradient table over fixed disjoint fiber bins plus running mean.
 
     The table is warm-started with the bin gradients at the initial point, so
@@ -67,34 +151,27 @@ class SagaState:
     documented 1e-10 consistency bound.
 
     `table[mode]` stacks the bin gradients (n_bins x I_n x L).  Bin i of a
-    mode with batch size B holds fibers iB to iB + B - 1; `fibers[mode]`
-    holds their coordinates (n_bins x B each, from `fiber_coordinates`).
-    `_bin_rows` reads a bin's rows of the unfolding without an index
-    gather where it can: modes 1 and 3 slice views of the column-major
-    storage, and mode 2 gathers them with `fiber_rows_at`.  The rows only
-    enter the residual's subtraction, so their layout changes no bit.  The
-    warm start fills the table a chunk of bins at a time: one `_bin_rows`
-    for their rows, one `H_rows_at` and one stacked `gradient_from_rows`
-    written into the table in place (two BLAS calls per bin), which gives
-    every entry the bits of `batch_gradient` on that bin alone.
+    mode with batch size B holds fibers iB to iB + B - 1 (a mode of one bin
+    too), whose coordinates the warm start puts in `fibers`, and `_bin_rows`
+    reads its rows.  The warm start fills the table a chunk of bins at a
+    time: one `_bin_rows` for their rows, one `H_rows_at` and one stacked
+    `gradient_from_rows` written into the table in place (two BLAS calls per
+    bin), which gives every entry the bits of `batch_gradient` on that bin.
     """
 
-    table: dict[int, np.ndarray]
-    running_mean: dict[int, np.ndarray]
+    table: dict[int, np.ndarray] = field(default_factory=dict)
+    running_mean: dict[int, np.ndarray] = field(default_factory=dict)
     updates_since_recompute: dict[int, int] = field(default_factory=dict)
-    fibers: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def warm_start(
         cls, factors: LL1Factors, t: DenseTensor3, batches: dict[int, int]
     ) -> "SagaState":
         """The table at `factors` for each mode's batch size B, which must divide J_n."""
-        state = cls(table={}, running_mean={},
-                    updates_since_recompute={m: 0 for m in batches})
+        state = cls(t.dims, batches, updates_since_recompute={m: 0 for m in batches})
+        state.fibers = {}
         for mode, size in batches.items():
             jn = row_count(t.dims, mode)
-            if size < 1 or jn % size != 0:
-                raise ValueError(f"batch size {size} must divide J_{mode}={jn}")
             n_bins = jn // size
             a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(n_bins, size))
             state.fibers[mode] = (a, b)
@@ -114,27 +191,11 @@ class SagaState:
     def n_bins(self, mode: int) -> int:
         return len(self.table[mode])
 
-    def draw(self, modes: list[int], rng: np.random.Generator) -> list[int]:
-        """A bin for each step of `modes`: one draw of `rng.integers(n_bins(mode))`
-        per step whose mode has more than one bin (0 otherwise, as for a mode
-        the state does not hold), made in one call."""
-        counts = np.array([0] + [len(self.table.get(m, ())) for m in (1, 2, 3)])[modes]
-        ids = np.zeros(counts.size, dtype=np.intp)
-        many = counts > 1
-        if many.any():
-            ids[many] = rng.integers(counts[many])
-        return ids.tolist()
-
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int) -> np.ndarray:
         """g = fresh - stored + running_mean, with the fresh bin gradient
         taken at `factors`; then the table and mean are updated."""
-        a, b = self.fibers[mode]
-        a, b = a[bin_id], b[bin_id]
-        fresh = gradient_from_rows(
-            factors.factor(mode),
-            H_rows_at(factors, mode, a, b),
-            _bin_rows(t, mode, a, b, bin_id * a.size),
-        )
+        a, b = (c[bin_id] for c in self.fibers[mode])
+        fresh = _rows_gradient(factors, mode, a, b, _bin_rows(t, mode, a, b, bin_id * a.size))
         table = self.table[mode]
         diff = fresh - table[bin_id]
         mean = self.running_mean[mode]
@@ -157,8 +218,9 @@ class SagaState:
 def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: int) -> np.ndarray:
     """The rows of the mode-n unfolding for the consecutive fibers `start`,
     `start + 1`, ... at the 1-D coordinates `(a, b)`: the rows of
-    `fiber_rows_at`, for modes 1 and 3 as a view of the tensor's storage
-    without its index gather (see `SagaState`)."""
+    `fiber_rows_at`, for modes 1 and 3 as a view of the column-major storage
+    without its index gather.  The rows only enter the residual's
+    subtraction, so their layout changes no bit."""
     stop = start + a.size
     if mode == 1:
         return t.array.T.reshape(-1, t.dims[0])[start:stop]
@@ -172,68 +234,6 @@ def _table_mean(grads: np.ndarray) -> np.ndarray:
     over the outer axis adds whole bins in turn, and starting from -0.0
     keeps a sum of signed zeros signed, as the sum of the bins alone is."""
     return np.add.reduce(grads, axis=0, initial=-0.0) / len(grads)
-
-
-@dataclass
-class SgdState:
-    """Vanilla SGD: uniform fiber batches of size B_n per mode, no gradient
-    state; `estimate` is `batch_gradient`."""
-
-    dims: tuple[int, int, int]
-    batches: dict[int, int]
-
-    estimate = staticmethod(batch_gradient)
-
-    def draw(self, modes: list[int], rng: np.random.Generator) -> list[np.ndarray | None]:
-        """Fibers for each step of `modes`: None (every fiber, no draw) where
-        B_n = J_n, otherwise B_n distinct fibers of J_n from one `rng.choice`
-        call without replacement."""
-        jn = {n: row_count(self.dims, n) for n in self.batches}
-        return [None if self.batches[n] == jn[n]
-                else rng.choice(jn[n], size=self.batches[n], replace=False) for n in modes]
-
-
-@dataclass
-class SarahState(SgdState):
-    """Recursive difference direction per mode with periodic full restarts,
-    on SGD's fiber batches.
-
-    At a restart (counter == 0) the direction is the exact full gradient at
-    the current evaluation point, and the step's batch goes unread;
-    otherwise it is corrected by the batch gradient difference between the
-    current and the previously seen point, both evaluated on one gather of
-    the batch's rows.
-    """
-
-    q: dict[int, int]
-    v: dict[int, np.ndarray] = field(default_factory=dict)
-    prev_point: dict[int, LL1Factors] = field(default_factory=dict)
-    counter: dict[int, int] = field(default_factory=dict)
-
-    def estimate(
-        self, factors: LL1Factors, t: DenseTensor3, mode: int, idx: np.ndarray | None
-    ) -> np.ndarray:
-        """The direction at `factors` for the batch of fiber indices `idx`
-        (None: every fiber), which must be distinct and in range (they are not
-        checked).  `prev_point[mode]` becomes `factors`."""
-        c = self.counter.get(mode, 0)
-        if c == 0:
-            v = full_gradient(factors, t, mode)
-        else:
-            if idx is None:
-                idx = np.arange(row_count(t.dims, mode))
-            a, b = fiber_coordinates(t.dims, mode, idx)
-            x = fiber_rows_at(t, mode, a, b)
-            prev = self.prev_point[mode]
-            v = (
-                gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
-                - gradient_from_rows(prev.factor(mode), H_rows_at(prev, mode, a, b), x)
-                + self.v[mode]
-            )
-        self.v[mode] = v
-        self.prev_point[mode] = factors
-        self.counter[mode] = (c + 1) % self.q[mode]
-        return v
 
 
 def estimator_mse_probe(

@@ -4,8 +4,8 @@ One iteration picks a mode (uniformly at random or cyclically), samples a
 fiber batch, forms two extrapolated points from the mode's recent iterates
 (one for the gradient evaluation, one as the proximal anchor), takes a
 stochastic proximal gradient step on that mode and leaves the others
-untouched.  An epoch is sum_n ceil(J_n / B_n) iterations, i.e. one expected
-pass over each mode's fibers.  The default step of mode n is STEP_SCALE / L_n,
+untouched.  An epoch is sum_n J_n / B_n iterations, i.e. one expected pass
+over each mode's fibers.  The default step of mode n is STEP_SCALE / L_n,
 refreshed at each epoch start, so it carries no units of the data.
 
 The deterministic proximal baseline (PALM) is a configuration of the same
@@ -234,18 +234,10 @@ def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
 
 
 def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
-    """Per-mode batch size: clamped to J_n, and for SAGA reduced to the
-    largest divisor of J_n so that fixed disjoint bins tile the fibers.  B = 0
-    takes 2 * max L_r."""
+    """Per-mode batch size: the largest divisor of J_n at most B, so that the
+    estimator's bins tile the fibers; B = 0 takes 2 * max L_r."""
     b = config.B if config.B > 0 else 2 * max(config.ranks.L)
-    out = {}
-    for n in (1, 2, 3):
-        jn = row_count(dims, n)
-        bn = min(b, jn)
-        if config.estimator == "saga":
-            bn = largest_divisor_at_most(jn, bn)
-        out[n] = bn
-    return out
+    return {n: largest_divisor_at_most(row_count(dims, n), b) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -313,9 +305,9 @@ def run(
     `StepWindow`, a step builds two points with `LL1Factors.replaced` (the
     gradient point, and from it the new iterate), the proximal step
     writes the new iterate over the anchor in that product's array, and an
-    epoch's modes, picks (the estimator's `draw`: fiber batches or SAGA bins)
-    and inertial coefficients are drawn or built once each (the same values
-    as one draw per step).  The point returned is constructed anew: it owns
+    epoch's modes, picks (the estimator's `draw`: a bin, or None for every
+    fiber) and inertial coefficients are drawn or built once each (the same
+    values as one draw per step).  The point returned is constructed anew: it owns
     its read-only factor arrays and keeps nothing else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
@@ -331,7 +323,7 @@ def run(
     streams = rng_streams(config.seed)
     factors = init_factors(config, dims, streams["init"])
     batches = effective_batches(config, dims)
-    iters_per_mode = {n: math.ceil(row_count(dims, n) / batches[n]) for n in (1, 2, 3)}
+    iters_per_mode = {n: row_count(dims, n) // batches[n] for n in (1, 2, 3)}
     iters_per_epoch = sum(iters_per_mode.values())
 
     if config.estimator == "saga":
@@ -368,7 +360,7 @@ def run(
                 modes = [1 + (k + i) % 3 for i in range(iters_per_epoch)]
             else:
                 modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
-            # each step's bin (SAGA) or fibers (None: all of them), in step order
+            # each step's bin (None: every fiber), in step order
             picks = state.draw(modes, rng_fiber)
             coefs = epoch_coefficients(config.alpha0, config.beta0, depth, k, iters_per_epoch)
             for i, (n, pick) in enumerate(zip(modes, picks)):

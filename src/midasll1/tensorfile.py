@@ -39,15 +39,16 @@ def _read_header(line: bytes, magic: bytes, n_dims: int, path: str) -> tuple[int
         raise FormatError(f"{path}: bad magic {header[:len(magic)]!r}", 0)
     if len(parts) != 2 + n_dims:
         raise FormatError(f"{path}: expected {n_dims} dimensions in header", len(magic))
-    dims = []
+    dims, offset = [], len(magic) + 1  # each field's offset, as the split found it
     for p in parts[2:]:
         try:
             d = int(p)
         except ValueError:
-            raise FormatError(f"{path}: non-integer dimension {p!r}", header.find(p)) from None
+            raise FormatError(f"{path}: non-integer dimension {p!r}", offset) from None
         if d <= 0:
-            raise FormatError(f"{path}: nonpositive dimension {d}", header.find(p))
+            raise FormatError(f"{path}: nonpositive dimension {d}", offset)
         dims.append(d)
+        offset += len(p) + 1
     return tuple(dims)
 
 
@@ -55,7 +56,8 @@ def _read_file(path, magic: bytes, n_dims: int) -> tuple[tuple[int, ...], np.nda
     """Header dims, the payload as a new aligned float64 array and the
     payload's byte offset.  The payload is read straight into that array; for
     a regular file, only after the file size has been checked against the
-    header.  A pipe has no size, so its length is checked as it is read."""
+    header.  A pipe has no size, so its length is checked as it is read,
+    also when its header promises more than can be allocated."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
@@ -67,7 +69,12 @@ def _read_file(path, magic: bytes, n_dims: int) -> tuple[tuple[int, ...], np.nda
             raise FormatError(
                 f"{path}: payload has {st.st_size - start} bytes, expected {8 * count}", start
             )
-        flat = np.empty(count, dtype="<f8")
+        try:
+            flat = np.empty(count, dtype="<f8")
+        except MemoryError:
+            if stat.S_ISREG(st.st_mode):
+                raise
+            flat = np.empty(0)  # a pipe: its length, read below, is the error
         got = fh.readinto(flat)
         got += len(fh.read())  # whatever follows the payload: a wrong length
     if got != 8 * count:

@@ -207,10 +207,13 @@ def run_reference(config, tensor):
     table and SARAH recursion inline, so that `run` is checked bit for bit
     against code that shares none of its loop, caches or estimator state.
 
-    Draws from the same streams in the same order as `run`: one mode draw
-    per step, then (SAGA) one bin draw when the mode has more than one bin,
-    or (SGD, SARAH) one `choice` of the batch. Returns the final factors and
-    a `RunTrace` without elapsed times.  Each epoch's f and phi come from
+    Draws from the same streams in the same order as `run`: for SGD and
+    SARAH first one permutation of each mode's fibers with B_n < J_n, in mode
+    order, cut into consecutive bins of B_n (SAGA's bins are the fibers in
+    order); then one mode draw per step and one bin draw when the mode has
+    more than one bin. A mode without bins (SGD and SARAH with B_n = J_n)
+    takes the full gradient. Returns the final factors and a `RunTrace`
+    without elapsed times.  Each epoch's f and phi come from
     `model.objective`, which `test_model.py` checks against
     `reference_objective`.
     """
@@ -219,25 +222,27 @@ def run_reference(config, tensor):
     factors = init_factors(config, dims, streams["init"])
     batches = effective_batches(config, dims)
     jn = {n: row_count(dims, n) for n in (1, 2, 3)}
-    iters_per_epoch = sum(math.ceil(jn[n] / batches[n]) for n in (1, 2, 3))
+    iters_per_epoch = sum(jn[n] // batches[n] for n in (1, 2, 3))
     est = config.estimator
+    rng_mode, rng_fiber = streams["mode"], streams["fiber"]
 
-    if est == "saga":
-        bins = {n: [np.arange(i * batches[n], (i + 1) * batches[n])
-                    for i in range(jn[n] // batches[n])] for n in (1, 2, 3)}
+    if est != "saga":  # `run` draws these at its first epoch, before any bin
+        bins = {n: rng_fiber.permutation(jn[n]).reshape(-1, batches[n])
+                for n in (1, 2, 3) if batches[n] < jn[n]}
+    else:
+        bins = {n: np.arange(jn[n]).reshape(-1, batches[n]) for n in (1, 2, 3)}
         table = {n: [_batch_gradient(factors, tensor, n, idx) for idx in bins[n]]
                  for n in (1, 2, 3)}
         mean = {n: sum(table[n][1:], start=table[n][0].copy()) / len(table[n])
                 for n in (1, 2, 3)}
         since = {n: 0 for n in (1, 2, 3)}
     if est == "sarah":
-        q = {n: config.sarah_q if config.sarah_q > 0 else math.ceil(jn[n] / batches[n])
+        q = {n: config.sarah_q if config.sarah_q > 0 else jn[n] // batches[n]
              for n in (1, 2, 3)}
         v, prev, counter = {}, {}, {n: 0 for n in (1, 2, 3)}
 
     history = {n: deque([factors.factor(n)], maxlen=config.t + 2) for n in (1, 2, 3)}
     trace = RunTrace()
-    rng_mode, rng_fiber = streams["mode"], streams["fiber"]
     k = 0
     last_step_norm = 0.0
     for epoch in range(config.epochs):
@@ -276,9 +281,11 @@ def run_reference(config, tensor):
                 eta = config.eta
             last_eta[n - 1] = eta
 
-            if est == "saga":
+            bin_id = None
+            if n in bins:
                 nb = len(bins[n])
                 bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
+            if est == "saga":
                 fresh = _batch_gradient(factors_u, tensor, n, bins[n][bin_id])
                 stored = table[n][bin_id]
                 g = fresh - stored + mean[n]
@@ -288,23 +295,17 @@ def run_reference(config, tensor):
                 if since[n] >= nb:
                     mean[n] = sum(table[n][1:], start=table[n][0].copy()) / nb
                     since[n] = 0
-            elif est == "sgd" and batches[n] == jn[n]:
+            elif bin_id is None or (est == "sarah" and counter[n] == 0):
                 g = reference_full_gradient(factors_u, tensor, n)
+            elif est == "sgd":
+                g = _batch_gradient(factors_u, tensor, n, bins[n][bin_id])
             else:
-                if batches[n] == jn[n]:
-                    idx = np.arange(jn[n])
-                else:
-                    idx = rng_fiber.choice(jn[n], size=batches[n], replace=False)
-                if est == "sgd":
-                    g = _batch_gradient(factors_u, tensor, n, idx)
-                elif counter[n] == 0:
-                    g = reference_full_gradient(factors_u, tensor, n)
-                else:
-                    g = (_batch_gradient(factors_u, tensor, n, idx)
-                         - _batch_gradient(prev[n], tensor, n, idx) + v[n])
-                if est == "sarah":
-                    v[n], prev[n] = g, factors_u
-                    counter[n] = (counter[n] + 1) % q[n]
+                idx = bins[n][bin_id]
+                g = (_batch_gradient(factors_u, tensor, n, idx)
+                     - _batch_gradient(prev[n], tensor, n, idx) + v[n])
+            if est == "sarah":
+                v[n], prev[n] = g, factors_u
+                counter[n] = (counter[n] + 1) % q[n]
 
             a_new = prox(config.reg, y_anchor - eta * g, eta)
             if not np.isfinite(a_new).all():

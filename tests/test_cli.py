@@ -69,21 +69,26 @@ def test_tensor_payload_is_column_major(tmp_path):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [
-        lambda raw: b"XTENSOR" + raw[7:],            # bad magic
-        lambda raw: raw.replace(b"\n", b" ", 1),     # header newline removed
-        lambda raw: raw[:-4],                        # truncated payload
-        lambda raw: raw.replace(b" 3\n", b" x\n"),   # non-integer dim
-        lambda raw: raw.replace(b" 3\n", b" -3\n"),  # nonpositive dim
+    [  # each gives the bytes and the offset of the error (None: the payload's bytes decide)
+        lambda raw: (b"XTENSOR" + raw[7:], 0),             # bad magic
+        lambda raw: (raw.replace(b"\n", b" ", 1), None),   # header newline removed
+        lambda raw: (raw[:-4], 16),                        # truncated payload
+        lambda raw: (raw.replace(b" 3\n", b" x\n"), 14),   # non-integer dim
+        lambda raw: (raw.replace(b" 3\n", b" -3\n"), 14),  # nonpositive dim
+        # a dim whose text also occurs earlier: "0" at 13, not inside "20" at 11
+        lambda raw: (b"DTENSOR 1 20 0 3\n" + raw[16:], 13),
     ],
 )
 def test_malformed_tensor_files(tmp_path, tensor_file, corrupt):
     path, _ = tensor_file
+    assert path.read_bytes().startswith(b"DTENSOR 1 5 4 3\n")
+    data, offset = corrupt(path.read_bytes())
     bad = tmp_path / "bad.dten"
-    bad.write_bytes(corrupt(path.read_bytes()))
+    bad.write_bytes(data)
     with pytest.raises(tensorfile.FormatError) as exc:
         tensorfile.read_tensor(bad)
     assert exc.value.offset >= 0
+    assert offset is None or exc.value.offset == offset
 
 
 def test_csv_import(tmp_path):

@@ -68,10 +68,15 @@ def test_partition_average_is_unbiased(mode):
 
 
 def test_warm_start_rejects_nondivisor_batch():
+    """SAGA's warm start and SGD's and SARAH's constructor take only bins
+    that tile the fibers."""
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
     for mode, b in ((1, 4), (2, 5), (3, 3), (1, 0)):
-        with pytest.raises(ValueError, match=f"must divide J_{mode}"):
-            SagaState.warm_start(f, t, {mode: b})
+        for make in (lambda: SagaState.warm_start(f, t, {mode: b}),
+                     lambda: SgdState(t.dims, {mode: b}),
+                     lambda: SarahState(t.dims, {mode: b}, q={mode: 2})):
+            with pytest.raises(ValueError, match=f"must divide J_{mode}"):
+                make()
 
 
 def test_largest_divisor_at_most():
@@ -103,26 +108,50 @@ def test_saga_draw_is_one_integers_draw_per_multi_bin_step():
                                                                     np.random.default_rng(4))
 
 
-def test_sgd_draw_is_one_choice_per_partial_batch_step():
-    """A full batch (B_n = J_n) is None, every fiber, and leaves the generator
-    as it was; a partial batch is one `rng.choice(J_n, B_n, replace=False)`
-    per step, in step order.  SARAH inherits the draw."""
-    f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
-    rng = np.random.default_rng(3)
-    before = rng.bit_generator.state
-    assert SgdState(t.dims, {1: 15, 2: 12, 3: 20}).draw([1, 3, 2, 2, 1], rng) == [None] * 5
-    assert rng.bit_generator.state == before
+class CountingRng:
+    """A generator that records the name of each method called on it."""
 
-    batches = {1: 4, 2: 12, 3: 7}  # mode 2 takes every fiber
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+def test_sgd_draw_takes_bins_of_one_random_partition():
+    """SGD's and SARAH's first draw cuts one `rng.permutation(J_n)` per mode
+    with B_n < J_n, in mode order, into consecutive bins of B_n fibers, which
+    cover each fiber once and serve every later draw; each draw's picks are
+    one `rng.integers` call over the steps' bin counts.  A full batch
+    (B_n = J_n) is None, every fiber: it has no partition and draws nothing."""
+    f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
+    rng = CountingRng(np.random.default_rng(3))
+    full = SgdState(t.dims, {1: 15, 2: 12, 3: 20})
+    assert full.draw([1, 3, 2, 2, 1], rng) == [None] * 5
+    assert full.fibers == {} and rng.calls == []
+
+    batches = {3: 4, 2: 12, 1: 5}  # mode 2 takes every fiber; the dict's order is free
     modes = np.random.default_rng(1).integers(1, 4, size=60).tolist()
-    ref = np.random.default_rng(2)
-    want = [None if n == 2 else ref.choice(row_count(t.dims, n), batches[n], replace=False).tolist()
-            for n in modes]
     for st in (SgdState(t.dims, batches), SarahState(t.dims, batches, q={1: 2, 2: 2, 3: 2})):
-        rng = np.random.default_rng(2)
-        picks = st.draw(modes, rng)
-        assert [None if p is None else p.tolist() for p in picks] == want
-        assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = CountingRng(np.random.default_rng(2)), np.random.default_rng(2)
+        perms = {n: ref.permutation(row_count(t.dims, n)).reshape(-1, batches[n]) for n in (1, 3)}
+        for epoch in range(3):
+            picks = st.draw(modes, rng)
+            assert rng.calls == ["permutation"] * 2 * (epoch == 0) + ["integers"]
+            rng.calls.clear()
+            ids = iter(ref.integers([len(perms[n]) for n in modes if n != 2]).tolist())
+            assert picks == [None if n == 2 else next(ids) for n in modes]
+            assert all(type(p) is int for p in picks if p is not None)
+            assert rng.rng.bit_generator.state == ref.bit_generator.state
+            assert sorted(st.fibers) == [1, 3]
+            for n in (1, 3):
+                a, b = st.fibers[n]
+                want_a, want_b = fiber_coordinates(t.dims, n, perms[n])
+                assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+                assert len(set(zip(a.ravel().tolist(), b.ravel().tolist()))) == row_count(t.dims, n)
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
@@ -175,24 +204,28 @@ def test_saga_expectation_over_bins_is_exact_gradient():
 def test_sarah_restart_is_full_gradient():
     f, t = make_problem(seed=9)
     mode = 1
-    st = SarahState(t.dims, {mode: 4}, q={mode: 3})
-    g = st.estimate(f, t, mode, np.arange(4))
+    st = SarahState(t.dims, {mode: 5}, q={mode: 3})
+    g = st.estimate(f, t, mode, 0)  # a restart reads no bin, so none is drawn yet
     np.testing.assert_array_equal(g, full_gradient(f, t, mode))
     assert st.counter[mode] == 1
 
 
 def test_sarah_recursion_telescopes_with_full_batches():
-    """With full-index batches the recursive correction keeps v equal to the
-    exact gradient at every step, not just at restarts."""
+    """With a bin of every fiber the recursive correction keeps v equal to
+    the exact gradient at every step, not just at restarts; a full batch
+    (pick None) takes that gradient itself, bit for bit."""
     f, t = make_problem(seed=10)
     mode = 2
     jn = row_count(t.dims, mode)
     st = SarahState(t.dims, {mode: jn}, q={mode: 10})
+    one_bin = copy.deepcopy(st)
+    one_bin.fibers = {mode: fiber_coordinates(t.dims, mode, np.arange(jn).reshape(1, jn))}
     point = f
     rng = np.random.default_rng(11)
     for _ in range(5):
-        v = st.estimate(point, t, mode, np.arange(jn))
+        v = one_bin.estimate(point, t, mode, 0)
         assert np.abs(v - full_gradient(point, t, mode)).max() <= 1e-12
+        assert st.estimate(point, t, mode, None).tobytes() == full_gradient(point, t, mode).tobytes()
         point = point.replaced(
             mode, point.factor(mode) + 0.1 * rng.standard_normal(point.factor(mode).shape)
         )
@@ -201,24 +234,24 @@ def test_sarah_recursion_telescopes_with_full_batches():
 def test_sarah_counter_wraps_to_restart():
     f, t = make_problem(seed=12)
     mode = 3
-    st = SarahState(t.dims, {mode: 3}, q={mode: 2})
-    idx = np.arange(3)
-    st.estimate(f, t, mode, idx)
-    st.estimate(f, t, mode, idx)
+    st = SarahState(t.dims, {mode: 4}, q={mode: 2})
+    (pick,) = st.draw([mode], np.random.default_rng(0))
+    st.estimate(f, t, mode, pick)
+    st.estimate(f, t, mode, pick)
     assert st.counter[mode] == 0  # next call restarts
     f2, _ = make_problem(seed=13)
-    g = st.estimate(f2, t, mode, idx)
+    g = st.estimate(f2, t, mode, pick)
     np.testing.assert_array_equal(g, full_gradient(f2, t, mode))
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     """A SARAH restart gathers nothing (it takes the full gradient); a step
-    between restarts gathers its batch's rows once for both points, and with
-    every fiber (`idx` None) gathers all of them, with the bits of passing
-    `np.arange(J_n)`."""
-    f, t = make_problem(seed=22)
-    jn = row_count(t.dims, mode)
+    between restarts gathers its bin's rows once for both points.  A full
+    batch (pick None) gathers nothing either: its direction is the full
+    gradient at every step."""
+    f, t = make_problem(seed=22)  # J_1 = 15, J_2 = 12, J_3 = 20
+    b_n = {1: 3, 2: 3, 3: 4}[mode]
     gathered = []
 
     def counting(t, mode, a, b):
@@ -227,16 +260,24 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
 
     monkeypatch.setattr(estimators, "fiber_rows_at", counting)
     point = f.replaced(mode, 0.5 * f.factor(mode))
-    for idx in (np.array([4, 0, 7]), None):
-        st = SarahState(t.dims, {mode: 3}, q={mode: 3})
-        st.estimate(f, t, mode, idx)
-        assert gathered == []
-        twin = copy.deepcopy(st)
-        v = st.estimate(point, t, mode, idx)
-        assert gathered == [3 if idx is not None else jn]
-        want = twin.estimate(point, t, mode, np.arange(jn) if idx is None else idx)
-        assert v.tobytes() == want.tobytes()
-        gathered.clear()
+    st = SarahState(t.dims, {mode: b_n}, q={mode: 3})
+    (pick,) = st.draw([mode], np.random.default_rng(5))
+    st.estimate(f, t, mode, pick)
+    assert gathered == []
+    v = st.estimate(point, t, mode, pick)
+    assert gathered == [b_n]
+    a, b = (c[pick] for c in st.fibers[mode])
+    x = fiber_rows_at(t, mode, a, b)
+    want = (gradient_from_rows(point.factor(mode), H_rows_at(point, mode, a, b), x)
+            - gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a, b), x)
+            + full_gradient(f, t, mode))
+    assert v.tobytes() == want.tobytes()
+    full = SarahState(t.dims, {mode: row_count(t.dims, mode)}, q={mode: 3})
+    assert full.draw([mode], np.random.default_rng(5)) == [None]
+    full.estimate(f, t, mode, None)
+    v = full.estimate(point, t, mode, None)
+    assert gathered == [b_n]
+    assert v.tobytes() == full_gradient(point, t, mode).tobytes()
 
 
 def test_probe_zero_mse_for_full_batch_sgd():
@@ -263,8 +304,8 @@ def test_probe_does_not_mutate_state():
     sarah = SarahState(t.dims, {mode: 4}, q={mode: 4})
     rng = np.random.default_rng(2)
     point = f
-    for _ in range(3):
-        sarah.estimate(point, t, mode, rng.choice(row_count(t.dims, mode), 4, replace=False))
+    for pick in sarah.draw([mode] * 3, rng):
+        sarah.estimate(point, t, mode, pick)
         a = point.factor(mode)
         point = point.replaced(mode, a + 0.01 * rng.standard_normal(a.shape))
     before = copy.deepcopy(sarah)
@@ -313,7 +354,7 @@ def test_sarah_state_copy_holds_no_tensor():
 def test_probe_returns_draws():
     f, t = make_problem(seed=16)
     mse, draws = estimator_mse_probe(
-        SgdState(t.dims, {1: 2}), f, t, 1, 30, np.random.default_rng(2), return_draws=True
+        SgdState(t.dims, {1: 3}), f, t, 1, 30, np.random.default_rng(2), return_draws=True
     )
     assert draws.shape == (30,)
     assert mse == pytest.approx(draws.mean())
@@ -323,7 +364,7 @@ def test_probe_returns_draws():
 def test_probe_rejects_bad_args():
     f, t = make_problem(seed=17)
     with pytest.raises(ValueError):
-        estimator_mse_probe(SgdState(t.dims, {1: 2}), f, t, 1, 0, np.random.default_rng(0))
+        estimator_mse_probe(SgdState(t.dims, {1: 3}), f, t, 1, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
@@ -448,13 +489,14 @@ def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
 @pytest.mark.parametrize("estimator", ["sgd", "sarah"])
 def test_sampled_rows_are_rows_of_the_unfolding(estimator, monkeypatch):
     """Each row SGD and SARAH gather in `run` is a row of the unfolding, bit
-    for bit (the modes of (5, 7, 4) differ in I_n, so a batch's width names
-    its mode)."""
+    for bit, in bins of the mode's batch size: 4, 4 and 1 fibers, the largest
+    divisors of J = (28, 20, 35) at most B = 4 (the modes of (5, 7, 4)
+    differ in I_n, so a batch's width names its mode)."""
     f, t = make_problem(seed=13, dims=(5, 7, 4), L=(2, 1))
     seen = _record_rows(monkeypatch)
     run(SolverConfig(ranks=f.ranks, estimator=estimator, epochs=2, B=4, seed=1), t)
     rows = {t.dims[m - 1]: {r.tobytes() for r in unfold(t, m)} for m in (1, 2, 3)}
     assert len({x.shape[1] for x in seen}) == 3
     for x in seen:
-        assert x.shape[0] == 4
+        assert x.shape[0] == {5: 4, 7: 4, 4: 1}[x.shape[1]]
         assert all(r.tobytes() in rows[x.shape[1]] for r in x)

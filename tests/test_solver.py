@@ -241,19 +241,21 @@ def test_numpy_integer_config_runs_as_plain_ints(estimator):
 
 
 def test_default_batch_size_is_twice_max_block():
-    """B = 0 takes 2 * max L_r = 6, clamped to J_3 = 4; a given B is kept."""
-    dims = (2, 2, 10)  # J = (20, 20, 4)
+    """B = 0 takes 2 * max L_r = 6, clamped to J_3 = 4; a given B that
+    divides J_n is kept."""
+    dims = (2, 2, 12)  # J = (24, 24, 4)
     cfg = SolverConfig(ranks=RankVector((2, 3)), estimator="sgd")
     assert effective_batches(cfg, dims) == {1: 6, 2: 6, 3: 4}
-    assert effective_batches(replace(cfg, B=5), dims) == {1: 5, 2: 5, 3: 4}
+    assert effective_batches(replace(cfg, B=8), dims) == {1: 8, 2: 8, 3: 4}
 
 
 def test_effective_batches_saga_divisor():
-    cfg = SolverConfig(ranks=RankVector((2, 3)), estimator="saga", B=7)
-    # J = (20, 30, 12) for dims (3, 2, 10)... use explicit dims
-    out = effective_batches(cfg, (3, 2, 10))
-    # J1 = 2*10 = 20 -> largest divisor <= 7 is 5; J2 = 30 -> 6; J3 = 6 -> 6
-    assert out == {1: 5, 2: 6, 3: 6}
+    """Every estimator's batch is the largest divisor of J_n at most B, as
+    SAGA's always was, so that its bins tile the fibers."""
+    for estimator in ("sgd", "saga", "sarah"):
+        cfg = SolverConfig(ranks=RankVector((2, 3)), estimator=estimator, B=7)
+        # J1 = 2*10 = 20 -> largest divisor <= 7 is 5; J2 = 30 -> 6; J3 = 6 -> 6
+        assert effective_batches(cfg, (3, 2, 10)) == {1: 5, 2: 6, 3: 6}
 
 
 def test_effective_batches_clamped_to_jn():
@@ -333,8 +335,8 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
-# a depth beyond the 21 steps of one SGD epoch, so every step has zero rows
-REFERENCE_CASES.append({"estimator": "sgd", "t": 24, "epochs": 1})
+# a depth beyond the 47 steps of one SGD epoch, so every step has zero rows
+REFERENCE_CASES.append({"estimator": "sgd", "t": 48, "epochs": 1})
 # 87-99 steps per mode (47 SAGA steps an epoch), so each mode's window moves
 # back to its buffer's end, once every t + 1 steps, at least 29 times at t = 2
 # and 9 times at t = 8; t = 8 at the default inertia collapses a block by

@@ -208,7 +208,8 @@ def _read_through_pipe(read, data: bytes):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_reads_like_a_file(tmp_path):
     """A stream has no size to check up front; it reads to the same bits, and
-    a stream of the wrong length gives the file's `FormatError`."""
+    a stream of the wrong length gives the file's `FormatError`, also when
+    its header promises more than can be allocated (7.11 PiB here)."""
     raw = small_tensor_bytes(tmp_path)
     t = _read_through_pipe(tensorfile.read_tensor, raw)
     assert t.array.tobytes() == tensorfile.read_tensor(tmp_path / "x.dten").array.tobytes()
@@ -216,13 +217,15 @@ def test_pipe_reads_like_a_file(tmp_path):
     tensorfile.write_matrix(tmp_path / "m.dmat", m)
     back = _read_through_pipe(tensorfile.read_matrix, (tmp_path / "m.dmat").read_bytes())
     assert back.tobytes() == m.tobytes()
-    for bad in (raw[:-1], raw[:len(HEADER)], raw + b"\0" * 9):
+    huge = b"DTENSOR 1 100000 100000 100000\n"
+    for bad, start in ((raw[:-1], len(HEADER)), (raw[:len(HEADER)], len(HEADER)),
+                       (raw + b"\0" * 9, len(HEADER)), (huge + b"\0" * 64, len(huge))):
         (tmp_path / "bad.dten").write_bytes(bad)
         with pytest.raises(tensorfile.FormatError) as from_file:
             tensorfile.read_tensor(tmp_path / "bad.dten")
         with pytest.raises(tensorfile.FormatError) as from_pipe:
             _read_through_pipe(tensorfile.read_tensor, bad)
-        assert from_pipe.value.offset == from_file.value.offset == len(HEADER)
+        assert from_pipe.value.offset == from_file.value.offset == start
         assert str(from_pipe.value).split(": ", 1)[1] == str(from_file.value).split(": ", 1)[1]
 
 
