@@ -4,11 +4,10 @@ The three share one protocol.  Each mode's fibers are split once per run
 into J_n / B_n bins of B_n fibers: for SGD and SARAH the bins of one random
 permutation, drawn by the first `draw`, for SAGA consecutive fiber ranges.
 `draw(modes, rng)` gives the pick of each step of an epoch's modes, in step
-order: a bin, or None (every fiber) on a mode whose one batch is all of its
-fibers.  `estimate(factors, t, mode, pick)` is the gradient estimate on that
-pick at the point `factors`, a deterministic function of (state, point,
-pick): all the randomness is in `draw`, which reads only the caller's
-generator.
+order: a bin, or for SGD and SARAH None (every fiber) where B_n = J_n.
+`estimate(factors, t, mode, pick)` is the gradient estimate on that pick at
+the point `factors`, a deterministic function of (state, point, pick): all
+the randomness is in `draw`, which reads only the caller's generator.
 
 A variance-reduced estimator in the sense used here keeps a mean squared
 error bound that contracts as the iterates converge; SAGA achieves this with
@@ -93,15 +92,15 @@ class SgdState:
         counts = np.array(bins)[modes]
         picks = np.where(counts > 0, 0, None)
         many = counts > 1
-        if many.any():
-            picks[many] = rng.integers(counts[many])
+        picks[many] = rng.integers(counts[many])  # an empty draw leaves `rng` as it was
         return picks.tolist()
 
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
         """The batch gradient on bin `pick` at `factors` (None: `full_gradient`)."""
         if pick is None:
             return full_gradient(factors, t, mode)
-        a, b = (c[pick] for c in self.fibers[mode])
+        a, b = self.fibers[mode]
+        a, b = a[pick], b[pick]
         return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b))
 
 
@@ -129,7 +128,8 @@ class SarahState(SgdState):
         if count == 0 or pick is None:
             v = full_gradient(factors, t, mode)
         else:
-            a, b = (c[pick] for c in self.fibers[mode])
+            a, b = self.fibers[mode]
+            a, b = a[pick], b[pick]
             x = fiber_rows_at(t, mode, a, b)
             v = (_rows_gradient(factors, mode, a, b, x)
                  - _rows_gradient(self.prev_point[mode], mode, a, b, x) + self.v[mode])
@@ -173,8 +173,7 @@ class SagaState(SgdState):
         for mode, size in batches.items():
             jn = row_count(t.dims, mode)
             n_bins = jn // size
-            a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(n_bins, size))
-            state.fibers[mode] = (a, b)
+            state.fibers[mode] = a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(-1, size))
             i_n, width = factors.factor(mode).shape
             step = max(1, _WARM_CHUNK_BYTES // (8 * size * (2 * i_n + width)))
             state.table[mode] = grads = np.empty((n_bins, i_n, width))
@@ -194,7 +193,8 @@ class SagaState(SgdState):
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int) -> np.ndarray:
         """g = fresh - stored + running_mean, with the fresh bin gradient
         taken at `factors`; then the table and mean are updated."""
-        a, b = (c[bin_id] for c in self.fibers[mode])
+        a, b = self.fibers[mode]
+        a, b = a[bin_id], b[bin_id]
         fresh = _rows_gradient(factors, mode, a, b, _bin_rows(t, mode, a, b, bin_id * a.size))
         table = self.table[mode]
         diff = fresh - table[bin_id]

@@ -307,8 +307,8 @@ def run(
     writes the new iterate over the anchor in that product's array, and an
     epoch's modes, picks (the estimator's `draw`: a bin, or None for every
     fiber) and inertial coefficients are drawn or built once each (the same
-    values as one draw per step).  The point returned is constructed anew: it owns
-    its read-only factor arrays and keeps nothing else.
+    values as one draw per step).  The point returned is constructed anew:
+    it owns its read-only factor arrays and keeps nothing else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the

@@ -126,12 +126,15 @@ def test_sgd_draw_takes_bins_of_one_random_partition():
     with B_n < J_n, in mode order, into consecutive bins of B_n fibers, which
     cover each fiber once and serve every later draw; each draw's picks are
     one `rng.integers` call over the steps' bin counts.  A full batch
-    (B_n = J_n) is None, every fiber: it has no partition and draws nothing."""
+    (B_n = J_n) is None, every fiber: it has no partition and leaves the
+    generator as it was."""
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
     rng = CountingRng(np.random.default_rng(3))
+    before = rng.rng.bit_generator.state
     full = SgdState(t.dims, {1: 15, 2: 12, 3: 20})
     assert full.draw([1, 3, 2, 2, 1], rng) == [None] * 5
-    assert full.fibers == {} and rng.calls == []
+    assert full.fibers == {} and "permutation" not in rng.calls
+    assert rng.rng.bit_generator.state == before
 
     batches = {3: 4, 2: 12, 1: 5}  # mode 2 takes every fiber; the dict's order is free
     modes = np.random.default_rng(1).integers(1, 4, size=60).tolist()
