@@ -65,9 +65,8 @@ def largest_divisor_at_most(jn: int, b: int) -> int:
 class SgdState:
     """Vanilla SGD on bins of B_n fibers per mode (B_n must divide J_n), no
     gradient state.  `fibers[mode]` holds the coordinates of the mode's bins
-    (n_bins x B_n each, from `fiber_coordinates`): for SGD and SARAH slices of
-    one random permutation of its fibers, drawn by the first `draw` for each
-    mode with B_n < J_n.  A mode with B_n = J_n has no bins; its pick is None."""
+    (n_bins x B_n each, from `fiber_coordinates`); `draw` cuts SGD's and
+    SARAH's, and a mode with B_n = J_n has none: its pick is None."""
 
     dims: tuple[int, int, int]
     batches: dict[int, int]
@@ -88,6 +87,8 @@ class SgdState:
             jn = {n: row_count(self.dims, n) for n in self.batches}
             self.fibers = {n: fiber_coordinates(self.dims, n, rng.permutation(jn[n]).reshape(-1, size))
                            for n, size in sorted(self.batches.items()) if size < jn[n]}
+        if not self.fibers:  # every batch is full, as in PALM: nothing to draw
+            return [None] * len(modes)
         bins = [0] + [len(self.fibers[m][0]) if m in self.fibers else 0 for m in (1, 2, 3)]
         counts = np.array(bins)[modes]
         picks = np.where(counts > 0, 0, None)

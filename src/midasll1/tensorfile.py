@@ -56,8 +56,7 @@ def _read_file(path, magic: bytes, n_dims: int) -> tuple[tuple[int, ...], np.nda
     """Header dims, the payload as a new aligned float64 array and the
     payload's byte offset.  The payload is read straight into that array; for
     a regular file, only after the file size has been checked against the
-    header.  A pipe has no size, so its length is checked as it is read,
-    also when its header promises more than can be allocated."""
+    header.  A pipe has no size, so its length is checked as it is read."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
