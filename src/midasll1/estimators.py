@@ -81,8 +81,8 @@ class SgdState:
     def draw(self, modes: list[int], rng: np.random.Generator) -> list[int | None]:
         """A bin for each step of `modes`: None on a mode without bins, 0 on a
         mode of one bin, and one `rng.integers(n_bins)` draw for each other
-        step, all made in one call.  The first call on a state without bins
-        cuts them first, from one `rng.permutation(J_n)` per mode in order."""
+        step, all made in one call.  An SGD or SARAH state's first call first
+        cuts its bins, from one `rng.permutation(J_n)` per mode in order."""
         if self.fibers is None:
             jn = {n: row_count(self.dims, n) for n in self.batches}
             self.fibers = {n: fiber_coordinates(self.dims, n, rng.permutation(jn[n]).reshape(-1, size))
