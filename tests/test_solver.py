@@ -335,8 +335,10 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
-# a depth beyond the 47 steps of one SGD epoch, so every step has zero rows
-REFERENCE_CASES.append({"estimator": "sgd", "t": 48, "epochs": 1})
+# depths past the first 24 and past all 47 steps of one SGD epoch, so those
+# steps (all of them at t = 48) have zero rows
+REFERENCE_CASES += [{"estimator": "sgd", "t": 24, "epochs": 1},
+                    {"estimator": "sgd", "t": 48, "epochs": 1}]
 # 87-99 steps per mode (47 SAGA steps an epoch), so each mode's window moves
 # back to its buffer's end, once every t + 1 steps, at least 29 times at t = 2
 # and 9 times at t = 8; t = 8 at the default inertia collapses a block by
