@@ -335,8 +335,9 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
-# depths past the first 24 and past all 47 steps of one SGD epoch, so those
-# steps (all of them at t = 48) have zero rows
+# deep windows over one SGD epoch: t = 48 is beyond its 47 steps, so every
+# step has zero rows; t = 24 was beyond the 21 steps it had before its batch
+# sizes became divisors of J_n
 REFERENCE_CASES += [{"estimator": "sgd", "t": 24, "epochs": 1},
                     {"estimator": "sgd", "t": 48, "epochs": 1}]
 # 87-99 steps per mode (47 SAGA steps an epoch), so each mode's window moves
