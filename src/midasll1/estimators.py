@@ -250,7 +250,8 @@ def estimator_mse_probe(
     each draw's pick from `state.draw([mode], rng)`.
 
     Persistent estimator state is deep-copied per draw, so probing never
-    perturbs the solver's state.
+    perturbs the solver's state; the bins' coordinates, which no estimate
+    writes, are shared with the copy.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -258,7 +259,7 @@ def estimator_mse_probe(
     sq = np.empty(n_draws)
     for d in range(n_draws):
         (pick,) = state.draw([mode], rng)
-        g = copy.deepcopy(state).estimate(factors, t, mode, pick)
+        g = copy.deepcopy(state, {id(state.fibers): state.fibers}).estimate(factors, t, mode, pick)
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

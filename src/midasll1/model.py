@@ -16,7 +16,8 @@ kernels read A3 through `RankVector.column_blocks`.  A point keeps each
 mode's Gram, the tensor the two contractions behind `mttkrp` (Y = A3^T X3^T
 and M3).  Each is a read-only array kept with the (read-only) factor arrays
 it read, and computed anew once one of them is another object.  So a cyclic
-sweep contracts the tensor twice, and its objective reuses the last M3.
+sweep contracts the tensor twice, and its objective reuses the last M3;
+`fused_mode3_update` takes both of them in one visit of the tensor.
 """
 
 from __future__ import annotations
@@ -210,11 +211,23 @@ def _kept(owner, name: str, operands: tuple, compute) -> np.ndarray:
     """`compute()`, kept read-only on `owner` (a point or a tensor) under
     `name` with the factor arrays `operands` it reads; returned again while
     each is the same object, computed anew (and kept in its place) if not."""
+    kept = _kept_from(owner, name, operands)
+    return _keep(owner, name, operands, compute()) if kept is None else kept
+
+
+def _kept_from(owner, name: str, operands: tuple) -> np.ndarray | None:
+    """What `owner` keeps under `name` if it read `operands`, else None."""
     kept = owner.__dict__.get(name)
     if kept is None or any(a is not b for a, b in zip(kept[0], operands)):
-        kept = owner.__dict__[name] = (operands, compute())
-        kept[1].flags.writeable = False
+        return None
     return kept[1]
+
+
+def _keep(owner, name: str, operands: tuple, value: np.ndarray) -> np.ndarray:
+    """`value`, made read-only and kept on `owner` under `name` with `operands`."""
+    value.flags.writeable = False
+    owner.__dict__[name] = (operands, value)
+    return value
 
 
 def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
@@ -364,6 +377,44 @@ def _contract(factors: LL1Factors, x: np.ndarray, mode: int) -> np.ndarray:
     for run in runs[1:]:
         y += a3t[:, run].dot(x3[:, run].T)
     return y
+
+
+def fused_mode3_update(factors: LL1Factors, t: DenseTensor3, out: np.ndarray, update) -> None:
+    """A full-batch update of A3 that reads each run of slabs (`_slab_runs`)
+    for both contractions back to back.  Per run: its rows of M3 =
+    `mttkrp(factors, t, 3)` (the kept M3's, if `t` keeps one for A1 and A2),
+    then `update(run, m3_rows)`, which writes the new A3's rows `out[run]`,
+    then those rows' product into Y = out^T X3^T while X3[:, run] is still
+    in cache.  Unchecked: `out` is an (I3, R) float64 array; the A3 of
+    `factors` is not read.
+
+    M3 and Y have `_contract`'s bits: each run's products are the same BLAS
+    calls, and Y adds them in the same order.  `t` keeps them as `mttkrp`
+    does, M3 with A1 and A2 and Y with `out`, so the sweep's objective and
+    the next mode-1 and mode-2 steps contract nothing."""
+    x = t.array
+    i1, i2, i3 = x.shape
+    x3 = x.reshape(i1 * i2, i3, order="F")
+    t.__dict__.pop("_y", None)  # it read the A3 being replaced: free it first
+    m3 = _kept_from(t, "_m3", (factors.A1, factors.A2))
+    slabs = None
+    if m3 is None:
+        slabs = _slabs(factors)
+        m3 = np.empty((i3, slabs.shape[0]), order="F")  # `_contract`'s layout
+    y = None
+    for run in _slab_runs(x.shape, factors.ranks.R):
+        if slabs is not None:
+            m3.T[:, run] = slabs.dot(x3[:, run])
+            if run.stop == i3:  # their last use: freed before Y's last product
+                slabs = None
+        update(run, m3[run])
+        prod = out[run].T.dot(x3[:, run].T)
+        if y is None:
+            y = prod
+        else:
+            y += prod
+    _keep(t, "_m3", (factors.A1, factors.A2), m3)
+    _keep(t, "_y", (out,), y)
 
 
 def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:

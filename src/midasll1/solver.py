@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState, largest_divisor_at_most
-from .model import LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp, objective
+from .model import (LL1Factors, RankVector, checked_int, fused_mode3_update, gram_H,
+                    lipschitz_bound, mttkrp, objective)
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3, row_count
 
@@ -307,8 +308,12 @@ def run(
     writes the new iterate over the anchor in that product's array, and an
     epoch's modes, picks (the estimator's `draw`: a bin, or None for every
     fiber) and inertial coefficients are drawn or built once each (the same
-    values as one draw per step).  The point returned is constructed anew:
-    it owns its read-only factor arrays and keeps nothing else.
+    values as one draw per step).  When every batch is full (PALM, and SGD
+    or SARAH at B >= J_n), a mode-3 step takes the full gradient and the
+    proximal step run by run in `fused_mode3_update`, which also contracts
+    the Y that the next mode-1 and mode-2 steps read.  The point returned
+    is constructed anew: it owns its read-only factor arrays and keeps
+    nothing else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -362,6 +367,7 @@ def run(
                 modes = (1 + rng_mode.integers(3, size=iters_per_epoch)).tolist()
             # each step's bin (None: every fiber), in step order
             picks = state.draw(modes, rng_fiber)
+            every_full = not state.fibers  # no mode has bins, so each pick is None
             coefs = epoch_coefficients(config.alpha0, config.beta0, depth, k, iters_per_epoch)
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 window = windows[n]
@@ -370,10 +376,21 @@ def run(
                 eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
                 epoch_eta[n] = eta
 
-                g = estimate(point, tensor, n, pick)
                 # the anchor is the product's own array, so the step overwrites it
-                y_anchor -= eta * g
-                a_new = prox(config.reg, y_anchor, eta, out=y_anchor)
+                if n == 3 and every_full:
+                    # (u G3 - M3) / N and the step on each run of rows, which
+                    # the visit then contracts into the Y of the next steps
+                    ug = u_eval.dot(gram_H(point, 3))
+
+                    def step_rows(rows, m3):
+                        g = ug[rows]
+                        g -= m3
+                        g /= tensor.size
+                        _descend(config.reg, y_anchor[rows], g, eta)
+                    fused_mode3_update(point, tensor, y_anchor, step_rows)
+                else:
+                    _descend(config.reg, y_anchor, estimate(point, tensor, n, pick), eta)
+                a_new = y_anchor
                 d = window.push(a_new)
                 # a non-finite entry of a_new makes d.d non-finite, so only then look
                 if not math.isfinite(np.vdot(d, d)) and not np.isfinite(a_new).all():
@@ -398,6 +415,12 @@ def run(
             if obj.phi < config.abs_tol:
                 break
     return factors.copy(), trace
+
+
+def _descend(reg: Regularizer, anchor: np.ndarray, g: np.ndarray, eta: float) -> None:
+    """The proximal step from `anchor` along -g, written over `anchor`."""
+    anchor -= eta * g
+    prox(reg, anchor, eta, out=anchor)
 
 
 def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:
@@ -469,9 +492,15 @@ def als_mu_baseline(
         last_step_norm = 0.0
         for n in (1, 2, 3):
             a = factors.factor(n)
-            num = mttkrp(factors, tensor, n)
             den = a @ gram_H(factors, n) + MU_EPS
-            a_new = a * (num / den)
+            if n == 3:  # run by run, contracting the next sweep's Y as it goes
+                a_new = np.empty_like(a)
+
+                def update_rows(rows, num):
+                    np.multiply(a[rows], num / den[rows], out=a_new[rows])
+                fused_mode3_update(factors, tensor, a_new, update_rows)
+            else:
+                a_new = a * (mttkrp(factors, tensor, n) / den)
             last_step_norm = float(np.linalg.norm(a_new - a))
             factors = factors.replaced(n, a_new)
             k += 1

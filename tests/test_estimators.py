@@ -320,6 +320,29 @@ def test_probe_does_not_mutate_state():
         np.testing.assert_array_equal(prev.factor(n), before_prev.factor(n))
 
 
+@pytest.mark.parametrize("kind", ["sgd", "sarah", "saga"])
+def test_probe_copies_share_the_bins(kind):
+    """The state each draw estimates on is a copy that shares the probed
+    state's `fibers`, the bins' coordinates, which no estimate writes."""
+    f, t = make_problem(seed=18)
+    mode, batches = 1, {n: largest_divisor_at_most(row_count(t.dims, n), 4) for n in (1, 2, 3)}
+    state = {"sgd": lambda: SgdState(t.dims, batches),
+             "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches}),
+             "saga": lambda: SagaState.warm_start(f, t, batches)}[kind]()
+    copies = []
+    estimate = type(state).estimate
+
+    def recording(self, *args):
+        copies.append(self)
+        return estimate(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(state), "estimate", recording)
+        estimator_mse_probe(state, f, t, mode, 3, np.random.default_rng(4))
+    assert len(copies) == 3
+    assert all(c is not state and c.fibers is state.fibers for c in copies)
+
+
 def held_arrays(obj, seen=None):
     """Every numpy array reachable from `obj` through containers and
     instance attributes (array bases included)."""

@@ -802,28 +802,58 @@ def test_als_mu_makes_no_unfolding_copy():
 
 
 def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
-    """A PALM or ALS-MU sweep makes one Y contraction, which modes 1 and 2
-    share, and one mode-3 contraction, which the sweep's objective reuses,
-    both kept on the tensor; `palm_baseline`'s start objective adds one
-    mode-3 contraction."""
-    calls = {}
-    contract = model._contract
+    """A PALM or ALS-MU sweep takes its two contractions in one visit of the
+    tensor: the first sweep's mode-1 step contracts Y, and every mode-3
+    step is a fused visit that takes M3 and the next sweep's Y run by run,
+    both kept on the tensor for the objective and the next mode-1 and
+    mode-2 steps; after the first sweep, `_contract` is not called.
+    `palm_baseline`'s start objective adds one M3 contraction."""
+    visits = []
+    contract, fused = model._contract, solver.fused_mode3_update
 
-    def counting(factors, x, mode):
-        kind = "m3" if mode == 3 else "y"
-        calls[kind] = calls.get(kind, 0) + 1
+    def counting_contract(factors, x, mode):
+        visits.append("m3" if mode == 3 else "y")
         return contract(factors, x, mode)
 
-    monkeypatch.setattr(model, "_contract", counting)
+    def counting_fused(*args):
+        visits.append("fused")
+        return fused(*args)
+
+    monkeypatch.setattr(model, "_contract", counting_contract)
+    monkeypatch.setattr(solver, "fused_mode3_update", counting_fused)
     sweeps = 7
     t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=20.0, seed=0)
     t = DenseTensor3(np.abs(t.array))
     cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=sweeps, seed=3)
     for baseline, start in ((palm_baseline, 1), (als_mu_baseline, 0)):
-        calls.clear()
+        visits.clear()
         _, trace = baseline(cfg, t)
         assert len(trace) == sweeps
-        assert calls == {"y": sweeps, "m3": sweeps + start}
+        assert visits == ["m3"] * start + ["y"] + ["fused"] * sweeps
+
+
+def test_only_a_run_of_full_batches_fuses_its_mode_3_steps(monkeypatch):
+    """With every batch full, each mode-3 step of `run` is a fused visit,
+    at depths 0 and 1; a run whose modes 1 and 2 sample bins reads no Y, so
+    its full-batch mode-3 steps take the full gradient without one."""
+    visits = []
+    fused = solver.fused_mode3_update
+
+    def counting(*args):
+        visits.append("fused")
+        return fused(*args)
+
+    monkeypatch.setattr(solver, "fused_mode3_update", counting)
+    t, _ = generate((3, 4, 10), RankVector((2, 1)), snr_db=20.0, seed=1)
+    base = SolverConfig(ranks=RankVector((2, 1)), estimator="sgd", epochs=3, seed=2,
+                        mode_policy="cyclic")
+    assert effective_batches(replace(base, B=12), t.dims) == {1: 10, 2: 10, 3: 12}
+    run(replace(base, B=12), t)
+    assert visits == []
+    for depth in (0, 1):
+        _, trace = run(replace(base, t=depth, B=10**6), t)
+        assert len(visits) == sum(c[2] for c in trace.mode_counts) == 3
+        visits.clear()
 
 
 def test_a_sweep_computes_three_grams(monkeypatch):

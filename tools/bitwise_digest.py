@@ -15,11 +15,12 @@ keeps every bit.  `--quick` is a subset that takes about a second.
 
 After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
-default depth, included), `palm`, `als-mu`, `cli`, `blocked` (PALM and
-ALS-MU on a shape whose tensor contractions take several BLAS calls, see
-`blocked_runs`) and `inertia` (signed and zero inertial scales at depths
-1-3, see `inertia_runs`).  When a change is meant to round one group
-differently, the others show that nothing else moved.
+default depth, included), `palm`, `als-mu`, `cli`, `blocked` (PALM,
+ALS-MU and an inertial full-gradient `run` on a shape whose tensor
+contractions take several BLAS calls, see `blocked_runs`) and `inertia`
+(signed and zero inertial scales at depths 1-3, see `inertia_runs`).  When
+a change is meant to round one group differently, the others show that
+nothing else moved.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ BLOCKED_SHAPE = ((100, 100, 50), (4, 4, 4))
 
 def blocked_runs(d: Digest):
     """A 3-sweep `palm_baseline` and `als_mu_baseline` on |X| at
-    BLOCKED_SHAPE: the group `blocked`, which moves with the slab-run rule."""
+    BLOCKED_SHAPE, and 3 epochs of the inertial full-gradient cell (`run`
+    with full batches, cyclic modes, 1/L steps and t = 1 at weights 0.5 and
+    0.5) on X: the group `blocked`, which moves with the slab-run rule."""
     dims, widths = BLOCKED_SHAPE
     ranks = RankVector(widths)
     tensor, _ = generate(dims, ranks, 30.0, 200)
@@ -150,6 +153,9 @@ def blocked_runs(d: Digest):
     nonneg = DenseTensor3(np.abs(tensor.array))
     d.solve("blocked", f"{dims}/palm", palm_baseline, cfg, nonneg)
     d.solve("blocked", f"{dims}/als-mu", als_mu_baseline, cfg, nonneg)
+    inertial = replace(cfg, estimator="sgd", t=1, alpha0=0.5, beta0=0.5, B=10**6,
+                       mode_policy="cyclic", step_rule="inverse_lipschitz")
+    d.solve("blocked", f"{dims}/inertial-full-batch", run, inertial, tensor)
 
 
 # the inertial scales of the group `inertia`: signed and zero, which no run above takes
