@@ -251,15 +251,17 @@ def estimator_mse_probe(
 
     Persistent estimator state is deep-copied per draw, so probing never
     perturbs the solver's state; the bins' coordinates, which no estimate
-    writes, are shared with the copy.
+    writes, are shared with the copy.  The draws are made on a shallow copy
+    of `state`, so a state whose bins are not cut yet stays uncut.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     exact = full_gradient(factors, t, mode)
     sq = np.empty(n_draws)
+    drawn = copy.copy(state)
     for d in range(n_draws):
-        (pick,) = state.draw([mode], rng)
-        g = copy.deepcopy(state, {id(state.fibers): state.fibers}).estimate(factors, t, mode, pick)
+        (pick,) = drawn.draw([mode], rng)
+        g = copy.deepcopy(drawn, {id(drawn.fibers): drawn.fibers}).estimate(factors, t, mode, pick)
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

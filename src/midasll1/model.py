@@ -15,9 +15,10 @@ Column r of A3 scales the L_r columns of block r: the mode-1 and mode-2
 kernels read A3 through `RankVector.column_blocks`.  A point keeps each
 mode's Gram, the tensor the two contractions behind `mttkrp` (Y = A3^T X3^T
 and M3).  Each is a read-only array kept with the (read-only) factor arrays
-it read, and computed anew once one of them is another object.  So a cyclic
-sweep contracts the tensor twice, and its objective reuses the last M3;
-`fused_mode3_update` takes both of them in one visit of the tensor.
+it read, and computed anew once one of them is another object.
+`slab_visit` alone reads the tensor: M3 and, given the A3 to read, Y, run
+by run, with a full-batch mode-3 update between them.  So each sweep of a
+cyclic full-batch solve after the first visits the tensor once.
 """
 
 from __future__ import annotations
@@ -207,16 +208,9 @@ def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
     return out
 
 
-def _kept(owner, name: str, operands: tuple, compute) -> np.ndarray:
-    """`compute()`, kept read-only on `owner` (a point or a tensor) under
-    `name` with the factor arrays `operands` it reads; returned again while
-    each is the same object, computed anew (and kept in its place) if not."""
-    kept = _kept_from(owner, name, operands)
-    return _keep(owner, name, operands, compute()) if kept is None else kept
-
-
 def _kept_from(owner, name: str, operands: tuple) -> np.ndarray | None:
-    """What `owner` keeps under `name` if it read `operands`, else None."""
+    """What `owner` (a point or a tensor) keeps under `name` if it read the
+    factor arrays `operands`, each the same object, else None."""
     kept = owner.__dict__.get(name)
     if kept is None or any(a is not b for a, b in zip(kept[0], operands)):
         return None
@@ -241,7 +235,9 @@ def gram_H(factors: LL1Factors, mode: int) -> np.ndarray:
     """
     _check_mode(mode)
     others = tuple(factors.factor(m) for m in (1, 2, 3) if m != mode)
-    return _kept(factors, f"_gram{mode}", others, lambda: _gram(factors, mode))
+    name = f"_gram{mode}"
+    g = _kept_from(factors, name, others)
+    return _keep(factors, name, others, _gram(factors, mode)) if g is None else g
 
 
 def _gram(factors: LL1Factors, mode: int) -> np.ndarray:
@@ -303,29 +299,29 @@ def objective(
 
 def mttkrp(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:
     """X_(n)^T H_n (I_n x the columns of H_n), the LL1 analogue of the
-    matricized tensor times Khatri-Rao product, contracted from the tensor's
-    column-major storage read in place as the mode-3 unfolding X3: no
-    unfolding copy and no H_n, and A_n is never read.
+    matricized tensor times Khatri-Rao product, from the two contractions of
+    `slab_visit`: no unfolding copy and no H_n, and A_n is never read.
 
     Modes 1 and 2 take Y = A3^T X3^T, whose row r is the I2 x I1 matrix
     Y_r = sum_i3 c_r[i3] X[:, :, i3]^T, and block r is Y_r^T A2_r (mode 1)
-    or Y_r A1_r (mode 2); mode 3 takes M3 = (S X3)^T from the slabs S of
-    `_slabs`.  Each is taken over runs of mode-3 slabs (`_slab_runs`), one
-    BLAS call per run.  Every operand is C- or F-contiguous or a column
-    block of one, so BLAS reads it where it lies.
+    or Y_r A1_r (mode 2); mode 3 returns M3 = (S X3)^T from the slabs S of
+    `_slabs`.
 
     The contractions are kept on the tensor `t`, read-only: Y with the A3 it
-    read, M3 (which this returns for mode 3) with A1 and A2.  Another object
-    in one of those factors makes `_contract` run again, so modes 1 and 2 of
-    a sweep share one Y, and the objective after a mode-3 step reuses that
-    step's M3.  The point itself keeps nothing of the tensor."""
+    read, M3 with A1 and A2.  Only when `t` keeps none for this point does
+    `mttkrp` visit the tensor: for M3 alone in mode 3, for M3 and Y in modes
+    1 and 2.  So modes 1 and 2 of a sweep share one Y, and the objective
+    after a mode-3 step reuses that step's M3.  The point itself keeps
+    nothing of the tensor."""
     if factors.dims != t.dims:
         raise ValueError(f"factor dims {factors.dims} do not match tensor dims {t.dims}")
     _check_mode(mode)
-    x = t.array
     if mode == 3:
-        return _kept(t, "_m3", (factors.A1, factors.A2), lambda: _contract(factors, x, 3))
-    y = _kept(t, "_y", (factors.A3,), lambda: _contract(factors, x, mode))
+        m3 = _kept_from(t, "_m3", (factors.A1, factors.A2))
+        return slab_visit(factors, t)[0] if m3 is None else m3
+    y = _kept_from(t, "_y", (factors.A3,))
+    if y is None:
+        y = slab_visit(factors, t, factors.A3)[1]
     i1, i2, _ = t.dims
     other = factors.A2 if mode == 1 else factors.A1
     out = np.empty((t.dims[mode - 1], factors.ranks.total))
@@ -345,7 +341,7 @@ _MIN_RUN = 16
 
 
 def _slab_runs(dims: tuple[int, int, int], R: int) -> tuple[slice, ...]:
-    """The runs of mode-3 slabs that `_contract` makes one BLAS call each:
+    """The runs of mode-3 slabs that `slab_visit` makes one BLAS call each:
     the fewest near-equal runs of c slabs with R*I1*I2*c <= `_SMALL_GEMM`,
     or one run of all I3 slabs when that is one run or the shortest run
     would hold fewer than `_MIN_RUN` slabs."""
@@ -357,50 +353,36 @@ def _slab_runs(dims: tuple[int, int, int], R: int) -> tuple[slice, ...]:
     return tuple(slice(k * i3 // n, (k + 1) * i3 // n) for k in range(n))
 
 
-def _contract(factors: LL1Factors, x: np.ndarray, mode: int) -> np.ndarray:
-    """The one pass over the tensor's storage `x`, read as the mode-3
-    unfolding X3, behind `mttkrp`: M3 = (S X3)^T for mode 3, Y = A3^T X3^T
-    for modes 1 and 2, one BLAS call per run of slabs from `_slab_runs`.
-    A run is the contiguous column range X3[:, run]; M3 takes its rows
-    run by run, and Y adds the runs' products in slab order."""
-    i1, i2, i3 = x.shape
-    x3 = x.reshape(i1 * i2, i3, order="F")
-    runs = _slab_runs(x.shape, factors.ranks.R)
-    if mode == 3:
-        s = _slabs(factors)
-        m3 = np.empty((s.shape[0], i3))  # M3 transposed, the layout of one call's product
-        for run in runs:
-            m3[:, run] = s.dot(x3[:, run])
-        return m3.T
-    a3t = factors.A3.T
-    y = a3t[:, runs[0]].dot(x3[:, runs[0]].T)
-    for run in runs[1:]:
-        y += a3t[:, run].dot(x3[:, run].T)
-    return y
+def _no_update(run: slice, m3_rows: np.ndarray) -> None:
+    """The update of a visit that only contracts."""
 
 
-def fused_mode3_update(factors: LL1Factors, t: DenseTensor3, out: np.ndarray, update) -> None:
-    """A full-batch update of A3 that reads each run of slabs (`_slab_runs`)
-    for both contractions back to back.  Per run: its rows of M3 =
-    `mttkrp(factors, t, 3)` (the kept M3's, if `t` keeps one for A1 and A2),
-    then `update(run, m3_rows)`, which writes the new A3's rows `out[run]`,
-    then those rows' product into Y = out^T X3^T while X3[:, run] is still
-    in cache.  Unchecked: `out` is an (I3, R) float64 array; the A3 of
-    `factors` is not read.
+def slab_visit(factors: LL1Factors, t: DenseTensor3, out: np.ndarray | None = None,
+               update=_no_update) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one pass over the tensor's column-major storage, read in place as
+    the mode-3 unfolding X3, behind every contraction.  Per run of slabs
+    (`_slab_runs`, the contiguous columns X3[:, run]), one BLAS call each:
+    the run's rows of M3 = (S X3)^T (the kept M3's, if `t` keeps one for A1
+    and A2), then `update(run, m3_rows)`, which may write `out[run]`, then,
+    given `out`, those rows' product into Y = out^T X3^T while X3[:, run]
+    is still in cache; Y adds the runs in slab order.  Operands are C- or
+    F-contiguous or a column block of one, so BLAS reads them in place.
 
-    M3 and Y have `_contract`'s bits: each run's products are the same BLAS
-    calls, and Y adds them in the same order.  `t` keeps them as `mttkrp`
-    does, M3 with A1 and A2 and Y with `out`, so the sweep's objective and
-    the next mode-1 and mode-2 steps contract nothing."""
+    `mttkrp` visits with no `out` for M3 and with `out` = A3 for Y; a
+    full-batch mode-3 step passes the new A3 and the update that writes it.
+    Unchecked: `out` is an (I3, R) float64 array.  Returns (M3, Y), Y None
+    without `out`.  `t` keeps M3 with A1 and A2 and, given `out`, Y with
+    `out` in place of its old Y."""
     x = t.array
     i1, i2, i3 = x.shape
     x3 = x.reshape(i1 * i2, i3, order="F")
-    t.__dict__.pop("_y", None)  # it read the A3 being replaced: free it first
+    if out is not None:
+        t.__dict__.pop("_y", None)  # it read the A3 being replaced: free it first
     m3 = _kept_from(t, "_m3", (factors.A1, factors.A2))
     slabs = None
     if m3 is None:
         slabs = _slabs(factors)
-        m3 = np.empty((i3, slabs.shape[0]), order="F")  # `_contract`'s layout
+        m3 = np.empty((i3, slabs.shape[0]), order="F")  # the layout of one call's (S X3)^T
     y = None
     for run in _slab_runs(x.shape, factors.ranks.R):
         if slabs is not None:
@@ -408,13 +390,13 @@ def fused_mode3_update(factors: LL1Factors, t: DenseTensor3, out: np.ndarray, up
             if run.stop == i3:  # their last use: freed before Y's last product
                 slabs = None
         update(run, m3[run])
-        prod = out[run].T.dot(x3[:, run].T)
-        if y is None:
-            y = prod
-        else:
-            y += prod
+        if out is not None:
+            prod = out[run].T.dot(x3[:, run].T)
+            y = prod if y is None else np.add(y, prod, out=y)
     _keep(t, "_m3", (factors.A1, factors.A2), m3)
-    _keep(t, "_y", (out,), y)
+    if out is not None:
+        _keep(t, "_y", (out,), y)
+    return m3, y
 
 
 def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray:

@@ -17,14 +17,15 @@ own loop, since its update is not a proximal step.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState, largest_divisor_at_most
-from .model import (LL1Factors, RankVector, checked_int, fused_mode3_update, gram_H,
-                    lipschitz_bound, mttkrp, objective)
+from .model import (LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp,
+                    objective, slab_visit)
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3, row_count
 
@@ -78,6 +79,11 @@ class SolverConfig:
             raise ValueError(f"reg must be a Regularizer, got {self.reg!r}")
         for name in ("t", "B", "epochs", "seed", "sarah_q"):
             setattr(self, name, checked_int(getattr(self, name), f"{name} must be an integer"))
+        for name in ("alpha0", "beta0", "eta", "abs_tol"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not (isinstance(v, numbers.Real) or name == "eta" and v is None)
+                    or name == "abs_tol" and math.isnan(v)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.t < 0:
@@ -310,7 +316,7 @@ def run(
     fiber) and inertial coefficients are drawn or built once each (the same
     values as one draw per step).  When every batch is full (PALM, and SGD
     or SARAH at B >= J_n), a mode-3 step takes the full gradient and the
-    proximal step run by run in `fused_mode3_update`, which also contracts
+    proximal step run by run in `slab_visit`, which also contracts
     the Y that the next mode-1 and mode-2 steps read.  The point returned
     is constructed anew: it owns its read-only factor arrays and keeps
     nothing else.
@@ -387,7 +393,7 @@ def run(
                         g -= m3
                         g /= tensor.size
                         _descend(config.reg, y_anchor[rows], g, eta)
-                    fused_mode3_update(point, tensor, y_anchor, step_rows)
+                    slab_visit(point, tensor, y_anchor, step_rows)
                 else:
                     _descend(config.reg, y_anchor, estimate(point, tensor, n, pick), eta)
                 a_new = y_anchor
@@ -498,7 +504,7 @@ def als_mu_baseline(
 
                 def update_rows(rows, num):
                     np.multiply(a[rows], num / den[rows], out=a_new[rows])
-                fused_mode3_update(factors, tensor, a_new, update_rows)
+                slab_visit(factors, tensor, a_new, update_rows)
             else:
                 a_new = a * (mttkrp(factors, tensor, n) / den)
             last_step_norm = float(np.linalg.norm(a_new - a))

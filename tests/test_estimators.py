@@ -329,6 +329,7 @@ def test_probe_copies_share_the_bins(kind):
     state = {"sgd": lambda: SgdState(t.dims, batches),
              "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches}),
              "saga": lambda: SagaState.warm_start(f, t, batches)}[kind]()
+    state.draw([], np.random.default_rng(5))  # cuts SGD's and SARAH's bins
     copies = []
     estimate = type(state).estimate
 
@@ -341,6 +342,26 @@ def test_probe_copies_share_the_bins(kind):
         estimator_mse_probe(state, f, t, mode, 3, np.random.default_rng(4))
     assert len(copies) == 3
     assert all(c is not state and c.fibers is state.fibers for c in copies)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "sarah"])
+def test_probe_leaves_a_fresh_state_uncut(kind):
+    """Probing a state whose bins are not cut yet leaves it uncut, so its
+    first `draw` in a run cuts the bins an unprobed twin would."""
+    f, t = make_problem(seed=19, dims=(6, 5, 4))
+    batches = {1: 4, 2: 4, 3: 5}
+    make = {"sgd": lambda: SgdState(t.dims, batches),
+            "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches})}[kind]
+    probed, twin = make(), make()
+    assert probed.fibers is None
+    estimator_mse_probe(probed, f, t, 1, 3, np.random.default_rng(6))
+    assert probed.fibers is None
+    modes = [1, 2, 3, 3]
+    picks = probed.draw(modes, np.random.default_rng(8))
+    assert picks == twin.draw(modes, np.random.default_rng(8))
+    for n in (1, 2, 3):
+        for a, b in zip(probed.fibers[n], twin.fibers[n]):
+            np.testing.assert_array_equal(a, b)
 
 
 def held_arrays(obj, seen=None):

@@ -22,12 +22,12 @@ from midasll1.model import (
     _block_sums,
     _slab_runs,
     full_gradient,
-    fused_mode3_update,
     gram_H,
     lipschitz_bound,
     mttkrp,
     objective,
     reconstruct,
+    slab_visit,
 )
 from midasll1.prox import NONE, NONNEG, Regularizer, prox
 from midasll1.solver import MU_EPS
@@ -293,28 +293,50 @@ def one_call_contractions(f, x):
     return f.A3.T.dot(x3.T), model._slabs(f).dot(x3).T
 
 
-def assert_fused_updates_are_unfused(f, x):
-    """`fused_mode3_update` under `run`'s full-batch step (regularizers none,
-    nonneg and ridge; the anchor the point's A3 at depth 0 and another
-    array at depth 1) and under ALS-MU's update: the new A3, the kept M3
-    and the kept Y are, byte for byte, `full_gradient` then the same step
-    on all rows (ALS-MU: on `_contract`'s M3), `_contract(f, x, 3)` and
-    `_contract` of the new point for mode 1, with those layouts."""
+def visited_contractions(f, x):
+    """Y and M3 as fresh tensors keep them after `mttkrp` of mode 1 (which
+    forms both) and of mode 3 (M3 alone); the two M3 have the same bits."""
+    t1, t3 = DenseTensor3(x.array), DenseTensor3(x.array)
+    mttkrp(f, t1, 1)
+    mttkrp(f, t3, 3)
+    m3 = model._kept_from(t3, "_m3", (f.A1, f.A2))
+    assert model._kept_from(t1, "_m3", (f.A1, f.A2)).tobytes() == m3.tobytes()
+    assert "_y" not in vars(t3)
+    return model._kept_from(t1, "_y", (f.A3,)), m3
+
+
+def assert_matches(got, want, tol):
+    """`got` has `want`'s shape and strides, and its bits (`tol` 0) or
+    entries within `tol` of its largest entry."""
+    assert got.shape == want.shape and got.strides == want.strides
+    if tol:
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_fused_updates_are_unfused(f, x, tol):
+    """`slab_visit` under `run`'s full-batch step (regularizers none, nonneg
+    and ridge; the anchor the point's A3 at depth 0 and another array at
+    depth 1) and under ALS-MU's update: the new A3 is, byte for byte,
+    `full_gradient` then the same step on all rows (ALS-MU: on `mttkrp`'s
+    M3), the kept M3 is `mttkrp`'s, and the kept M3 and Y match the
+    one-call products of the point and of the new point to `tol`."""
     u, gram = f.A3, gram_H(f, 3)
     eta = 0.5 / lipschitz_bound(f, 3)
     shifted = u + np.random.default_rng(7).standard_normal(u.shape)
-    m3_ref = model._contract(f, x.array, 3)
+    m3_ref = mttkrp(f, DenseTensor3(x.array), 3)
     g_ref = full_gradient(f, DenseTensor3(x.array), 3)
 
     def check(out, update, ref):
         fresh = DenseTensor3(x.array)  # keeps no contraction yet
-        fused_mode3_update(f, fresh, out, update)
+        slab_visit(f, fresh, out, update)
         assert out.tobytes() == ref.tobytes()
-        y_ref = model._contract(f.replaced(3, out), x.array, 1)
         m3 = model._kept_from(fresh, "_m3", (f.A1, f.A2))
-        y = model._kept_from(fresh, "_y", (out,))
-        for got, want in ((m3, m3_ref), (y, y_ref)):
-            assert got.strides == want.strides and got.tobytes() == want.tobytes()
+        assert m3.tobytes() == m3_ref.tobytes()
+        refs = one_call_contractions(f.replaced(3, out), x)
+        for got, want in zip((model._kept_from(fresh, "_y", (out,)), m3), refs):
+            assert_matches(got, want, tol)
 
     for reg, anchor in itertools.product((NONE, NONNEG, Regularizer("ridge", 0.3)), (u, shifted)):
         ref = anchor.copy()
@@ -339,27 +361,27 @@ def assert_fused_updates_are_unfused(f, x):
 @pytest.mark.parametrize("dims, L", [((100, 100, 51), (4, 4, 4)), ((50, 50, 200), (1,) * 8)])
 def test_slab_runs_sum_to_the_one_call_products(dims, L):
     """Over runs of unequal length (25 and 26 slabs; four of 50 at R = 8),
-    Y and M3 agree with the products over all slabs to 1e-13 of their
-    largest entry, with the layout of those products; a fused mode-3
-    update over those runs keeps every bit of the unfused one."""
+    the Y and M3 that `mttkrp` keeps agree with the products over all slabs
+    to 1e-13 of their largest entry, with the layout of those products; so
+    do those of a fused mode-3 update over those runs, whose new A3 keeps
+    every bit of the unfused one."""
     f, x = kernel_problem(dims, L, 5)
     assert len(_slab_runs(dims, len(L))) > 1
-    for mode, ref in zip((1, 3), one_call_contractions(f, x)):
-        got = model._contract(f, x.array, mode)
-        assert got.shape == ref.shape and got.strides == ref.strides
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert_fused_updates_are_unfused(f, x)
+    for got, ref in zip(visited_contractions(f, x), one_call_contractions(f, x)):
+        assert_matches(got, ref, 1e-13)
+    assert_fused_updates_are_unfused(f, x, 1e-13)
 
 
 @pytest.mark.parametrize("dims, L", [((12, 12, 12), (2, 2)), ((100, 100, 50), (1,) * 8)])
 def test_one_slab_run_is_the_one_call_product(dims, L):
-    """Where `_slab_runs` keeps one run, Y and M3 are the one-call
-    products bit for bit, and so is a fused mode-3 update's."""
+    """Where `_slab_runs` keeps one run, the Y and M3 that `mttkrp` keeps
+    are the one-call products bit for bit, and so are a fused mode-3
+    update's."""
     f, x = kernel_problem(dims, L, 6)
     assert len(_slab_runs(dims, len(L))) == 1
-    for mode, ref in zip((1, 3), one_call_contractions(f, x)):
-        assert model._contract(f, x.array, mode).tobytes() == ref.tobytes()
-    assert_fused_updates_are_unfused(f, x)
+    for got, ref in zip(visited_contractions(f, x), one_call_contractions(f, x)):
+        assert_matches(got, ref, 0)
+    assert_fused_updates_are_unfused(f, x, 0)
 
 
 def test_fused_update_reuses_a_kept_m3():
@@ -373,15 +395,19 @@ def test_fused_update_reuses_a_kept_m3():
     def update(rows, m3_rows):
         seen.append(m3_rows)
         out[rows] = 2.0 * m3_rows
-    fused_mode3_update(f, x, out, update)
-    assert len(seen) == 1 and seen[0].base is m3.base and mttkrp(f, x, 3) is m3
+    slab_visit(f, x, out, update)
+    assert len(seen) == 1 and np.shares_memory(seen[0], m3)
+    assert seen[0].tobytes() == m3.tobytes() and mttkrp(f, x, 3) is m3
 
 
 def test_fused_update_peaks_no_higher_than_the_unfused_pair():
     """At the mid benchmark shape (two slab runs), on a tensor that keeps
-    the Y of the A3 being replaced, as a sweep leaves it, one fused mode-3
-    step allocates at its peak no more than `full_gradient` for mode 3, the
-    step and the next step's `_contract` of Y, run one after the other."""
+    the Y of the A3 being replaced and no M3 for the point's A1 and A2, as
+    a sweep leaves it, one fused mode-3 step allocates at its peak no more
+    than `full_gradient` for mode 3, the step and the next step's `mttkrp`
+    of mode 1, run one after the other, and less than 1.5 Y above what the
+    tensor kept: keeping the old Y or the slabs to the end would add a
+    whole Y (240 kB)."""
     f, x = kernel_problem((100, 100, 50), (4, 4, 4), 3)
     eta = 0.5 / lipschitz_bound(f, 3)
 
@@ -390,7 +416,7 @@ def test_fused_update_peaks_no_higher_than_the_unfused_pair():
         g = full_gradient(f, t, 3)
         a -= eta * g
         prox(NONNEG, a, eta, out=a)
-        return model._contract(f.replaced(3, a), t.array, 1)
+        mttkrp(f.replaced(3, a), t, 1)
 
     def fused(t):
         a, ug = f.A3.copy(), f.A3.dot(gram_H(f, 3))
@@ -401,21 +427,23 @@ def test_fused_update_peaks_no_higher_than_the_unfused_pair():
             g /= x.size
             a[rows] -= eta * g
             prox(NONNEG, a[rows], eta, out=a[rows])
-        fused_mode3_update(f, t, a, step)
+        slab_visit(f, t, a, step)
 
-    peaks = []
+    peaks = []  # above what the tensor kept before the step
     for visit in (unfused, fused):
         visit(DenseTensor3(x.array))
         tracemalloc.start()
         try:
             t = DenseTensor3(x.array)
-            mttkrp(f, t, 1)
+            mttkrp(f.replaced(1, f.A1.copy()), t, 1)  # Y of f's A3, M3 of another A1
             tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
             visit(t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0], peaks
+    y_bytes = f.ranks.R * x.dims[0] * x.dims[1] * 8
+    assert peaks[1] <= peaks[0] and peaks[1] < 1.5 * y_bytes, peaks
 
 
 def fit_rounding(f, x):

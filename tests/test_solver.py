@@ -228,6 +228,18 @@ def test_config_validation():
                 SolverConfig(ranks=rk, **{name: bad})
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("abs_tol", "1e-3"), ("abs_tol", None), ("abs_tol", math.nan), ("abs_tol", True),
+    ("alpha0", "0.3"), ("alpha0", None), ("beta0", "0.8"), ("beta0", 1j), ("eta", "1"),
+    ("eta", False)])
+def test_config_rejects_a_scalar_that_is_not_real(name, bad):
+    """`alpha0`, `beta0`, `eta` (or None) and `abs_tol` must be real numbers
+    (a bool is not), and `abs_tol` not NaN: anything else is a ValueError
+    that names the field at construction, not a TypeError during the run."""
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        SolverConfig(ranks=RankVector((2, 1)), epochs=2, **{name: bad})
+
+
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
 def test_numpy_integer_config_runs_as_plain_ints(estimator):
     t = small_tensor()
@@ -803,33 +815,39 @@ def test_als_mu_makes_no_unfolding_copy():
 
 def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
     """A PALM or ALS-MU sweep takes its two contractions in one visit of the
-    tensor: the first sweep's mode-1 step contracts Y, and every mode-3
-    step is a fused visit that takes M3 and the next sweep's Y run by run,
-    both kept on the tensor for the objective and the next mode-1 and
-    mode-2 steps; after the first sweep, `_contract` is not called.
-    `palm_baseline`'s start objective adds one M3 contraction."""
+    tensor: every mode-3 step is a visit that forms M3, takes the step and
+    contracts the next sweep's Y run by run, both kept on the tensor for the
+    objective and the next mode-1 and mode-2 steps.  Before it, the first
+    mode-1 step forms M3 and Y; `palm_baseline`'s start objective adds a
+    visit that forms M3 alone.  Each visit is recorded by what it did."""
     visits = []
-    contract, fused = model._contract, solver.fused_mode3_update
+    visit = model.slab_visit
 
-    def counting_contract(factors, x, mode):
-        visits.append("m3" if mode == 3 else "y")
-        return contract(factors, x, mode)
+    def recording(factors, t, out=None, update=model._no_update):
+        did = {"m3": model._kept_from(t, "_m3", (factors.A1, factors.A2)) is None,
+               "y": out is not None, "update": update is not model._no_update}
+        visits.append("+".join(name for name, done in did.items() if done))
+        return visit(factors, t, out, update)
 
-    def counting_fused(*args):
-        visits.append("fused")
-        return fused(*args)
-
-    monkeypatch.setattr(model, "_contract", counting_contract)
-    monkeypatch.setattr(solver, "fused_mode3_update", counting_fused)
+    monkeypatch.setattr(model, "slab_visit", recording)
+    monkeypatch.setattr(solver, "slab_visit", recording)
     sweeps = 7
     t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=20.0, seed=0)
     t = DenseTensor3(np.abs(t.array))
     cfg = SolverConfig(ranks=RankVector((2, 1)), epochs=sweeps, seed=3)
-    for baseline, start in ((palm_baseline, 1), (als_mu_baseline, 0)):
+    for baseline, start in ((palm_baseline, ["m3"]), (als_mu_baseline, [])):
         visits.clear()
         _, trace = baseline(cfg, t)
         assert len(trace) == sweeps
-        assert visits == ["m3"] * start + ["y"] + ["fused"] * sweeps
+        assert visits == start + ["m3+y"] + ["m3+y+update"] * sweeps
+
+
+def test_a_saga_run_contracts_no_y():
+    """A SAGA run reads the tensor's storage only for each epoch
+    objective's M3, whose visit takes no Y: a fresh tensor keeps none."""
+    t = small_tensor(seed=3)
+    run(SolverConfig(ranks=RankVector((2, 1)), epochs=2, seed=1), t)
+    assert "_m3" in vars(t) and "_y" not in vars(t)
 
 
 def test_only_a_run_of_full_batches_fuses_its_mode_3_steps(monkeypatch):
@@ -837,13 +855,13 @@ def test_only_a_run_of_full_batches_fuses_its_mode_3_steps(monkeypatch):
     at depths 0 and 1; a run whose modes 1 and 2 sample bins reads no Y, so
     its full-batch mode-3 steps take the full gradient without one."""
     visits = []
-    fused = solver.fused_mode3_update
+    fused = solver.slab_visit
 
     def counting(*args):
         visits.append("fused")
         return fused(*args)
 
-    monkeypatch.setattr(solver, "fused_mode3_update", counting)
+    monkeypatch.setattr(solver, "slab_visit", counting)
     t, _ = generate((3, 4, 10), RankVector((2, 1)), snr_db=20.0, seed=1)
     base = SolverConfig(ranks=RankVector((2, 1)), estimator="sgd", epochs=3, seed=2,
                         mode_policy="cyclic")

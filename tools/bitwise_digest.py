@@ -16,8 +16,8 @@ keeps every bit.  `--quick` is a subset that takes about a second.
 After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
 default depth, included), `palm`, `als-mu`, `cli`, `blocked` (PALM,
-ALS-MU and an inertial full-gradient `run` on a shape whose tensor
-contractions take several BLAS calls, see `blocked_runs`) and `inertia`
+ALS-MU, an inertial full-gradient `run`, SAGA and SARAH on a shape whose
+tensor contractions take several BLAS calls, see `blocked_runs`) and `inertia`
 (signed and zero inertial scales at depths 1-3, see `inertia_runs`).  When
 a change is meant to round one group differently, the others show that
 nothing else moved.
@@ -143,9 +143,12 @@ BLOCKED_SHAPE = ((100, 100, 50), (4, 4, 4))
 
 def blocked_runs(d: Digest):
     """A 3-sweep `palm_baseline` and `als_mu_baseline` on |X| at
-    BLOCKED_SHAPE, and 3 epochs of the inertial full-gradient cell (`run`
-    with full batches, cyclic modes, 1/L steps and t = 1 at weights 0.5 and
-    0.5) on X: the group `blocked`, which moves with the slab-run rule."""
+    BLOCKED_SHAPE, 3 epochs of the inertial full-gradient cell (`run` with
+    full batches, cyclic modes, 1/L steps and t = 1 at weights 0.5 and 0.5)
+    on X, and one epoch each of SAGA at the defaults and of SARAH with
+    `sarah_q` = 2 on X, whose objectives and restarts read the tensor
+    through the same slab runs: the group `blocked`, which moves with the
+    slab-run rule."""
     dims, widths = BLOCKED_SHAPE
     ranks = RankVector(widths)
     tensor, _ = generate(dims, ranks, 30.0, 200)
@@ -156,6 +159,9 @@ def blocked_runs(d: Digest):
     inertial = replace(cfg, estimator="sgd", t=1, alpha0=0.5, beta0=0.5, B=10**6,
                        mode_policy="cyclic", step_rule="inverse_lipschitz")
     d.solve("blocked", f"{dims}/inertial-full-batch", run, inertial, tensor)
+    d.solve("blocked", f"{dims}/saga", run, replace(cfg, epochs=1), tensor)
+    d.solve("blocked", f"{dims}/sarah-q2", run,
+            replace(cfg, estimator="sarah", sarah_q=2, epochs=1), tensor)
 
 
 # the inertial scales of the group `inertia`: signed and zero, which no run above takes
