@@ -12,7 +12,8 @@ forms H_n: `H_rows_at` gives rows of it for a fiber batch, `gram_H` its Gram
 and `mttkrp` the product X_(n)^T H_n.
 
 Column r of A3 scales the L_r columns of block r: the mode-1 and mode-2
-kernels read A3 through `RankVector.column_blocks`.  A point keeps each
+kernels read A3 through `RankVector.column_blocks`; the mode-3 H rows sum
+each block through `RankVector.block_indicator`.  A point keeps each
 mode's Gram, the tensor the two contractions behind `mttkrp` (Y = A3^T X3^T
 and M3).  Each is a read-only array kept with the (read-only) factor arrays
 it read, and computed anew once one of them is another object.
@@ -43,7 +44,8 @@ def checked_int(v, what: str) -> int:
 
 @dataclass(frozen=True)
 class RankVector:
-    """Block widths [L_1, ..., L_R] of the paired spatial factors."""
+    """Block widths [L_1, ..., L_R] of the paired spatial factors, and the
+    column slices, column-to-block index and block indicator they define."""
 
     L: tuple[int, ...]
 
@@ -73,6 +75,14 @@ class RankVector:
         cb = np.repeat(np.arange(self.R), self.L)
         cb.flags.writeable = False
         return cb
+
+    @cached_property
+    def block_indicator(self) -> np.ndarray:
+        """The L_total x R float64 0/1 matrix whose column r marks block r's
+        columns, read-only: a product with it sums each row's blocks."""
+        ind = np.equal.outer(self.column_blocks, np.arange(self.R)).astype(np.float64)
+        ind.flags.writeable = False
+        return ind
 
 
 @dataclass(frozen=True)
@@ -170,42 +180,17 @@ def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> n
     `fiber_coordinates` (arrays of one shape, or broadcasting to one),
     without checks, without materializing H_n and without reading A_n.  Rows
     are gathered with `take` (A3's then widened by `column_blocks`), which
-    copies the same rows as fancy indexing at a fraction of its cost."""
+    copies the same rows as fancy indexing at a fraction of its cost.
+
+    A mode-3 row is the products A2[i2, l] * A1[i1, l] summed block by
+    block, by one product with `block_indicator` in the BLAS kernel's order
+    (signed-zero products give +0.0; an infinite one makes the other blocks
+    of its row NaN).  A stack of batches (a warm-start chunk) takes numpy's
+    stacked matmul, one BLAS call per batch, so each keeps its bits alone."""
     if mode in (1, 2):
         c = factors.A3.take(b, axis=0).take(factors.ranks.column_blocks, axis=-1)
         return c * (factors.A2 if mode == 1 else factors.A1).take(a, axis=0)
-    return _block_sums(factors.A2.take(b, axis=0) * factors.A1.take(a, axis=0), factors.ranks)
-
-
-# up to this many block sums, one reduction over the last axis is cheaper
-# than `_block_sums`' column loop (a fiber batch makes B * R of them)
-_ONE_REDUCTION_MAX = 256
-
-
-def _block_sums(prod: np.ndarray, ranks: RankVector) -> np.ndarray:
-    """Sums over each column block of the last axis of `prod`: the mode-3 H
-    rows from the products A2[i2, l] * A1[i1, l].
-
-    The bits are those of `prod[..., blk].sum(axis=-1)` per block.  When all
-    blocks have one width, a batch-sized `prod` is reduced in one call over
-    its blocks, which adds each block as that `sum` does.  On larger inputs
-    numpy's per-row reductions cost more than adding column by column, over
-    all rows and blocks at once; since numpy adds fewer than 8 values in
-    order, starting from +0.0, that keeps the bits for widths below 8."""
-    w = ranks.L[0]
-    if ranks.L.count(w) == ranks.R:
-        cols = prod.reshape(*prod.shape[:-1], ranks.R, w)
-        if prod.size <= _ONE_REDUCTION_MAX * w:
-            return cols.sum(axis=-1)
-        if w < 8:
-            out = cols[..., 0] + 0.0
-            for c in range(1, w):
-                out += cols[..., c]
-            return out
-    out = np.empty((*prod.shape[:-1], ranks.R))
-    for r, blk in enumerate(ranks.blocks):
-        out[..., r] = prod[..., blk].sum(axis=-1)
-    return out
+    return (factors.A2.take(b, axis=0) * factors.A1.take(a, axis=0)) @ factors.ranks.block_indicator
 
 
 def _kept_from(owner, name: str, operands: tuple) -> np.ndarray | None:

@@ -4,6 +4,7 @@ the three factor matrices."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ KINDS = ("none", "nonneg", "ridge")
 
 @dataclass(frozen=True)
 class Regularizer:
-    """One of: none, nonnegativity indicator, ridge(lam) = lam/2 * ||A||_F^2."""
+    """One of: none, nonnegativity indicator, ridge(lam) = lam/2 * ||A||_F^2,
+    with `lam` a real number (not a bool), stored as a float."""
 
     kind: str = "none"
     lam: float = 0.0
@@ -21,6 +23,9 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise ValueError(f"ridge weight must be a real number, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"ridge weight must be finite and >= 0, got {self.lam}")
         if self.kind != "ridge" and self.lam != 0:

@@ -81,9 +81,12 @@ class SolverConfig:
             setattr(self, name, checked_int(getattr(self, name), f"{name} must be an integer"))
         for name in ("alpha0", "beta0", "eta", "abs_tol"):
             v = getattr(self, name)
-            if (isinstance(v, bool) or not (isinstance(v, numbers.Real) or name == "eta" and v is None)
+            if v is None and name == "eta":
+                continue
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                     or name == "abs_tol" and math.isnan(v)):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
+            setattr(self, name, float(v))  # as `checked_int` stores an int
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.t < 0:

@@ -4,6 +4,8 @@ still runs and is deterministic within one process."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitwise_digest.py"
 
 
@@ -37,3 +39,22 @@ def test_group_digest_moves_with_its_group_only():
     assert a.groups["x"].hexdigest() == b.groups["x"].hexdigest()
     assert a.groups["y"].hexdigest() != b.groups["y"].hexdigest()
     assert a.h.hexdigest() != b.h.hexdigest()
+
+
+def test_stderr_names_numpy_blas_and_core(capsys):
+    """After the counts, stderr names numpy's version, its BLAS and the
+    OpenBLAS core, and stdout holds only the digests."""
+    tool = _load_tool()
+    assert tool.main(["--quick"]) == 0
+    out, err = capsys.readouterr()
+    counts, blas = err.splitlines()
+    assert counts.endswith(" cli")
+    prefix = f"numpy {np.__version__}, BLAS "
+    assert blas.startswith(prefix) and ", core " in blas and blas.split(", core ")[1]
+    assert "numpy" not in out and all(len(line.split()[-1]) == 64 for line in out.splitlines())
+
+
+def test_core_is_unknown_without_the_symbol(monkeypatch):
+    tool = _load_tool()
+    monkeypatch.setattr(tool.ctypes, "CDLL", lambda path: object())
+    assert tool.openblas_core() == "unknown"

@@ -147,6 +147,20 @@ def test_config_full_roundtrip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_config_roundtrips_numpy_scalars():
+    """numpy scalars are stored as floats, so the file holds plain numbers
+    (not `np.float64(0.3)`) and parses back to an equal config."""
+    cfg = SolverConfig(
+        ranks=RankVector((2,)), alpha0=np.float64(0.3), beta0=np.float32(0.5),
+        eta=np.float32(0.05), reg=Regularizer("ridge", np.float32(0.1)),
+    )
+    assert all(type(v) is float for v in (cfg.alpha0, cfg.beta0, cfg.eta, cfg.reg.lam))
+    text = serialize_config(cfg)
+    assert "np." not in text
+    assert parse_config(text) == cfg
+    assert type(SolverConfig(RankVector((2,)), abs_tol=np.float64(0.0)).abs_tol) is float
+
+
 def test_config_serialized_text():
     """The exact text `decompose` writes to resolved_config.txt."""
     cfg = SolverConfig(

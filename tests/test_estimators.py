@@ -435,6 +435,21 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
         assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
 
 
+@pytest.mark.parametrize("B", [1, 8])
+@pytest.mark.parametrize("L", [(9, 3, 1), (12, 3)])
+def test_mode3_saga_estimate_at_the_warm_start_point_is_the_mean(L, B):
+    """At the point its table was warm-started at, a mode-3 SAGA estimate
+    on each bin returns the running mean bit for bit: the fresh gradient,
+    from one batch's H rows, has the bits of the table entry, from a
+    stack's, so the two cancel exactly."""
+    f, t = make_problem(seed=21, dims=(6, 4, 5), L=L)
+    state = SagaState.warm_start(f, t, {3: B})
+    mean = state.running_mean[3].copy()
+    for bin_id in range(state.n_bins(3)):
+        assert state.estimate(f, t, 3, bin_id).tobytes() == mean.tobytes()
+    assert state.running_mean[3].tobytes() == mean.tobytes()
+
+
 def test_warm_start_keeps_its_chunk_bound():
     """Beyond the table, means and fiber coordinates it keeps, the warm start
     at 100x100x50, ranks 4,4,4, B = 8 allocates at most `_WARM_CHUNK_BYTES`

@@ -21,6 +21,20 @@ def test_regularizer_validation():
         Regularizer("ridge", math.nan)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.3", None, 1j])
+def test_regularizer_rejects_a_weight_that_is_not_real(bad):
+    """A bool or a weight that is not a real number is a ValueError that
+    names the weight, not a TypeError or a `ridge:True` in a config file."""
+    with pytest.raises(ValueError, match="^ridge weight must be a real number"):
+        Regularizer("ridge", bad)
+
+
+def test_regularizer_stores_its_weight_as_a_float():
+    for lam in (1, np.int64(2), np.float32(0.1), np.float64(0.3)):
+        reg = Regularizer("ridge", lam)
+        assert type(reg.lam) is float and reg.lam == float(lam)
+
+
 def test_prox_none_is_identity_copy():
     m = np.array([[-1.0, 2.0], [0.5, -3.0]])
     out = prox(NONE, m, 0.1)

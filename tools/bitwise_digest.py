@@ -21,12 +21,17 @@ tensor contractions take several BLAS calls, see `blocked_runs`) and `inertia`
 (signed and zero inertial scales at depths 1-3, see `inertia_runs`).  When
 a change is meant to round one group differently, the others show that
 nothing else moved.
+
+On stderr, after the counts, it prints the numpy version, its BLAS and the
+OpenBLAS core that BLAS dispatches to (`unknown` when it cannot be read):
+the digests depend on the BLAS kernel, so a recorded digest names it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -279,6 +284,26 @@ def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
     return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
+def openblas_core() -> str:
+    """The core OpenBLAS chose at load time, read from the
+    `libscipy_openblas64_` that numpy's Linux wheel bundles, or `unknown`
+    when that library or its `scipy_openblas_get_corename64_` is absent."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def blas_line() -> str:
+    """numpy's version, its BLAS's name and version, and the OpenBLAS core."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, core {openblas_core()}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--quick", action="store_true", help="a small subset of the matrix")
@@ -288,6 +313,7 @@ def main(argv=None) -> int:
     for group, value in groups.items():
         print(f"{group} {value}")
     print(", ".join(f"{v} {k}" for k, v in counts.items()), file=sys.stderr)
+    print(blas_line(), file=sys.stderr)
     return 0
 
 
