@@ -1,10 +1,13 @@
 """Stochastic gradient estimators over fiber bins: vanilla SGD, SAGA, SARAH.
 
-The three share one protocol.  Each mode's fibers are split once per run
-into J_n / B_n bins of B_n fibers: for SGD and SARAH the bins of one random
-permutation, drawn by the first `draw`, for SAGA consecutive fiber ranges.
+The three share one protocol and one bin rule: each mode's J_n fibers are
+cut once per run into n_bins = ceil(J_n / B) bins of at most B fibers, sizes
+differing by at most one, larger first (SGD and SARAH cut one permutation at
+their first `draw`, SAGA the fibers in order).  A bin's gradient sum is
+divided by I_n * J_n / n_bins (I_n * B where B divides J_n), so a uniformly
+drawn bin is unbiased for any sizes.
 `draw(modes, rng)` gives the pick of each step of an epoch's modes, in step
-order: a bin, or for SGD and SARAH None (every fiber) where B_n = J_n.
+order: a bin, or for SGD and SARAH None (every fiber) on a mode of one bin.
 `estimate(factors, t, mode, pick)` is the gradient estimate on that pick at
 the point `factors`, a deterministic function of (state, point, pick): all
 the randomness is in `draw`, which reads only the caller's generator.
@@ -38,7 +41,7 @@ def batch_gradient(
 ) -> np.ndarray:
     """Fiber-sampled stochastic gradient of f with respect to A_mode at `factors`.
 
-    g = ((H_n(F) A_n^T - X_n(F))^T H_n(F)) / (I_n * B) over the
+    g = ((H_n(F) A_n^T - X_n(F))^T H_n(F)) / (I_n * B) over the B
     distinct, in-range fiber indices `idx` (not checked), with H_n(F) built
     row-wise for the sampled fibers only.  `idx` None takes every fiber, by
     `full_gradient`; a batch of all J_n fibers gives the same gradient up to
@@ -46,37 +49,40 @@ def batch_gradient(
     if idx is None:
         return full_gradient(factors, t, mode)
     a, b = fiber_coordinates(t.dims, mode, idx)
-    return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b))
+    x = fiber_rows_at(t, mode, a, b)
+    return _rows_gradient(factors, mode, a, b, x, t.dims[mode - 1] * a.size)
 
 
-def _rows_gradient(factors: LL1Factors, mode: int, a, b, x: np.ndarray) -> np.ndarray:
+def _rows_gradient(factors: LL1Factors, mode: int, a, b, x: np.ndarray, divisor) -> np.ndarray:
     """`gradient_from_rows` at `factors` on the fibers at `(a, b)`, whose rows are `x`."""
-    return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x)
-
-
-def largest_divisor_at_most(jn: int, b: int) -> int:
-    b = min(b, jn)
-    while jn % b != 0:
-        b -= 1
-    return b
+    return gradient_from_rows(factors.factor(mode), H_rows_at(factors, mode, a, b), x, divisor)
 
 
 @dataclass
 class SgdState:
-    """Vanilla SGD on bins of B_n fibers per mode (B_n must divide J_n), no
-    gradient state.  `fibers[mode]` holds the coordinates of the mode's bins
-    (n_bins x B_n each, from `fiber_coordinates`); `draw` cuts SGD's and
-    SARAH's, and a mode with B_n = J_n has none: its pick is None."""
+    """Vanilla SGD on the bins of B = `batches[mode]` >= 1, no gradient state.
+    `starts[mode]` holds each bin's first fiber position, then J_n;
+    `divisors[mode]` is I_n * J_n / n_bins; `fibers[mode]` holds the fibers'
+    1-D coordinates in bin order, cut by `draw` (none on a mode of one bin)."""
 
     dims: tuple[int, int, int]
     batches: dict[int, int]
     fibers: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False)
+    starts: dict[int, list[int]] = field(default_factory=dict, init=False)
+    divisors: dict[int, float] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         for mode, size in self.batches.items():
+            if size < 1:
+                raise ValueError(f"batch size of mode {mode} must be >= 1, got {size}")
             jn = row_count(self.dims, mode)
-            if size < 1 or jn % size:
-                raise ValueError(f"batch size {size} must divide J_{mode}={jn}")
+            n_bins = -(-jn // size)
+            q, r = divmod(jn, n_bins)
+            self.starts[mode] = [i * q + min(i, r) for i in range(n_bins + 1)]
+            self.divisors[mode] = jn * self.dims[mode - 1] / n_bins
+
+    def n_bins(self, mode: int) -> int:
+        return len(self.starts[mode]) - 1
 
     def draw(self, modes: list[int], rng: np.random.Generator) -> list[int | None]:
         """A bin for each step of `modes`: None on a mode without bins, 0 on a
@@ -84,25 +90,29 @@ class SgdState:
         step, all made in one call.  An SGD or SARAH state's first call first
         cuts its bins, from one `rng.permutation(J_n)` per mode in order."""
         if self.fibers is None:
-            jn = {n: row_count(self.dims, n) for n in self.batches}
-            self.fibers = {n: fiber_coordinates(self.dims, n, rng.permutation(jn[n]).reshape(-1, size))
-                           for n, size in sorted(self.batches.items()) if size < jn[n]}
+            self.fibers = {n: fiber_coordinates(self.dims, n, rng.permutation(starts[-1]))
+                           for n, starts in sorted(self.starts.items()) if len(starts) > 2}
         if not self.fibers:  # every batch is full, as in PALM: nothing to draw
             return [None] * len(modes)
-        bins = [0] + [len(self.fibers[m][0]) if m in self.fibers else 0 for m in (1, 2, 3)]
-        counts = np.array(bins)[modes]
+        counts = np.array([0] + [self.n_bins(m) if m in self.fibers else 0 for m in (1, 2, 3)])[modes]
         picks = np.where(counts > 0, 0, None)
         many = counts > 1
         picks[many] = rng.integers(counts[many])  # an empty draw leaves `rng` as it was
         return picks.tolist()
 
+    def _bin(self, mode: int, pick: int):
+        """Bin `pick`'s fiber coordinates, first fiber position and divisor."""
+        a, b = self.fibers[mode]
+        starts = self.starts[mode]
+        lo, hi = starts[pick], starts[pick + 1]
+        return a[lo:hi], b[lo:hi], lo, self.divisors[mode]
+
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
         """The batch gradient on bin `pick` at `factors` (None: `full_gradient`)."""
         if pick is None:
             return full_gradient(factors, t, mode)
-        a, b = self.fibers[mode]
-        a, b = a[pick], b[pick]
-        return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b))
+        a, b, _, divisor = self._bin(mode, pick)
+        return _rows_gradient(factors, mode, a, b, fiber_rows_at(t, mode, a, b), divisor)
 
 
 @dataclass
@@ -117,10 +127,14 @@ class SarahState(SgdState):
     both evaluated on one gather of the bin's rows.
     """
 
-    q: dict[int, int]
+    q: dict[int, int]  # steps between restarts; 0 -> n_bins, an epoch's worth
     v: dict[int, np.ndarray] = field(default_factory=dict)
     prev_point: dict[int, LL1Factors] = field(default_factory=dict)
     counter: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.q = {n: q or self.n_bins(n) for n, q in self.q.items()}
 
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
         """The direction at `factors` for bin `pick`.  `prev_point[mode]`
@@ -129,11 +143,10 @@ class SarahState(SgdState):
         if count == 0 or pick is None:
             v = full_gradient(factors, t, mode)
         else:
-            a, b = self.fibers[mode]
-            a, b = a[pick], b[pick]
+            a, b, _, divisor = self._bin(mode, pick)
             x = fiber_rows_at(t, mode, a, b)
-            v = (_rows_gradient(factors, mode, a, b, x)
-                 - _rows_gradient(self.prev_point[mode], mode, a, b, x) + self.v[mode])
+            v = (_rows_gradient(factors, mode, a, b, x, divisor)
+                 - _rows_gradient(self.prev_point[mode], mode, a, b, x, divisor) + self.v[mode])
         self.v[mode] = v
         self.prev_point[mode] = factors
         self.counter[mode] = (count + 1) % self.q[mode]
@@ -151,13 +164,11 @@ class SagaState(SgdState):
     recomputed from the table once per full sweep to keep drift below the
     documented 1e-10 consistency bound.
 
-    `table[mode]` stacks the bin gradients (n_bins x I_n x L).  Bin i of a
-    mode with batch size B holds fibers iB to iB + B - 1 (a mode of one bin
-    too), whose coordinates the warm start puts in `fibers`, and `_bin_rows`
-    reads its rows.  The warm start fills the table a chunk of bins at a
-    time: one `_bin_rows` for their rows, one `H_rows_at` and one stacked
-    `gradient_from_rows` written into the table in place (two BLAS calls per
-    bin), which gives every entry the bits of `batch_gradient` on that bin.
+    `table[mode]` stacks the gradients (n_bins x I_n x L) of bins of
+    consecutive fibers, whose coordinates the warm start puts in `fibers`.  It
+    fills the table a chunk of bins of one size at a time (at most two stacked
+    runs): one `_bin_rows`, one `H_rows_at` and one stacked `gradient_from_rows`
+    in place (two BLAS calls per bin), so each entry has its bin's bits.
     """
 
     table: dict[int, np.ndarray] = field(default_factory=dict)
@@ -168,35 +179,31 @@ class SagaState(SgdState):
     def warm_start(
         cls, factors: LL1Factors, t: DenseTensor3, batches: dict[int, int]
     ) -> "SagaState":
-        """The table at `factors` for each mode's batch size B, which must divide J_n."""
+        """The table at `factors` for each mode's batch size B >= 1."""
         state = cls(t.dims, batches, updates_since_recompute={m: 0 for m in batches})
         state.fibers = {}
-        for mode, size in batches.items():
-            jn = row_count(t.dims, mode)
-            n_bins = jn // size
-            state.fibers[mode] = a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(-1, size))
+        for mode, starts in state.starts.items():
+            n_bins, divisor = len(starts) - 1, state.divisors[mode]
+            state.fibers[mode] = a, b = fiber_coordinates(t.dims, mode, np.arange(starts[-1]))
             i_n, width = factors.factor(mode).shape
-            step = max(1, _WARM_CHUNK_BYTES // (8 * size * (2 * i_n + width)))
             state.table[mode] = grads = np.empty((n_bins, i_n, width))
-            for lo in range(0, n_bins, step):
-                hi = min(lo + step, n_bins)
-                x = _bin_rows(t, mode, a[lo:hi].ravel(), b[lo:hi].ravel(), lo * size)
-                gradient_from_rows(
-                    factors.factor(mode), H_rows_at(factors, mode, a[lo:hi], b[lo:hi]),
-                    x.reshape(hi - lo, size, i_n), out=grads[lo:hi],
-                )
+            q, r = divmod(starts[-1], n_bins)
+            for first, last, size in ((0, r, q + 1), (r, n_bins, q)):  # the bins of each size
+                step = max(1, _WARM_CHUNK_BYTES // (8 * size * (2 * i_n + width)))
+                for lo in range(first, last, step):
+                    hi = min(lo + step, last)
+                    ab = a[starts[lo]:starts[hi]], b[starts[lo]:starts[hi]]
+                    x = _bin_rows(t, mode, *ab, starts[lo]).reshape(hi - lo, size, i_n)
+                    h = H_rows_at(factors, mode, *(c.reshape(-1, size) for c in ab))
+                    gradient_from_rows(factors.factor(mode), h, x, divisor, out=grads[lo:hi])
             state.running_mean[mode] = _table_mean(grads)
         return state
-
-    def n_bins(self, mode: int) -> int:
-        return len(self.table[mode])
 
     def estimate(self, factors: LL1Factors, t: DenseTensor3, mode: int, bin_id: int) -> np.ndarray:
         """g = fresh - stored + running_mean, with the fresh bin gradient
         taken at `factors`; then the table and mean are updated."""
-        a, b = self.fibers[mode]
-        a, b = a[bin_id], b[bin_id]
-        fresh = _rows_gradient(factors, mode, a, b, _bin_rows(t, mode, a, b, bin_id * a.size))
+        a, b, lo, divisor = self._bin(mode, bin_id)
+        fresh = _rows_gradient(factors, mode, a, b, _bin_rows(t, mode, a, b, lo), divisor)
         table = self.table[mode]
         diff = fresh - table[bin_id]
         mean = self.running_mean[mode]
@@ -250,8 +257,8 @@ def estimator_mse_probe(
     each draw's pick from `state.draw([mode], rng)`.
 
     Persistent estimator state is deep-copied per draw, so probing never
-    perturbs the solver's state; the bins' coordinates, which no estimate
-    writes, are shared with the copy.  The draws are made on a shallow copy
+    perturbs the solver's state; the bins' coordinates and starts, which no
+    estimate writes, are shared with the copy.  The draws are made on a shallow copy
     of `state`, so a state whose bins are not cut yet stays uncut.
     """
     if n_draws < 1:
@@ -261,7 +268,8 @@ def estimator_mse_probe(
     drawn = copy.copy(state)
     for d in range(n_draws):
         (pick,) = drawn.draw([mode], rng)
-        g = copy.deepcopy(drawn, {id(drawn.fibers): drawn.fibers}).estimate(factors, t, mode, pick)
+        shared = {id(drawn.fibers): drawn.fibers, id(drawn.starts): drawn.starts}
+        g = copy.deepcopy(drawn, shared).estimate(factors, t, mode, pick)
         sq[d] = float(np.sum((g - exact) ** 2))
     mse = float(sq.mean())
     return (mse, sq) if return_draws else mse

@@ -395,12 +395,12 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
 
 
 def gradient_from_rows(
-    a: np.ndarray, h: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+    a: np.ndarray, h: np.ndarray, x: np.ndarray, divisor: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """((H A_n^T - X)^T H) / (I_n * rows) from matching rows H of H_n and X
-    of the mode-n unfolding, written into `out` when given: the batch
-    residual, then one product.  Over all J_n rows this is the exact
-    gradient, since I_n * J_n = I1*I2*I3; over a fiber batch it is the SGD
+    """((H A_n^T - X)^T H) / divisor from matching rows H of H_n and X of
+    the mode-n unfolding, written into `out` when given: the batch residual,
+    then one product.  Over all J_n rows at divisor I1*I2*I3 this is the
+    exact gradient, over one of n_bins bins at I_n * J_n / n_bins the SGD
     estimate.  X is only subtracted, so its memory layout changes no bit.
 
     One batch (2-D `h` and `x`) takes `ndarray.dot`, the BLAS calls of `@`
@@ -415,7 +415,7 @@ def gradient_from_rows(
         r = h @ a.T
         r -= x
         g = np.matmul(r.swapaxes(-1, -2), h, out=out)
-    g /= a.shape[0] * h.shape[-2]
+    g /= divisor
     return g
 
 

@@ -4,7 +4,7 @@ One iteration picks a mode (uniformly at random or cyclically), samples a
 fiber batch, forms two extrapolated points from the mode's recent iterates
 (one for the gradient evaluation, one as the proximal anchor), takes a
 stochastic proximal gradient step on that mode and leaves the others
-untouched.  An epoch is sum_n J_n / B_n iterations, i.e. one expected pass
+untouched.  An epoch, sum_n ceil(J_n / B) iterations, is one expected pass
 over each mode's fibers.  The default step of mode n is STEP_SCALE / L_n,
 refreshed at each epoch start, so it carries no units of the data.
 
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState, largest_divisor_at_most
+from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState
 from .model import (LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp,
                     objective, slab_visit)
 from .prox import NONNEG, Regularizer, prox
-from .tensor import DenseTensor3, row_count
+from .tensor import DenseTensor3
 
 
 class SolverAbort(RuntimeError):
@@ -59,13 +59,13 @@ class SolverConfig:
     beta0: float = 0.8  # scale of the gradient point's inertial weights
     eta: float | None = None  # constant step; None -> STEP_SCALE / L_n per mode and epoch
     step_rule: str = "schedule"  # or "inverse_lipschitz" (1/L steps; eta must be None)
-    B: int = 0  # 0 -> 2 * max L_r
+    B: int = 0  # fibers per bin, at most; 0 -> 2 * max L_r
     epochs: int = 200
     seed: int = 0
     mode_policy: str = "uniform"  # or "cyclic"
     reg: Regularizer = NONNEG  # h, applied to each factor
     init: LL1Factors | None = None  # None -> uniform draw from the "init" stream
-    sarah_q: int = 0  # 0 -> one epoch's worth of mode-n updates
+    sarah_q: int = 0  # 0 -> n_bins of mode n, one epoch's worth of its updates
     abs_tol: float = 1e-12
 
     def __post_init__(self):
@@ -243,13 +243,6 @@ def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
     return points[0], points[1]
 
 
-def effective_batches(config: SolverConfig, dims) -> dict[int, int]:
-    """Per-mode batch size: the largest divisor of J_n at most B, so that the
-    estimator's bins tile the fibers; B = 0 takes 2 * max L_r."""
-    b = config.B if config.B > 0 else 2 * max(config.ranks.L)
-    return {n: largest_divisor_at_most(row_count(dims, n), b) for n in (1, 2, 3)}
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     delta: float
@@ -308,7 +301,9 @@ def run(
     run's `SgdState`, `SagaState` or `SarahState`, under the caller's numpy
     error settings; the run's own arithmetic does not warn on overflow or
     invalid values, which end it with `SolverAbort` instead.
-    Identical (config, tensor) inputs give bitwise-identical results.
+    Identical (config, tensor) inputs give bitwise-identical results.  An
+    epoch takes `state.n_bins(n)` = ceil(J_n / B) steps on mode n, with B =
+    `config.B`, or 2 * max L_r at 0, whether or not B divides J_n.
 
     Inputs are checked here, once; the loop then works on trusted values:
     both extrapolated points come from one product over the mode's
@@ -336,18 +331,15 @@ def run(
     dims = tensor.dims
     streams = rng_streams(config.seed)
     factors = init_factors(config, dims, streams["init"])
-    batches = effective_batches(config, dims)
-    iters_per_mode = {n: row_count(dims, n) // batches[n] for n in (1, 2, 3)}
-    iters_per_epoch = sum(iters_per_mode.values())
-
+    batches = dict.fromkeys((1, 2, 3), config.B or 2 * max(config.ranks.L))
     if config.estimator == "saga":
         state = SagaState.warm_start(factors, tensor, batches)
-    elif config.estimator == "sarah":  # sarah_q = 0: one epoch's worth of mode-n updates
-        state = SarahState(dims, batches,
-                           {n: config.sarah_q or iters_per_mode[n] for n in (1, 2, 3)})
+    elif config.estimator == "sarah":
+        state = SarahState(dims, batches, dict.fromkeys((1, 2, 3), config.sarah_q))
     else:
         state = SgdState(dims, batches)
     estimate = state.estimate
+    iters_per_epoch = sum(state.n_bins(n) for n in (1, 2, 3))
 
     # each mode's point and last t steps; allocated after the SAGA table
     depth = config.t

@@ -13,7 +13,6 @@ from midasll1.solver import (
     STEP_SCALE,
     RunTrace,
     SolverAbort,
-    effective_batches,
     init_factors,
     rng_streams,
 )
@@ -169,12 +168,13 @@ def als_mu_reference(config, tensor):
     return factors, phi
 
 
-def _batch_gradient(factors, tensor, mode, idx):
-    """Fiber-sampled gradient ((H A_n^T - X)^T H) / (I_n * B) from rows of the
-    full H_n and of the unfolding."""
+def _batch_gradient(factors, tensor, mode, idx, n_bins):
+    """Fiber-sampled gradient ((H A_n^T - X)^T H) / (I_n * J_n / n_bins) of
+    one of a mode's `n_bins` bins, from rows of the full H_n and of the
+    unfolding."""
     h = reference_build_H(factors, mode)[idx]
     residual = h @ factors.factor(mode).T - unfold(tensor, mode)[idx]
-    return (residual.T @ h) / (factors.dims[mode - 1] * len(idx))
+    return (residual.T @ h) / (factors.dims[mode - 1] * row_count(tensor.dims, mode) / n_bins)
 
 
 def _extrapolate(history, coeffs):
@@ -208,11 +208,11 @@ def run_reference(config, tensor):
     against code that shares none of its loop, caches or estimator state.
 
     Draws from the same streams in the same order as `run`: for SGD and
-    SARAH first one permutation of each mode's fibers with B_n < J_n, in mode
-    order, cut into consecutive bins of B_n (SAGA's bins are the fibers in
-    order); then one mode draw per step and one bin draw when the mode has
-    more than one bin. A mode without bins (SGD and SARAH with B_n = J_n)
-    takes the full gradient. Returns the final factors and a `RunTrace`
+    SARAH first one permutation of each mode's fibers with B < J_n, in mode
+    order, split into ceil(J_n / B) consecutive bins by `np.array_split`
+    (SAGA's split the fibers in order); then one mode draw per step and one
+    bin draw when the mode has more than one bin. A mode without bins (SGD
+    and SARAH with B >= J_n) takes the full gradient. Returns the final factors and a `RunTrace`
     without elapsed times.  Each epoch's f and phi come from
     `model.objective`, which `test_model.py` checks against
     `reference_objective`.
@@ -220,25 +220,25 @@ def run_reference(config, tensor):
     dims = tensor.dims
     streams = rng_streams(config.seed)
     factors = init_factors(config, dims, streams["init"])
-    batches = effective_batches(config, dims)
+    b = config.B if config.B > 0 else 2 * max(config.ranks.L)
     jn = {n: row_count(dims, n) for n in (1, 2, 3)}
-    iters_per_epoch = sum(jn[n] // batches[n] for n in (1, 2, 3))
+    n_bins = {n: math.ceil(jn[n] / b) for n in (1, 2, 3)}
+    iters_per_epoch = sum(n_bins.values())
     est = config.estimator
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
 
     if est != "saga":  # `run` draws these at its first epoch, before any bin
-        bins = {n: rng_fiber.permutation(jn[n]).reshape(-1, batches[n])
-                for n in (1, 2, 3) if batches[n] < jn[n]}
+        bins = {n: np.array_split(rng_fiber.permutation(jn[n]), n_bins[n])
+                for n in (1, 2, 3) if n_bins[n] > 1}
     else:
-        bins = {n: np.arange(jn[n]).reshape(-1, batches[n]) for n in (1, 2, 3)}
-        table = {n: [_batch_gradient(factors, tensor, n, idx) for idx in bins[n]]
+        bins = {n: np.array_split(np.arange(jn[n]), n_bins[n]) for n in (1, 2, 3)}
+        table = {n: [_batch_gradient(factors, tensor, n, idx, n_bins[n]) for idx in bins[n]]
                  for n in (1, 2, 3)}
         mean = {n: sum(table[n][1:], start=table[n][0].copy()) / len(table[n])
                 for n in (1, 2, 3)}
         since = {n: 0 for n in (1, 2, 3)}
     if est == "sarah":
-        q = {n: config.sarah_q if config.sarah_q > 0 else jn[n] // batches[n]
-             for n in (1, 2, 3)}
+        q = {n: config.sarah_q if config.sarah_q > 0 else n_bins[n] for n in (1, 2, 3)}
         v, prev, counter = {}, {}, {n: 0 for n in (1, 2, 3)}
 
     history = {n: deque([factors.factor(n)], maxlen=config.t + 2) for n in (1, 2, 3)}
@@ -286,7 +286,7 @@ def run_reference(config, tensor):
                 nb = len(bins[n])
                 bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
             if est == "saga":
-                fresh = _batch_gradient(factors_u, tensor, n, bins[n][bin_id])
+                fresh = _batch_gradient(factors_u, tensor, n, bins[n][bin_id], nb)
                 stored = table[n][bin_id]
                 g = fresh - stored + mean[n]
                 mean[n] = mean[n] + (fresh - stored) / nb
@@ -298,11 +298,11 @@ def run_reference(config, tensor):
             elif bin_id is None or (est == "sarah" and counter[n] == 0):
                 g = reference_full_gradient(factors_u, tensor, n)
             elif est == "sgd":
-                g = _batch_gradient(factors_u, tensor, n, bins[n][bin_id])
+                g = _batch_gradient(factors_u, tensor, n, bins[n][bin_id], nb)
             else:
                 idx = bins[n][bin_id]
-                g = (_batch_gradient(factors_u, tensor, n, idx)
-                     - _batch_gradient(prev[n], tensor, n, idx) + v[n])
+                g = (_batch_gradient(factors_u, tensor, n, idx, nb)
+                     - _batch_gradient(prev[n], tensor, n, idx, nb) + v[n])
             if est == "sarah":
                 v[n], prev[n] = g, factors_u
                 counter[n] = (counter[n] + 1) % q[n]

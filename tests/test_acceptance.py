@@ -25,7 +25,6 @@ from midasll1.estimators import (
     SgdState,
     batch_gradient,
     estimator_mse_probe,
-    largest_divisor_at_most,
 )
 from midasll1.model import (
     H_rows_at,
@@ -160,9 +159,8 @@ def test_criterion_02_estimator_unbiasedness():
     f = _random_factors(rng, (5, 6, 4), (2, 2))
     x = DenseTensor3(rng.random((5, 6, 4)))
     worst = 0.0
-    for mode in (1, 2, 3):
+    for mode, b in ((1, 4), (2, 4), (3, 3)):  # each b divides J = (24, 20, 30)
         jn = row_count(x.dims, mode)
-        b = largest_divisor_at_most(jn, 4)
         bins = np.arange(jn).reshape(-1, b)
         avg = sum(batch_gradient(f, x, mode, idx) for idx in bins) / len(bins)
         worst = max(worst, float(np.linalg.norm(avg - full_gradient(f, x, mode))))
@@ -177,9 +175,8 @@ def test_criterion_03_saga_cancellation():
     x = DenseTensor3(rng.random((5, 4, 6)))
     ok = True
     detail = []
-    for mode in (1, 2, 3):
+    for mode, b in ((1, 4), (2, 3), (3, 4)):  # each b divides J = (24, 30, 20)
         jn = row_count(x.dims, mode)
-        b = largest_divisor_at_most(jn, 4)
         bins = np.arange(jn).reshape(-1, b)
         state = SagaState.warm_start(f, x, {mode: b})
         # unchanged point: fresh and stored cancel exactly (bitwise)
@@ -297,7 +294,7 @@ def test_criterion_09_variance_reduction(shared_instance, midas_runs):
     ok = True
     seps = []
     for mode in (1, 2, 3):
-        b = state.fibers[mode][0].shape[1]
+        b = state.batches[mode]
         rng = np.random.default_rng(9000 + mode)
         mse_saga, d_saga = estimator_mse_probe(
             state, factors, tensor, mode, n_draws, rng, return_draws=True

@@ -411,18 +411,18 @@ def cli_child(cwd, *args):
 
 def test_aborted_decompose_prints_one_error_line(tmp_path):
     """An aborted run writes the one documented `error:` line to stderr and
-    nothing else, no numpy warning on the way.  With eta = 1e8 the factors
-    stay finite until the epoch's objective finds the reconstruction
+    nothing else, no numpy warning on the way.  With eta = 33 the factors
+    stay finite until the second epoch's objective finds the reconstruction
     overflowing."""
     path = str(tmp_path / "x.dten")
     assert cli_child(tmp_path, "synth", "--dims", "6,5,4", "--ranks", "2,1", "--seed", "3",
                      "--out", path).returncode == EXIT_OK
-    cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\neta = 1e8\n")
+    cfg = write_config(tmp_path, "ranks = 2,1\nepochs = 2\neta = 33\n")
     r = cli_child(tmp_path, "decompose", "--tensor", path, "--config", str(cfg),
                   "--out", str(tmp_path / "o"))
     assert r.returncode == EXIT_NAN_ABORT
     assert r.stderr.startswith("error: the reconstruction overflows: the factors give "
-                               "non-finite model entries after iteration 20 (mode 2)")
+                               "non-finite model entries after iteration 37 (mode 3)")
     assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
 
 
@@ -445,7 +445,7 @@ def test_decompose_overflowing_reconstruction_exits_3(tmp_path, capsys):
     path = tmp_path / "x.dten"
     t, _ = generate((6, 5, 4), RankVector((2, 1)), snr_db=math.inf, seed=11)
     tensorfile.write_tensor(path, t)
-    cfg = write_config(tmp_path, "ranks = 2,1\nestimator = saga\neta = 3\nreg = none\n"
+    cfg = write_config(tmp_path, "ranks = 2,1\nestimator = saga\neta = 7.8\nreg = none\n"
                                  "epochs = 200\nseed = 12\n")
     rc = main(["decompose", "--tensor", str(path), "--config", str(cfg),
                "--out", str(tmp_path / "o")])

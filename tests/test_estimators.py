@@ -12,7 +12,6 @@ from midasll1.estimators import (
     SgdState,
     batch_gradient,
     estimator_mse_probe,
-    largest_divisor_at_most,
 )
 from midasll1.model import (
     H_rows_at,
@@ -60,30 +59,47 @@ def test_partition_average_is_unbiased(mode):
     """Averaging bin estimates over a partition of fibers gives the exact gradient."""
     f, t = make_problem(seed=1)
     jn = row_count(t.dims, mode)
-    b = largest_divisor_at_most(jn, 5)
+    b = {1: 5, 2: 4, 3: 5}[mode]  # each divides J = (15, 12, 20)
     bins = np.arange(jn).reshape(-1, b)
     avg = sum(batch_gradient(f, t, mode, idx) for idx in bins) / len(bins)
     exact = full_gradient(f, t, mode)
     assert np.abs(avg - exact).max() <= 1e-10
 
 
-def test_warm_start_rejects_nondivisor_batch():
-    """SAGA's warm start and SGD's and SARAH's constructor take only bins
-    that tile the fibers."""
+def test_states_reject_a_batch_below_one():
+    """SAGA's warm start and SGD's and SARAH's constructor take any batch
+    size B >= 1, whether or not it divides J_n, and no smaller one."""
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
-    for mode, b in ((1, 4), (2, 5), (3, 3), (1, 0)):
+    for mode, b in ((1, 0), (2, -1), (3, 0)):
         for make in (lambda: SagaState.warm_start(f, t, {mode: b}),
                      lambda: SgdState(t.dims, {mode: b}),
                      lambda: SarahState(t.dims, {mode: b}, q={mode: 2})):
-            with pytest.raises(ValueError, match=f"must divide J_{mode}"):
+            with pytest.raises(ValueError, match=f"batch size of mode {mode} must be >= 1"):
                 make()
+    for mode, b in ((1, 4), (2, 5), (3, 3)):
+        assert SagaState.warm_start(f, t, {mode: b}).n_bins(mode) == -(-row_count(t.dims, mode) // b)
 
 
-def test_largest_divisor_at_most():
-    assert largest_divisor_at_most(12, 5) == 4
-    assert largest_divisor_at_most(12, 12) == 12
-    assert largest_divisor_at_most(12, 100) == 12
-    assert largest_divisor_at_most(7, 3) == 1
+def bin_sizes(state, mode):
+    return np.diff(state.starts[mode]).tolist()
+
+
+def test_ragged_bins_average_to_the_full_gradient():
+    """On a mode whose J_n the batch size does not divide, the ceil(J_n / B)
+    bins differ in size by one, larger first, and each bin gradient is divided
+    by I_n * J_n / n_bins: the mean of SGD's bin estimates and SAGA's
+    warm-start table mean both equal the full gradient (criterion 02's
+    identity on ragged bins)."""
+    f, t = make_problem(seed=23, dims=(5, 7, 4), L=(2, 1))  # J_3 = 35
+    exact = full_gradient(f, t, 3)
+    sgd = SgdState(t.dims, {3: 4})
+    sgd.draw([], np.random.default_rng(0))  # cuts the bins
+    saga = SagaState.warm_start(f, t, {3: 4})
+    for state in (sgd, saga):
+        assert bin_sizes(state, 3) == [4] * 8 + [3]
+    mean = sum(sgd.estimate(f, t, 3, i) for i in range(9)) / 9
+    np.testing.assert_allclose(mean, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
+    np.testing.assert_allclose(saga.running_mean[3], exact, rtol=0, atol=1e-14 * np.abs(exact).max())
 
 
 def saga_for(f, t, mode, b):
@@ -123,10 +139,10 @@ class CountingRng:
 
 def test_sgd_draw_takes_bins_of_one_random_partition():
     """SGD's and SARAH's first draw cuts one `rng.permutation(J_n)` per mode
-    with B_n < J_n, in mode order, into consecutive bins of B_n fibers, which
+    with B < J_n, in mode order, into ceil(J_n / B) consecutive bins, which
     cover each fiber once and serve every later draw; each draw's picks are
     one `rng.integers` call over the steps' bin counts.  A full batch
-    (B_n = J_n) is None, every fiber: it has no partition and leaves the
+    (B >= J_n) is None, every fiber: it has no partition and leaves the
     generator as it was."""
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
     rng = CountingRng(np.random.default_rng(3))
@@ -136,16 +152,16 @@ def test_sgd_draw_takes_bins_of_one_random_partition():
     assert full.fibers == {} and "permutation" not in rng.calls
     assert rng.rng.bit_generator.state == before
 
-    batches = {3: 4, 2: 12, 1: 5}  # mode 2 takes every fiber; the dict's order is free
+    batches = {3: 4, 2: 12, 1: 4}  # mode 2 takes every fiber; the dict's order is free
     modes = np.random.default_rng(1).integers(1, 4, size=60).tolist()
     for st in (SgdState(t.dims, batches), SarahState(t.dims, batches, q={1: 2, 2: 2, 3: 2})):
         rng, ref = CountingRng(np.random.default_rng(2)), np.random.default_rng(2)
-        perms = {n: ref.permutation(row_count(t.dims, n)).reshape(-1, batches[n]) for n in (1, 3)}
+        perms = {n: ref.permutation(row_count(t.dims, n)) for n in (1, 3)}
         for epoch in range(3):
             picks = st.draw(modes, rng)
             assert rng.calls == ["permutation"] * 2 * (epoch == 0) + ["integers"]
             rng.calls.clear()
-            ids = iter(ref.integers([len(perms[n]) for n in modes if n != 2]).tolist())
+            ids = iter(ref.integers([st.n_bins(n) for n in modes if n != 2]).tolist())
             assert picks == [None if n == 2 else next(ids) for n in modes]
             assert all(type(p) is int for p in picks if p is not None)
             assert rng.rng.bit_generator.state == ref.bit_generator.state
@@ -154,15 +170,16 @@ def test_sgd_draw_takes_bins_of_one_random_partition():
                 a, b = st.fibers[n]
                 want_a, want_b = fiber_coordinates(t.dims, n, perms[n])
                 assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
-                assert len(set(zip(a.ravel().tolist(), b.ravel().tolist()))) == row_count(t.dims, n)
+                assert len(set(zip(a.tolist(), b.tolist()))) == row_count(t.dims, n)
+            assert bin_sizes(st, 1) == [4, 4, 4, 3] and bin_sizes(st, 3) == [4] * 5
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_saga_estimate_at_anchor_is_exact(mode):
     """Fresh and stored bin gradients cancel at the warm-start point, so the
     estimate is the table mean, which equals the full gradient."""
-    f, t = make_problem(seed=2)
-    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
+    f, t = make_problem(seed=2)  # J = (15, 12, 20): mode 1 takes bins of 4, 4, 4 and 3
+    st = saga_for(f, t, mode, 4)
     for bin_id in range(st.n_bins(mode)):
         g = copy.deepcopy(st).estimate(f, t, mode, bin_id)
         assert np.abs(g - full_gradient(f, t, mode)).max() <= 1e-10
@@ -181,7 +198,7 @@ def test_saga_single_bin_is_full_gradient_everywhere():
 def test_saga_running_mean_stays_consistent():
     f, t = make_problem(seed=5)
     mode = 1
-    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 3))
+    st = saga_for(f, t, mode, 3)
     rng = np.random.default_rng(6)
     point = f
     for _ in range(50):
@@ -197,7 +214,7 @@ def test_saga_expectation_over_bins_is_exact_gradient():
     gradient at the evaluation point, regardless of table contents."""
     f, t = make_problem(seed=7)
     mode = 3
-    st = saga_for(f, t, mode, largest_divisor_at_most(row_count(t.dims, mode), 4))
+    st = saga_for(f, t, mode, 6)  # J_3 = 20: bins of 5 fibers
     f2, _ = make_problem(seed=8)
     ests = [copy.deepcopy(st).estimate(f2, t, mode, b) for b in range(st.n_bins(mode))]
     avg = sum(ests) / len(ests)
@@ -222,7 +239,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
     jn = row_count(t.dims, mode)
     st = SarahState(t.dims, {mode: jn}, q={mode: 10})
     one_bin = copy.deepcopy(st)
-    one_bin.fibers = {mode: fiber_coordinates(t.dims, mode, np.arange(jn).reshape(1, jn))}
+    one_bin.fibers = {mode: fiber_coordinates(t.dims, mode, np.arange(jn))}
     point = f
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -269,10 +286,12 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     assert gathered == []
     v = st.estimate(point, t, mode, pick)
     assert gathered == [b_n]
-    a, b = (c[pick] for c in st.fibers[mode])
+    lo, hi = st.starts[mode][pick:pick + 2]
+    a, b = (c[lo:hi] for c in st.fibers[mode])
     x = fiber_rows_at(t, mode, a, b)
-    want = (gradient_from_rows(point.factor(mode), H_rows_at(point, mode, a, b), x)
-            - gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a, b), x)
+    divisor = t.dims[mode - 1] * b_n  # b_n divides J_n
+    want = (gradient_from_rows(point.factor(mode), H_rows_at(point, mode, a, b), x, divisor)
+            - gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a, b), x, divisor)
             + full_gradient(f, t, mode))
     assert v.tobytes() == want.tobytes()
     full = SarahState(t.dims, {mode: row_count(t.dims, mode)}, q={mode: 3})
@@ -295,7 +314,7 @@ def test_probe_zero_mse_for_full_batch_sgd():
 def test_probe_does_not_mutate_state():
     f, t = make_problem(seed=15)
     mode = 2
-    st = SagaState.warm_start(f, t, {mode: largest_divisor_at_most(row_count(t.dims, mode), 4)})
+    st = SagaState.warm_start(f, t, {mode: 4})
     before = copy.deepcopy(st)
     estimator_mse_probe(st, f, t, mode, 20, np.random.default_rng(1))
     for b in range(st.n_bins(mode)):
@@ -323,9 +342,10 @@ def test_probe_does_not_mutate_state():
 @pytest.mark.parametrize("kind", ["sgd", "sarah", "saga"])
 def test_probe_copies_share_the_bins(kind):
     """The state each draw estimates on is a copy that shares the probed
-    state's `fibers`, the bins' coordinates, which no estimate writes."""
-    f, t = make_problem(seed=18)
-    mode, batches = 1, {n: largest_divisor_at_most(row_count(t.dims, n), 4) for n in (1, 2, 3)}
+    state's `fibers` and `starts`, the bins' coordinates and bounds, which no
+    estimate writes."""
+    f, t = make_problem(seed=18)  # J = (15, 12, 20): mode 1's bins are ragged
+    mode, batches = 1, {n: 4 for n in (1, 2, 3)}
     state = {"sgd": lambda: SgdState(t.dims, batches),
              "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches}),
              "saga": lambda: SagaState.warm_start(f, t, batches)}[kind]()
@@ -342,6 +362,7 @@ def test_probe_copies_share_the_bins(kind):
         estimator_mse_probe(state, f, t, mode, 3, np.random.default_rng(4))
     assert len(copies) == 3
     assert all(c is not state and c.fibers is state.fibers for c in copies)
+    assert all(c.starts is state.starts for c in copies)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "sarah"])
@@ -417,31 +438,40 @@ def test_probe_rejects_bad_args():
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatch):
-    """The batched warm start fills every table entry with the bits of
-    `batch_gradient` on that bin's gathered rows, for one fiber per bin, a
-    middle bin size and a single bin, and chunks of one bin, of a few bins
-    and of the default bound."""
+    """The batched warm start fills every table entry with the bits of the
+    bin's gradient from its gathered rows, for one fiber per bin, a middle
+    bin size that divides J_n (`batch_gradient`'s bits), a ragged one (bins
+    of two sizes, so two stacked runs) and a single bin, and chunks of one
+    bin, of a few bins and of the default bound."""
     if chunk_bytes is not None:
         monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
     f, t = make_problem(seed=7, dims=(6, 5, 4), L=(3, 1, 2))
-    jn = row_count(t.dims, mode)
-    for b in (1, largest_divisor_at_most(jn, jn // 3), jn):
+    jn = row_count(t.dims, mode)  # J = (20, 24, 30)
+    divides, ragged = {1: (5, 7), 2: (8, 5), 3: (10, 4)}[mode]
+    for b in (1, divides, ragged, jn):
         st = SagaState.warm_start(f, t, {mode: b})
-        for i, idx in enumerate(np.arange(jn).reshape(-1, b)):
-            g = batch_gradient(f, t, mode, idx)
+        bins = np.array_split(np.arange(jn), -(-jn // b))
+        assert len({len(idx) for idx in bins}) == 1 + (b == ragged)
+        for i, idx in enumerate(bins):
+            a_i, b_i = fiber_coordinates(t.dims, mode, idx)
+            g = gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a_i, b_i),
+                                   fiber_rows_at(t, mode, a_i, b_i), t.size / len(bins))
             assert st.table[mode][i].tobytes() == g.tobytes()
+            if b != ragged:
+                assert g.tobytes() == batch_gradient(f, t, mode, idx).tobytes()
         grads = st.table[mode]
         in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
         assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
 
 
-@pytest.mark.parametrize("B", [1, 8])
+@pytest.mark.parametrize("B", [1, 8, 5])
 @pytest.mark.parametrize("L", [(9, 3, 1), (12, 3)])
 def test_mode3_saga_estimate_at_the_warm_start_point_is_the_mean(L, B):
     """At the point its table was warm-started at, a mode-3 SAGA estimate
     on each bin returns the running mean bit for bit: the fresh gradient,
     from one batch's H rows, has the bits of the table entry, from a
-    stack's, so the two cancel exactly."""
+    stack's, so the two cancel exactly.  B = 5 cuts J_3 = 24 into bins of
+    5, 5, 5, 5 and 4 fibers, two stacked runs."""
     f, t = make_problem(seed=21, dims=(6, 4, 5), L=L)
     state = SagaState.warm_start(f, t, {3: B})
     mean = state.running_mean[3].copy()
@@ -477,13 +507,14 @@ def test_gradient_from_rows_ignores_the_row_layout(mode):
     h = H_rows_at(f, mode, a, b)
     x = np.ascontiguousarray(fiber_rows_at(t, mode, a.ravel(), b.ravel()).reshape(*a.shape, -1))
     a_n = f.factor(mode)
+    divisor = t.dims[mode - 1] * 2
     for hs, xs in ((h[0], x[0]), (h, x)):
-        want = gradient_from_rows(a_n, hs, xs).tobytes()
+        want = gradient_from_rows(a_n, hs, xs, divisor).tobytes()
         fortran = np.asfortranarray(xs)
         assert not fortran.flags.c_contiguous
-        assert gradient_from_rows(a_n, hs, fortran).tobytes() == want
+        assert gradient_from_rows(a_n, hs, fortran, divisor).tobytes() == want
         out = np.empty((*xs.shape[:-2], *a_n.shape))
-        assert gradient_from_rows(a_n, hs, fortran, out=out) is out
+        assert gradient_from_rows(a_n, hs, fortran, divisor, out=out) is out
         assert out.tobytes() == want
 
 
@@ -514,9 +545,9 @@ def _record_rows(monkeypatch):
     estimators (the solver loop's batch gradients among them), in call order."""
     seen = []
 
-    def recording(a, h, x, out=None):
+    def recording(a, h, x, divisor, out=None):
         seen.append(x)
-        return gradient_from_rows(a, h, x, out=out)
+        return gradient_from_rows(a, h, x, divisor, out=out)
 
     monkeypatch.setattr(estimators, "gradient_from_rows", recording)
     return seen
@@ -542,7 +573,8 @@ def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
     seen.clear()
     for bin_id in range(st.n_bins(mode)):
         st.estimate(f, t, mode, bin_id)
-        a, b = (c[bin_id] for c in st.fibers[mode])
+        lo, hi = st.starts[mode][bin_id:bin_id + 2]
+        a, b = (c[lo:hi] for c in st.fibers[mode])
         x = seen[-1]
         assert x.shape == (a.size, t.dims[mode - 1])
         assert x.tobytes() == fiber_rows_at(t, mode, a, b).tobytes()
@@ -551,8 +583,8 @@ def test_saga_rows_are_fiber_rows_at(mode, chunk_bytes, monkeypatch):
 @pytest.mark.parametrize("estimator", ["sgd", "sarah"])
 def test_sampled_rows_are_rows_of_the_unfolding(estimator, monkeypatch):
     """Each row SGD and SARAH gather in `run` is a row of the unfolding, bit
-    for bit, in bins of the mode's batch size: 4, 4 and 1 fibers, the largest
-    divisors of J = (28, 20, 35) at most B = 4 (the modes of (5, 7, 4)
+    for bit, in bins of at most B = 4 fibers: ceil(J_n / 4) bins of J =
+    (28, 20, 35), so 4, 4, and 4 or 3 on mode 3 (the modes of (5, 7, 4)
     differ in I_n, so a batch's width names its mode)."""
     f, t = make_problem(seed=13, dims=(5, 7, 4), L=(2, 1))
     seen = _record_rows(monkeypatch)
@@ -560,5 +592,5 @@ def test_sampled_rows_are_rows_of_the_unfolding(estimator, monkeypatch):
     rows = {t.dims[m - 1]: {r.tobytes() for r in unfold(t, m)} for m in (1, 2, 3)}
     assert len({x.shape[1] for x in seen}) == 3
     for x in seen:
-        assert x.shape[0] == {5: 4, 7: 4, 4: 1}[x.shape[1]]
+        assert x.shape[0] in {5: (4,), 7: (4,), 4: (4, 3)}[x.shape[1]]
         assert all(r.tobytes() in rows[x.shape[1]] for r in x)

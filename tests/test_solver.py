@@ -20,7 +20,6 @@ from midasll1.solver import (
     SolverConfig,
     StepWindow,
     als_mu_baseline,
-    effective_batches,
     epoch_coefficients,
     extrapolate,
     feasibility_check,
@@ -252,28 +251,69 @@ def test_numpy_integer_config_runs_as_plain_ints(estimator):
     assert tra.phi == trb.phi and tra.step_sizes == trb.step_sizes
 
 
+def run_state(cfg, dims):
+    """The estimator state of a one-epoch `run` of `cfg` on a tensor of `dims`."""
+    seen = []
+    cfg = replace(cfg, epochs=1)
+    _, trace = run(cfg, small_tensor(dims=dims, L=cfg.ranks.L), callback=lambda e, f, s: seen.append(s))
+    assert trace.iteration == [sum(seen[0].n_bins(n) for n in (1, 2, 3))]
+    return seen[0]
+
+
+def bin_sizes(state, mode):
+    return np.diff(state.starts[mode]).tolist()
+
+
 def test_default_batch_size_is_twice_max_block():
-    """B = 0 takes 2 * max L_r = 6, clamped to J_3 = 4; a given B that
-    divides J_n is kept."""
+    """B = 0 takes 2 * max L_r = 6 fibers per bin at most, a given B that
+    many, and a mode of J_n <= B is one bin; an epoch takes one step per bin."""
     dims = (2, 2, 12)  # J = (24, 24, 4)
     cfg = SolverConfig(ranks=RankVector((2, 3)), estimator="sgd")
-    assert effective_batches(cfg, dims) == {1: 6, 2: 6, 3: 4}
-    assert effective_batches(replace(cfg, B=8), dims) == {1: 8, 2: 8, 3: 4}
+    state = run_state(cfg, dims)
+    assert state.batches == {1: 6, 2: 6, 3: 6}
+    assert [bin_sizes(state, n) for n in (1, 2, 3)] == [[6] * 4, [6] * 4, [4]]
+    state = run_state(replace(cfg, B=8), dims)
+    assert [bin_sizes(state, n) for n in (1, 2, 3)] == [[8] * 3, [8] * 3, [4]]
 
 
-def test_effective_batches_saga_divisor():
-    """Every estimator's batch is the largest divisor of J_n at most B, as
-    SAGA's always was, so that its bins tile the fibers."""
+def test_every_estimator_cuts_ceil_bins():
+    """Every estimator cuts J_n fibers into ceil(J_n / B) bins whose sizes
+    differ by at most one, larger bins first, whether or not B divides J_n."""
     for estimator in ("sgd", "saga", "sarah"):
         cfg = SolverConfig(ranks=RankVector((2, 3)), estimator=estimator, B=7)
-        # J1 = 2*10 = 20 -> largest divisor <= 7 is 5; J2 = 30 -> 6; J3 = 6 -> 6
-        assert effective_batches(cfg, (3, 2, 10)) == {1: 5, 2: 6, 3: 6}
+        state = run_state(cfg, (3, 2, 10))  # J = (20, 30, 6)
+        assert [bin_sizes(state, n) for n in (1, 2, 3)] == [[7, 7, 6], [6] * 5, [6]]
 
 
-def test_effective_batches_clamped_to_jn():
-    cfg = SolverConfig(ranks=RankVector((2,)), estimator="sgd", B=100)
-    out = effective_batches(cfg, (2, 3, 4))
-    assert out == {1: 12, 2: 8, 3: 6}
+def test_a_batch_beyond_j_n_is_one_bin():
+    """B >= J_n gives a mode one bin of every fiber: SGD's and SARAH's pick
+    is None (the full gradient), SAGA's table holds one entry."""
+    for estimator in ("sgd", "saga", "sarah"):
+        cfg = SolverConfig(ranks=RankVector((2,)), estimator=estimator, B=100)
+        state = run_state(cfg, (2, 3, 4))  # J = (12, 8, 6)
+        assert [bin_sizes(state, n) for n in (1, 2, 3)] == [[12], [8], [6]]
+        if estimator == "saga":
+            assert [len(state.table[n]) for n in (1, 2, 3)] == [1, 1, 1]
+        else:
+            assert state.fibers == {} and state.draw([1, 2, 3], None) == [None] * 3
+
+
+def test_ragged_shape_runs_bins_of_7_and_8():
+    """At (97, 89, 53) a B of 8 divides no J_n: every estimator runs bins of
+    7 and 8 fibers, ceil(J_n / 8) of them, and an epoch takes that many steps
+    per mode, not the J_n one-fiber steps of a largest-divisor rule."""
+    dims = (97, 89, 53)
+    jn = (89 * 53, 97 * 53, 97 * 89)
+    state = SarahState(dims, dict.fromkeys((1, 2, 3), 8), q=dict.fromkeys((1, 2, 3), 0))
+    assert [state.n_bins(n) for n in (1, 2, 3)] == [-(-j // 8) for j in jn] == [590, 643, 1080]
+    assert state.q == {1: 590, 2: 643, 3: 1080}  # q = 0: one restart per epoch
+    for n in (1, 2, 3):
+        assert set(bin_sizes(state, n)) == {7, 8}
+        assert sum(bin_sizes(state, n)) == jn[n - 1]
+    cfg = SolverConfig(ranks=RankVector((1,)), estimator="sgd", B=8, epochs=1, seed=3)
+    t = DenseTensor3(np.random.default_rng(5).random(dims))
+    _, trace = run(cfg, t)
+    assert trace.iteration == [590 + 643 + 1080]
 
 
 def test_init_factors_deterministic_and_in_range():
@@ -496,7 +536,7 @@ def test_overflowing_reconstruction_is_a_solver_abort():
     `SolverAbort` that names the reconstruction, at the iteration and mode of
     the reference loop, and not with the input check's `ValueError`."""
     t = small_tensor(seed=11)
-    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator="saga", eta=3.0, reg=NONE,
+    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator="saga", eta=7.8, reg=NONE,
                        epochs=200, seed=12)
     with pytest.raises(SolverAbort) as ref:
         run_reference(cfg, t)
@@ -608,7 +648,7 @@ def test_run_nan_abort():
 
 @pytest.mark.parametrize("variant, data_seed, head", [
     ({"estimator": "sgd", "eta": 1e6}, 5, "non-finite factor entries"),
-    ({"estimator": "saga", "eta": 3.0, "seed": 12}, 11, "the reconstruction overflows"),
+    ({"estimator": "saga", "eta": 7.8, "seed": 12}, 11, "the reconstruction overflows"),
 ], ids=["non-finite", "reconstruction"])
 def test_abort_message_names_the_depth(variant, data_seed, head):
     """Inertial depth makes a step infeasible as much as eta, alpha and beta
@@ -865,7 +905,8 @@ def test_only_a_run_of_full_batches_fuses_its_mode_3_steps(monkeypatch):
     t, _ = generate((3, 4, 10), RankVector((2, 1)), snr_db=20.0, seed=1)
     base = SolverConfig(ranks=RankVector((2, 1)), estimator="sgd", epochs=3, seed=2,
                         mode_policy="cyclic")
-    assert effective_batches(replace(base, B=12), t.dims) == {1: 10, 2: 10, 3: 12}
+    # J = (40, 30, 12): bins of at most 12 fibers sample modes 1 and 2 only
+    assert [SgdState(t.dims, {n: 12}).n_bins(n) for n in (1, 2, 3)] == [4, 3, 1]
     run(replace(base, B=12), t)
     assert visits == []
     for depth in (0, 1):
