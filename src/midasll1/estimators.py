@@ -78,7 +78,7 @@ class SgdState:
             jn = row_count(self.dims, mode)
             n_bins = -(-jn // size)
             q, r = divmod(jn, n_bins)
-            self.starts[mode] = [i * q + min(i, r) for i in range(n_bins + 1)]
+            self.starts[mode] = [*range(0, r * (q + 1), q + 1), *range(r * (q + 1), jn + 1, q)]
             self.divisors[mode] = jn * self.dims[mode - 1] / n_bins
 
     def n_bins(self, mode: int) -> int:
