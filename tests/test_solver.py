@@ -387,15 +387,14 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
-# deep windows over one SGD epoch: t = 48 is beyond its 47 steps, so every
-# step has zero rows; t = 24 was beyond the 21 steps it had before its batch
-# sizes became divisors of J_n
+# deep windows over one SGD epoch: t = 24 and t = 48 are beyond its 21 steps
+# (7, 5 and 9 bins of at most 4 fibers), so every step has zero rows
 REFERENCE_CASES += [{"estimator": "sgd", "t": 24, "epochs": 1},
                     {"estimator": "sgd", "t": 48, "epochs": 1}]
-# 87-99 steps per mode (47 SAGA steps an epoch), so each mode's window moves
-# back to its buffer's end, once every t + 1 steps, at least 29 times at t = 2
-# and 9 times at t = 8; t = 8 at the default inertia collapses a block by
-# iteration 235, so it runs at about a third of it
+# 36-48 steps per mode (21 SAGA steps an epoch), so each mode's window moves
+# back to its buffer's end, once every t + 1 steps, at least 12 times at t = 2
+# and 4 times at t = 8; t = 8 at the default inertia diverges (f reads about
+# 1e6 after the 6 epochs), so it runs at about a third of it
 REFERENCE_CASES += [{"estimator": "saga", "t": 2},
                     {"estimator": "saga", "t": 8, "alpha0": 0.1, "beta0": 0.25}]
 
@@ -588,7 +587,7 @@ def test_run_trace_bookkeeping():
     _, trace = run(cfg, t)
     assert len(trace) == 6
     assert trace.epoch == list(range(1, 7))
-    # iterations per epoch = sum_n ceil(J_n / B_n) with B = 4, J_n = 16
+    # iterations per epoch = sum_n ceil(J_n / B) with B = 4, J_n = 16
     assert trace.iteration == [12 * e for e in range(1, 7)]
     for counts in trace.mode_counts:
         assert sum(counts) == 12
