@@ -139,6 +139,24 @@ class LL1Factors:
     def copy(self) -> "LL1Factors":
         return LL1Factors(self.A1, self.A2, self.A3, self.ranks)
 
+    # a point is also the sequence (A1, A2, A3) that `H_rows_at` and the
+    # estimators read, as the solver's steps pass their factor arrays
+    def __iter__(self):
+        return iter((self.A1, self.A2, self.A3))
+
+    def __getitem__(self, i):
+        return (self.A1, self.A2, self.A3)[i]
+
+    @classmethod
+    def of(cls, point, ranks: RankVector) -> "LL1Factors":
+        """The point of copies of the float64 factor arrays `point` = (A1,
+        A2, A3) of `ranks`' shapes, without the constructor's checks: for
+        arrays that their owner overwrites later, such as a solver step's,
+        which may hold non-finite entries."""
+        out = object.__new__(cls)
+        out.__dict__.update(zip(_FACTOR_NAMES, (f.copy() for f in point)), ranks=ranks)
+        return out
+
 
 _FACTOR_NAMES = ("A1", "A2", "A3")
 # the names under which `gram_H` keeps the Grams that read A_n, by n
@@ -175,22 +193,24 @@ def _slabs(factors: LL1Factors) -> np.ndarray:
     return slabs.reshape(rk.R, i2 * i1)
 
 
-def H_rows_at(factors: LL1Factors, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def H_rows_at(point, ranks: RankVector, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of H_n for the fibers at coordinates `(a, b)` from
-    `fiber_coordinates` (arrays of one shape, or broadcasting to one),
-    without checks, without materializing H_n and without reading A_n.  Rows
-    are gathered with `take` (A3's then widened by `column_blocks`), which
-    copies the same rows as fancy indexing at a fraction of its cost.
+    `fiber_coordinates` (arrays of one shape, or broadcasting to one) at the
+    factor arrays `point` = (A1, A2, A3) of `ranks` (an `LL1Factors` is
+    one), without checks, without materializing H_n and without reading A_n.
+    Rows are gathered with `take` (A3's then widened by `column_blocks`),
+    which copies the same rows as fancy indexing at a fraction of its cost.
 
     A mode-3 row is the products A2[i2, l] * A1[i1, l] summed block by
     block, by one product with `block_indicator` in the BLAS kernel's order
     (signed-zero products give +0.0; an infinite one makes the other blocks
     of its row NaN).  A stack of batches (a warm-start chunk) takes numpy's
     stacked matmul, one BLAS call per batch, so each keeps its bits alone."""
+    a1, a2, a3 = point
     if mode in (1, 2):
-        c = factors.A3.take(b, axis=0).take(factors.ranks.column_blocks, axis=-1)
-        return c * (factors.A2 if mode == 1 else factors.A1).take(a, axis=0)
-    return (factors.A2.take(b, axis=0) * factors.A1.take(a, axis=0)) @ factors.ranks.block_indicator
+        c = a3.take(b, axis=0).take(ranks.column_blocks, axis=-1)
+        return c * (a2 if mode == 1 else a1).take(a, axis=0)
+    return (a2.take(b, axis=0) * a1.take(a, axis=0)) @ ranks.block_indicator
 
 
 def _kept_from(owner, name: str, operands: tuple) -> np.ndarray | None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState
-from .model import (LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp,
-                    objective, slab_visit)
+from .model import (LL1Factors, RankVector, checked_int, full_gradient, gram_H, lipschitz_bound,
+                    mttkrp, objective, slab_visit)
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3
 
@@ -197,48 +197,60 @@ def init_factors(config: SolverConfig, dims, rng: np.random.Generator) -> LL1Fac
 class StepWindow:
     """A mode's point A_n and its last t steps A^{j+1} - A^j, newest first
     (zero rows for steps not yet taken), as the t + 1 rows of `rows`, each of
-    A_n.size entries: the operand of `extrapolate`'s product.
+    A_n.size entries: the operand of `extrapolate`'s product.  `point` is
+    A_n's row in A_n's shape, `ahead` the row above the window, which takes
+    the next point.
 
-    `rows` is a window on a buffer of 2(t + 1) rows.  `push` writes the new
-    step over A_n's row and the new point into the row above, so the window
-    moves up one row and no row is shifted; a window at the top is first
-    copied to the buffer's end, once every t + 1 steps.  At t = 0 the window
-    is the one row [A_n], and PALM's step is this step too."""
+    `rows` is a window on a buffer of 2(t + 2) rows.  `push` writes the new
+    step over A_n's row, so the window moves up one row and no row is
+    shifted; a window at the top is copied to the buffer's end with the row
+    below it (the newest step, outside the window at t = 0), once every
+    t + 1 steps.  The views of each window position are made once.  At
+    t = 0 the window is the one row [A_n], and PALM's step is this step too."""
 
-    __slots__ = ("flat", "grid", "p", "rows", "width")
+    __slots__ = ("ahead", "flat", "p", "point", "rows", "views", "width")
 
     def __init__(self, a: np.ndarray, t: int):
         self.width = t + 1
-        self.flat = np.zeros((2 * self.width, a.size))
-        self.grid = self.flat.reshape(len(self.flat), *a.shape)  # the rows in A_n's shape
-        self.p = self.width  # the window's first row
-        self.grid[self.p] = a
-        self.rows = self.flat[self.p:]
+        self.flat = np.zeros((2 * (t + 2), a.size))
+        grid = self.flat.reshape(len(self.flat), *a.shape)  # the rows in A_n's shape
+        # at first row p: the point, the row ahead, the window and the step below
+        self.views = [None, *((grid[p], grid[p - 1], self.flat[p:p + t + 1], self.flat[p + 1])
+                              for p in range(1, t + 3))]
+        self.p = t + 2
+        self.point, self.ahead, self.rows, _ = self.views[self.p]
+        self.point[...] = a
 
-    def push(self, a_new: np.ndarray) -> np.ndarray:
-        """Make `a_new` the point and `a_new - A_n` the newest step, which is
-        returned (a view)."""
-        p, width = self.p, self.width
-        if not p:
-            self.flat[width:] = self.flat[:width]
-            p = width
-        d = self.grid[p]
-        np.subtract(a_new, d, out=d)
-        self.p = p = p - 1
-        self.grid[p] = a_new
-        self.rows = self.flat[p:p + width]
+    def push(self, a_new: np.ndarray | None = None) -> np.ndarray:
+        """Make `ahead`, into which `a_new` is first copied if given, the
+        point and its difference from A_n the newest step, which is returned
+        as a flat view."""
+        if a_new is not None:
+            self.ahead[...] = a_new
+        np.subtract(self.ahead, self.point, out=self.point)
+        p = self.p - 1
+        if not p:  # at the top: move the window and the new step to the end
+            p = self.width + 1
+            self.flat[p:] = self.flat[:p]
+        self.p = p
+        self.point, self.ahead, self.rows, d = self.views[p]
         return d
 
 
-def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
+def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray,
+                out: np.ndarray | None = None):
     """The prox anchor and the gradient point, coeffs @ rows reshaped like
-    `base`, as two halves of one new array from one product.
+    `base`, as the two halves of one new array from one product; or, given
+    `out` (a C-contiguous (2, base.size) float64 array), that product written
+    into `out`, which is returned.
 
     `base` is A^k and `rows` a `StepWindow`'s t + 1 rows [A^k; d_1; ...; d_t];
     `coeffs` are the (2, t + 1) weights [1, c_1, ..., c_t] of each point.
     A^k enters the product with weight 1, so its sum with the lags may round
     unlike adding them one by one, but zero steps give A^k bit for bit (a
     -0.0 entry as +0.0); at t = 0 both points are 1 * A^k."""
+    if out is not None:
+        return coeffs.dot(rows, out=out)
     points = coeffs.dot(rows).reshape((2, *base.shape))
     return points[0], points[1]
 
@@ -307,17 +319,22 @@ def run(
 
     Inputs are checked here, once; the loop then works on trusted values:
     both extrapolated points come from one product over the mode's
-    `StepWindow`, a step builds two points with `LL1Factors.replaced` (the
-    gradient point, and from it the new iterate), the proximal step
-    writes the new iterate over the anchor in that product's array, and an
-    epoch's modes, picks (the estimator's `draw`: a bin, or None for every
-    fiber) and inertial coefficients are drawn or built once each (the same
-    values as one draw per step).  When every batch is full (PALM, and SGD
-    or SARAH at B >= J_n), a mode-3 step takes the full gradient and the
-    proximal step run by run in `slab_visit`, which also contracts
-    the Y that the next mode-1 and mode-2 steps read.  The point returned
-    is constructed anew: it owns its read-only factor arrays and keeps
-    nothing else.
+    `StepWindow`, and an epoch's modes, picks (the estimator's `draw`: a
+    bin, or None for every fiber) and inertial coefficients are drawn or
+    built once each (the same values as one draw per step).  A sampled step
+    (a bin, at a given or scheduled step) works on the windows' factor
+    arrays: the product goes to the mode's product array, the estimator
+    reads the gradient point as three arrays, and the proximal step writes
+    the new iterate into the window's row ahead.  A step that reads a point
+    (a full batch, `full_gradient`, or a 1/L step) builds two with
+    `LL1Factors.replaced` (the gradient point, and from it the new
+    iterate), from the point of the windows' iterates, which is constructed
+    after sampled steps; so do the epoch's L_n, objective and callback.
+    When every batch is full (PALM, and SGD or SARAH at B >= J_n), a mode-3
+    step takes the full gradient and the proximal step run by run in
+    `slab_visit`, which also contracts the Y that the next mode-1 and
+    mode-2 steps read.  The point returned is constructed anew: it owns its
+    read-only factor arrays and keeps nothing else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -335,15 +352,19 @@ def run(
     if config.estimator == "saga":
         state = SagaState.warm_start(factors, tensor, batches)
     elif config.estimator == "sarah":
-        state = SarahState(dims, batches, dict.fromkeys((1, 2, 3), config.sarah_q))
+        state = SarahState(dims, batches, config.ranks, dict.fromkeys((1, 2, 3), config.sarah_q))
     else:
-        state = SgdState(dims, batches)
+        state = SgdState(dims, batches, config.ranks)
     estimate = state.estimate
     iters_per_epoch = sum(state.n_bins(n) for n in (1, 2, 3))
 
-    # each mode's point and last t steps; allocated after the SAGA table
+    # each mode's point and last t steps, and the array a sampled step's two
+    # extrapolated points go to; allocated after the SAGA table
     depth = config.t
     windows = [None, *(StepWindow(factors.factor(n), depth) for n in (1, 2, 3))]
+    products = [None, *(np.empty((2, factors.factor(n).size)) for n in (1, 2, 3))]
+    halves = [None, *(tuple(products[n].reshape(2, *factors.factor(n).shape)) for n in (1, 2, 3))]
+    w1, w2, w3 = windows[1:]
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
@@ -372,36 +393,55 @@ def run(
             coefs = epoch_coefficients(config.alpha0, config.beta0, depth, k, iters_per_epoch)
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 window = windows[n]
-                y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])
-                point = factors.replaced(n, u_eval)  # the gradient point
-                eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
-                epoch_eta[n] = eta
+                if pick is None or lipschitz_steps:
+                    # a step that reads a point: `factors` is the windows' one,
+                    # None once a sampled step moved one of them
+                    if factors is None:
+                        factors = _window_point(windows, config.ranks)
+                    y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])
+                    point = factors.replaced(n, u_eval)  # the gradient point
+                    eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
+                    # the anchor is the product's own array, so the step overwrites it
+                    if n == 3 and every_full:
+                        # (u G3 - M3) / N and the step on each run of rows, which
+                        # the visit then contracts into the Y of the next steps
+                        ug = u_eval.dot(gram_H(point, 3))
 
-                # the anchor is the product's own array, so the step overwrites it
-                if n == 3 and every_full:
-                    # (u G3 - M3) / N and the step on each run of rows, which
-                    # the visit then contracts into the Y of the next steps
-                    ug = u_eval.dot(gram_H(point, 3))
-
-                    def step_rows(rows, m3):
-                        g = ug[rows]
-                        g -= m3
-                        g /= tensor.size
-                        _descend(config.reg, y_anchor[rows], g, eta)
-                    slab_visit(point, tensor, y_anchor, step_rows)
+                        def step_rows(rows, m3):
+                            g = ug[rows]
+                            g -= m3
+                            g /= tensor.size
+                            _descend(config.reg, y_anchor[rows], g, eta)
+                        slab_visit(point, tensor, y_anchor, step_rows)
+                    else:
+                        g = (full_gradient(point, tensor, n) if pick is None
+                             else estimate(point, tensor, n, pick))
+                        _descend(config.reg, y_anchor, g, eta)
+                    d = window.push(y_anchor)
+                    # from `point`, so that the Gram its step computed carries over
+                    factors = point.replaced(n, y_anchor)
                 else:
-                    _descend(config.reg, y_anchor, estimate(point, tensor, n, pick), eta)
-                a_new = y_anchor
-                d = window.push(a_new)
-                # a non-finite entry of a_new makes d.d non-finite, so only then look
-                if not math.isfinite(np.vdot(d, d)) and not np.isfinite(a_new).all():
+                    # a sampled step on the windows' arrays: the points go to
+                    # the mode's product array, the new point to the window
+                    extrapolate(window.point, window.rows, coefs[i], products[n])
+                    y_anchor, u_eval = halves[n]
+                    grad_point = [w1.point, w2.point, w3.point]
+                    grad_point[n - 1] = u_eval
+                    g = estimate(grad_point, tensor, n, pick)
+                    eta = mode_eta[n]
+                    y_anchor -= np.multiply(g, eta, out=u_eval)  # u_eval is read no more
+                    prox(config.reg, y_anchor, eta, out=window.ahead)
+                    d = window.push()
+                    factors = None
+                epoch_eta[n] = eta
+                # a non-finite entry of the new point makes d.d non-finite, so only then look
+                if not math.isfinite(d.dot(d)) and not np.isfinite(window.point).all():
                     raise SolverAbort(k, n)
-                # from `point`, so that the Gram its step computed carries over
-                factors = point.replaced(n, a_new)
                 k += 1
             # the trace reads the norm of the epoch's last step only
             last_step_norm = math.sqrt(float((d * d).sum()))
-
+            if factors is None:
+                factors = _window_point(windows, config.ranks)
             try:
                 obj = objective(factors, tensor, config.reg)
             except ValueError as exc:  # the dims match, so the reconstruction overflowed
@@ -416,6 +456,11 @@ def run(
             if obj.phi < config.abs_tol:
                 break
     return factors.copy(), trace
+
+
+def _window_point(windows: list, ranks: RankVector) -> LL1Factors:
+    """The point of the windows' iterates, constructed: its arrays are copies."""
+    return LL1Factors(*(w.point for w in windows[1:]), ranks)
 
 
 def _descend(reg: Regularizer, anchor: np.ndarray, g: np.ndarray, eta: float) -> None:

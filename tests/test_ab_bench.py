@@ -108,3 +108,21 @@ def test_parse_seeds():
     tool = _load_tool()
     assert tool.parse_seeds("2501-2504") == [2501, 2502, 2503, 2504]
     assert tool.parse_seeds("7,9") == [7, 9]
+
+
+def test_pair_ratios_show_the_spread_of_change_over_parent():
+    """The summary gives the minimum, quartiles and maximum of the per-pair
+    ratios change / parent (inclusive quartiles, as for each side), and the
+    printed line shows them beside the wins."""
+    tool = _load_tool()
+    parent = [100.0, 100, 100, 100, 100]
+    change = [70.0, 80, 90, 110, 60]
+    r = tool.summarize(_runs(parent, change), SPECS)["us_per_iter"]["pair_ratio"]
+    assert r == pytest.approx({"min": 0.6, "q1": 0.7, "median": 0.8, "q3": 0.9, "max": 1.1})
+    assert tool._ratio_text(r) == "0.600 [0.700, 0.800, 0.900] 1.100"
+    # a pair whose parent reads 0 has no ratio; with none left, none is shown
+    r = tool.summarize(_runs([0.0, 50], [1.0, 25]), SPECS)["us_per_iter"]["pair_ratio"]
+    assert r == {"min": 0.5, "q1": 0.5, "median": 0.5, "q3": 0.5, "max": 0.5}
+    r = tool.summarize(_runs([0.0], [1.0]), SPECS)["us_per_iter"]["pair_ratio"]
+    assert r == {"min": None, "q1": None, "median": None, "q3": None, "max": None}
+    assert tool._ratio_text(r) == "undefined"

@@ -218,7 +218,7 @@ def test_criterion_04_kernel_suites():
         xr = reconstruct(f)
         for mode in (1, 2, 3):
             fibers = fiber_coordinates(dims, mode, np.arange(row_count(dims, mode)))
-            resid = unfold(xr, mode) - H_rows_at(f, mode, *fibers) @ f.factor(mode).T
+            resid = unfold(xr, mode) - H_rows_at(f, f.ranks, mode, *fibers) @ f.factor(mode).T
             worst_h = max(worst_h, float(np.linalg.norm(resid)))
     ok = ok and worst_h <= 1e-10
     _verdict(4, "kernel-suites", ok, f"worst H-identity resid {worst_h:.2e}")
@@ -300,7 +300,7 @@ def test_criterion_09_variance_reduction(shared_instance, midas_runs):
             state, factors, tensor, mode, n_draws, rng, return_draws=True
         )
         mse_sgd, d_sgd = estimator_mse_probe(
-            SgdState(tensor.dims, {mode: b}), factors, tensor, mode, n_draws, rng,
+            SgdState(tensor.dims, {mode: b}, factors.ranks), factors, tensor, mode, n_draws, rng,
             return_draws=True
         )
         se = math.sqrt(d_saga.var(ddof=1) / n_draws + d_sgd.var(ddof=1) / n_draws)

@@ -72,8 +72,8 @@ def test_states_reject_a_batch_below_one():
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
     for mode, b in ((1, 0), (2, -1), (3, 0)):
         for make in (lambda: SagaState.warm_start(f, t, {mode: b}),
-                     lambda: SgdState(t.dims, {mode: b}),
-                     lambda: SarahState(t.dims, {mode: b}, q={mode: 2})):
+                     lambda: SgdState(t.dims, {mode: b}, f.ranks),
+                     lambda: SarahState(t.dims, {mode: b}, f.ranks, q={mode: 2})):
             with pytest.raises(ValueError, match=f"batch size of mode {mode} must be >= 1"):
                 make()
     for mode, b in ((1, 4), (2, 5), (3, 3)):
@@ -92,7 +92,7 @@ def test_ragged_bins_average_to_the_full_gradient():
     identity on ragged bins)."""
     f, t = make_problem(seed=23, dims=(5, 7, 4), L=(2, 1))  # J_3 = 35
     exact = full_gradient(f, t, 3)
-    sgd = SgdState(t.dims, {3: 4})
+    sgd = SgdState(t.dims, {3: 4}, f.ranks)
     sgd.draw([], np.random.default_rng(0))  # cuts the bins
     saga = SagaState.warm_start(f, t, {3: 4})
     for state in (sgd, saga):
@@ -147,14 +147,14 @@ def test_sgd_draw_takes_bins_of_one_random_partition():
     f, t = make_problem()  # J_1 = 15, J_2 = 12, J_3 = 20
     rng = CountingRng(np.random.default_rng(3))
     before = rng.rng.bit_generator.state
-    full = SgdState(t.dims, {1: 15, 2: 12, 3: 20})
+    full = SgdState(t.dims, {1: 15, 2: 12, 3: 20}, f.ranks)
     assert full.draw([1, 3, 2, 2, 1], rng) == [None] * 5
     assert full.fibers == {} and "permutation" not in rng.calls
     assert rng.rng.bit_generator.state == before
 
     batches = {3: 4, 2: 12, 1: 4}  # mode 2 takes every fiber; the dict's order is free
     modes = np.random.default_rng(1).integers(1, 4, size=60).tolist()
-    for st in (SgdState(t.dims, batches), SarahState(t.dims, batches, q={1: 2, 2: 2, 3: 2})):
+    for st in (SgdState(t.dims, batches, f.ranks), SarahState(t.dims, batches, f.ranks, q={1: 2, 2: 2, 3: 2})):
         rng, ref = CountingRng(np.random.default_rng(2)), np.random.default_rng(2)
         perms = {n: ref.permutation(row_count(t.dims, n)) for n in (1, 3)}
         for epoch in range(3):
@@ -224,7 +224,7 @@ def test_saga_expectation_over_bins_is_exact_gradient():
 def test_sarah_restart_is_full_gradient():
     f, t = make_problem(seed=9)
     mode = 1
-    st = SarahState(t.dims, {mode: 5}, q={mode: 3})
+    st = SarahState(t.dims, {mode: 5}, f.ranks, q={mode: 3})
     g = st.estimate(f, t, mode, 0)  # a restart reads no bin, so none is drawn yet
     np.testing.assert_array_equal(g, full_gradient(f, t, mode))
     assert st.counter[mode] == 1
@@ -237,7 +237,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
     f, t = make_problem(seed=10)
     mode = 2
     jn = row_count(t.dims, mode)
-    st = SarahState(t.dims, {mode: jn}, q={mode: 10})
+    st = SarahState(t.dims, {mode: jn}, f.ranks, q={mode: 10})
     one_bin = copy.deepcopy(st)
     one_bin.fibers = {mode: fiber_coordinates(t.dims, mode, np.arange(jn))}
     point = f
@@ -254,7 +254,7 @@ def test_sarah_recursion_telescopes_with_full_batches():
 def test_sarah_counter_wraps_to_restart():
     f, t = make_problem(seed=12)
     mode = 3
-    st = SarahState(t.dims, {mode: 4}, q={mode: 2})
+    st = SarahState(t.dims, {mode: 4}, f.ranks, q={mode: 2})
     (pick,) = st.draw([mode], np.random.default_rng(0))
     st.estimate(f, t, mode, pick)
     st.estimate(f, t, mode, pick)
@@ -280,7 +280,7 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
 
     monkeypatch.setattr(estimators, "fiber_rows_at", counting)
     point = f.replaced(mode, 0.5 * f.factor(mode))
-    st = SarahState(t.dims, {mode: b_n}, q={mode: 3})
+    st = SarahState(t.dims, {mode: b_n}, f.ranks, q={mode: 3})
     (pick,) = st.draw([mode], np.random.default_rng(5))
     st.estimate(f, t, mode, pick)
     assert gathered == []
@@ -290,11 +290,11 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     a, b = (c[lo:hi] for c in st.fibers[mode])
     x = fiber_rows_at(t, mode, a, b)
     divisor = t.dims[mode - 1] * b_n  # b_n divides J_n
-    want = (gradient_from_rows(point.factor(mode), H_rows_at(point, mode, a, b), x, divisor)
-            - gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a, b), x, divisor)
+    want = (gradient_from_rows(point.factor(mode), H_rows_at(point, point.ranks, mode, a, b), x, divisor)
+            - gradient_from_rows(f.factor(mode), H_rows_at(f, f.ranks, mode, a, b), x, divisor)
             + full_gradient(f, t, mode))
     assert v.tobytes() == want.tobytes()
-    full = SarahState(t.dims, {mode: row_count(t.dims, mode)}, q={mode: 3})
+    full = SarahState(t.dims, {mode: row_count(t.dims, mode)}, f.ranks, q={mode: 3})
     assert full.draw([mode], np.random.default_rng(5)) == [None]
     full.estimate(f, t, mode, None)
     v = full.estimate(point, t, mode, None)
@@ -306,7 +306,7 @@ def test_probe_zero_mse_for_full_batch_sgd():
     f, t = make_problem(seed=14)
     mode = 1
     jn = row_count(t.dims, mode)
-    mse = estimator_mse_probe(SgdState(t.dims, {mode: jn}), f, t, mode, 5, np.random.default_rng(0))
+    mse = estimator_mse_probe(SgdState(t.dims, {mode: jn}, f.ranks), f, t, mode, 5, np.random.default_rng(0))
     # a full batch draws nothing and takes the full gradient itself
     assert mse == 0.0
 
@@ -323,7 +323,7 @@ def test_probe_does_not_mutate_state():
 
     # SARAH a few steps past a restart, so that v, prev_point and counter are
     # filled; five draws would move the counter from 3 to 0 (q = 4)
-    sarah = SarahState(t.dims, {mode: 4}, q={mode: 4})
+    sarah = SarahState(t.dims, {mode: 4}, f.ranks, q={mode: 4})
     rng = np.random.default_rng(2)
     point = f
     for pick in sarah.draw([mode] * 3, rng):
@@ -342,12 +342,12 @@ def test_probe_does_not_mutate_state():
 @pytest.mark.parametrize("kind", ["sgd", "sarah", "saga"])
 def test_probe_copies_share_the_bins(kind):
     """The state each draw estimates on is a copy that shares the probed
-    state's `fibers` and `starts`, the bins' coordinates and bounds, which no
-    estimate writes."""
+    state's `fibers`, `starts` and (SAGA's) `spans`, the bins' coordinates,
+    bounds and in-place reads, and its `ranks`, which no estimate writes."""
     f, t = make_problem(seed=18)  # J = (15, 12, 20): mode 1's bins are ragged
     mode, batches = 1, {n: 4 for n in (1, 2, 3)}
-    state = {"sgd": lambda: SgdState(t.dims, batches),
-             "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches}),
+    state = {"sgd": lambda: SgdState(t.dims, batches, f.ranks),
+             "sarah": lambda: SarahState(t.dims, batches, f.ranks, q={n: 3 for n in batches}),
              "saga": lambda: SagaState.warm_start(f, t, batches)}[kind]()
     state.draw([], np.random.default_rng(5))  # cuts SGD's and SARAH's bins
     copies = []
@@ -362,7 +362,9 @@ def test_probe_copies_share_the_bins(kind):
         estimator_mse_probe(state, f, t, mode, 3, np.random.default_rng(4))
     assert len(copies) == 3
     assert all(c is not state and c.fibers is state.fibers for c in copies)
-    assert all(c.starts is state.starts for c in copies)
+    assert all(c.starts is state.starts and c.ranks is state.ranks for c in copies)
+    if kind == "saga":
+        assert all(c.spans is state.spans for c in copies)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "sarah"])
@@ -371,8 +373,8 @@ def test_probe_leaves_a_fresh_state_uncut(kind):
     first `draw` in a run cuts the bins an unprobed twin would."""
     f, t = make_problem(seed=19, dims=(6, 5, 4))
     batches = {1: 4, 2: 4, 3: 5}
-    make = {"sgd": lambda: SgdState(t.dims, batches),
-            "sarah": lambda: SarahState(t.dims, batches, q={n: 3 for n in batches})}[kind]
+    make = {"sgd": lambda: SgdState(t.dims, batches, f.ranks),
+            "sarah": lambda: SarahState(t.dims, batches, f.ranks, q={n: 3 for n in batches})}[kind]
     probed, twin = make(), make()
     assert probed.fibers is None
     estimator_mse_probe(probed, f, t, 1, 3, np.random.default_rng(6))
@@ -412,7 +414,7 @@ def test_sarah_state_copy_holds_no_tensor():
     tensor."""
     f, t = make_problem(seed=16, dims=(20, 20, 10), L=(2, 2))
     for mode in (1, 3):
-        sarah = SarahState(t.dims, {mode: 4}, q={mode: 4})
+        sarah = SarahState(t.dims, {mode: 4}, f.ranks, q={mode: 4})
         sarah.estimate(f, t, mode, None)
         assert sarah.counter == {mode: 1}
         twin = copy.deepcopy(sarah)
@@ -422,7 +424,7 @@ def test_sarah_state_copy_holds_no_tensor():
 def test_probe_returns_draws():
     f, t = make_problem(seed=16)
     mse, draws = estimator_mse_probe(
-        SgdState(t.dims, {1: 3}), f, t, 1, 30, np.random.default_rng(2), return_draws=True
+        SgdState(t.dims, {1: 3}, f.ranks), f, t, 1, 30, np.random.default_rng(2), return_draws=True
     )
     assert draws.shape == (30,)
     assert mse == pytest.approx(draws.mean())
@@ -432,7 +434,7 @@ def test_probe_returns_draws():
 def test_probe_rejects_bad_args():
     f, t = make_problem(seed=17)
     with pytest.raises(ValueError):
-        estimator_mse_probe(SgdState(t.dims, {1: 3}), f, t, 1, 0, np.random.default_rng(0))
+        estimator_mse_probe(SgdState(t.dims, {1: 3}, f.ranks), f, t, 1, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
@@ -454,7 +456,7 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
         assert len({len(idx) for idx in bins}) == 1 + (b == ragged)
         for i, idx in enumerate(bins):
             a_i, b_i = fiber_coordinates(t.dims, mode, idx)
-            g = gradient_from_rows(f.factor(mode), H_rows_at(f, mode, a_i, b_i),
+            g = gradient_from_rows(f.factor(mode), H_rows_at(f, f.ranks, mode, a_i, b_i),
                                    fiber_rows_at(t, mode, a_i, b_i), t.size / len(bins))
             assert st.table[mode][i].tobytes() == g.tobytes()
             if b != ragged:
@@ -504,7 +506,7 @@ def test_gradient_from_rows_ignores_the_row_layout(mode):
     f, t = make_problem(seed=15, dims=(6, 5, 4), L=(3, 1, 2))
     jn = row_count(t.dims, mode)
     a, b = fiber_coordinates(t.dims, mode, np.arange(jn).reshape(-1, 2))
-    h = H_rows_at(f, mode, a, b)
+    h = H_rows_at(f, f.ranks, mode, a, b)
     x = np.ascontiguousarray(fiber_rows_at(t, mode, a.ravel(), b.ravel()).reshape(*a.shape, -1))
     a_n = f.factor(mode)
     divisor = t.dims[mode - 1] * 2
@@ -594,3 +596,35 @@ def test_sampled_rows_are_rows_of_the_unfolding(estimator, monkeypatch):
     for x in seen:
         assert x.shape[0] in {5: (4,), 7: (4,), 4: (4, 3)}[x.shape[1]]
         assert all(r.tobytes() in rows[x.shape[1]] for r in x)
+
+
+@pytest.mark.parametrize("dims, B", [((100, 100, 50), 8), ((97, 89, 53), 8), ((5, 7, 4), 4)])
+def test_saga_bin_reads_are_the_gathers(dims, B):
+    """What a SAGA step reads of each bin, `SagaState.bin_rows`, is the
+    unfolding rows of `fiber_rows_at` and the H rows of `H_rows_at` bit for
+    bit, for every bin of every mode: the views and slices of a bin within
+    one slow index and the gathers of a bin that crosses one, both of which
+    each mode of these shapes has (2,400 of the 2,500 bins lie within one at
+    (100, 100, 50), 2,144 of 2,313 at (97, 89, 53))."""
+    rng = np.random.default_rng(sum(dims))
+    rk = RankVector((2, 1, 3))
+    f = LL1Factors(rng.standard_normal((dims[0], rk.total)),
+                   rng.standard_normal((dims[1], rk.total)),
+                   rng.standard_normal((dims[2], rk.R)), rk)
+    t = DenseTensor3(rng.standard_normal(dims))
+    state = SagaState.warm_start(f, t, dict.fromkeys((1, 2, 3), B))
+    point = [f.A1.copy(), f.A2.copy(), f.A3.copy()]  # bare arrays, as the solver passes
+    within = total = 0
+    for mode in (1, 2, 3):
+        kinds = set()
+        for bin_id in range(state.n_bins(mode)):
+            a, b, _, _ = state._bin(mode, bin_id)
+            x, h = state.bin_rows(point, t, mode, bin_id)
+            assert x.tobytes() == fiber_rows_at(t, mode, a, b).tobytes()
+            assert h.tobytes() == H_rows_at(f, rk, mode, a, b).tobytes()
+            kinds.add(state.spans[mode][0][bin_id] >= 0)
+        assert kinds == {True, False}
+        within += sum(s >= 0 for s in state.spans[mode][0])
+        total += state.n_bins(mode)
+    if B == 8:
+        assert (within, total) == {100: (2400, 2500), 97: (2144, 2313)}[dims[0]]

@@ -47,7 +47,7 @@ def all_H_rows(f, mode):
     """H_n as the loop's kernel gives it: `H_rows_at` over all J_n fibers,
     in unfolding order."""
     rows = np.arange(row_count(f.dims, mode))
-    return H_rows_at(f, mode, *fiber_coordinates(f.dims, mode, rows))
+    return H_rows_at(f, f.ranks, mode, *fiber_coordinates(f.dims, mode, rows))
 
 
 def brute_reconstruct(f):
@@ -167,7 +167,7 @@ def test_build_H_rows_matches_full(mode):
     h = all_H_rows(f, mode)
     rows = rng.permutation(h.shape[0])[:5]
     a, b = fiber_coordinates(f.dims, mode, rows)
-    np.testing.assert_array_equal(H_rows_at(f, mode, a, b), h[rows])
+    np.testing.assert_array_equal(H_rows_at(f, f.ranks, mode, a, b), h[rows])
 
 
 def test_objective_exact_fit_is_zero():
@@ -257,7 +257,10 @@ def test_kernels_match_reference_bitwise(dims, L):
     contraction's reference takes the same slab runs (two at the mid
     shape) in its own loop.  The mode-3 H rows sum each block in the BLAS
     kernel's order, not the reference's, so they are held to the bound of
-    `assert_mode3_rows_near_reference` instead."""
+    `assert_mode3_rows_near_reference` instead, and `reconstruct`, whose
+    two products agree with the reference's order bit for bit only under
+    some OpenBLAS cores (SkylakeX, not Haswell or Prescott), to
+    `reconstruction_bound`."""
     f, x = kernel_problem(dims, L, sum(dims) + len(L))
     for mode in (1, 2, 3):
         if mode == 3:
@@ -268,8 +271,24 @@ def test_kernels_match_reference_bitwise(dims, L):
         np.testing.assert_array_equal(full_gradient(f, x, mode),
                                       reference_full_gradient(f, x, mode))
     recon = reconstruct(f).array
-    np.testing.assert_array_equal(recon, reference_reconstruct(f).array)
+    assert_reconstruction_near_reference(recon, f)
     assert recon.flags.f_contiguous
+
+
+def assert_reconstruction_near_reference(recon, f):
+    """`recon` is `reference_reconstruct(f)` up to the `reconstruction_bound`."""
+    assert (np.abs(recon - reference_reconstruct(f).array) <= reconstruction_bound(f)).all()
+
+
+def reconstruction_bound(f):
+    """How far two orders of the reconstruction's sums may differ: entry
+    (i1, i2, i3) adds R terms c_r[i3] (A1_r A2_r^T)[i1, i2], each a sum of
+    L_r products, so either order is within (max L_r + R - 1) eps / 2 (to
+    first order) of the magnitudes' entry, and two orders differ by less
+    than (max L_r + R) eps of it: at most 2 (max L_r + R) ulps of that
+    entry, 22 at ranks (9, 2)."""
+    mag = reference_reconstruct(LL1Factors(np.abs(f.A1), np.abs(f.A2), np.abs(f.A3), f.ranks))
+    return (max(f.ranks.L) + f.ranks.R) * np.finfo(float).eps * mag.array
 
 
 def run_sizes(dims, R):
@@ -478,14 +497,18 @@ def test_objective_is_the_residual_sum_to_rounding(dims, L):
 @pytest.mark.parametrize("dims, L", KERNEL_SHAPES)
 def test_objective_of_an_exact_fit_is_the_residual_sum(dims, L):
     """At a noiseless tensor's planted truth the identity would cancel to
-    rounding noise of either sign: f falls back to the residual sum, with
-    the bits of `reference_objective`, and is never negative."""
+    rounding noise of either sign: f falls back to the residual sum, which
+    at x = `reconstruct`'s own bits is 0.0 exactly.  `reference_objective`
+    reconstructs in its own order, so it reads 0.0 or, under a BLAS core
+    whose order differs (Haswell, Prescott), the sum of residuals within
+    `reconstruction_bound`."""
     for draw in ("standard_normal", "random"):
         f, _ = kernel_problem(dims, L, sum(dims), draw)
         x = reconstruct(f)
         obj = objective(f, x, NONE)
-        assert (obj.f, obj.h, obj.phi) == reference_objective(f, x, NONE)
-        assert obj.f >= 0.0
+        assert (obj.f, obj.h, obj.phi) == (0.0, 0.0, 0.0)
+        bound = reconstruction_bound(f)
+        assert 0.0 <= reference_objective(f, x, NONE)[0] <= np.sum(bound * bound) / (2.0 * x.size)
 
 
 def test_objective_makes_no_tensor_sized_buffer():
@@ -656,7 +679,7 @@ def test_H_rows_at_gathers_like_fancy_indexing(mode):
     for a, b in (fiber_coordinates(f.dims, mode, batch),
                  fiber_coordinates(f.dims, mode, np.arange(jn - jn % 4).reshape(-1, 4)),
                  (np.arange(fast), np.arange(slow)[:, None])):
-        got, want = H_rows_at(f, mode, a, b), fancy(a, b)
+        got, want = H_rows_at(f, f.ranks, mode, a, b), fancy(a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -669,7 +692,7 @@ def test_mode_n_kernels_never_read_a_n(mode):
     nan = f.replaced(mode, np.full_like(f.factor(mode), np.nan))
     batch = np.random.default_rng(18).choice(row_count(f.dims, mode), size=6, replace=False)
     a, b = fiber_coordinates(f.dims, mode, batch)
-    assert H_rows_at(nan, mode, a, b).tobytes() == H_rows_at(f, mode, a, b).tobytes()
+    assert H_rows_at(nan, nan.ranks, mode, a, b).tobytes() == H_rows_at(f, f.ranks, mode, a, b).tobytes()
     assert gram_H(nan, mode).tobytes() == gram_H(f, mode).tobytes()
     x = DenseTensor3(np.random.default_rng(19).random(f.dims))
     assert mttkrp(nan, x, mode).tobytes() == mttkrp(f, x, mode).tobytes()
@@ -824,10 +847,10 @@ def test_block_sums_match_reference_bitwise(L):
         f = LL1Factors(a1, a2, rng.standard_normal((dims[2], rk.R)), rk)
         rows = np.arange(row_count(f.dims, 3))
         a, b = fiber_coordinates(f.dims, 3, rows)
-        one = H_rows_at(f, 3, a, b)
+        one = H_rows_at(f, f.ranks, 3, a, b)
         assert_mode3_rows_near_reference(one, f)
         if rows.size % 2 == 0:
-            stacked = H_rows_at(f, 3, a.reshape(2, -1), b.reshape(2, -1))
+            stacked = H_rows_at(f, f.ranks, 3, a.reshape(2, -1), b.reshape(2, -1))
             assert stacked.tobytes() == one.tobytes()
 
 
@@ -849,8 +872,8 @@ def test_stacked_mode3_rows_are_the_single_batch_rows(L):
     for size in (1, 2, 3, 8, 17):
         for k in (1, 3):
             a, b = fiber_coordinates(dims, 3, order[:k * size].reshape(k, size))
-            stacked = H_rows_at(f, 3, a, b)
+            stacked = H_rows_at(f, f.ranks, 3, a, b)
             assert stacked.shape == (k, size, rk.R)
             for i in range(k):
-                assert stacked[i].tobytes() == H_rows_at(f, 3, a[i], b[i]).tobytes()
+                assert stacked[i].tobytes() == H_rows_at(f, f.ranks, 3, a[i], b[i]).tobytes()
             assert stacked[0, 0].tobytes() == np.zeros(rk.R).tobytes()

@@ -304,7 +304,7 @@ def test_ragged_shape_runs_bins_of_7_and_8():
     per mode, not the J_n one-fiber steps of a largest-divisor rule."""
     dims = (97, 89, 53)
     jn = (89 * 53, 97 * 53, 97 * 89)
-    state = SarahState(dims, dict.fromkeys((1, 2, 3), 8), q=dict.fromkeys((1, 2, 3), 0))
+    state = SarahState(dims, dict.fromkeys((1, 2, 3), 8), RankVector((4,)), q=dict.fromkeys((1, 2, 3), 0))
     assert [state.n_bins(n) for n in (1, 2, 3)] == [-(-j // 8) for j in jn] == [590, 643, 1080]
     assert state.q == {1: 590, 2: 643, 3: 1080}  # q = 0: one restart per epoch
     for n in (1, 2, 3):
@@ -387,9 +387,11 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
-# deep windows over one SGD epoch: t = 24 and t = 48 are beyond its 21 steps
-# (7, 5 and 9 bins of at most 4 fibers), so every step has zero rows
-REFERENCE_CASES += [{"estimator": "sgd", "t": 24, "epochs": 1},
+# deep windows over one SGD epoch of 21 steps (7, 5 and 9 bins of at most 4
+# fibers): t = 16 lies inside it, so its last 5 steps weight all 16 lags by
+# the schedule, and t = 48 beyond it, so every step weights its deepest lags
+# 0; a mode takes at most 9 steps, so both windows keep zero rows
+REFERENCE_CASES += [{"estimator": "sgd", "t": 16, "epochs": 1},
                     {"estimator": "sgd", "t": 48, "epochs": 1}]
 # 36-48 steps per mode (21 SAGA steps an epoch), so each mode's window moves
 # back to its buffer's end, once every t + 1 steps, at least 12 times at t = 2
@@ -425,9 +427,11 @@ def test_run_matches_reference(case):
     "variant", [{}, {"B": 10**6}, {"step_rule": "inverse_lipschitz", "reg": NONE}],
     ids=["default", "full-batch", "inverse-lipschitz"])
 def test_step_builds_two_points(estimator, variant, monkeypatch):
-    """Every step builds two `LL1Factors`: the gradient point, at which SGD,
-    SAGA, SARAH, a full batch and the 1/L step all evaluate, and from it the
-    new iterate."""
+    """A step that reads a point builds two `LL1Factors`: the gradient point,
+    at which a full batch (SGD's and SARAH's None pick) and the 1/L step
+    evaluate, and from it the new iterate.  A sampled step at the scheduled
+    step builds none: it works on the factor arrays (SAGA's one bin per mode
+    at B = 10**6 is a sampled step too)."""
     calls = []
     replaced = LL1Factors.replaced
 
@@ -438,7 +442,8 @@ def test_step_builds_two_points(estimator, variant, monkeypatch):
     monkeypatch.setattr(LL1Factors, "replaced", counting)
     cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, epochs=3, seed=2, **variant)
     _, trace = run(cfg, small_tensor())
-    assert len(calls) == 2 * trace.iteration[-1]
+    reads_points = "step_rule" in variant or ("B" in variant and estimator != "saga")
+    assert len(calls) == (2 * trace.iteration[-1] if reads_points else 0)
 
 
 @pytest.mark.parametrize("t", [0, 1, 3])
@@ -470,17 +475,17 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     """The step windows are overwritten in place, so neither the points
     `extrapolate` returns, nor the factors `run` returns, nor those its
     callback sees, nor SARAH's stored points may share memory with them.
-    At every depth, t = 0 included, the new iterate is written over the prox
-    anchor, in the product's own array; no array a caller was handed changes
-    afterwards, and the point `run` returns shares no memory with any
-    product."""
+    At every depth, t = 0 included, a sampled step writes its two points
+    into its mode's product array and its new iterate into the window; no
+    array a caller was handed changes afterwards, and the point `run`
+    returns shares no memory with any product."""
     windows, points = [], []
 
-    def recording(base, rows, coeffs):
-        out = extrapolate(base, rows, coeffs)
+    def recording(base, rows, coeffs, out=None):
+        got = extrapolate(base, rows, coeffs, out)
         windows.append(rows)
-        points.extend(out)
-        return out
+        points.extend(got)
+        return got
 
     monkeypatch.setattr(solver, "extrapolate", recording)
     seen = []
@@ -905,7 +910,7 @@ def test_only_a_run_of_full_batches_fuses_its_mode_3_steps(monkeypatch):
     base = SolverConfig(ranks=RankVector((2, 1)), estimator="sgd", epochs=3, seed=2,
                         mode_policy="cyclic")
     # J = (40, 30, 12): bins of at most 12 fibers sample modes 1 and 2 only
-    assert [SgdState(t.dims, {n: 12}).n_bins(n) for n in (1, 2, 3)] == [4, 3, 1]
+    assert [SgdState(t.dims, {n: 12}, base.ranks).n_bins(n) for n in (1, 2, 3)] == [4, 3, 1]
     run(replace(base, B=12), t)
     assert visits == []
     for depth in (0, 1):
@@ -940,7 +945,9 @@ def test_a_sweep_computes_three_grams(monkeypatch):
 def test_kept_grams_read_the_current_factors(monkeypatch):
     """Every point a step builds keeps only Grams of its own factors: a Gram
     kept under `_gram<m>` was computed from the point's two factors other
-    than A_m, so no superseded factor array stays alive through it."""
+    than A_m, so no superseded factor array stays alive through it.  The
+    stochastic runs take 1/L steps, whose steps build points (a sampled step
+    at the scheduled step builds none)."""
     built = []
     replaced = LL1Factors.replaced
 
@@ -954,7 +961,7 @@ def test_kept_grams_read_the_current_factors(monkeypatch):
     t = DenseTensor3(np.abs(small_tensor(seed=8).array))
     cfg = SolverConfig(ranks=ranks, epochs=3, seed=4)
     solves = [lambda: palm_baseline(cfg, t), lambda: als_mu_baseline(cfg, t),
-              *(lambda est=est: run(replace(cfg, estimator=est, t=1), t)
+              *(lambda est=est: run(replace(cfg, estimator=est, t=0, step_rule="inverse_lipschitz"), t)
                 for est in ("sgd", "saga", "sarah"))]
     for solve in solves:
         built.clear()

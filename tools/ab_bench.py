@@ -10,9 +10,11 @@ BENCHMARK.json.  Which side runs first alternates from seed to seed, so a
 drift in host speed falls on both sides alike.
 
 It prints every run, then per end-to-end metric each side's median and
-quartiles, the change's wins (ties count for neither side), the relative
-change of the median and the parent's interquartile range, and writes all
-of it as JSON to `--out`.  A metric's claim rule holds when at least ten
+quartiles, the change's wins (ties count for neither side) beside the
+minimum, quartiles and maximum of the per-pair ratios change / parent, the
+relative change of the median and the parent's interquartile range, and
+writes all of it as JSON to `--out`.  The ratios show how far a claim sits
+from the nine-in-ten rule below.  A metric's claim rule holds when at least ten
 pairs have both runs correct, the change wins at least nine pairs in ten,
 its median is better than the parent's by more than the parent's
 interquartile range, and its share of failed operations over those pairs
@@ -110,6 +112,8 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
         gains = [sign * (p - c) for p, c in zip(vals["parent"], vals["change"])]
         wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
         qp, qc = quartiles(vals["parent"]), quartiles(vals["change"])
+        ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
+        qr = quartiles(ratios) if ratios else (None,) * 3
         iqr = qp[2] - qp[0]
         gain = sign * (qp[1] - qc[1])
         out[name] = {
@@ -119,6 +123,9 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
             "change": {"q1": qc[0], "median": qc[1], "q3": qc[2]},
             "wins": wins,
             "losses": losses,
+            # change / parent per pair (pairs whose parent reads 0 left out)
+            "pair_ratio": {"min": min(ratios, default=None), "q1": qr[0], "median": qr[1],
+                           "q3": qr[2], "max": max(ratios, default=None)},
             "median_rel_change": (qc[1] - qp[1]) / qp[1] if qp[1] else None,
             "parent_iqr": iqr,
             "failed_share": fail_share,
@@ -127,6 +134,13 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
             "within_bound": -gain <= spec["bound"] * abs(qp[1]),
         }
     return out
+
+
+def _ratio_text(r: dict) -> str:
+    """The per-pair ratios as `min [q1, median, q3] max`."""
+    if r["min"] is None:
+        return "undefined"
+    return f"{r['min']:.3f} [{r['q1']:.3f}, {r['median']:.3f}, {r['q3']:.3f}] {r['max']:.3f}"
 
 
 def main() -> int:
@@ -168,7 +182,8 @@ def main() -> int:
             print(f"{workload} {name}: parent {pq['median']:.6g} [{pq['q1']:.6g}, {pq['q3']:.6g}]"
                   f" -> change {cq['median']:.6g} [{cq['q1']:.6g}, {cq['q3']:.6g}]"
                   + (f" ({100 * rel:+.1f} %)" if rel is not None else "")
-                  + f", change better in {s['wins']}/{s['pairs']} pairs (worse in {s['losses']}),"
+                  + f", change better in {s['wins']}/{s['pairs']} pairs (worse in {s['losses']};"
+                  f" change/parent {_ratio_text(s['pair_ratio'])}),"
                   f" claim rule {'met' if s['claim_rule_met'] else 'not met'},"
                   f" bound {'held' if s['within_bound'] else 'EXCEEDED'}")
     args.out.write_text(json.dumps({
