@@ -10,10 +10,10 @@ drawn bin is unbiased for any sizes.
 order: a bin, or for SGD and SARAH None (every fiber) on a mode of one bin.
 `estimate(point, t, mode, pick)` is the gradient estimate on that pick at
 `point`, a sequence of the three factor arrays (A1, A2, A3) of the state's
-`ranks` (an `LL1Factors` is one), a deterministic function of (state,
-point, pick): all the randomness is in `draw`, which reads only the
-caller's generator.  An estimate keeps no array of `point`, which the
-solver overwrites in place.
+`ranks` (an `LL1Factors` is one, and None takes one), a deterministic
+function of (state, point, pick): all the randomness is in `draw`, which
+reads only the caller's generator.  An estimate keeps no array of a
+`point` of bare arrays, which the solver overwrites in place.
 
 A variance-reduced estimator in the sense used here keeps a mean squared
 error bound that contracts as the iterates converge; SAGA achieves this with
@@ -114,9 +114,10 @@ class SgdState:
         return a[lo:hi], b[lo:hi], lo, self.divisors[mode]
 
     def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
-        """The batch gradient on bin `pick` at `point` (None: `full_gradient`)."""
+        """The batch gradient on bin `pick` at `point`; for None,
+        `full_gradient` at the `LL1Factors` `point` itself."""
         if pick is None:
-            return full_gradient(LL1Factors.of(point, self.ranks), t, mode)
+            return full_gradient(point, t, mode)
         a, b, _, divisor = self._bin(mode, pick)
         return _rows_gradient(point, self.ranks, mode, a, b, fiber_rows_at(t, mode, a, b), divisor)
 
@@ -131,7 +132,8 @@ class SarahState(SgdState):
     and the step's bin goes unread; otherwise it is corrected by the bin
     gradient difference between the current and the previously seen point,
     both evaluated on one gather of the bin's rows.  `prev_point[mode]` is
-    the last point, of copies of its arrays (`LL1Factors.of`).
+    the last point: of copies of its arrays (`LL1Factors.of`) after a bin,
+    the caller's `LL1Factors` after None.
     """
 
     q: dict[int, int]  # steps between restarts; 0 -> n_bins, an epoch's worth
@@ -146,9 +148,10 @@ class SarahState(SgdState):
     def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
         """The direction at `point` for bin `pick`.  `prev_point[mode]`
         becomes a copy of `point`, at which a restart's full gradient is
-        taken: the tensor keeps its contractions with the arrays they read."""
+        taken: the tensor keeps its contractions with the arrays they read.
+        For None it becomes the `LL1Factors` `point` itself, uncopied."""
         count = self.counter.get(mode, 0)
-        kept = LL1Factors.of(point, self.ranks)
+        kept = point if pick is None else LL1Factors.of(point, self.ranks)
         if count == 0 or pick is None:
             v = full_gradient(kept, t, mode)
         else:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, SagaState, SarahState, SgdState
-from .model import (LL1Factors, RankVector, checked_int, full_gradient, gram_H, lipschitz_bound,
-                    mttkrp, objective, slab_visit)
+from .model import (LL1Factors, RankVector, checked_int, gram_H, lipschitz_bound, mttkrp,
+                    objective, slab_visit)
 from .prox import NONNEG, Regularizer, prox
 from .tensor import DenseTensor3
 
@@ -237,22 +237,16 @@ class StepWindow:
         return d
 
 
-def extrapolate(base: np.ndarray, rows: np.ndarray, coeffs: np.ndarray,
-                out: np.ndarray | None = None):
-    """The prox anchor and the gradient point, coeffs @ rows reshaped like
-    `base`, as the two halves of one new array from one product; or, given
-    `out` (a C-contiguous (2, base.size) float64 array), that product written
-    into `out`, which is returned.
+def extrapolate(rows: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The prox anchor and the gradient point, coeffs @ rows, written into
+    `out` (a C-contiguous (2, A^k.size) float64 array), which is returned.
 
-    `base` is A^k and `rows` a `StepWindow`'s t + 1 rows [A^k; d_1; ...; d_t];
-    `coeffs` are the (2, t + 1) weights [1, c_1, ..., c_t] of each point.
-    A^k enters the product with weight 1, so its sum with the lags may round
-    unlike adding them one by one, but zero steps give A^k bit for bit (a
-    -0.0 entry as +0.0); at t = 0 both points are 1 * A^k."""
-    if out is not None:
-        return coeffs.dot(rows, out=out)
-    points = coeffs.dot(rows).reshape((2, *base.shape))
-    return points[0], points[1]
+    `rows` is a `StepWindow`'s t + 1 rows [A^k; d_1; ...; d_t]; `coeffs` are
+    the (2, t + 1) weights [1, c_1, ..., c_t] of each point.  A^k enters the
+    product with weight 1, so its sum with the lags may round unlike adding
+    them one by one, but zero steps give A^k bit for bit (a -0.0 entry as
+    +0.0); at t = 0 both points are 1 * A^k."""
+    return coeffs.dot(rows, out=out)
 
 
 @dataclass(frozen=True)
@@ -318,23 +312,25 @@ def run(
     `config.B`, or 2 * max L_r at 0, whether or not B divides J_n.
 
     Inputs are checked here, once; the loop then works on trusted values:
-    both extrapolated points come from one product over the mode's
-    `StepWindow`, and an epoch's modes, picks (the estimator's `draw`: a
-    bin, or None for every fiber) and inertial coefficients are drawn or
-    built once each (the same values as one draw per step).  A sampled step
-    (a bin, at a given or scheduled step) works on the windows' factor
-    arrays: the product goes to the mode's product array, the estimator
-    reads the gradient point as three arrays, and the proximal step writes
-    the new iterate into the window's row ahead.  A step that reads a point
-    (a full batch, `full_gradient`, or a 1/L step) builds two with
-    `LL1Factors.replaced` (the gradient point, and from it the new
-    iterate), from the point of the windows' iterates, which is constructed
-    after sampled steps; so do the epoch's L_n, objective and callback.
-    When every batch is full (PALM, and SGD or SARAH at B >= J_n), a mode-3
-    step takes the full gradient and the proximal step run by run in
-    `slab_visit`, which also contracts the Y that the next mode-1 and
-    mode-2 steps read.  The point returned is constructed anew: it owns its
-    read-only factor arrays and keeps nothing else.
+    an epoch's modes, picks (the estimator's `draw`: a bin, or None for
+    every fiber) and inertial coefficients are drawn or built once each
+    (the same values as one draw per step).  Every step is one proximal
+    step: one product over the mode's `StepWindow` writes both extrapolated
+    points into the mode's product array, the estimator takes the gradient
+    at the second, and the step from the first goes into the window's row
+    ahead.  A sampled step (a bin, at a given or scheduled step) reads the
+    gradient point as the windows' factor arrays.  A step that reads a
+    point (a full batch or a 1/L step) builds it with `LL1Factors.replaced`
+    from the point of the windows' iterates (constructed after sampled
+    steps) and a copy of its A_n, and from it the new iterate, so that the
+    Grams and the tensor's contractions, kept under the arrays they read,
+    carry over; the epoch's L_n, objective and callback read that point
+    too.  When every batch is full (PALM, and SGD or SARAH at B >= J_n), a
+    mode-3 step takes the full gradient and the proximal step run by run
+    in `slab_visit`, into a new A3, which the visit also contracts into the
+    Y that the next mode-1 and mode-2 steps read.  The point returned is
+    constructed anew: it owns its read-only factor arrays and keeps nothing
+    else.
 
     Steps: a given `eta` is used on every mode and step.  With `eta` None,
     mode n steps STEP_SCALE / L_n, where L_n = `lipschitz_bound` at the
@@ -358,7 +354,7 @@ def run(
     estimate = state.estimate
     iters_per_epoch = sum(state.n_bins(n) for n in (1, 2, 3))
 
-    # each mode's point and last t steps, and the array a sampled step's two
+    # each mode's point and last t steps, and the array its steps' two
     # extrapolated points go to; allocated after the SAGA table
     depth = config.t
     windows = [None, *(StepWindow(factors.factor(n), depth) for n in (1, 2, 3))]
@@ -393,46 +389,45 @@ def run(
             coefs = epoch_coefficients(config.alpha0, config.beta0, depth, k, iters_per_epoch)
             for i, (n, pick) in enumerate(zip(modes, picks)):
                 window = windows[n]
+                extrapolate(window.rows, coefs[i], products[n])
+                y_anchor, u_eval = halves[n]
                 if pick is None or lipschitz_steps:
-                    # a step that reads a point: `factors` is the windows' one,
-                    # None once a sampled step moved one of them
+                    # a step that reads a point (a full batch or 1/L) takes it
+                    # from `factors`, the windows' point (constructed after a
+                    # sampled step), with an A_n of its own: the tensor keeps
+                    # its contractions under the arrays they read
                     if factors is None:
                         factors = _window_point(windows, config.ranks)
-                    y_anchor, u_eval = extrapolate(factors.factor(n), window.rows, coefs[i])
-                    point = factors.replaced(n, u_eval)  # the gradient point
-                    eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
-                    # the anchor is the product's own array, so the step overwrites it
-                    if n == 3 and every_full:
-                        # (u G3 - M3) / N and the step on each run of rows, which
-                        # the visit then contracts into the Y of the next steps
-                        ug = u_eval.dot(gram_H(point, 3))
-
-                        def step_rows(rows, m3):
-                            g = ug[rows]
-                            g -= m3
-                            g /= tensor.size
-                            _descend(config.reg, y_anchor[rows], g, eta)
-                        slab_visit(point, tensor, y_anchor, step_rows)
-                    else:
-                        g = (full_gradient(point, tensor, n) if pick is None
-                             else estimate(point, tensor, n, pick))
-                        _descend(config.reg, y_anchor, g, eta)
-                    d = window.push(y_anchor)
-                    # from `point`, so that the Gram its step computed carries over
-                    factors = point.replaced(n, y_anchor)
+                    point = factors.replaced(n, u_eval.copy())
                 else:
-                    # a sampled step on the windows' arrays: the points go to
-                    # the mode's product array, the new point to the window
-                    extrapolate(window.point, window.rows, coefs[i], products[n])
-                    y_anchor, u_eval = halves[n]
-                    grad_point = [w1.point, w2.point, w3.point]
-                    grad_point[n - 1] = u_eval
-                    g = estimate(grad_point, tensor, n, pick)
-                    eta = mode_eta[n]
+                    point = [w1.point, w2.point, w3.point]
+                    point[n - 1] = u_eval
+                    factors = None
+                eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
+                a_new = None
+                if n == 3 and every_full:
+                    # (u G3 - M3) / N and the step on each run of rows, into a
+                    # new A3, which the visit then contracts into the Y of the
+                    # next steps
+                    ug = point.A3.dot(gram_H(point, 3))
+                    a_new = np.empty_like(u_eval)
+
+                    def step_rows(rows, m3):
+                        g = ug[rows]
+                        g -= m3
+                        g /= tensor.size
+                        anchor = y_anchor[rows]
+                        anchor -= np.multiply(g, eta, out=g)
+                        prox(config.reg, anchor, eta, out=a_new[rows])
+                    slab_visit(point, tensor, a_new, step_rows)
+                else:
+                    g = estimate(point, tensor, n, pick)
                     y_anchor -= np.multiply(g, eta, out=u_eval)  # u_eval is read no more
                     prox(config.reg, y_anchor, eta, out=window.ahead)
-                    d = window.push()
-                    factors = None
+                d = window.push(a_new)
+                if factors is not None:
+                    # from `point`, so that the Gram its step computed carries over
+                    factors = point.replaced(n, window.point.copy() if a_new is None else a_new)
                 epoch_eta[n] = eta
                 # a non-finite entry of the new point makes d.d non-finite, so only then look
                 if not math.isfinite(d.dot(d)) and not np.isfinite(window.point).all():
@@ -461,12 +456,6 @@ def run(
 def _window_point(windows: list, ranks: RankVector) -> LL1Factors:
     """The point of the windows' iterates, constructed: its arrays are copies."""
     return LL1Factors(*(w.point for w in windows[1:]), ranks)
-
-
-def _descend(reg: Regularizer, anchor: np.ndarray, g: np.ndarray, eta: float) -> None:
-    """The proximal step from `anchor` along -g, written over `anchor`."""
-    anchor -= eta * g
-    prox(reg, anchor, eta, out=anchor)
 
 
 def _lipschitz(factors: LL1Factors, k: int, n: int) -> float:

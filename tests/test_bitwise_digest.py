@@ -23,7 +23,7 @@ def test_quick_digest_is_reproducible():
     assert len(first) == 64 and counts["runs"] > 0 and counts["aborts"] > 0 and counts["cli"] > 0
     # one digest per (estimator, depth) of the quick matrix, per baseline and for the CLI
     assert list(groups) == [f"{est}/t{t}" for est in ("sgd", "saga", "sarah") for t in (0, 3)] + [
-        "palm", "als-mu", "cli", "blocked", "inertia"]
+        "palm", "als-mu", "cli", "blocked", "inertia", "mixed"]
     assert all(len(g) == 64 for g in groups.values())
     assert len(set(groups.values())) == len(groups) and first not in groups.values()
 

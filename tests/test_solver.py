@@ -61,13 +61,21 @@ def _window(hist, t):
     return out
 
 
+def _points(base, rows, coeffs):
+    """The two points `extrapolate` writes into a new (2, base.size) array,
+    in `base`'s shape."""
+    out = np.empty((2, base.size))
+    assert extrapolate(rows, coeffs, out) is out
+    return tuple(out.reshape(2, *base.shape))
+
+
 def test_extrapolate_short_history_is_base():
     h = [np.ones((2, 2))]
-    y, u = extrapolate(h[-1], _window(h, 0), np.ones((2, 1)))
+    y, u = _points(h[-1], _window(h, 0), np.ones((2, 1)))
     assert y.tobytes() == u.tobytes() == h[0].tobytes()
     assert not np.shares_memory(y, h[0])
     # lags not yet taken are zero rows and add nothing
-    y, u = extrapolate(h[-1], _window(h, 3), np.array([[1.0, 0.5, 0.5, 0.5]] * 2))
+    y, u = _points(h[-1], _window(h, 3), np.array([[1.0, 0.5, 0.5, 0.5]] * 2))
     np.testing.assert_array_equal(y, h[0])
     np.testing.assert_array_equal(u, h[0])
 
@@ -80,14 +88,14 @@ def test_extrapolate_zero_steps_give_the_point_bit_for_bit(t):
     for _ in range(20):
         base = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300)
         coeffs = np.hstack([np.ones((2, 1)), rng.uniform(-2, 2, (2, t))])
-        for point in extrapolate(base, _window([base], t), coeffs):
+        for point in _points(base, _window([base], t), coeffs):
             assert point.tobytes() == base.tobytes()
 
 
 def test_extrapolate_two_point_formula():
     a0 = np.zeros((2, 2))
     a1 = np.ones((2, 2))
-    y, u = extrapolate(a1, _window([a0, a1], 1), np.array([[1.0, 0.5], [1.0, 2.0]]))
+    y, u = _points(a1, _window([a0, a1], 1), np.array([[1.0, 0.5], [1.0, 2.0]]))
     np.testing.assert_array_equal(y, 1.5 * np.ones((2, 2)))
     np.testing.assert_array_equal(u, 3.0 * np.ones((2, 2)))
 
@@ -96,7 +104,7 @@ def test_extrapolate_multi_term():
     rng = np.random.default_rng(0)
     hist = [rng.random((3, 2)) for _ in range(4)]
     coeffs = np.array([[1.0, 0.3, 0.2, 0.1], [1.0, 0.8, 0.5, 0.4]])
-    points = extrapolate(hist[-1], _window(hist, 3), coeffs)
+    points = _points(hist[-1], _window(hist, 3), coeffs)
     for row, point in zip(coeffs, points):
         expected = hist[-1] + sum(c * (hist[-i] - hist[-i - 1])
                                   for i, c in enumerate(row[1:], start=1))
@@ -107,7 +115,7 @@ def test_extrapolate_does_not_mutate_history():
     hist = [np.zeros((2, 2)), np.ones((2, 2))]
     rows = _window(hist, 2)
     snap = [h.copy() for h in [*hist, rows]]
-    points = extrapolate(hist[-1], rows, np.array([[1.0, 0.7, 0.1], [1.0, 0.2, 0.3]]))
+    points = _points(hist[-1], rows, np.array([[1.0, 0.7, 0.1], [1.0, 0.2, 0.3]]))
     for a, b in zip([*hist, rows], snap):
         np.testing.assert_array_equal(a, b)
     # both points are new arrays
@@ -128,7 +136,7 @@ def test_extrapolate_against_sequential_sum(t):
         coeffs = rng.uniform(-1, 1, (2, t))
         rows = np.vstack([base.reshape(1, -1), steps.reshape(t, base.size)])
         weights = np.hstack([np.ones((2, 1)), coeffs])
-        for row, point in zip(coeffs, extrapolate(base, rows, weights)):
+        for row, point in zip(coeffs, _points(base, rows, weights)):
             seq = base
             for c, d in zip(row, steps):
                 seq = seq + c * d
@@ -387,6 +395,16 @@ REFERENCE_CASES = [
     {"estimator": "sgd", "beta0": 0.0},
     {"estimator": "sarah", "alpha0": 0.0, "beta0": 0.0},
 ]
+# mixed batches: at B = 20, mode 2 (J = 20) is one bin and modes 1 and 3
+# (J = 28 and 35) two each, so SGD's and SARAH's full-batch steps on mode 2
+# fall between sampled steps and read the point built after them; with 1/L
+# steps at t = 0, each window's point alternates between two rows, so a
+# contraction kept under a window's row instead of an array of its own would
+# be read again after that row took another point
+REFERENCE_CASES += [*({"estimator": est, "B": 20, "t": t} for est in ("sgd", "sarah")
+                      for t in (0, 1, 3)),
+                    {"estimator": "sgd", "B": 20, "t": 0, "step_rule": "inverse_lipschitz",
+                     "reg": NONE}]
 # deep windows over one SGD epoch of 21 steps (7, 5 and 9 bins of at most 4
 # fibers): t = 16 lies inside it, so its last 5 steps weight all 16 lags by
 # the schedule, and t = 48 beyond it, so every step weights its deepest lags
@@ -475,14 +493,14 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
     """The step windows are overwritten in place, so neither the points
     `extrapolate` returns, nor the factors `run` returns, nor those its
     callback sees, nor SARAH's stored points may share memory with them.
-    At every depth, t = 0 included, a sampled step writes its two points
-    into its mode's product array and its new iterate into the window; no
+    At every depth, t = 0 included, a step writes its two points into its
+    mode's product array and its new iterate into the window; no
     array a caller was handed changes afterwards, and the point `run`
     returns shares no memory with any product."""
     windows, points = [], []
 
-    def recording(base, rows, coeffs, out=None):
-        got = extrapolate(base, rows, coeffs, out)
+    def recording(rows, coeffs, out):
+        got = extrapolate(rows, coeffs, out)
         windows.append(rows)
         points.extend(got)
         return got
@@ -863,7 +881,10 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
     contracts the next sweep's Y run by run, both kept on the tensor for the
     objective and the next mode-1 and mode-2 steps.  Before it, the first
     mode-1 step forms M3 and Y; `palm_baseline`'s start objective adds a
-    visit that forms M3 alone.  Each visit is recorded by what it did."""
+    visit that forms M3 alone.  Each visit is recorded by what it did.
+    Full-batch SGD and SARAH take their full gradients at the step's point,
+    not at a copy, so at uniform modes their 21 steps over 7 epochs visit
+    the tensor 12 times, at depths 0 and 1 alike."""
     visits = []
     visit = model.slab_visit
 
@@ -884,6 +905,10 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
         _, trace = baseline(cfg, t)
         assert len(trace) == sweeps
         assert visits == start + ["m3+y"] + ["m3+y+update"] * sweeps
+    for estimator, depth in itertools.product(("sgd", "sarah"), (0, 1)):
+        visits.clear()
+        run(replace(cfg, estimator=estimator, t=depth, B=10**6), t)
+        assert len(visits) == 12, (estimator, depth)
 
 
 def test_a_saga_run_contracts_no_y():

@@ -17,8 +17,9 @@ After the total it prints one digest per group of outputs: each
 (estimator, depth) pair as `<estimator>/t<depth>` (its aborts, run at the
 default depth, included), `palm`, `als-mu`, `cli`, `blocked` (PALM,
 ALS-MU, an inertial full-gradient `run`, SAGA and SARAH on a shape whose
-tensor contractions take several BLAS calls, see `blocked_runs`) and `inertia`
-(signed and zero inertial scales at depths 1-3, see `inertia_runs`).  When
+tensor contractions take several BLAS calls, see `blocked_runs`), `inertia`
+(signed and zero inertial scales at depths 1-3, see `inertia_runs`) and
+`mixed` (SGD and SARAH with one mode of a single bin, see `mixed_runs`).  When
 a change is meant to round one group differently, the others show that
 nothing else moved.
 
@@ -187,6 +188,24 @@ def inertia_runs(d: Digest):
                 d.solve("inertia", f"{dims}/{est}/t{t}/{alpha0},{beta0}", run, cfg, tensor)
 
 
+def mixed_runs(d: Digest):
+    """5-epoch SGD and SARAH runs at depths 0, 1 and 3, and at depth 0 with
+    1/L steps, on the first two shapes with B the smallest J_n, so that one
+    mode is a single bin and the others two: the group `mixed`, whose
+    full-batch steps fall between sampled steps."""
+    for i, (dims, widths) in enumerate(SHAPES[:2]):
+        ranks = RankVector(widths)
+        tensor, _ = generate(dims, ranks, 20.0, 400 + i)
+        b = min(dims[0] * dims[1], dims[0] * dims[2], dims[1] * dims[2])
+        base = SolverConfig(ranks=ranks, epochs=5, seed=17 + i, B=b, abs_tol=0.0)
+        for est in ("sgd", "sarah"):
+            for t in (0, 1, 3):
+                d.solve("mixed", f"{dims}/{est}/t{t}/B{b}", run,
+                        replace(base, estimator=est, t=t), tensor)
+            d.solve("mixed", f"{dims}/{est}/t0/B{b}/inverse-lipschitz", run,
+                    replace(base, estimator=est, t=0, **VARIANTS["inverse-lipschitz"]), tensor)
+
+
 def call_cli(d: Digest, label: str, argv, tmp: str):
     """main(argv)'s exit code, stdout and stderr, with `tmp` written as <tmp>."""
     out, err = io.StringIO(), io.StringIO()
@@ -281,6 +300,7 @@ def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
     cli_runs(d, quick)
     blocked_runs(d)
     inertia_runs(d)
+    mixed_runs(d)
     return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
