@@ -221,12 +221,10 @@ class StepWindow:
         self.point, self.ahead, self.rows, _ = self.views[self.p]
         self.point[...] = a
 
-    def push(self, a_new: np.ndarray | None = None) -> np.ndarray:
-        """Make `ahead`, into which `a_new` is first copied if given, the
-        point and its difference from A_n the newest step, which is returned
-        as a flat view."""
-        if a_new is not None:
-            self.ahead[...] = a_new
+    def push(self) -> np.ndarray:
+        """Make `ahead`, which holds the new point, the point and its
+        difference from A_n the newest step, which is returned as a flat
+        view."""
         np.subtract(self.ahead, self.point, out=self.point)
         p = self.p - 1
         if not p:  # at the top: move the window and the new step to the end
@@ -420,11 +418,12 @@ def run(
                         anchor -= np.multiply(g, eta, out=g)
                         prox(config.reg, anchor, eta, out=a_new[rows])
                     slab_visit(point, tensor, a_new, step_rows)
+                    window.ahead[...] = a_new
                 else:
                     g = estimate(point, tensor, n, pick)
                     y_anchor -= np.multiply(g, eta, out=u_eval)  # u_eval is read no more
                     prox(config.reg, y_anchor, eta, out=window.ahead)
-                d = window.push(a_new)
+                d = window.push()
                 if factors is not None:
                     # from `point`, so that the Gram its step computed carries over
                     factors = point.replaced(n, window.point.copy() if a_new is None else a_new)

@@ -158,7 +158,8 @@ def test_step_window_holds_the_point_and_last_steps(t):
     assert window.rows.tobytes() == _window(hist, t).tobytes()
     for _ in range(5 * (t + 1) + 1):
         hist.append(rng.standard_normal((6, 5)))
-        d = window.push(hist[-1])
+        window.ahead[...] = hist[-1]
+        d = window.push()
         assert d.tobytes() == (hist[-1] - hist[-2]).tobytes()
         assert np.shares_memory(d, window.rows[1])
         assert window.rows.tobytes() == _window(hist, t).tobytes()
