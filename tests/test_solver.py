@@ -491,13 +491,14 @@ def test_step_calls_extrapolate_and_prox_once(estimator, t, monkeypatch):
 @pytest.mark.parametrize("t", [0, 1, 3])
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
 def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
-    """The step windows are overwritten in place, so neither the points
-    `extrapolate` returns, nor the factors `run` returns, nor those its
-    callback sees, nor SARAH's stored points may share memory with them.
-    At every depth, t = 0 included, a step writes its two points into its
-    mode's product array and its new iterate into the window; no
-    array a caller was handed changes afterwards, and the point `run`
-    returns shares no memory with any product."""
+    """The step windows and product arrays are overwritten in place, so
+    neither the points `extrapolate` returns, nor the factors `run` returns,
+    nor those its callback sees, nor SARAH's stored points may share memory
+    with the windows, and no array a caller was handed may share memory with
+    a product.  At every depth, t = 0 included, with bins and with full
+    batches (SGD's and SARAH's None picks), a step writes its two points
+    into its mode's product array and its new iterate into the window; no
+    array a caller was handed changes afterwards."""
     windows, points = [], []
 
     def recording(rows, coeffs, out):
@@ -516,17 +517,19 @@ def test_no_output_is_a_view_of_the_step_stack(estimator, t, monkeypatch):
                 arrays.extend(prev.factor(n) for n in (1, 2, 3))
         seen.extend((a, a.copy()) for a in arrays)
 
-    cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, epochs=3, seed=4)
-    factors, _ = run(cfg, small_tensor(), callback=callback)
-    final = [factors.factor(n) for n in (1, 2, 3)]
-    for a, snapshot in seen:
-        assert a.tobytes() == snapshot.tobytes()
-    assert all(len(rows) == t + 1 for rows in windows)
-    buffers = {id(rows.base): rows.base for rows in windows}.values()  # one per mode, kept
-    assert len(buffers) == 3
-    arrays = [*final, *(a for a, _ in seen), *points]
-    assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
-    assert not any(np.shares_memory(a, y) for a in final for y in points)
+    for batch in (0, 10**6):
+        del windows[:], points[:], seen[:]
+        cfg = SolverConfig(ranks=RankVector((2, 1)), estimator=estimator, t=t, B=batch,
+                           epochs=3, seed=4)
+        factors, _ = run(cfg, small_tensor(), callback=callback)
+        for a, snapshot in seen:
+            assert a.tobytes() == snapshot.tobytes()
+        assert all(len(rows) == t + 1 for rows in windows)
+        buffers = {id(rows.base): rows.base for rows in windows}.values()  # one per mode, kept
+        assert len(buffers) == 3
+        handed = [*(factors.factor(n) for n in (1, 2, 3)), *(a for a, _ in seen)]
+        assert not any(np.shares_memory(a, b) for a in [*handed, *points] for b in buffers)
+        assert not any(np.shares_memory(a, y) for a in handed for y in points)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
