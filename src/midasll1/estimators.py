@@ -8,10 +8,12 @@ divided by I_n * J_n / n_bins (I_n * B where B divides J_n), so a uniformly
 drawn bin is unbiased for any sizes.
 `draw(modes, rng)` gives the pick of each step of an epoch's modes, in step
 order: a bin, or for SGD and SARAH None (every fiber) on a mode of one bin.
-`estimate(point, t, mode, pick)` is the gradient estimate on that pick at
-`point`, a sequence of the three factor arrays (A1, A2, A3) of the state's
-`ranks` (an `LL1Factors` is one, and None takes one), a deterministic
-function of (state, point, pick): all the randomness is in `draw`, which
+`estimate(point, t, mode, pick, scale=1.0, out=None)` is `scale` times the
+gradient estimate on that pick at `point`, written into `out` (which may be
+an array of `point`: it is written last) when given; `point` is a sequence
+of the three factor arrays (A1, A2, A3) of the state's `ranks` (an
+`LL1Factors` is one, and None takes one).  It is a deterministic function
+of its arguments and the state: all the randomness is in `draw`, which
 reads only the caller's generator.  An estimate keeps no array of a
 `point` of bare arrays, which the solver overwrites in place.
 
@@ -113,13 +115,16 @@ class SgdState:
         lo, hi = starts[pick], starts[pick + 1]
         return a[lo:hi], b[lo:hi], lo, self.divisors[mode]
 
-    def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
-        """The batch gradient on bin `pick` at `point`; for None,
-        `full_gradient` at the `LL1Factors` `point` itself."""
+    def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None,
+                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """`scale` times the batch gradient on bin `pick` at `point`; for
+        None, times `full_gradient` at the `LL1Factors` `point` itself."""
         if pick is None:
-            return full_gradient(point, t, mode)
-        a, b, _, divisor = self._bin(mode, pick)
-        return _rows_gradient(point, self.ranks, mode, a, b, fiber_rows_at(t, mode, a, b), divisor)
+            g = full_gradient(point, t, mode)
+        else:
+            a, b, _, divisor = self._bin(mode, pick)
+            g = _rows_gradient(point, self.ranks, mode, a, b, fiber_rows_at(t, mode, a, b), divisor)
+        return np.multiply(g, scale, out=out)
 
 
 @dataclass
@@ -145,8 +150,10 @@ class SarahState(SgdState):
         super().__post_init__()
         self.q = {n: q or self.n_bins(n) for n, q in self.q.items()}
 
-    def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None) -> np.ndarray:
-        """The direction at `point` for bin `pick`.  `prev_point[mode]`
+    def estimate(self, point, t: DenseTensor3, mode: int, pick: int | None,
+                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """`scale` times the direction at `point` for bin `pick`, which
+        `v[mode]` keeps.  `prev_point[mode]`
         becomes a copy of `point`, at which a restart's full gradient is
         taken: the tensor keeps its contractions with the arrays they read.
         For None it becomes the `LL1Factors` `point` itself, uncopied."""
@@ -163,25 +170,27 @@ class SarahState(SgdState):
         self.v[mode] = v
         self.prev_point[mode] = kept
         self.counter[mode] = (count + 1) % self.q[mode]
-        return v
+        return np.multiply(v, scale, out=out)
 
 
 @dataclass
 class SagaState(SgdState):
-    """Per-mode gradient table over fixed disjoint fiber bins plus running mean.
+    """Per-mode table of undivided bin gradients plus their running mean.
 
-    The table is warm-started with the bin gradients at the initial point, so
-    a SAGA estimate at an unchanged point reduces exactly to the running mean
-    (fresh and stored bin gradients cancel: both are `gradient_from_rows` on
-    the same rows).  The running mean is maintained incrementally and
-    recomputed from the table once per full sweep to keep drift below the
-    documented 1e-10 consistency bound.
+    `table[mode]` stacks the residual products r^T h (n_bins x I_n x L,
+    `gradient_from_rows` with divisor None) of bins of consecutive fibers,
+    whose coordinates the warm start puts in `fibers`; `running_mean[mode]`
+    is their mean.  No row is divided: an estimate is (fresh - stored +
+    running_mean) * (scale / divisor), so at the warm-start point, where
+    fresh and stored rows cancel, it is running_mean * (scale / divisor)
+    exactly.  The mean is updated incrementally and recomputed from the
+    table once per full sweep to keep its drift (`mean_drift`, in gradient
+    units) below the documented 1e-10 consistency bound.
 
-    `table[mode]` stacks the gradients (n_bins x I_n x L) of bins of
-    consecutive fibers, whose coordinates the warm start puts in `fibers`.  It
-    fills the table a chunk of bins of one size at a time (at most two stacked
-    runs): one `_bin_rows`, one `H_rows_at` and one stacked `gradient_from_rows`
-    in place (two BLAS calls per bin), so each entry has its bin's bits.
+    The warm start fills the table a chunk of bins of one size at a time
+    (at most two stacked runs): one `_bin_rows`, one `H_rows_at` and one
+    stacked `gradient_from_rows` in place (two BLAS calls per bin), so each
+    entry has its bin's bits.
     `spans[mode]` holds three lists: each bin's slow index (-1 for a bin that
     crosses one) and its first and end fast index (see `bin_rows`).
     """
@@ -205,7 +214,7 @@ class SagaState(SgdState):
         shapes = {m: (state.n_bins(m), *factors.factor(m).shape) for m in state.starts}
         block = np.empty(sum(math.prod(shape) for shape in shapes.values()))
         for mode, starts in state.starts.items():
-            n_bins, divisor = len(starts) - 1, state.divisors[mode]
+            n_bins = len(starts) - 1
             state.fibers[mode] = a, b = fiber_coordinates(t.dims, mode, np.arange(starts[-1]))
             i_n, width = factors.factor(mode).shape
             state.table[mode] = grads = block[:math.prod(shapes[mode])].reshape(shapes[mode])
@@ -218,7 +227,7 @@ class SagaState(SgdState):
                     ab = a[starts[lo]:starts[hi]], b[starts[lo]:starts[hi]]
                     x = _bin_rows(t, mode, *ab, starts[lo]).reshape(hi - lo, size, i_n)
                     h = H_rows_at(factors, factors.ranks, mode, *(c.reshape(-1, size) for c in ab))
-                    gradient_from_rows(factors.factor(mode), h, x, divisor, out=grads[lo:hi])
+                    gradient_from_rows(factors.factor(mode), h, x, None, out=grads[lo:hi])
             state.running_mean[mode] = _table_mean(grads)
             # fiber j is (j % fast, j // fast): a bin's first fiber and size give its span
             fast = t.dims[1] if mode == 1 else t.dims[0]
@@ -248,17 +257,19 @@ class SagaState(SgdState):
             return t.array[lo:hi, :, s], a3[s].take(self.ranks.column_blocks) * a1[lo:hi]
         return t.array[lo:hi, s], (a2[s] * a1[lo:hi]) @ self.ranks.block_indicator
 
-    def estimate(self, point, t: DenseTensor3, mode: int, bin_id: int) -> np.ndarray:
-        """g = fresh - stored + running_mean, with the fresh bin gradient
-        taken at `point`; then the table and mean are updated."""
+    def estimate(self, point, t: DenseTensor3, mode: int, bin_id: int,
+                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """(fresh - stored + running_mean) * (scale / divisor), the fresh
+        row taken at `point`; then the table and mean are updated."""
         x, h = self.bin_rows(point, t, mode, bin_id)
-        fresh = gradient_from_rows(point[mode - 1], h, x, self.divisors[mode])
+        fresh = gradient_from_rows(point[mode - 1], h, x, None)
         table = self.table[mode]
-        diff = table[bin_id]  # the stored gradient's row holds the difference, then fresh
+        diff = table[bin_id]  # the stored row holds the difference, then fresh
         np.subtract(fresh, diff, out=diff)
-        g = diff + self.running_mean[mode]
+        g = np.add(diff, self.running_mean[mode], out=out)
+        g *= scale / self.divisors[mode]
         nb = len(table)
-        diff /= float(nb)
+        diff *= 1.0 / nb
         self.running_mean[mode] += diff
         diff[...] = fresh
         count = self.updates_since_recompute[mode] + 1
@@ -269,8 +280,9 @@ class SagaState(SgdState):
         return g
 
     def mean_drift(self, mode: int) -> float:
-        """Distance between the incremental mean and a direct recomputation."""
-        return float(np.linalg.norm(self.running_mean[mode] - _table_mean(self.table[mode])))
+        """Distance between the incremental mean and a recomputation, over the divisor."""
+        drift = np.linalg.norm(self.running_mean[mode] - _table_mean(self.table[mode]))
+        return float(drift) / self.divisors[mode]
 
 
 def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: int) -> np.ndarray:
@@ -288,7 +300,7 @@ def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: i
 
 
 def _table_mean(grads: np.ndarray) -> np.ndarray:
-    """Mean of the stacked bin gradients, summed in bin order: a reduction
+    """Mean of the stacked table rows, summed in bin order: a reduction
     over the outer axis adds whole bins in turn, and starting from -0.0
     keeps a sum of signed zeros signed, as the sum of the bins alone is."""
     return np.add.reduce(grads, axis=0, initial=-0.0) / len(grads)

@@ -415,13 +415,15 @@ def full_gradient(factors: LL1Factors, t: DenseTensor3, mode: int) -> np.ndarray
 
 
 def gradient_from_rows(
-    a: np.ndarray, h: np.ndarray, x: np.ndarray, divisor: float, out: np.ndarray | None = None
+    a: np.ndarray, h: np.ndarray, x: np.ndarray, divisor: float | None,
+    out: np.ndarray | None = None
 ) -> np.ndarray:
     """((H A_n^T - X)^T H) / divisor from matching rows H of H_n and X of
     the mode-n unfolding, written into `out` when given: the batch residual,
     then one product.  Over all J_n rows at divisor I1*I2*I3 this is the
     exact gradient, over one of n_bins bins at I_n * J_n / n_bins the SGD
-    estimate.  X is only subtracted, so its memory layout changes no bit.
+    estimate; `divisor` None skips the division (the SAGA table's rows).
+    X is only subtracted, so its memory layout changes no bit.
 
     One batch (2-D `h` and `x`) takes `ndarray.dot`, the BLAS calls of `@`
     with less overhead.  Stacks of batches (k x rows x ...) give k
@@ -435,7 +437,8 @@ def gradient_from_rows(
         r = h @ a.T
         r -= x
         g = np.matmul(r.swapaxes(-1, -2), h, out=out)
-    g /= divisor
+    if divisor is not None:
+        g /= divisor
     return g
 
 

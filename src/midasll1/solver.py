@@ -314,16 +314,18 @@ def run(
     every fiber) and inertial coefficients are drawn or built once each
     (the same values as one draw per step).  Every step is one proximal
     step: one product over the mode's `StepWindow` writes both extrapolated
-    points into the mode's product array, the estimator takes the gradient
-    at the second, and the step from the first goes into the window's row
-    ahead.  A sampled step (a bin, at a given or scheduled step) reads the
-    gradient point as the windows' factor arrays.  A step that reads a
-    point (a full batch or a 1/L step) builds it with `LL1Factors.replaced`
-    from the point of the windows' iterates (constructed after sampled
-    steps) and a copy of its A_n, and from it the new iterate, so that the
-    Grams and the tensor's contractions, kept under the arrays they read,
-    carry over; the epoch's L_n, objective and callback read that point
-    too.  When every batch is full (PALM, and SGD or SARAH at B >= J_n), a
+    points into the mode's product array, `estimate(point, tensor, n, pick,
+    eta, u_eval)` writes eta times the estimate at the second over it, and
+    the step from the first goes into the window's row ahead; no step
+    branches on the estimator.  A sampled step (a bin, at a given or
+    scheduled step) reads the gradient point as the windows' factor arrays.
+    A step that reads a point (a full batch or a 1/L step) builds it with
+    `LL1Factors.replaced` from the last point built, a copy of each factor
+    that sampled steps moved since and a copy of its A_n, and from it the
+    new iterate, so that the Grams and the tensor's contractions, kept
+    under the arrays they read, carry over.  The epoch's L_n, objective and
+    callback read the point of the windows' iterates, constructed after
+    sampled steps.  When every batch is full (PALM, and SGD or SARAH at B >= J_n), a
     mode-3 step takes the full gradient and the proximal step run by run
     in `slab_visit`, into a new A3, which the visit also contracts into the
     Y that the next mode-1 and mode-2 steps read.  The point returned is
@@ -362,6 +364,7 @@ def run(
     lipschitz_steps = config.step_rule == "inverse_lipschitz"
     scaled_steps = config.eta is None and not lipschitz_steps
     mode_eta = [config.eta] * 4  # the step of mode n is mode_eta[n]
+    moved = set()  # the modes of sampled steps since `factors` was built
 
     trace = RunTrace()
     rng_mode, rng_fiber = streams["mode"], streams["fiber"]
@@ -391,16 +394,17 @@ def run(
                 y_anchor, u_eval = halves[n]
                 if pick is None or lipschitz_steps:
                     # a step that reads a point (a full batch or 1/L) takes it
-                    # from `factors`, the windows' point (constructed after a
-                    # sampled step), with an A_n of its own: the tensor keeps
-                    # its contractions under the arrays they read
-                    if factors is None:
-                        factors = _window_point(windows, config.ranks)
+                    # from `factors`, with copies of the factors moved since
+                    # and an A_n of its own: the tensor keeps its
+                    # contractions under the arrays they read
+                    for m in moved - {n}:
+                        factors = factors.replaced(m, windows[m].point.copy())
+                    moved.clear()
                     point = factors.replaced(n, u_eval.copy())
                 else:
                     point = [w1.point, w2.point, w3.point]
                     point[n - 1] = u_eval
-                    factors = None
+                    moved.add(n)
                 eta = 1.0 / _lipschitz(point, k, n) if lipschitz_steps else mode_eta[n]
                 a_new = None
                 if n == 3 and every_full:
@@ -420,11 +424,11 @@ def run(
                     slab_visit(point, tensor, a_new, step_rows)
                     window.ahead[...] = a_new
                 else:
-                    g = estimate(point, tensor, n, pick)
-                    y_anchor -= np.multiply(g, eta, out=u_eval)  # u_eval is read no more
+                    # eta times the estimate, into u_eval, which is read no more
+                    y_anchor -= estimate(point, tensor, n, pick, eta, u_eval)
                     prox(config.reg, y_anchor, eta, out=window.ahead)
                 d = window.push()
-                if factors is not None:
+                if not moved:
                     # from `point`, so that the Gram its step computed carries over
                     factors = point.replaced(n, window.point.copy() if a_new is None else a_new)
                 epoch_eta[n] = eta
@@ -434,8 +438,9 @@ def run(
                 k += 1
             # the trace reads the norm of the epoch's last step only
             last_step_norm = math.sqrt(float((d * d).sum()))
-            if factors is None:
+            if moved:
                 factors = _window_point(windows, config.ranks)
+                moved.clear()
             try:
                 obj = objective(factors, tensor, config.reg)
             except ValueError as exc:  # the dims match, so the reconstruction overflowed

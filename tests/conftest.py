@@ -168,13 +168,23 @@ def als_mu_reference(config, tensor):
     return factors, phi
 
 
-def _batch_gradient(factors, tensor, mode, idx, n_bins):
-    """Fiber-sampled gradient ((H A_n^T - X)^T H) / (I_n * J_n / n_bins) of
-    one of a mode's `n_bins` bins, from rows of the full H_n and of the
-    unfolding."""
+def _bin_divisor(tensor, mode, n_bins):
+    """I_n * J_n / n_bins, the divisor of each of a mode's `n_bins` bins."""
+    return tensor.dims[mode - 1] * row_count(tensor.dims, mode) / n_bins
+
+
+def _residual_product(factors, tensor, mode, idx):
+    """The undivided (H A_n^T - X)^T H of the fibers `idx`, from rows of the
+    full H_n and of the unfolding."""
     h = reference_build_H(factors, mode)[idx]
     residual = h @ factors.factor(mode).T - unfold(tensor, mode)[idx]
-    return (residual.T @ h) / (factors.dims[mode - 1] * row_count(tensor.dims, mode) / n_bins)
+    return residual.T @ h
+
+
+def _batch_gradient(factors, tensor, mode, idx, n_bins):
+    """Fiber-sampled gradient ((H A_n^T - X)^T H) / (I_n * J_n / n_bins) of
+    one of a mode's `n_bins` bins."""
+    return _residual_product(factors, tensor, mode, idx) / _bin_divisor(tensor, mode, n_bins)
 
 
 def _extrapolate(history, coeffs):
@@ -206,6 +216,9 @@ def run_reference(config, tensor):
     """The stochastic solver loop written out step by step, with its SAGA
     table and SARAH recursion inline, so that `run` is checked bit for bit
     against code that shares none of its loop, caches or estimator state.
+    The SAGA table holds each bin's undivided residual product and its mean
+    the mean of those; a SAGA step descends by (fresh - stored + mean) *
+    (eta / divisor), the other estimators by eta * g.
 
     Draws from the same streams in the same order as `run`: for SGD and
     SARAH first one permutation of each mode's fibers with B < J_n, in mode
@@ -232,7 +245,7 @@ def run_reference(config, tensor):
                 for n in (1, 2, 3) if n_bins[n] > 1}
     else:
         bins = {n: np.array_split(np.arange(jn[n]), n_bins[n]) for n in (1, 2, 3)}
-        table = {n: [_batch_gradient(factors, tensor, n, idx, n_bins[n]) for idx in bins[n]]
+        table = {n: [_residual_product(factors, tensor, n, idx) for idx in bins[n]]
                  for n in (1, 2, 3)}
         mean = {n: sum(table[n][1:], start=table[n][0].copy()) / len(table[n])
                 for n in (1, 2, 3)}
@@ -286,10 +299,10 @@ def run_reference(config, tensor):
                 nb = len(bins[n])
                 bin_id = 0 if nb == 1 else int(rng_fiber.integers(nb))
             if est == "saga":
-                fresh = _batch_gradient(factors_u, tensor, n, bins[n][bin_id], nb)
+                fresh = _residual_product(factors_u, tensor, n, bins[n][bin_id])
                 stored = table[n][bin_id]
-                g = fresh - stored + mean[n]
-                mean[n] = mean[n] + (fresh - stored) / nb
+                step = (fresh - stored + mean[n]) * (eta / _bin_divisor(tensor, n, nb))
+                mean[n] = mean[n] + (fresh - stored) * (1.0 / nb)
                 table[n][bin_id] = fresh
                 since[n] += 1
                 if since[n] >= nb:
@@ -306,8 +319,10 @@ def run_reference(config, tensor):
             if est == "sarah":
                 v[n], prev[n] = g, factors_u
                 counter[n] = (counter[n] + 1) % q[n]
+            if est != "saga":
+                step = eta * g
 
-            a_new = prox(config.reg, y_anchor - eta * g, eta)
+            a_new = prox(config.reg, y_anchor - step, eta)
             if not np.isfinite(a_new).all():
                 raise SolverAbort(k, n)
             d = a_new - factors.factor(n)

@@ -179,17 +179,20 @@ def test_criterion_03_saga_cancellation():
         jn = row_count(x.dims, mode)
         bins = np.arange(jn).reshape(-1, b)
         state = SagaState.warm_start(f, x, {mode: b})
+        # the table and its mean are undivided: the mean gradient is the
+        # running mean over the bins' divisor
+        per_divisor = 1.0 / state.divisors[mode]
         # unchanged point: fresh and stored cancel exactly (bitwise)
         for bin_id in range(state.n_bins(mode)):
             g = copy.deepcopy(state).estimate(f, x, mode, bin_id)
-            if not np.array_equal(g, state.running_mean[mode]):
+            if not np.array_equal(g, state.running_mean[mode] * per_divisor):
                 ok = False
         # full deterministic sweep at a new fixed point
         f2 = _random_factors(rng, (5, 4, 6), (2, 1))
         for bin_id in range(state.n_bins(mode)):
             state.estimate(f2, x, mode, bin_id)
         target = sum(batch_gradient(f2, x, mode, idx) for idx in bins) / len(bins)
-        err = float(np.linalg.norm(state.running_mean[mode] - target))
+        err = float(np.linalg.norm(state.running_mean[mode] * per_divisor - target))
         detail.append(err)
         ok = ok and err <= 1e-10
     _verdict(3, "saga-cancellation", ok, f"sweep errs {max(detail):.2e}")

@@ -88,8 +88,8 @@ def test_ragged_bins_average_to_the_full_gradient():
     """On a mode whose J_n the batch size does not divide, the ceil(J_n / B)
     bins differ in size by one, larger first, and each bin gradient is divided
     by I_n * J_n / n_bins: the mean of SGD's bin estimates and SAGA's
-    warm-start table mean both equal the full gradient (criterion 02's
-    identity on ragged bins)."""
+    warm-start table mean, over the divisor, both equal the full gradient
+    (criterion 02's identity on ragged bins)."""
     f, t = make_problem(seed=23, dims=(5, 7, 4), L=(2, 1))  # J_3 = 35
     exact = full_gradient(f, t, 3)
     sgd = SgdState(t.dims, {3: 4}, f.ranks)
@@ -99,7 +99,8 @@ def test_ragged_bins_average_to_the_full_gradient():
         assert bin_sizes(state, 3) == [4] * 8 + [3]
     mean = sum(sgd.estimate(f, t, 3, i) for i in range(9)) / 9
     np.testing.assert_allclose(mean, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
-    np.testing.assert_allclose(saga.running_mean[3], exact, rtol=0, atol=1e-14 * np.abs(exact).max())
+    np.testing.assert_allclose(saga.running_mean[3] / saga.divisors[3], exact, rtol=0,
+                               atol=1e-14 * np.abs(exact).max())
 
 
 def saga_for(f, t, mode, b):
@@ -177,11 +178,13 @@ def test_sgd_draw_takes_bins_of_one_random_partition():
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_saga_estimate_at_anchor_is_exact(mode):
     """Fresh and stored bin gradients cancel at the warm-start point, so the
-    estimate is the table mean, which equals the full gradient."""
+    estimate is the table mean times 1 / divisor exactly (the table is
+    undivided), which equals the full gradient."""
     f, t = make_problem(seed=2)  # J = (15, 12, 20): mode 1 takes bins of 4, 4, 4 and 3
     st = saga_for(f, t, mode, 4)
     for bin_id in range(st.n_bins(mode)):
         g = copy.deepcopy(st).estimate(f, t, mode, bin_id)
+        np.testing.assert_array_equal(g, st.running_mean[mode] * (1.0 / st.divisors[mode]))
         assert np.abs(g - full_gradient(f, t, mode)).max() <= 1e-10
 
 
@@ -196,6 +199,9 @@ def test_saga_single_bin_is_full_gradient_everywhere():
 
 
 def test_saga_running_mean_stays_consistent():
+    """The incremental mean of the undivided table stays within 1e-10 of a
+    recomputation, in gradient units: `mean_drift` divides the distance by
+    the mode's divisor."""
     f, t = make_problem(seed=5)
     mode = 1
     st = saga_for(f, t, mode, 3)
@@ -300,6 +306,35 @@ def test_sarah_step_gathers_its_rows_once(mode, monkeypatch):
     v = full.estimate(point, t, mode, None)
     assert gathered == [b_n]
     assert v.tobytes() == full_gradient(point, t, mode).tobytes()
+
+
+@pytest.mark.parametrize("batch", [4, 10**6], ids=["bins", "full-batch"])
+@pytest.mark.parametrize("kind", ["sgd", "sarah"])
+def test_estimate_at_a_scale_is_the_scaled_estimate(kind, batch):
+    """SGD's and SARAH's `estimate(..., scale, out)`, on bins and on a full
+    batch (pick None), writes scale * `estimate(...)` into `out` bit for
+    bit, over SARAH's restarts and steps between them, and leaves the state
+    as the unscaled call does: SARAH's `v` keeps the unscaled direction."""
+    f, t = make_problem(seed=24)
+    mode = 3  # J_3 = 20: five bins of 4, or one full batch
+    if kind == "sgd":
+        st = SgdState(t.dims, {mode: batch}, f.ranks)
+    else:
+        st = SarahState(t.dims, {mode: batch}, f.ranks, q={mode: 3})
+    rng = np.random.default_rng(25)
+    picks = st.draw([mode] * 5, rng)
+    assert (None in picks) == (batch > 4)
+    point = f
+    for scale, pick in zip((0.7, -3.0, 1e-3, 1.0, 0.5), picks):
+        plain = copy.deepcopy(st)
+        g = plain.estimate(point, t, mode, pick)
+        out = np.empty_like(g)
+        assert st.estimate(point, t, mode, pick, scale, out) is out
+        assert out.tobytes() == (scale * g).tobytes()
+        if kind == "sarah":
+            assert st.v[mode].tobytes() == plain.v[mode].tobytes() == g.tobytes()
+        a = point.factor(mode)
+        point = point.replaced(mode, a + 0.1 * rng.standard_normal(a.shape))
 
 
 def test_probe_zero_mse_for_full_batch_sgd():
@@ -441,10 +476,12 @@ def test_probe_rejects_bad_args():
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatch):
     """The batched warm start fills every table entry with the bits of the
-    bin's gradient from its gathered rows, for one fiber per bin, a middle
-    bin size that divides J_n (`batch_gradient`'s bits), a ragged one (bins
-    of two sizes, so two stacked runs) and a single bin, and chunks of one
-    bin, of a few bins and of the default bound."""
+    bin's undivided gradient from its gathered rows (`gradient_from_rows`
+    with divisor None), for one fiber per bin, a middle bin size that
+    divides J_n (whose row over I_n * B has `batch_gradient`'s bits), a
+    ragged one (bins of two sizes, so two stacked runs) and a single bin,
+    and chunks of one bin, of a few bins and of the default bound.  The
+    running mean is their mean, summed in bin order."""
     if chunk_bytes is not None:
         monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
     f, t = make_problem(seed=7, dims=(6, 5, 4), L=(3, 1, 2))
@@ -457,10 +494,11 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
         for i, idx in enumerate(bins):
             a_i, b_i = fiber_coordinates(t.dims, mode, idx)
             g = gradient_from_rows(f.factor(mode), H_rows_at(f, f.ranks, mode, a_i, b_i),
-                                   fiber_rows_at(t, mode, a_i, b_i), t.size / len(bins))
+                                   fiber_rows_at(t, mode, a_i, b_i), None)
             assert st.table[mode][i].tobytes() == g.tobytes()
             if b != ragged:
-                assert g.tobytes() == batch_gradient(f, t, mode, idx).tobytes()
+                want = batch_gradient(f, t, mode, idx).tobytes()
+                assert (g / st.divisors[mode]).tobytes() == want
         grads = st.table[mode]
         in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
         assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
@@ -470,15 +508,20 @@ def test_warm_start_table_is_the_per_bin_gradients(mode, chunk_bytes, monkeypatc
 @pytest.mark.parametrize("L", [(9, 3, 1), (12, 3)])
 def test_mode3_saga_estimate_at_the_warm_start_point_is_the_mean(L, B):
     """At the point its table was warm-started at, a mode-3 SAGA estimate
-    on each bin returns the running mean bit for bit: the fresh gradient,
-    from one batch's H rows, has the bits of the table entry, from a
-    stack's, so the two cancel exactly.  B = 5 cuts J_3 = 24 into bins of
-    5, 5, 5, 5 and 4 fibers, two stacked runs."""
+    at scale s on each bin returns running_mean * (s / divisor) bit for
+    bit, into `out` when given: the fresh gradient, from one batch's H rows,
+    has the bits of the table entry, from a stack's, so the two cancel
+    exactly.  B = 5 cuts J_3 = 24 into bins of 5, 5, 5, 5 and 4 fibers, two
+    stacked runs."""
     f, t = make_problem(seed=21, dims=(6, 4, 5), L=L)
     state = SagaState.warm_start(f, t, {3: B})
     mean = state.running_mean[3].copy()
+    divisor = state.divisors[3]
+    out = np.empty_like(mean)
     for bin_id in range(state.n_bins(3)):
-        assert state.estimate(f, t, 3, bin_id).tobytes() == mean.tobytes()
+        assert state.estimate(f, t, 3, bin_id).tobytes() == (mean * (1.0 / divisor)).tobytes()
+        assert state.estimate(f, t, 3, bin_id, 0.3, out) is out
+        assert out.tobytes() == (mean * (0.3 / divisor)).tobytes()
     assert state.running_mean[3].tobytes() == mean.tobytes()
 
 

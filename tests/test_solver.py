@@ -915,6 +915,29 @@ def test_a_sweep_contracts_the_tensor_twice(monkeypatch):
         assert len(visits) == 12, (estimator, depth)
 
 
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_a_mixed_run_contracts_y_only_for_a_moved_a3(t, monkeypatch):
+    """At B = 20 on (5, 7, 4), mode 2 is one bin and modes 1 and 3 two each,
+    so SGD's full-batch mode-2 steps fall between sampled steps.  Their
+    point is the last one with copies of the factors that sampled steps
+    moved, so a Y kept under an A3 that no step moved is read again: no
+    visit that contracts a Y reads an A3 equal to the previous Y's."""
+    contracted = []
+    visit = model.slab_visit
+
+    def recording(factors, tensor, out=None, update=model._no_update):
+        if out is not None:
+            contracted.append(out.copy())
+        return visit(factors, tensor, out, update)
+
+    monkeypatch.setattr(model, "slab_visit", recording)
+    dims, L = REFERENCE_SHAPE
+    cfg = SolverConfig(ranks=RankVector(L), estimator="sgd", t=t, B=20, epochs=6, seed=5)
+    run(cfg, small_tensor(seed=21, dims=dims, L=L))
+    assert len(contracted) > 1
+    assert not any(np.array_equal(a, b) for a, b in zip(contracted, contracted[1:]))
+
+
 def test_a_saga_run_contracts_no_y():
     """A SAGA run reads the tensor's storage only for each epoch
     objective's M3, whose visit takes no Y: a fresh tensor keeps none."""
