@@ -1,15 +1,16 @@
 """Tier-1's kernel suites and the bitwise digest under several OpenBLAS cores.
 
-    python tools/cores.py [--full] [--cores SkylakeX,Haswell,Prescott] [checkout]
+    python tools/cores.py [--full] [checkout]
 
-For each core it runs, in the checkout (this one by default), `pytest -q
-tests/test_model.py tests/test_estimators.py` and `tools/bitwise_digest.py
---quick` (the whole matrix with `--full`), each as a child process whose
-environment alone sets `OPENBLAS_CORETYPE` to the core and
-`OPENBLAS_NUM_THREADS` to 1: the `blocked` group's digest depends on the
-BLAS thread count too (it differs between 1 and 2 threads under
-SkylakeX).  OpenBLAS reads both when it loads, so a core the host's CPU
-cannot run fails in the child, not here.
+For each of SkylakeX, Haswell and Prescott it runs, in the checkout (this
+one by default), `pytest -q tests/test_model.py tests/test_estimators.py`
+and `tools/bitwise_digest.py --quick` (the whole matrix with `--full`),
+each as a child process whose environment alone sets `OPENBLAS_CORETYPE`
+to the core and `OPENBLAS_NUM_THREADS` to 1: the `blocked` group's digest
+depends on the BLAS thread count too (it differs between 1 and 2 threads
+under SkylakeX).  OpenBLAS reads both when it loads, so a core the host's
+CPU cannot run fails in the child, not here.  (Prescott's kernels load
+under the name Katmai.)
 
 It prints, per core, the core that BLAS dispatched to (from the digest's
 stderr), the tests' summary line and the digest's total and group lines.
@@ -60,10 +61,9 @@ def main(argv=None) -> int:
     p.add_argument("checkout", nargs="?", type=Path, default=ROOT,
                    help="the checkout to run in (default: this one)")
     p.add_argument("--full", action="store_true", help="the whole digest matrix, not --quick")
-    p.add_argument("--cores", default=",".join(CORES), help="comma-separated OpenBLAS cores")
     args = p.parse_args(argv)
     ok = True
-    for core in args.cores.split(","):
+    for core in CORES:
         passed, lines = on_core(args.checkout.resolve(), core, args.full)
         ok = ok and passed
         print("\n".join(lines), flush=True)
