@@ -37,8 +37,9 @@ from .tensor import DenseTensor3, fiber_coordinates, fiber_rows_at, row_count
 ESTIMATOR_KINDS = ("sgd", "saga", "sarah")
 
 # the warm start fills the SAGA table in chunks of bins whose rows, H rows
-# and residuals take at most this many bytes (at least one bin); the
-# gradients go straight into the table
+# and residuals take at most this many bytes (at least one bin), and beyond
+# them the H rows of the rest of the first and last slow index the chunk
+# spans, which it forms whole; the gradients go straight into the table
 _WARM_CHUNK_BYTES = 1 << 20
 
 
@@ -188,9 +189,13 @@ class SagaState(SgdState):
     units) below the documented 1e-10 consistency bound.
 
     The warm start fills the table a chunk of bins of one size at a time
-    (at most two stacked runs): one `_bin_rows`, one `H_rows_at` and one
+    (at most two stacked runs): one `_bin_rows`; the H rows of every fiber
+    of the slow indices the chunk spans, each slow factor row repeated over
+    the fast rows and multiplied by them (`H_rows_at`'s products, with no
+    gather), then for mode 3 one block-summing product per bin; and one
     stacked `gradient_from_rows` in place (two BLAS calls per bin), so each
-    entry has its bin's bits.
+    entry has its bin's bits.  The running mean is summed a chunk at a time
+    in bin order while the chunk is in cache, with `_table_mean`'s bits.
     `spans[mode]` holds three lists: each bin's slow index (-1 for a bin that
     crosses one) and its first and end fast index (see `bin_rows`).
     """
@@ -213,24 +218,43 @@ class SagaState(SgdState):
         # so a later warm start reuses that heap instead of faulting pages in
         shapes = {m: (state.n_bins(m), *factors.factor(m).shape) for m in state.starts}
         block = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+        a1, a2, a3 = factors
         for mode, starts in state.starts.items():
             n_bins = len(starts) - 1
             state.fibers[mode] = a, b = fiber_coordinates(t.dims, mode, np.arange(starts[-1]))
             i_n, width = factors.factor(mode).shape
             state.table[mode] = grads = block[:math.prod(shapes[mode])].reshape(shapes[mode])
             block = block[grads.size:]
+            # fiber j is (j % fast, j // fast): its H row is the product of
+            # slow_rows[j // fast] and fast_rows[j % fast], block-summed on mode 3
+            slow_rows, fast_rows = ((a2, a1) if mode == 3 else
+                                    (a3.take(factors.ranks.column_blocks, axis=-1), a2 if mode == 1 else a1))
+            fast = len(fast_rows)
+            total = np.full((i_n, width), -0.0)  # the bin-order sum of `_table_mean`
             q, r = divmod(starts[-1], n_bins)
             for first, last, size in ((0, r, q + 1), (r, n_bins, q)):  # the bins of each size
                 step = max(1, _WARM_CHUNK_BYTES // (8 * size * (2 * i_n + width)))
                 for lo in range(first, last, step):
                     hi = min(lo + step, last)
-                    ab = a[starts[lo]:starts[hi]], b[starts[lo]:starts[hi]]
-                    x = _bin_rows(t, mode, *ab, starts[lo]).reshape(hi - lo, size, i_n)
-                    h = H_rows_at(factors, factors.ranks, mode, *(c.reshape(-1, size) for c in ab))
-                    gradient_from_rows(factors.factor(mode), h, x, None, out=grads[lo:hi])
-            state.running_mean[mode] = _table_mean(grads)
-            # fiber j is (j % fast, j // fast): a bin's first fiber and size give its span
-            fast = t.dims[1] if mode == 1 else t.dims[0]
+                    j0, j1 = starts[lo], starts[hi]
+                    x = _bin_rows(t, mode, a[j0:j1], b[j0:j1], j0).reshape(hi - lo, size, i_n)
+                    # the H rows of every fiber of the slow indices the chunk spans
+                    s0 = j0 // fast
+                    h = slow_rows[s0:-(-j1 // fast)].repeat(fast, axis=0)
+                    spanned = h.reshape(-1, *fast_rows.shape)
+                    spanned *= fast_rows
+                    h = h[j0 - s0 * fast:j1 - s0 * fast].reshape(hi - lo, size, -1)
+                    if mode == 3:  # one product per bin, as for a bin's own H rows
+                        h = h @ factors.ranks.block_indicator
+                    chunk = gradient_from_rows(factors.factor(mode), h, x, None, out=grads[lo:hi])
+                    # sum the chunk while it is in cache: carried into its first
+                    # row, the sum takes the bins in the order `_table_mean` does
+                    first_row = chunk[0].copy()
+                    chunk[0] += total
+                    total = np.add.reduce(chunk, axis=0, initial=-0.0)
+                    chunk[0] = first_row
+            # numpy sums a table of one-entry rows pairwise, not in bin order
+            state.running_mean[mode] = total / n_bins if total.size > 1 else _table_mean(grads)
             bounds = np.array(starts)
             slow, lo = np.divmod(bounds[:-1], fast)
             hi = lo + np.diff(bounds)
@@ -302,7 +326,9 @@ def _bin_rows(t: DenseTensor3, mode: int, a: np.ndarray, b: np.ndarray, start: i
 def _table_mean(grads: np.ndarray) -> np.ndarray:
     """Mean of the stacked table rows, summed in bin order: a reduction
     over the outer axis adds whole bins in turn, and starting from -0.0
-    keeps a sum of signed zeros signed, as the sum of the bins alone is."""
+    keeps a sum of signed zeros signed, as the sum of the bins alone is.
+    Rows of one entry are the exception: numpy sums that lone column
+    pairwise."""
     return np.add.reduce(grads, axis=0, initial=-0.0) / len(grads)
 
 

@@ -204,8 +204,7 @@ def H_rows_at(point, ranks: RankVector, mode: int, a: np.ndarray, b: np.ndarray)
     A mode-3 row is the products A2[i2, l] * A1[i1, l] summed block by
     block, by one product with `block_indicator` in the BLAS kernel's order
     (signed-zero products give +0.0; an infinite one makes the other blocks
-    of its row NaN).  A stack of batches (a warm-start chunk) takes numpy's
-    stacked matmul, one BLAS call per batch, so each keeps its bits alone."""
+    of its row NaN)."""
     a1, a2, a3 = point
     if mode in (1, 2):
         c = a3.take(b, axis=0).take(ranks.column_blocks, axis=-1)

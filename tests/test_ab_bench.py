@@ -126,3 +126,29 @@ def test_pair_ratios_show_the_spread_of_change_over_parent():
     r = tool.summarize(_runs([0.0], [1.0]), SPECS)["us_per_iter"]["pair_ratio"]
     assert r == {"min": None, "q1": None, "median": None, "q3": None, "max": None}
     assert tool._ratio_text(r) == "undefined"
+
+
+def test_control_is_summarized_against_the_parent_beside_the_change():
+    """A third side `control` (a copy of the parent) gets its own summary
+    against the parent by the same rules, printed as its own line; the
+    change's summary reads neither its values nor its incorrect runs."""
+    tool = _load_tool()
+    parent = [100.0, 102, 98, 101, 99, 103, 97, 100, 104, 96]
+    change = [v - 30 for v in parent]
+    control = [v + (1 if i % 5 else -1) for i, v in enumerate(parent)]  # worse in 8 of 10
+    runs = _runs(parent, change)
+    for r in _runs(parent, control, correct={(9, "change"): False}):
+        if r["side"] == "change":
+            runs.append({**r, "side": "control"})
+    alone = tool.summarize(_runs(parent, change), SPECS)
+    assert tool.summarize(runs, SPECS) == alone
+    s = tool.summarize(runs, SPECS, "control")["us_per_iter"]
+    assert s["pairs"] == 9 and (s["wins"], s["losses"]) == (2, 7)  # pair 9 left out
+    assert s["parent"]["median"] == 100.0 and not s["claim_rule_met"] and s["within_bound"]
+    assert s["pair_ratio"]["min"] == pytest.approx(99 / 100)
+    line = tool.summary_line("w", "us_per_iter", s, "control")
+    assert line.startswith("w us_per_iter: parent 100 [")
+    assert " -> control " in line and "control better in 2/9 pairs (worse in 7;" in line
+    assert "control/parent 0.990 [" in line and "claim rule not met, bound held" in line
+    assert "change better in 10/10 pairs" in tool.summary_line("w", "us_per_iter",
+                                                               alone["us_per_iter"])

@@ -2,9 +2,13 @@
 still runs and is deterministic within one process."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitwise_digest.py"
 
@@ -42,8 +46,8 @@ def test_group_digest_moves_with_its_group_only():
 
 
 def test_stderr_names_numpy_blas_and_core(capsys):
-    """After the counts, stderr names numpy's version, its BLAS and the
-    OpenBLAS core, and stdout holds only the digests."""
+    """After the counts, stderr names numpy's version, its BLAS, OpenBLAS's
+    thread count and core, and stdout holds only the digests."""
     tool = _load_tool()
     assert tool.main(["--quick"]) == 0
     out, err = capsys.readouterr()
@@ -51,7 +55,33 @@ def test_stderr_names_numpy_blas_and_core(capsys):
     assert counts.endswith(" cli")
     prefix = f"numpy {np.__version__}, BLAS "
     assert blas.startswith(prefix) and ", core " in blas and blas.split(", core ")[1]
+    threads = blas.split(", threads ")[1].split(", core ")[0]
+    assert threads == tool.openblas_threads() and (threads == "unknown" or int(threads) >= 1)
     assert "numpy" not in out and all(len(line.split()[-1]) == 64 for line in out.splitlines())
+
+
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_blas_runs_one_thread_unless_the_caller_sets_a_count(caller):
+    """Loaded in a fresh process, the tool sets the three thread variables
+    to 1 before numpy loads, so OpenBLAS runs one thread; a count the
+    caller's environment sets is kept and is the one OpenBLAS runs with."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    code = ("import importlib.util, os, sys\n"
+            f"spec = importlib.util.spec_from_file_location('bitwise_digest', {str(TOOL)!r})\n"
+            "tool = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tool)\n"
+            "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'],"
+            " os.environ['MKL_NUM_THREADS'])\n"
+            "print(tool.openblas_threads())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    variables, threads = proc.stdout.splitlines()
+    assert variables == ("1 1 1" if caller is None else f"1 {caller} 1")
+    # OpenBLAS runs no more threads than the process may use cores
+    assert threads in ("unknown", str(min(int(caller or 1), len(os.sched_getaffinity(0)))))
 
 
 def test_core_is_unknown_without_the_symbol(monkeypatch):

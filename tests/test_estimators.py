@@ -542,6 +542,69 @@ def test_warm_start_keeps_its_chunk_bound():
     assert peak - kept <= estimators._WARM_CHUNK_BYTES
 
 
+def test_warm_start_peak_beyond_the_table_stays_near_a_chunk():
+    """The warm start at 100x100x50, ranks 4,4,4, B = 8 holds at most 1.5
+    chunks' bytes beside its table at any time: the fiber coordinates and
+    means it keeps, one chunk's rows, H rows and residuals, and the H rows
+    of the rest of the slow indices the chunk spans (not a whole mode's)."""
+    f, t = make_problem(seed=14, dims=(100, 100, 50), L=(4, 4, 4))
+    tracemalloc.start()
+    try:
+        SagaState.warm_start(f, t, {1: 8, 2: 8, 3: 8})  # warms numpy's first-call caches
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        state = SagaState.warm_start(f, t, {1: 8, 2: 8, 3: 8})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = sum(grads.nbytes for grads in state.table.values())
+    assert peak - before - table <= 1.5 * estimators._WARM_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_warm_start_neither_gathers_h_rows_nor_rereads_the_table(mode, monkeypatch):
+    """With `H_rows_at` and `_table_mean` raising, the warm start still
+    fills each entry with the bits of its bin's undivided gradient from the
+    gathered H rows and rows, and the running mean with their bin-order
+    mean, for one fiber per bin, bins of 7 (ragged on mode 1) and a single
+    bin: it forms the H rows from the factors and sums the mean as it goes."""
+    f, t = make_problem(seed=7, dims=(6, 5, 4), L=(3, 1, 2))
+    jn = row_count(t.dims, mode)
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the warm start called a gather or a table pass")
+
+    for b in (1, 7, jn):
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "H_rows_at", raising)
+            m.setattr(estimators, "_table_mean", raising)
+            st = SagaState.warm_start(f, t, {mode: b})
+        grads = st.table[mode]
+        for i, idx in enumerate(np.array_split(np.arange(jn), -(-jn // b))):
+            a_i, b_i = fiber_coordinates(t.dims, mode, idx)
+            g = gradient_from_rows(f.factor(mode), H_rows_at(f, f.ranks, mode, a_i, b_i),
+                                   fiber_rows_at(t, mode, a_i, b_i), None)
+            assert grads[i].tobytes() == g.tobytes()
+        in_bin_order = sum(grads[1:], start=grads[0].copy()) / len(grads)
+        assert st.running_mean[mode].tobytes() == in_bin_order.tobytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("dims, L", [((9, 1, 7), (1,)), ((1, 6, 5), (1,)), ((6, 5, 4), (3, 1, 2))])
+def test_warm_start_mean_is_the_table_mean(dims, L, chunk_bytes, monkeypatch):
+    """The warm start's running mean has the bits of `_table_mean` over its
+    table on every mode, in one chunk and in chunks of one bin, also where
+    a mode's rows hold one entry (I_n = 1 and width 1: mode 2 of (9, 1, 7)
+    and mode 1 of (1, 6, 5) at ranks (1,)), which numpy sums pairwise."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(estimators, "_WARM_CHUNK_BYTES", chunk_bytes)
+    f, t = make_problem(seed=9, dims=dims, L=L)
+    st = SagaState.warm_start(f, t, dict.fromkeys((1, 2, 3), 2))
+    for mode in (1, 2, 3):
+        want = estimators._table_mean(st.table[mode])
+        assert st.running_mean[mode].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_gradient_from_rows_ignores_the_row_layout(mode):
     """C- and F-ordered rows give the same bits, for one batch and for a

@@ -1,7 +1,7 @@
 """Alternating A/B runs of the repo benchmark on two checkouts.
 
     python tools/ab_bench.py --parent ../base --change . --workloads mid_palm,mid_saga \
-        --seeds 2501-2512 --out BENCH_name.json
+        --seeds 2501-2512 --out BENCH_name.json [--control ../base-copy]
 
 For each workload and seed it runs `python3 perfbench/run.py --workload W
 --seed S --seconds T --trace 0` once in each checkout, each from its own
@@ -21,6 +21,14 @@ interquartile range, and its share of failed operations over those pairs
 is no larger than the parent's; its bound holds when the
 change's median is no worse than the parent's by more than the bound that
 BENCHMARK.json fixes for it.
+
+`--control DIR` names a byte-identical copy of the parent, run as a third
+side: the order is parent, change, control and its reverse from seed to
+seed.  Beside each of the change's lines the tool prints the control's
+quartiles, wins and ratios against the parent, summarized by the same rules
+(written to `--out` as `control_summary`).  It is an A/A check of the
+harness: a control that "wins" by the claim rule shows how far the host's
+drift alone can move a metric.  The claim is the change's alone.
 """
 
 from __future__ import annotations
@@ -88,15 +96,17 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], specs: list[dict]) -> dict:
+def summarize(runs: list[dict], specs: list[dict], side: str = "change") -> dict:
     """Per end-to-end metric of `specs` (BENCHMARK.json's `end_to_end`
-    entries), over the seeds where both sides' runs are correct: each
-    side's quartiles, the change's wins, the relative change of the median,
-    the parent's IQR, each side's share of failed operations and the two
-    rules of the module docstring."""
+    entries), over the seeds where the parent's and `side`'s runs are
+    correct: each side's quartiles, `side`'s wins, the relative change of
+    the median, the parent's IQR, each side's share of failed operations and
+    the two rules of the module docstring.  The entries name `side` as
+    `change` whichever side it is."""
     by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
-        by_seed.setdefault(r["seed"], {})[r["side"]] = r
+        if r["side"] in ("parent", side):
+            by_seed.setdefault(r["seed"], {})["change" if r["side"] == side else "parent"] = r
     pairs = [p for p in by_seed.values()
              if all(s in p and p[s]["correct"] for s in SIDES)]
     fail_share = {s: sum(p[s]["failed"] for p in pairs) / max(1, sum(p[s]["attempted"] for p in pairs))
@@ -143,6 +153,21 @@ def _ratio_text(r: dict) -> str:
     return f"{r['min']:.3f} [{r['q1']:.3f}, {r['median']:.3f}, {r['q3']:.3f}] {r['max']:.3f}"
 
 
+def summary_line(workload: str, name: str, s: dict, side: str = "change") -> str:
+    """One metric's summary of `side` against the parent, as printed."""
+    if not s["measured"]:
+        return f"{workload} {name}: not measured on both sides of {s['pairs']} pairs"
+    pq, cq = s["parent"], s["change"]
+    rel = s["median_rel_change"]
+    return (f"{workload} {name}: parent {pq['median']:.6g} [{pq['q1']:.6g}, {pq['q3']:.6g}]"
+            f" -> {side} {cq['median']:.6g} [{cq['q1']:.6g}, {cq['q3']:.6g}]"
+            + (f" ({100 * rel:+.1f} %)" if rel is not None else "")
+            + f", {side} better in {s['wins']}/{s['pairs']} pairs (worse in {s['losses']};"
+            f" {side}/parent {_ratio_text(s['pair_ratio'])}),"
+            f" claim rule {'met' if s['claim_rule_met'] else 'not met'},"
+            f" bound {'held' if s['within_bound'] else 'EXCEEDED'}")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -150,16 +175,21 @@ def main() -> int:
     p.add_argument("--workloads", required=True, type=lambda v: v.split(","), help="a,b")
     p.add_argument("--seeds", required=True, type=parse_seeds, help="a-b or a,b,c")
     p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--control", type=Path,
+                   help="a byte-identical copy of the parent, run as a third side")
     args = p.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.control is not None:
+        checkouts["control"] = args.control.resolve()
+    sides = tuple(checkouts)
 
     results = {}
     for workload in args.workloads:
         runs = []
         for i, seed in enumerate(args.seeds):
-            for order, side in enumerate(SIDES if i % 2 == 0 else SIDES[::-1]):
+            for order, side in enumerate(sides if i % 2 == 0 else sides[::-1]):
                 r = {"seed": seed, "side": side, "order": order,
                      **bench_once(checkouts[side], workload, seed, seconds)}
                 runs.append(r)
@@ -168,24 +198,17 @@ def main() -> int:
         results[workload] = {
             "runs": runs,
             "incorrect_runs": {side: sum(r["side"] == side and not r["correct"] for r in runs)
-                               for side in SIDES},
+                               for side in sides},
             "summary": summarize(runs, spec["end_to_end"]),
         }
+        if "control" in checkouts:
+            results[workload]["control_summary"] = summarize(runs, spec["end_to_end"], "control")
 
     for workload, res in results.items():
         for name, s in res["summary"].items():
-            if not s["measured"]:
-                print(f"{workload} {name}: not measured on both sides of {s['pairs']} pairs")
-                continue
-            pq, cq = s["parent"], s["change"]
-            rel = s["median_rel_change"]
-            print(f"{workload} {name}: parent {pq['median']:.6g} [{pq['q1']:.6g}, {pq['q3']:.6g}]"
-                  f" -> change {cq['median']:.6g} [{cq['q1']:.6g}, {cq['q3']:.6g}]"
-                  + (f" ({100 * rel:+.1f} %)" if rel is not None else "")
-                  + f", change better in {s['wins']}/{s['pairs']} pairs (worse in {s['losses']};"
-                  f" change/parent {_ratio_text(s['pair_ratio'])}),"
-                  f" claim rule {'met' if s['claim_rule_met'] else 'not met'},"
-                  f" bound {'held' if s['within_bound'] else 'EXCEEDED'}")
+            print(summary_line(workload, name, s))
+            if "control_summary" in res:
+                print(summary_line(workload, name, res["control_summary"][name], "control"))
     args.out.write_text(json.dumps({
         "seconds": seconds,
         "command": "python3 perfbench/run.py --workload W --seed S "

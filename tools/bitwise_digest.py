@@ -23,9 +23,13 @@ tensor contractions take several BLAS calls, see `blocked_runs`), `inertia`
 a change is meant to round one group differently, the others show that
 nothing else moved.
 
-On stderr, after the counts, it prints the numpy version, its BLAS and the
-OpenBLAS core that BLAS dispatches to (`unknown` when it cannot be read):
-the digests depend on the BLAS kernel, so a recorded digest names it.
+On stderr, after the counts, it prints the numpy version, its BLAS, the
+number of threads OpenBLAS runs with and the OpenBLAS core that BLAS
+dispatches to (either `unknown` when it cannot be read): the digests depend
+on the BLAS kernel and the `blocked` group on the thread count, so a
+recorded digest names both.  The tool sets OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, each
+unless the caller's environment sets it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
+# the `blocked` group's digest depends on the BLAS thread count: one thread
+# unless the caller set a count, set before numpy loads its BLAS
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -304,24 +313,41 @@ def digest(quick: bool = False) -> tuple[str, dict[str, int], dict[str, str]]:
     return d.h.hexdigest(), d.counts, {g: h.hexdigest() for g, h in d.groups.items()}
 
 
-def openblas_core() -> str:
-    """The core OpenBLAS chose at load time, read from the
-    `libscipy_openblas64_` that numpy's Linux wheel bundles, or `unknown`
-    when that library or its `scipy_openblas_get_corename64_` is absent."""
+def _openblas(symbol: str):
+    """`symbol` of the `libscipy_openblas64_` that numpy's Linux wheel
+    bundles, or None when that library or the symbol is absent."""
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")):
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            return getattr(ctypes.CDLL(str(lib)), symbol)
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+    return None
+
+
+def openblas_core() -> str:
+    """The core OpenBLAS chose at load time, or `unknown`."""
+    corename = _openblas("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def openblas_threads() -> str:
+    """The number of threads OpenBLAS runs with, or `unknown`."""
+    threads = _openblas("scipy_openblas_get_num_threads64_")
+    if threads is None:
+        return "unknown"
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return str(threads())
 
 
 def blas_line() -> str:
-    """numpy's version, its BLAS's name and version, and the OpenBLAS core."""
+    """numpy's version, its BLAS's name and version, and OpenBLAS's thread
+    count and core."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, core {openblas_core()}"
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            f"threads {openblas_threads()}, core {openblas_core()}")
 
 
 def main(argv=None) -> int:
